@@ -22,8 +22,9 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
 from .fourier import correlation_with_ands
 from .influences import (high_influence_coordinates, junta_project, monotonize,
                          negative_influence)
-from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
-                      popcounts, zeta_subsets, zeta_supersets)
+from .lattice import (coordinate_pairs, index_bits, measure_weights,
+                      mobius_subsets, pack_bits, popcounts, zeta_subsets,
+                      zeta_supersets)
 from .noise import (NoiseParams, TesterReport, downward_noise_table,
                     invert_downward, residual)
 
@@ -146,21 +147,6 @@ def _agreement_exact(f: BooleanFunction, g: BooleanFunction,
     gx = g.table.astype(np.float64)
     per_x = np.where(gx > 0.5, 1.0 - tf - eh + 2.0 * q, 1.0 - tf)
     return float(measure_weights(n, p) @ per_x)
-
-
-def _agreement_pairs(f: BooleanFunction, g: BooleanFunction,
-                     h: BooleanFunction, p: float, rho: float) -> float:
-    """Same probability by brute enumeration of all 4^n input pairs."""
-    n = f.n
-    wx = measure_weights(n, p)
-    wy = measure_weights(n, rho)
-    ft, gt, ht = f.table, g.table, h.table
-    ys = np.arange(1 << n)
-    total = 0.0
-    for x in range(1 << n):
-        agree = ft[x & ys] == (gt[x] & ht)
-        total += wx[x] * float(wy @ agree)
-    return total
 
 
 def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
@@ -299,6 +285,17 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     partition search runs over the coordinates of influence at least tau
     (all coordinates when n <= max_support), every subset of them, and
     every partition into at most max_width blocks.
+
+    Every candidate depends only on the c candidate coordinates, so it is
+    built once on the 2^c sub-cube and gathered onto the full cube through
+    proj, the sub-cube code of every point.  proj takes the smallest
+    unsigned dtype that holds 2^c codes: at most 2 B per point for c <= 16,
+    and no 2^n int64 index array (ndarray.take gathers without first
+    widening it to intp, as fancy indexing would).  Each candidate still
+    costs two 2^n dot products: the closed-form mean prod(1 - (1-p)^|B|),
+    weights aggregated onto the sub-cube or batched products would change
+    the summation order, and with it the last bits of the distance and the
+    ties resolved within TIE_TOL.
     """
     exact = recognize_and_or(f)
     if exact is not None and exact.width <= max_width:
@@ -310,20 +307,25 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
         if len(cand) > max_support:
             ranked = sorted(cand, key=lambda i: -abs(negative_influence(f, i, p)))
             cand = sorted(ranked[:max_support])
+    c = len(cand)
     mean = expectation(f, p)
     w = measure_weights(f.n, p)
     wf = w * f.table
-    best_dist, best_width, best_part = 1.0 - mean, 0, BlockPartition(())
-    for size in range(1, len(cand) + 1):
-        for support in itertools.combinations(cand, size):
+    proj = np.zeros(1 << f.n, dtype=np.min_scalar_type((1 << c) - 1))
+    for k, i in enumerate(cand):
+        coordinate_pairs(proj, i)[:, 1, :] |= 1 << k
+    best_dist, best_width, best_local = 1.0 - mean, 0, ()
+    for size in range(1, c + 1):
+        for support in itertools.combinations(range(c), size):
             for blocks in _partitions_into_blocks(list(support), max_width):
-                part = BlockPartition(tuple(frozenset(b) for b in blocks))
-                g = make_and_or(f.n, part)
-                dist = mean + float(w @ g.table) - 2.0 * float(wf @ g.table)
+                part = BlockPartition(blocks)
+                g = make_and_or(c, part).table.take(proj)
+                dist = mean + float(w @ g) - 2.0 * float(wf @ g)
                 if dist < best_dist - TIE_TOL or (
                         abs(dist - best_dist) <= TIE_TOL and part.width < best_width):
-                    best_dist, best_width, best_part = dist, part.width, part
-    return StructureVerdict(kind="and_or", witness=best_part,
+                    best_dist, best_width, best_local = dist, part.width, part.blocks
+    witness = BlockPartition(frozenset(cand[k] for k in b) for b in best_local)
+    return StructureVerdict(kind="and_or", witness=witness,
                             distance=float(max(best_dist, 0.0)))
 
 

@@ -30,7 +30,9 @@ class BooleanFunction:
         arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(f"table has shape {arr.shape}, expected ({1 << n},)")
-        if not np.isin(arr, (0, 1)).all():
+        ok = (arr.max(initial=0) <= 1 if arr.dtype.kind in "ub"
+              else np.isin(arr, (0, 1)).all())
+        if not ok:
             raise ValueError("Boolean table entries must be 0 or 1")
         self.n = n
         self._table = np.ascontiguousarray(arr, dtype=np.uint8)
@@ -52,9 +54,9 @@ class BooleanFunction:
     @classmethod
     def from_bits_hex(cls, n: int, bits_hex: str) -> "BooleanFunction":
         raw = np.frombuffer(bytes.fromhex(bits_hex), dtype=np.uint8)
+        if raw.size != ((1 << n) + 7) // 8:
+            raise ValueError(f"hex string of {raw.size} bytes for dimension {n}")
         bits = np.unpackbits(raw, bitorder="little")
-        if bits.size < (1 << n):
-            raise ValueError("hex string too short for dimension")
         return cls(n, bits[: 1 << n])
 
     def __eq__(self, other) -> bool:
@@ -81,8 +83,10 @@ class BoundedFunction:
         arr = np.asarray(table, dtype=np.float64)
         if arr.shape != (1 << n,):
             raise ValueError(f"table has shape {arr.shape}, expected ({1 << n},)")
-        if arr.min(initial=0.0) < -VALUE_TOL or arr.max(initial=0.0) > 1.0 + VALUE_TOL:
-            raise ValueError("bounded table entries must lie in [0,1] (tol 1e-12)")
+        # written so that NaN fails the test: it compares False both ways
+        if not (arr.min() >= -VALUE_TOL and arr.max() <= 1.0 + VALUE_TOL):
+            raise ValueError("bounded table entries must be finite and lie in "
+                             "[0,1] (tol 1e-12)")
         self.n = n
         self._table = np.clip(arr, 0.0, 1.0)
         self._table.flags.writeable = False

@@ -69,17 +69,19 @@ def make_xor(n: int, coords) -> BooleanFunction:
 
 def make_and_or(n: int, partition: BlockPartition) -> BooleanFunction:
     """AND of block ORs; singleton blocks reduce to a plain AND."""
+    idx = np.arange(1 << n)
     table = np.ones(1 << n, dtype=np.uint8)
     for block in partition.blocks:
-        table &= make_or(n, block).table
+        table &= (idx & subset_mask(n, block)) != 0
     return BooleanFunction(n, table)
 
 
 def make_and_xor(n: int, partition: BlockPartition) -> BooleanFunction:
     """AND of block XORs."""
+    idx = np.arange(1 << n)
     table = np.ones(1 << n, dtype=np.uint8)
     for block in partition.blocks:
-        table &= make_xor(n, block).table
+        table &= popcounts(n)[idx & subset_mask(n, block)] & 1
     return BooleanFunction(n, table)
 
 

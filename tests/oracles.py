@@ -7,6 +7,7 @@ separate code.  Sizes are kept tiny; these are O(4^n) or worse.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +87,19 @@ def naive_agreement(f, g, h, n: int, p: float, rho: float) -> float:
     return total
 
 
+def pair_agreement(f, g, h, p: float, rho: float) -> float:
+    """Pr that f(x AND y) = g(x) AND h(y) over all 4^n pairs, one x at a time."""
+    n = f.n
+    wy = np.array([mu_weight(n, rho, y) for y in range(1 << n)])
+    ft, gt, ht = f.table, g.table, h.table
+    ys = np.arange(1 << n)
+    total = 0.0
+    for x in range(1 << n):
+        agree = ft[x & ys] == (gt[x] & ht)
+        total += mu_weight(n, p, x) * float(wy @ agree)
+    return total
+
+
 def naive_influence(table, n: int, i: int, p: float) -> float:
     acc = 0.0
     for x in range(1 << n):
@@ -139,3 +153,22 @@ def all_and_or_tables(n: int, max_width=None):
                 table &= ors
             seen[table.tobytes()] = (table, blocks)
     return seen
+
+
+def exact_l1(f, g, n: int, p: Fraction) -> Fraction:
+    """L1 distance of two tables with p a Fraction: exact, so ties are exact."""
+    return sum((mu_weight(n, p, x) for x in range(1 << n) if f[x] != g[x]),
+               Fraction(0))
+
+
+def and_or_candidate_count(c: int, max_width: int) -> int:
+    """Partitions of every nonempty subset of c coordinates into at most
+    max_width blocks: sum over s of C(c, s) * sum over k of S(s, k)."""
+    def stirling2(s, k):
+        if s == k:
+            return 1
+        if k == 0 or k > s:
+            return 0
+        return k * stirling2(s - 1, k) + stirling2(s - 1, k - 1)
+    return sum(math.comb(c, s) * sum(stirling2(s, k) for k in range(1, max_width + 1))
+               for s in range(1, c + 1))

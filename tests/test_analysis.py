@@ -1,10 +1,17 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.analysis import _agreement_pairs, _perturb
+from polyspec import analysis
+from polyspec.analysis import _perturb
 from conftest import random_boolean, random_bounded
-from oracles import all_and_or_tables, naive_agreement, subsets
+from oracles import (all_and_or_tables, all_block_partitions,
+                     and_or_candidate_count, bit, exact_l1, naive_agreement,
+                     naive_influence, naive_negative_influence,
+                     pair_agreement, subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def test_agreement_identity_matches_pair_enumeration(rng):
         f, g, h = (random_boolean(n, rng) for _ in range(3))
         p, rho = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8))
         fast = ps.homomorphism_agreement(f, p, rho, g=g, h=h).estimate
-        assert fast == pytest.approx(_agreement_pairs(f, g, h, p, rho), abs=1e-12)
+        assert fast == pytest.approx(pair_agreement(f, g, h, p, rho), abs=1e-12)
         assert fast == pytest.approx(
             naive_agreement(f.table, g.table, h.table, n, p, rho), abs=1e-10)
 
@@ -219,15 +226,118 @@ def test_distance_to_and_or_exact_hit():
     assert v.witness.sorted_blocks() == part.sorted_blocks()
 
 
+def _check_and_or_verdict(f, p, max_width, cand, v):
+    """Exact-rational brute force over every AND-OR of width <= max_width
+    supported on cand: the distance is the minimum, the witness attains it,
+    and no tied AND-OR is narrower."""
+    n = f.n
+    q = Fraction(p).limit_denominator(100)
+    dists = {blocks: exact_l1(f.table, t, n, q)
+             for t, blocks in all_and_or_tables(n, max_width).values()
+             if all(i in cand for blk in blocks for i in blk)}
+    best = min(dists.values())
+    assert v.kind == "and_or"
+    assert v.distance == pytest.approx(float(best), abs=1e-12)
+    own = ps.l1_distance(f, ps.make_and_or(n, v.witness), p)
+    assert own == pytest.approx(v.distance, abs=1e-12)
+    assert v.witness.support() <= set(cand)
+    assert v.witness.width == min(len(b) for b, d in dists.items() if d == best)
+
+
 def test_distance_to_and_or_matches_bruteforce(rng):
-    n = 4
-    family = all_and_or_tables(n, max_width=2)
-    for _ in range(8):
-        f = random_boolean(n, rng)
-        v = ps.distance_to_and_or(f, 0.5, max_width=2)
-        best = min(ps.l1_distance(f, ps.BooleanFunction(n, t), 0.5)
-                   for t, _ in family.values())
-        assert v.distance == pytest.approx(best, abs=1e-12)
+    for p in (0.3, 0.5, 0.7):
+        for max_width in (1, 2, 3):
+            for n in range(1, 7):
+                f = random_boolean(n, rng)
+                v = ps.distance_to_and_or(f, p, max_width=max_width)
+                _check_and_or_verdict(f, p, max_width, range(n), v)
+    # AND(x1, x2) ties with OR(x2, x3); the search meets the wider one first
+    f = ps.BooleanFunction(4, [(18384 >> x) & 1 for x in range(16)])
+    v = ps.distance_to_and_or(f, 0.5, max_width=3)
+    _check_and_or_verdict(f, 0.5, 3, range(4), v)
+    assert v.witness.sorted_blocks() == ((2, 3),)
+
+
+def test_distance_to_and_or_bits_match_full_cube_search(rng):
+    """Same distance bits as the search over full-cube candidate tables with
+    the same formula, enumeration order and tie rule: the sub-cube build
+    changes no floating-point operation.  Sweeps print 12 digits, so their
+    golden files cannot see a last-bit change; this test can."""
+    from polyspec.lattice import measure_weights
+    for p in (0.3, 0.7):
+        for n in range(2, 7):
+            f = random_boolean(n, rng)
+            if ps.recognize_and_or(f) is not None:
+                continue
+            w = measure_weights(n, p)
+            wf = w * f.table
+            mean = ps.expectation(f, p)
+            best, best_width = 1.0 - mean, 0
+            for size in range(1, n + 1):
+                for support in itertools.combinations(range(n), size):
+                    for blocks in all_block_partitions(support, 2):
+                        g = np.array([all(any(bit(x, i) for i in blk) for blk in blocks)
+                                      for x in range(1 << n)], dtype=np.uint8)
+                        d = mean + float(w @ g) - 2.0 * float(wf @ g)
+                        if d < best - analysis.TIE_TOL or (
+                                abs(d - best) <= analysis.TIE_TOL
+                                and len(blocks) < best_width):
+                            best, best_width = d, len(blocks)
+            v = ps.distance_to_and_or(f, p, max_width=2)
+            assert v.distance == max(best, 0.0)
+
+
+def _search_coordinates(f, p, tau, max_support):
+    """The candidate coordinates of the AND-OR search, from the oracles."""
+    n = f.n
+    if n <= max_support:
+        return list(range(n))
+    cand = [i for i in range(n) if naive_influence(f.table, n, i, p) >= tau]
+    if len(cand) > max_support:
+        ranked = sorted(cand, key=lambda i: -abs(
+            naive_negative_influence(f.table, n, i, p)))
+        cand = sorted(ranked[:max_support])
+    return cand
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_distance_to_and_or_on_high_influence_coordinates(p, rng):
+    n, tau = 6, 0.05
+    # AND-OR on {0,1},{2} with the point {3,4,5} flipped: coordinates 3..5
+    # stay below tau, so the search runs on {0,1,2}
+    table = ps.make_and_or(n, ps.BlockPartition(({0, 1}, {2}))).table.copy()
+    table[0b111000] ^= 1
+    structured = ps.BooleanFunction(n, table)
+    assert _search_coordinates(structured, p, tau, 4) == [0, 1, 2]
+    for f, max_support in [(structured, 4), (random_boolean(n, rng), 3),
+                           (random_boolean(n, rng), 4)]:
+        cand = _search_coordinates(f, p, tau, max_support)
+        v = ps.distance_to_and_or(f, p, max_width=2, tau=tau,
+                                  max_support=max_support)
+        _check_and_or_verdict(f, p, 2, cand, v)
+
+
+def test_distance_to_and_or_builds_one_table_per_candidate(monkeypatch, rng):
+    calls = []
+    real = analysis.make_and_or
+
+    def counting(n, part):
+        calls.append(n)
+        return real(n, part)
+
+    monkeypatch.setattr(analysis, "make_and_or", counting)
+    for n, max_width, max_support in [(5, 1, 10), (6, 2, 10), (6, 3, 10),
+                                      (7, 2, 4)]:
+        table = rng.integers(0, 2, 1 << n)
+        table[0] = 1      # f(empty) = 1 with some f(x) = 0: not monotone
+        table[1] = 0
+        f = ps.BooleanFunction(n, table)
+        c = len(_search_coordinates(f, 0.5, 0.05, max_support))
+        calls.clear()
+        ps.distance_to_and_or(f, 0.5, max_width=max_width,
+                              max_support=max_support)
+        assert len(calls) == and_or_candidate_count(c, max_width)
+        assert set(calls) <= {c}
 
 
 def test_distance_to_monotone_junta_fixed_point():

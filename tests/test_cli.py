@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,10 +205,47 @@ def test_sweep_byte_identical(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2
 
 
+# Sweeps pinned byte for byte across code changes.  The p != 1/2 files
+# carry non-dyadic weights; at 12 printed digits they catch tie flips and
+# larger drifts, while last-bit changes are pinned in test_analysis.
+GOLDEN_SWEEPS = {
+    "sweep_and_p05_seed1414.csv":
+        "family=and\nsizes=8,10,12\nperturbations=0,1,2,4,8,16\ntrials=1\n"
+        "p=0.5\nrho=0.5\nseed=1414\n",
+    "sweep_and_p03_seed77.csv":
+        "family=and\nsizes=6,9,12\nperturbations=0,1,3,7\ntrials=2\n"
+        "p=0.3\nrho=0.4\nseed=77\n",
+    "sweep_semirandom_p07_seed5.csv":
+        "family=semirandom\nsizes=8,11\nperturbations=0,2,5\ntrials=1\n"
+        "p=0.7\nrho=0.35\nseed=5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_matches_golden(name, tmp_path):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(GOLDEN_SWEEPS[name])
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()
+
+
 def test_sweep_bad_config_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("this is not a config\n")
     assert main(["sweep", "--config", str(cfgfile)]) == 2
+
+
+def test_noise_rejects_nan_input(tmp_path, capsys):
+    fn = tmp_path / "nan.json"
+    fn.write_text('{"n": 1, "kind": "bounded", "values": [NaN, 0.5]}\n')
+    assert main(["noise", "--rho", "0.5", "--in", str(fn)]) == 2
+
+
+def test_trailing_hex_byte_exits_2(tmp_path, capsys):
+    fn = tmp_path / "long.json"
+    fn.write_text('{"n": 2, "kind": "boolean", "bits_hex": "0fff"}\n')
+    assert main(["noise", "--rho", "0.5", "--in", str(fn)]) == 2
 
 
 def test_stream_rng_independent_names():

@@ -29,6 +29,13 @@ def test_boolean_validation():
         ps.BooleanFunction(2, [0, 1])          # wrong length
     with pytest.raises(ValueError):
         ps.BooleanFunction(25, np.zeros(1))    # over the size cap
+    # unsigned and bool tables take the max check, others the exact one
+    assert ps.BooleanFunction(1, np.array([True, False])).table.tolist() == [1, 0]
+    assert ps.BooleanFunction(1, np.array([0.0, 1.0])).table.tolist() == [0, 1]
+    for bad in (np.array([0, 2], np.uint8), np.array([0, 256], np.uint16),
+                np.array([0.5, 1.0]), np.array([-1, 0])):
+        with pytest.raises(ValueError):
+            ps.BooleanFunction(1, bad)
 
 
 def test_bounded_validation():
@@ -37,6 +44,17 @@ def test_bounded_validation():
         ps.BoundedFunction(1, [0.0, 1.1])
     with pytest.raises(ValueError):
         ps.BoundedFunction(1, [-1e-3, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ps.BoundedFunction(1, [bad, 0.5])
+
+
+def test_from_bits_hex_requires_exact_length():
+    assert ps.BooleanFunction.from_bits_hex(2, "0f") == ps.constant(2, 1)
+    assert ps.BooleanFunction.from_bits_hex(4, "8888") == ps.make_and(4, [0, 1])
+    for n, bits_hex in ((2, "0fff"), (2, ""), (4, "03"), (4, "030000")):
+        with pytest.raises(ValueError):
+            ps.BooleanFunction.from_bits_hex(n, bits_hex)
 
 
 def test_tables_immutable():

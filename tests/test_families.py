@@ -7,7 +7,7 @@ import polyspec as ps
 from polyspec.families import or_width_cap
 from polyspec.influences import is_monotone
 from conftest import random_boolean
-from oracles import all_and_or_tables, naive_minterms
+from oracles import all_and_or_tables, bit, naive_minterms
 
 
 def random_partition(n, max_width, rng, max_block=None):
@@ -34,6 +34,18 @@ def test_block_partition_validation():
 def test_singleton_blocks_give_plain_and():
     part = ps.BlockPartition(({0}, {1}))
     assert ps.make_and_or(3, part) == ps.make_and(3, [0, 1])
+
+
+def test_and_or_and_xor_tables_point_by_point(rng):
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        part = random_partition(n, 3, rng)
+        bits = [[bit(x, i) for i in range(n)] for x in range(1 << n)]
+        want_or = [all(any(b[i] for i in blk) for blk in part.blocks) for b in bits]
+        want_xor = [all(sum(b[i] for i in blk) % 2 for blk in part.blocks)
+                    for b in bits]
+        assert ps.make_and_or(n, part).table.tolist() == [int(v) for v in want_or]
+        assert ps.make_and_xor(n, part).table.tolist() == [int(v) for v in want_xor]
 
 
 def test_single_block_and_xor_is_xor():
