@@ -22,11 +22,10 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
 from .fourier import correlation_with_ands
 from .influences import (high_influence_coordinates, junta_project, monotonize,
                          negative_influence)
-from .lattice import (coordinate_pairs, index_bits, measure_weights,
-                      mobius_subsets, pack_bits, popcounts, zeta_subsets,
-                      zeta_supersets)
-from .noise import (NoiseParams, TesterReport, downward_noise_table,
-                    invert_downward, residual)
+from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
+                      popcounts, subcube_codes, zeta_subsets, zeta_supersets)
+from .noise import (NoiseParams, TesterReport, _biased_bits, _monte_carlo,
+                    downward_noise_table, invert_downward, residual)
 
 EIGEN_TOL = 1e-10
 EXACT_PAIR_TOL = 1e-12
@@ -174,17 +173,13 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        batch = min(1 << 17, samples - done)
-        x = pack_bits((rng.random((batch, f.n)) < p).astype(np.uint8))
-        y = pack_bits((rng.random((batch, f.n)) < rho).astype(np.uint8))
-        hits += int(np.count_nonzero(f.table[x & y] == (g.table[x] & h.table[y])))
-        done += batch
-    est = hits / samples
-    se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
-    return TesterReport(estimate=est, std_error=se, samples=samples, seed=seed)
+
+    def agreements(batch: int) -> int:
+        x = pack_bits(_biased_bits(rng, (batch, f.n), p))
+        y = pack_bits(_biased_bits(rng, (batch, f.n), rho))
+        return int(np.count_nonzero(f.table[x & y] == (g.table[x] & h.table[y])))
+
+    return _monte_carlo(agreements, samples, seed)
 
 
 def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
@@ -204,8 +199,12 @@ def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
     else:
         if rng is None:
             rng = np.random.default_rng(seed)
-        codes = pack_bits((rng.random((samples, f.n)) < p).astype(np.uint8))
-        mean = float(np.mean(f.table[codes]))
+
+        def ones(batch: int) -> int:
+            x = pack_bits(_biased_bits(rng, (batch, f.n), p))
+            return int(np.count_nonzero(f.table[x]))
+
+        mean = _monte_carlo(ones, samples, seed).estimate
         agree = homomorphism_agreement(f, p, p, mode="montecarlo",
                                        samples=samples, rng=rng, seed=seed)
         se, n_used, exact = agree.std_error, samples, False
@@ -288,10 +287,9 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
 
     Every candidate depends only on the c candidate coordinates, so it is
     built once on the 2^c sub-cube and gathered onto the full cube through
-    proj, the sub-cube code of every point.  proj takes the smallest
-    unsigned dtype that holds 2^c codes: at most 2 B per point for c <= 16,
-    and no 2^n int64 index array (ndarray.take gathers without first
-    widening it to intp, as fancy indexing would).  Each candidate still
+    proj, the sub-cube code of every point (lattice.subcube_codes: at most
+    2 B per point for c <= 16; ndarray.take gathers without first widening
+    it to intp, as fancy indexing would).  Each candidate still
     costs two 2^n dot products: the closed-form mean prod(1 - (1-p)^|B|),
     weights aggregated onto the sub-cube or batched products would change
     the summation order, and with it the last bits of the distance and the
@@ -311,9 +309,7 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     mean = expectation(f, p)
     w = measure_weights(f.n, p)
     wf = w * f.table
-    proj = np.zeros(1 << f.n, dtype=np.min_scalar_type((1 << c) - 1))
-    for k, i in enumerate(cand):
-        coordinate_pairs(proj, i)[:, 1, :] |= 1 << k
+    proj = subcube_codes(f.n, cand)
     best_dist, best_width, best_local = 1.0 - mean, 0, ()
     for size in range(1, c + 1):
         for support in itertools.combinations(range(c), size):

@@ -30,10 +30,15 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
 
 
 def worker_count() -> int:
+    """Sweep worker count from POLYSPEC_THREADS (default 1)."""
+    raw = os.environ.get("POLYSPEC_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("POLYSPEC_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise CliError(f"POLYSPEC_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 @dataclass
@@ -194,31 +199,23 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+_MAKERS = {
+    "and": lambda a: families.make_and(a.n, _parse_coords(a.coords or "")),
+    "or": lambda a: families.make_or(a.n, _parse_coords(a.coords or "")),
+    "xor": lambda a: families.make_xor(a.n, _parse_coords(a.coords or "")),
+    "andor": lambda a: families.make_and_or(a.n, _parse_blocks(a.blocks or "")),
+    "andxor": lambda a: families.make_and_xor(a.n, _parse_blocks(a.blocks or "")),
+    "maj3": lambda a: families.make_majority3(a.n),
+    "f1": lambda a: families.make_f1(a.n),
+    "f2": lambda a: families.make_f2(a.n, a.lam, stream_rng(a.seed, "f2")),
+    "midslice": lambda a: families.make_midslice(a.n, a.window_scale),
+    "semirandom": lambda a: families.make_semirandom(
+        a.n, a.window_scale, stream_rng(a.seed, "semirandom")),
+}
+
+
 def _cmd_make(args) -> int:
-    fam = args.family
-    if fam == "and":
-        f = families.make_and(args.n, _parse_coords(args.coords or ""))
-    elif fam == "or":
-        f = families.make_or(args.n, _parse_coords(args.coords or ""))
-    elif fam == "xor":
-        f = families.make_xor(args.n, _parse_coords(args.coords or ""))
-    elif fam == "andor":
-        f = families.make_and_or(args.n, _parse_blocks(args.blocks or ""))
-    elif fam == "andxor":
-        f = families.make_and_xor(args.n, _parse_blocks(args.blocks or ""))
-    elif fam == "maj3":
-        f = families.make_majority3(args.n)
-    elif fam == "f1":
-        f = families.make_f1(args.n)
-    elif fam == "f2":
-        f = families.make_f2(args.n, args.lam, stream_rng(args.seed, "f2"))
-    elif fam == "midslice":
-        f = families.make_midslice(args.n, args.window_scale)
-    elif fam == "semirandom":
-        f = families.make_semirandom(args.n, args.window_scale,
-                                     stream_rng(args.seed, "semirandom"))
-    else:
-        raise CliError(f"unknown family {fam!r}")
+    f = _MAKERS[args.family](args)
     if args.out:
         core.save_function(f, args.out)
     else:
@@ -361,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("make", _cmd_make, "construct a family member")
     sp.add_argument("--family", required=True,
-                    choices=("and", "or", "xor", "andor", "andxor", "maj3",
-                             "f1", "f2", "midslice", "semirandom"))
+                    choices=tuple(_MAKERS))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--coords", default=None, help="comma-separated, e.g. 0,2")
     sp.add_argument("--blocks", default=None,

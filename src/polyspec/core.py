@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import measure_weights
+from .lattice import coordinate_pairs, measure_weights
 
 MAX_N_BOOLEAN = 24   # 16 MiB dense table
 MAX_N_BOUNDED = 20   # 8 MiB of doubles
@@ -57,6 +57,8 @@ class BooleanFunction:
         if raw.size != ((1 << n) + 7) // 8:
             raise ValueError(f"hex string of {raw.size} bytes for dimension {n}")
         bits = np.unpackbits(raw, bitorder="little")
+        if bits[1 << n:].any():
+            raise ValueError(f"padding bits beyond the {1 << n} table entries must be 0")
         return cls(n, bits[: 1 << n])
 
     def __eq__(self, other) -> bool:
@@ -138,17 +140,6 @@ def evaluate(f: AnyFunction, x: int) -> float:
     return int(v) if isinstance(f, BooleanFunction) else float(v)
 
 
-def _contract(table: np.ndarray, j: int, w0: float, w1: float) -> np.ndarray:
-    """Eliminate coordinate j, combining its two slices with weights w0, w1."""
-    t = table.reshape(-1, 2, 1 << j)
-    return (w0 * t[:, 0, :] + w1 * t[:, 1, :]).reshape(-1)
-
-
-def _slice(table: np.ndarray, j: int, bit: int) -> np.ndarray:
-    t = table.reshape(-1, 2, 1 << j)
-    return t[:, bit, :].reshape(-1).copy()
-
-
 def restrict(f: AnyFunction, r: Restriction) -> AnyFunction:
     """Fix the coordinates of r; the result has dimension n - |r|.
 
@@ -158,9 +149,9 @@ def restrict(f: AnyFunction, r: Restriction) -> AnyFunction:
     coords = r.coordinates()
     if any(i >= f.n or i < 0 for i in coords):
         raise ValueError("restriction fixes a coordinate outside [0, n)")
-    table = f.table.astype(np.float64) if isinstance(f, BoundedFunction) else f.table.copy()
+    table = f.table
     for i, b in sorted(r.fixed, reverse=True):
-        table = _slice(table, i, b)
+        table = coordinate_pairs(table, i)[:, b, :].reshape(-1)
     m = f.n - len(coords)
     if isinstance(f, BooleanFunction):
         return BooleanFunction(m, table)
@@ -181,7 +172,8 @@ def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
         raise ValueError("keep-set contains a coordinate outside [0, n)")
     table = f.table.astype(np.float64)
     for j in sorted(set(range(f.n)) - keep, reverse=True):
-        table = _contract(table, j, 1.0 - q, q)
+        edges = coordinate_pairs(table, j)
+        table = ((1.0 - q) * edges[:, 0, :] + q * edges[:, 1, :]).reshape(-1)
     return BoundedFunction(len(keep), table)
 
 

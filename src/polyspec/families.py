@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BooleanFunction
-from .lattice import popcounts, subset_mask
+from .lattice import coordinate_pairs, popcounts, subset_mask
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,14 @@ def minterms(g: BooleanFunction) -> set[frozenset[int]]:
 
     if not is_monotone(g):
         raise ValueError("minterms are defined for monotone functions only")
-    table = g.table
-    ones = np.flatnonzero(table)
-    out: set[frozenset[int]] = set()
-    for x in ones:
-        x = int(x)
-        # minimal iff clearing any single set bit leaves the value 0
-        if all(table[x & ~(1 << i)] == 0 for i in range(g.n) if (x >> i) & 1):
-            out.add(frozenset(i for i in range(g.n) if (x >> i) & 1))
-    return out
+    # a true point is minimal iff clearing any single set bit gives 0: one
+    # edge pass per coordinate clears the upper end of every true-true edge
+    true = g.table.astype(bool)
+    minimal = true.copy()
+    for i in range(g.n):
+        coordinate_pairs(minimal, i)[:, 1, :] &= ~coordinate_pairs(true, i)[:, 0, :]
+    return {frozenset(i for i in range(g.n) if (x >> i) & 1)
+            for x in np.flatnonzero(minimal).tolist()}
 
 
 def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:

@@ -16,51 +16,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnyFunction, BooleanFunction, BoundedFunction
+from .core import AnyFunction, BooleanFunction, BoundedFunction, average_out
 from .fourier import transform_table
-from .lattice import measure_weights, popcounts
-
-
-def _edge_slices(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    t = table.reshape(-1, 2, 1 << i)
-    return t[:, 0, :].reshape(-1), t[:, 1, :].reshape(-1)
+from .lattice import coordinate_pairs, measure_weights, popcounts, subcube_codes
 
 
 def influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean squared change of f when coordinate i is flipped, under mu_p."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    lo, hi = _edge_slices(f.table.astype(np.float64), i)
-    w = measure_weights(f.n - 1, p)
-    return float(w @ (hi - lo) ** 2)
+    edges = coordinate_pairs(f.table.astype(np.float64), i)
+    change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
+    return float(measure_weights(f.n - 1, p) @ change ** 2)
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean positive part of the drop when coordinate i goes from 0 to 1."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    lo, hi = _edge_slices(f.table.astype(np.float64), i)
-    w = measure_weights(f.n - 1, p)
-    return float(w @ np.maximum(lo - hi, 0.0))
+    edges = coordinate_pairs(f.table.astype(np.float64), i)
+    drop = np.maximum(edges[:, 0, :] - edges[:, 1, :], 0.0).reshape(-1)
+    return float(measure_weights(f.n - 1, p) @ drop)
 
 
 def is_monotone(f: AnyFunction) -> bool:
     """Exhaustive edge check: no coordinate raise may decrease the value."""
-    table = f.table.astype(np.float64)
     for i in range(f.n):
-        lo, hi = _edge_slices(table, i)
-        if np.any(lo > hi):
+        edges = coordinate_pairs(f.table, i)
+        if np.any(edges[:, 0, :] > edges[:, 1, :]):
             return False
     return True
 
 
 def sensitivity(f: BooleanFunction) -> int:
     """Max over points of the number of value-flipping coordinate flips."""
-    table = f.table
-    counts = np.zeros(1 << f.n, dtype=np.int32)
-    idx = np.arange(1 << f.n)
+    counts = np.zeros(1 << f.n, dtype=np.uint8)    # at most n <= 24 flips
     for i in range(f.n):
-        counts += table != table[idx ^ (1 << i)]
+        edges = coordinate_pairs(f.table, i)
+        counts_i = coordinate_pairs(counts, i)
+        counts_i += (edges[:, 0, :] != edges[:, 1, :])[:, None, :]
     return int(counts.max(initial=0))
 
 
@@ -119,15 +113,11 @@ def shift(f: AnyFunction, i: int) -> AnyFunction:
     """Sort every i-edge: min goes to x_i = 0, max to x_i = 1."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    table = f.table.astype(np.float64).copy()
-    t = table.reshape(-1, 2, 1 << i)
-    lo = np.minimum(t[:, 0, :], t[:, 1, :])
-    hi = np.maximum(t[:, 0, :], t[:, 1, :])
-    t[:, 0, :] = lo
-    t[:, 1, :] = hi
-    if isinstance(f, BooleanFunction):
-        return BooleanFunction(f.n, table.astype(np.uint8))
-    return BoundedFunction(f.n, table)
+    table = f.table.copy()
+    edges = coordinate_pairs(table, i)
+    lo, hi = edges[:, 0, :], edges[:, 1, :]
+    lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return type(f)(f.n, table)
 
 
 def monotonize(f: AnyFunction) -> AnyFunction:
@@ -152,19 +142,8 @@ def junta_project(f: AnyFunction, coords, p: float,
     ``coords`` (the L2-closest such function).  With rounding, threshold at
     1/2 to a Boolean function.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"bias p must lie in (0,1), got {p}")
-    keep = set(coords)
-    if any(i >= f.n or i < 0 for i in keep):
-        raise ValueError("junta coordinates outside [0, n)")
-    table = f.table.astype(np.float64).copy()
-    for j in range(f.n):
-        if j in keep:
-            continue
-        t = table.reshape(-1, 2, 1 << j)
-        avg = (1.0 - p) * t[:, 0, :] + p * t[:, 1, :]
-        t[:, 0, :] = avg
-        t[:, 1, :] = avg
+    keep = sorted(set(coords))
+    table = average_out(f, keep, p).table.take(subcube_codes(f.n, keep))
     if rounding:
         return BooleanFunction(f.n, (table >= 0.5).astype(np.uint8))
     return BoundedFunction(f.n, table)

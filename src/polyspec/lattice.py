@@ -23,6 +23,20 @@ def coordinate_pairs(values: np.ndarray, i: int) -> np.ndarray:
     return values.reshape(values.shape[:-1] + (-1, 2, 1 << i))
 
 
+def subcube_codes(n: int, coords) -> np.ndarray:
+    """Sub-cube code of every point: bit k of entry x is x_{coords[k]}.
+
+    The dtype is the smallest unsigned one that holds 2^len(coords) codes,
+    so gathering a sub-cube table onto the full cube needs no 2^n int64
+    index array.
+    """
+    coords = list(coords)
+    codes = np.zeros(1 << n, dtype=np.min_scalar_type((1 << len(coords)) - 1))
+    for k, i in enumerate(coords):
+        coordinate_pairs(codes, i)[:, 1, :] |= 1 << k
+    return codes
+
+
 def working_copy(table) -> np.ndarray:
     """Contiguous floating copy of a table for in-place kernel passes.
 

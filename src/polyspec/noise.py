@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import AnyFunction, BooleanFunction, BoundedFunction
 from .fourier import synthesize_table, transform_table
-from .lattice import apply_kernel, measure_weights, popcounts, working_copy
+from .lattice import (apply_kernel, measure_weights, pack_bits, popcounts,
+                      working_copy)
 
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BATCH = 1 << 17
@@ -116,7 +117,10 @@ def invert_downward(h, rho: float) -> np.ndarray:
         table, n = h.table, h.n
     else:
         table = np.asarray(h)
-        n = int(table.shape[-1]).bit_length() - 1
+        size = int(table.shape[-1])
+        n = size.bit_length() - 1
+        if n < 0 or size != 1 << n:
+            raise ValueError(f"table length {size} is not a power of two")
     return apply_kernel(working_copy(table), n, inverse_noise_kernel(rho))
 
 
@@ -158,14 +162,25 @@ def _biased_bits(rng: np.random.Generator, shape, p: float) -> np.ndarray:
     return (rng.random(shape) < p).astype(np.uint8)
 
 
+def _monte_carlo(count_hits, samples: int, seed: int | None) -> TesterReport:
+    """Hit rate over ``samples`` draws, taken in batches of at most
+    _SAMPLE_BATCH; count_hits(batch) draws batch fresh samples from the
+    caller's generator and returns how many hit.  Memory stays bounded by
+    one batch whatever the sample count."""
+    hits = 0
+    for start in range(0, samples, _SAMPLE_BATCH):
+        hits += count_hits(min(_SAMPLE_BATCH, samples - start))
+    est = hits / samples
+    se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
+    return TesterReport(estimate=est, std_error=se, samples=samples, seed=seed)
+
+
 def sample_coupled(params: NoiseParams, n: int, rng: np.random.Generator,
                    size: int) -> tuple[np.ndarray, np.ndarray]:
     """Coupled pair (y, x): x ~ mu_p, y = x AND z with z ~ mu_rho.
 
     Marginally y ~ mu_{rho p} and y <= x coordinatewise on every sample.
     """
-    from .lattice import pack_bits
-
     x = _biased_bits(rng, (size, n), params.p)
     z = _biased_bits(rng, (size, n), params.rho)
     return pack_bits(x & z), pack_bits(x)
@@ -182,8 +197,6 @@ def sample_dnu(nu: float, n: int, rng: np.random.Generator,
     (coordinates agree with probability 1 - nu/2, independently), and
     y <= m <= x AND z on every sample.
     """
-    from .lattice import pack_bits
-
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0,1), got {nu}")
     theta = nu / (2.0 + nu)
@@ -202,8 +215,6 @@ def sample_correlated_pair(p: float, nu: float, n: int,
                            size: int) -> tuple[np.ndarray, np.ndarray]:
     """(1-nu)-correlated pair under mu_p: each coordinate of y copies x
     with probability 1-nu and is redrawn from mu_p otherwise."""
-    from .lattice import pack_bits
-
     x = _biased_bits(rng, (size, n), p)
     fresh = _biased_bits(rng, (size, n), p)
     redraw = rng.random((size, n)) < nu
@@ -231,14 +242,9 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    table = g.table
-    hits = 0
-    done = 0
-    while done < samples:
-        batch = min(_SAMPLE_BATCH, samples - done)
+
+    def flips(batch: int) -> int:
         x, y = sample_correlated_pair(p, nu, g.n, rng, batch)
-        hits += int(np.count_nonzero(table[x] != table[y]))
-        done += batch
-    est = hits / samples
-    se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
-    return TesterReport(estimate=est, std_error=se, samples=samples, seed=seed)
+        return int(np.count_nonzero(g.table[x] != g.table[y]))
+
+    return _monte_carlo(flips, samples, seed)

@@ -116,6 +116,44 @@ def naive_negative_influence(table, n: int, i: int, p: float) -> float:
     return acc
 
 
+def naive_sensitivity(table, n: int) -> int:
+    return max(sum(int(table[x] != table[x ^ (1 << i)]) for i in range(n))
+               for x in range(1 << n))
+
+
+def naive_shift(table, n: int, i: int):
+    """Swap the ends of every i-edge whose lower end holds the larger value."""
+    out = np.array(table)
+    for x in range(1 << n):
+        lower = x ^ (1 << i)
+        if bit(x, i) and table[lower] > table[x]:
+            out[lower], out[x] = table[x], table[lower]
+    return out
+
+
+def naive_restrict(table, n: int, fixed: dict):
+    """Entry a is f at the point carrying the fixed bits on their coordinates
+    and the bits of a, in order, on the free ones."""
+    free = [i for i in range(n) if i not in fixed]
+    base = sum(b << i for i, b in fixed.items())
+    return np.array([table[base | sum(bit(a, k) << i for k, i in enumerate(free))]
+                     for a in range(1 << len(free))])
+
+
+def naive_junta_project(table, n: int, coords, p: float):
+    """Entry x is the mu_p mean of f over the points that agree with x on
+    coords, weighting only the free coordinates."""
+    mask = sum(1 << i for i in coords)
+    free = [i for i in range(n) if not bit(mask, i)]
+    out = np.zeros(1 << n)
+    for x in range(1 << n):
+        for y in range(1 << n):
+            if (x ^ y) & mask == 0:
+                w = math.prod(p if bit(y, i) else 1.0 - p for i in free)
+                out[x] += w * float(table[y])
+    return out
+
+
 def naive_minterms(table, n: int):
     out = set()
     for x in range(1 << n):

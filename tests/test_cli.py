@@ -248,6 +248,57 @@ def test_trailing_hex_byte_exits_2(tmp_path, capsys):
     assert main(["noise", "--rho", "0.5", "--in", str(fn)]) == 2
 
 
+def test_set_padding_bits_exit_2(tmp_path, capsys):
+    fn = tmp_path / "pad.json"
+    fn.write_text('{"n": 1, "kind": "boolean", "bits_hex": "ff"}\n')
+    assert main(["noise", "--rho", "0.5", "--in", str(fn)]) == 2
+    assert "padding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_sweep_bad_thread_count_exits_2(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("POLYSPEC_THREADS", threads)
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("family=and\nsizes=4\nperturbations=0\ntrials=1\nseed=1\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "POLYSPEC_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MAKE_FAMILIES = ("and", "or", "xor", "andor", "andxor", "maj3", "f1", "f2",
+                 "midslice", "semirandom")
+
+
+def test_make_family_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["make", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(MAKE_FAMILIES) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["make", "--family", "nand", "--n", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("family", MAKE_FAMILIES)
+def test_make_every_family(family, tmp_path):
+    fn = tmp_path / "f.json"
+    assert main(["make", "--family", family, "--n", "4", "--coords", "0,2",
+                 "--blocks", "0,1;3", "--out", str(fn)]) == 0
+    f = ps.load_function(fn)
+    assert f.n == 4
+    direct = {"and": lambda: ps.make_and(4, [0, 2]),
+              "or": lambda: ps.make_or(4, [0, 2]),
+              "xor": lambda: ps.make_xor(4, [0, 2]),
+              "andor": lambda: ps.make_and_or(4, ps.BlockPartition(({0, 1}, {3}))),
+              "andxor": lambda: ps.make_and_xor(4, ps.BlockPartition(({0, 1}, {3}))),
+              "maj3": lambda: ps.make_majority3(4),
+              "f1": lambda: ps.make_f1(4),
+              "midslice": lambda: ps.make_midslice(4, 1.0)}
+    if family in direct:
+        assert f == direct[family]()
+
+
 def test_stream_rng_independent_names():
     a = stream_rng(5, "alpha").random(4)
     b = stream_rng(5, "beta").random(4)

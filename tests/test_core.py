@@ -5,7 +5,7 @@ import pytest
 
 import polyspec as ps
 from conftest import random_boolean, random_bounded
-from oracles import mu_weight, naive_expectation, naive_l1
+from oracles import mu_weight, naive_expectation, naive_l1, naive_restrict
 
 
 def test_evaluate_and():
@@ -47,6 +47,25 @@ def test_bounded_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             ps.BoundedFunction(1, [bad, 0.5])
+
+
+def test_from_bits_hex_rejects_set_padding_bits():
+    assert ps.BooleanFunction.from_bits_hex(1, "03") == ps.constant(1, 1)
+    for n, bits_hex in ((0, "02"), (1, "ff"), (1, "04"), (2, "1f")):
+        with pytest.raises(ValueError, match="padding"):
+            ps.BooleanFunction.from_bits_hex(n, bits_hex)
+
+
+def test_restrict_matches_pointwise(rng):
+    for n in range(1, 7):
+        for f in (random_boolean(n, rng), random_bounded(n, rng)):
+            for _ in range(3):
+                k = int(rng.integers(0, n + 1))
+                fixed = {int(i): int(rng.integers(0, 2))
+                         for i in rng.choice(n, size=k, replace=False)}
+                g = ps.restrict(f, ps.Restriction(fixed))
+                assert type(g) is type(f) and g.n == n - k
+                assert np.array_equal(g.table, naive_restrict(f.table, n, fixed))
 
 
 def test_from_bits_hex_requires_exact_length():

@@ -86,8 +86,8 @@ def test_minterms_examples():
 
 
 def test_minterms_match_naive(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
+    for _ in range(30):
+        n = int(rng.integers(1, 11))
         f = ps.monotonize(random_boolean(n, rng))
         assert ps.minterms(f) == naive_minterms(f.table, n)
 

@@ -6,7 +6,8 @@ import pytest
 import polyspec as ps
 from polyspec.influences import is_monotone, sensitivity_degree_gap
 from conftest import random_boolean, random_bounded
-from oracles import naive_influence, naive_negative_influence
+from oracles import (naive_influence, naive_junta_project, naive_negative_influence,
+                     naive_sensitivity, naive_shift)
 
 
 def test_dictator_influence():
@@ -166,3 +167,34 @@ def test_degree_cross_check_biases(rng):
     for _ in range(10):
         f = random_boolean(5, rng)
         assert ps.degree(f) == ps.degree(f, cross_check=False)
+
+
+def test_sensitivity_matches_pointwise(rng):
+    for n in range(7):
+        for _ in range(5):
+            f = random_boolean(n, rng)
+            assert ps.sensitivity(f) == naive_sensitivity(f.table, n)
+
+
+def test_shift_matches_pointwise(rng):
+    for n in range(1, 7):
+        for f in (random_boolean(n, rng), random_bounded(n, rng)):
+            for i in range(n):
+                moved = ps.shift(f, i)
+                assert type(moved) is type(f)
+                assert np.array_equal(moved.table, naive_shift(f.table, n, i))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_junta_project_matches_pointwise(p, rng):
+    for n in range(1, 7):
+        for f in (random_boolean(n, rng), random_bounded(n, rng)):
+            coords = rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                replace=False).tolist()
+            want = naive_junta_project(f.table, n, coords, p)
+            got = ps.junta_project(f, coords, p)
+            assert got.n == n
+            assert np.abs(got.table - want).max() <= 1e-12
+            rounded = ps.junta_project(f, coords, p, rounding=True)
+            clear = np.abs(want - 0.5) > 1e-12
+            assert np.array_equal(rounded.table[clear], (want[clear] >= 0.5))

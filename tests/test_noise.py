@@ -217,3 +217,37 @@ def test_tail_bounded_by_noise_sensitivity(rng):
 def test_tester_report_invariant():
     with pytest.raises(ValueError):
         ps.TesterReport(estimate=0.5, std_error=0.1, samples=0, exact=True)
+
+
+def test_invert_downward_names_a_bad_length():
+    with pytest.raises(ValueError, match="length 6"):
+        ps.invert_downward(np.ones((2, 6)), 0.5)
+
+
+# Recorded from the separate per-estimator sampling loops that the shared
+# batch helper replaced; 300001 samples cross the 2^17 batch boundary twice.
+PINNED_MONTE_CARLO = {
+    1000: {"ns": (0.209, 0.012857643641040918),
+           "hom": (0.601, 0.015485444778888335),
+           "prs": (0.617, 0.015372410351015223, 0.51)},
+    200000: {"ns": (0.23629, 0.0009498869298500743),
+             "hom": (0.605555, 0.0010928360855475994),
+             "prs": (0.614605, 0.0010882685651414361, 0.50921)},
+    300001: {"ns": (0.2368858770470765, 0.0007762524411874902),
+             "hom": (0.6058813137289543, 0.0008921665603870525),
+             "prs": (0.6120979596734678, 0.0008896314892374612,
+                     0.5101216329278903)},
+}
+
+
+@pytest.mark.parametrize("samples", sorted(PINNED_MONTE_CARLO))
+def test_monte_carlo_estimates_pinned(samples):
+    f = ps.BooleanFunction.from_bits_hex(7, "e8d2a5179c3f60b14e97d3a0c52b7f18")
+    want = PINNED_MONTE_CARLO[samples]
+    ns = ps.noise_sensitivity(f, 0.3, 0.2, mode="montecarlo", samples=samples, seed=11)
+    assert (ns.estimate, ns.std_error, ns.samples) == (*want["ns"], samples)
+    hom = ps.homomorphism_agreement(f, 0.6, 0.4, mode="montecarlo",
+                                    samples=samples, seed=11)
+    assert (hom.estimate, hom.std_error) == want["hom"]
+    prs = ps.prs_tester(f, 0.45, samples=samples, seed=11)
+    assert (prs.estimate, prs.std_error, prs.details["expectation"]) == want["prs"]
