@@ -29,7 +29,6 @@ from .noise import (NoiseParams, TesterReport, _biased_bits, _monte_carlo,
 
 EIGEN_TOL = 1e-10
 EXACT_PAIR_TOL = 1e-12
-MAX_EXACT_HOM_N = 13
 TIE_TOL = 1e-15
 
 
@@ -111,12 +110,12 @@ def solve_exact_pair(g: BooleanFunction, rho: float, lam: float | None = None,
     u = invert_downward(g, rho)
     most_negative = float(min(u.min(initial=0.0), 0.0))
     feasible = most_negative >= -tol
-    scale = lam if lam is not None else 1.0
+    f = u if lam is None else u * lam
     if not g.table.any():
-        return ExactPairSolution(True, u * scale, None, 0.0)
+        return ExactPairSolution(True, f, None, 0.0)
     top = float(u.max())
     lam_max = 1.0 / top if feasible and top > 0 else None
-    return ExactPairSolution(feasible, u * scale, lam_max, -most_negative)
+    return ExactPairSolution(feasible, f, lam_max, -most_negative)
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +155,16 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
                            seed: int | None = None) -> TesterReport:
     """Agreement rate of f(x AND y) with g(x) AND h(y); g = h = f by default.
 
-    Exact mode uses the O(n*2^n) correlation identity for n up to 13 (the
-    4^n pair enumeration backs it up as a test oracle); montecarlo mode
-    samples input pairs.
+    Exact mode uses the O(n*2^n) correlation identity at every n a
+    BooleanFunction allows (the 4^n pair enumeration backs it up as a test
+    oracle for small n, Monte Carlo and an extended-precision rerun at
+    n = 16); montecarlo mode samples input pairs.
     """
     g = g or f
     h = h or f
     if not (f.n == g.n == h.n):
         raise ValueError("functions must share one dimension")
     if mode == "exact":
-        if f.n > MAX_EXACT_HOM_N:
-            raise ValueError(f"exact agreement capped at n = {MAX_EXACT_HOM_N}")
         val = _agreement_exact(f, g, h, p, rho)
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
     if mode != "montecarlo":
@@ -249,7 +247,7 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     """
     mean = expectation(f, p)
     corr = correlation_with_ands(f.table, f.n, p)
-    pk = p ** popcounts(f.n).astype(np.float64)
+    pk = (p ** np.arange(f.n + 1.0))[popcounts(f.n)]
     dists = mean + pk - 2.0 * corr       # L1 gap to each AND (f Boolean)
     best = min(mean, 1.0 - mean, float(dists.min()))
     if mean <= best + TIE_TOL:

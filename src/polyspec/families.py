@@ -104,6 +104,11 @@ def minterms(g: BooleanFunction) -> set[frozenset[int]]:
 
     if not is_monotone(g):
         raise ValueError("minterms are defined for monotone functions only")
+    return _minterms(g)
+
+
+def _minterms(g: BooleanFunction) -> set[frozenset[int]]:
+    """:func:`minterms` of a function already known to be monotone."""
     # a true point is minimal iff clearing any single set bit gives 0: one
     # edge pass per coordinate clears the upper end of every true-true edge
     true = g.table.astype(bool)
@@ -135,7 +140,7 @@ def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
         return BlockPartition(())
     if not table.any():
         return None
-    mins = minterms(g)
+    mins = _minterms(g)
     sizes = {len(m) for m in mins}
     if len(sizes) != 1:
         return None

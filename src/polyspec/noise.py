@@ -138,7 +138,7 @@ def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:
     """
     direct = downward_noise_table(f.table, f.n, rho)
     coeffs = transform_table(f.table, f.n, rho * p)
-    factors = spectral_eigenvalue(p, rho) ** popcounts(f.n).astype(np.float64)
+    factors = (spectral_eigenvalue(p, rho) ** np.arange(f.n + 1.0))[popcounts(f.n)]
     via_spectrum = synthesize_table(coeffs * factors, f.n, p)
     return float(np.abs(direct - via_spectrum).max())
 
@@ -235,8 +235,8 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
         raise ValueError(f"nu must lie in (0,1), got {nu}")
     if mode == "exact":
         coeffs = transform_table(g.table, g.n, p)
-        lvl = popcounts(g.n).astype(np.float64)
-        val = 2.0 * float(np.sum((1.0 - (1.0 - nu) ** lvl) * coeffs ** 2))
+        flip = (1.0 - (1.0 - nu) ** np.arange(g.n + 1.0))[popcounts(g.n)]
+        val = 2.0 * float(np.sum(flip * coeffs ** 2))
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")

@@ -2,7 +2,9 @@
 
 Everything here follows definitions point by point (no butterflies, no
 transforms) so the fast library paths are checked against genuinely
-separate code.  Sizes are kept tiny; these are O(4^n) or worse.
+separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The one
+exception is :func:`stagewise_kernel`, the untiled butterfly loop that the
+tiled ``lattice.apply_kernel`` must match bit for bit.
 """
 
 import itertools
@@ -10,6 +12,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from polyspec.lattice import coordinate_pairs
 
 
 def bit(x: int, i: int) -> int:
@@ -210,3 +214,22 @@ def and_or_candidate_count(c: int, max_width: int) -> int:
         return k * stirling2(s - 1, k) + stirling2(s - 1, k - 1)
     return sum(math.comb(c, s) * sum(stirling2(s, k) for k in range(1, max_width + 1))
                for s in range(1, c + 1))
+
+
+def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
+                     coords=None) -> np.ndarray:
+    """One whole-table pass per coordinate: the kernel loop before tiling."""
+    k00, k01 = kernel[0]
+    k10, k11 = kernel[1]
+    for i in range(n) if coords is None else coords:
+        w = coordinate_pairs(values, i)
+        a = w[..., 0, :]
+        b = w[..., 1, :]
+        if k00 == 1.0 and k01 == 0.0:
+            # lower row leaves a untouched; update b from the live view
+            w[..., 1, :] = k10 * a + k11 * b
+        else:
+            a0 = a.copy()
+            w[..., 0, :] = k00 * a0 + k01 * b
+            w[..., 1, :] = k10 * a0 + k11 * b
+    return values

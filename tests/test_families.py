@@ -116,6 +116,27 @@ def test_recognize_round_trip(rng):
         assert sorted(map(sorted, got.blocks)) == sorted(map(sorted, part.blocks))
 
 
+def test_recognize_checks_monotonicity_once(rng, monkeypatch):
+    from polyspec import influences
+
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_monotone(f)
+
+    monkeypatch.setattr(influences, "is_monotone", counted)
+    for n in (1, 5, 9):
+        g = ps.make_and_or(n, random_partition(n, min(4, n), rng))
+        calls.clear()
+        assert ps.recognize_and_or(g) is not None
+        assert calls == [g]
+    calls.clear()
+    with pytest.raises(ValueError, match="monotone"):
+        ps.minterms(ps.make_xor(2, [0, 1]))
+    assert len(calls) == 1
+
+
 def test_recognize_rejections():
     assert ps.recognize_and_or(ps.make_majority3()) is None
     assert ps.recognize_and_or(ps.make_xor(2, [0, 1])) is None   # not monotone

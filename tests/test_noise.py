@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.lattice import index_bits
+from polyspec.fourier import transform_table
+from polyspec.lattice import index_bits, popcounts
 from polyspec.noise import spectral_eigenvalue
 from conftest import random_boolean, random_bounded
 from oracles import naive_downward, naive_invert_half_rho, subsets
@@ -212,6 +213,33 @@ def test_tail_bounded_by_noise_sensitivity(rng):
             nu = 1.0 / k if k > 1 else 1.0 - 1e-12
             ns = ps.noise_sensitivity(g, 0.5, nu).estimate
             assert ps.tail_weight(spec, k) <= ns + 1e-9
+
+
+P_GRID = (0.1, 0.25, 0.3, 0.45, 0.5, 0.6, 0.7, 0.9)
+NU_GRID = (0.01, 0.1, 0.2, 0.35, 0.5, 0.9)
+
+
+def test_level_power_tables_match_pointwise_pow():
+    """x ** |S| through an (n + 1)-entry table indexed by popcount is the
+    same pow call per point, so it equals the 2^n-point pow bit for bit."""
+    bases = ([*P_GRID] + [1.0 - nu for nu in NU_GRID]
+             + [spectral_eigenvalue(p, rho) for p in P_GRID for rho in (0.3, 0.5, 0.8)])
+    for n in range(13):
+        pc = popcounts(n)
+        for x in bases:
+            pointwise = x ** pc.astype(np.float64)
+            assert (x ** np.arange(n + 1.0))[pc].tobytes() == pointwise.tobytes()
+
+
+def test_exact_noise_sensitivity_is_the_pointwise_sum(rng):
+    for n in (1, 6, 12):
+        g = random_boolean(n, rng)
+        for p in P_GRID:
+            coeffs = transform_table(g.table, n, p)
+            lvl = popcounts(n).astype(np.float64)
+            for nu in NU_GRID:
+                want = 2.0 * float(np.sum((1.0 - (1.0 - nu) ** lvl) * coeffs ** 2))
+                assert ps.noise_sensitivity(g, p, nu).estimate == want
 
 
 def test_tester_report_invariant():
