@@ -19,7 +19,6 @@ from .core import (AnyFunction, BooleanFunction, average_out, expectation,
                    l1_distance)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
-from .fourier import correlation_with_ands
 from .influences import (high_influence_coordinates, junta_project, monotonize,
                          negative_influence)
 from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
@@ -245,8 +244,17 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     smaller witness (constants count as empty), then the lexicographically
     smaller one.
     """
-    mean = expectation(f, p)
-    corr = correlation_with_ands(f.table, f.n, p)
+    if not 0.0 < p < 1.0:
+        raise ValueError("bias p must lie in (0,1)")
+    # expectation(f, p) and correlation_with_ands(f.table, f.n, p) on one
+    # weight table, released before the 2^n temporaries below so the peak
+    # stays at four tables
+    w = measure_weights(f.n, p)
+    weighted = f.table.astype(np.float64)
+    mean = float(w @ weighted)
+    weighted *= w
+    del w
+    corr = zeta_supersets(weighted, f.n)
     pk = (p ** np.arange(f.n + 1.0))[popcounts(f.n)]
     dists = mean + pk - 2.0 * corr       # L1 gap to each AND (f Boolean)
     best = min(mean, 1.0 - mean, float(dists.min()))

@@ -225,9 +225,12 @@ def from_json_dict(data: dict) -> AnyFunction:
 
 
 def save_function(f: AnyFunction, path) -> None:
+    # json.dump streams through the pure-Python encoder; json.dumps takes the
+    # C one and prints the same bytes.  Encoding first leaves an existing file
+    # untouched when encoding fails.
+    text = json.dumps(to_json_dict(f)) + "\n"
     with open(path, "w") as fh:
-        json.dump(to_json_dict(f), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_function(path) -> AnyFunction:

@@ -25,18 +25,32 @@ def influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean squared change of f when coordinate i is flipped, under mu_p."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    edges = coordinate_pairs(f.table.astype(np.float64), i)
-    change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
-    return float(measure_weights(f.n - 1, p) @ change ** 2)
+    return _influence(f.table.astype(np.float64), i, measure_weights(f.n - 1, p))
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean positive part of the drop when coordinate i goes from 0 to 1."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    edges = coordinate_pairs(f.table.astype(np.float64), i)
+    return _negative_influence(f.table.astype(np.float64), i,
+                               measure_weights(f.n - 1, p))
+
+
+# The edge helpers take the float64 table and the (n-1)-coordinate edge
+# weights, so a loop over coordinates builds both once.
+
+def _influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
+    edges = coordinate_pairs(table, i)
+    change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
+    return float(w @ change ** 2)
+
+
+def _negative_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
+    # edges0 - edges1 itself, not a negated edges1 - edges0, whose zeros would
+    # be -0.0 and rely on np.maximum to clear their sign
+    edges = coordinate_pairs(table, i)
     drop = np.maximum(edges[:, 0, :] - edges[:, 1, :], 0.0).reshape(-1)
-    return float(measure_weights(f.n - 1, p) @ drop)
+    return float(w @ drop)
 
 
 def is_monotone(f: AnyFunction) -> bool:
@@ -99,8 +113,12 @@ class InfluenceProfile:
 
 
 def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
-    infl = tuple(influence(f, i, p) for i in range(f.n))
-    neg = tuple(negative_influence(f, i, p) for i in range(f.n))
+    infl = neg = ()
+    if f.n:
+        table = f.table.astype(np.float64)
+        w = measure_weights(f.n - 1, p)
+        infl = tuple(_influence(table, i, w) for i in range(f.n))
+        neg = tuple(_negative_influence(table, i, w) for i in range(f.n))
     s = d = None
     if isinstance(f, BooleanFunction):
         s = sensitivity(f)
@@ -151,7 +169,11 @@ def junta_project(f: AnyFunction, coords, p: float,
 
 def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:
     """Coordinates whose influence reaches tau; the junta candidate set."""
-    return [i for i in range(f.n) if influence(f, i, p) >= tau]
+    if not f.n:
+        return []
+    table = f.table.astype(np.float64)
+    w = measure_weights(f.n - 1, p)
+    return [i for i in range(f.n) if _influence(table, i, w) >= tau]
 
 
 def sensitivity_degree_gap(f: BooleanFunction) -> float:

@@ -18,6 +18,15 @@ the run, and each tile takes all of the run's stages while it is in cache.
 The n stages of a full transform are thus ceil(n/15) passes over memory
 instead of n.  Every element still sees the same operations in the same
 order, so results are bit-identical to one whole-table pass per stage.
+
+Two kernel shapes leave one half of each stage as it is and skip it.  A
+lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse, subset
+zeta and Moebius) writes only the x_i = 1 half; an upper triangular one
+[[k00, k01], [0, 1]] (superset zeta) writes only the x_i = 0 half.  The
+skipped half keeps its exact values.  The general path would recompute it
+with a zero coefficient (1*a + 0*b, or 0*a + 1*b), which turns a -0.0 into
++0.0 and an infinite partner into NaN; on any other input both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -91,6 +100,9 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                 if k00 == 1.0 and k01 == 0.0:
                     # lower row leaves a untouched; update b from the live view
                     w[:, :, 1] = k10 * a + k11 * b
+                elif k10 == 0.0 and k11 == 1.0:
+                    # upper row leaves b untouched; update a from the live view
+                    w[:, :, 0] = k00 * a + k01 * b
                 else:
                     a0 = a.copy()
                     w[:, :, 0] = k00 * a0 + k01 * b
@@ -143,7 +155,11 @@ def mobius_subsets(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def zeta_supersets(values: np.ndarray, n: int) -> np.ndarray:
-    """In place: out(S) = sum over B a superset of S of in(B)."""
+    """In place: out(S) = sum over B a superset of S of in(B).
+
+    The x_i = 1 half of each stage is left as it is, so out(top) = in(top)
+    keeps a -0.0, and [inf, 0.0] gives [inf, 0.0], not [inf, nan].
+    """
     return apply_kernel(values, n, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 

@@ -2,14 +2,18 @@
 
 Everything here follows definitions point by point (no butterflies, no
 transforms) so the fast library paths are checked against genuinely
-separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The one
-exception is :func:`stagewise_kernel`, the untiled butterfly loop that the
-tiled ``lattice.apply_kernel`` must match bit for bit.
+separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The
+exceptions are :func:`stagewise_kernel`, the untiled butterfly loop that the
+tiled ``lattice.apply_kernel`` must match bit for bit, and
+:func:`streamed_json_bytes`, the streaming JSON writer whose bytes
+``core.save_function`` must match.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -233,3 +237,11 @@ def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
             w[..., 0, :] = k00 * a0 + k01 * b
             w[..., 1, :] = k10 * a0 + k11 * b
     return values
+
+
+def streamed_json_bytes(obj, path) -> bytes:
+    """A function file as the streaming encoder writes it, read back."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")
+    return Path(path).read_bytes()

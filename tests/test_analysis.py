@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 import polyspec as ps
 from polyspec import analysis
 from polyspec.analysis import _and_correlation, _perturb
-from polyspec.lattice import (measure_weights, mobius_subsets, zeta_subsets,
-                              zeta_supersets)
+from polyspec.fourier import correlation_with_ands
+from polyspec.lattice import (measure_weights, mobius_subsets, popcounts,
+                              zeta_subsets, zeta_supersets)
 from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
 from oracles import (all_and_or_tables, all_block_partitions,
@@ -262,6 +264,47 @@ def test_distance_matches_bruteforce(rng):
              ps.l1_distance(f, ps.constant(n, 1), p)]
             + [ps.l1_distance(f, ps.make_and(n, S), p) for S in subsets(n) if S])
         assert v.distance == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.123])
+def test_distance_bits_match_expectation_and_correlation(p):
+    """One weight table serves the mean and the correlations; both keep the
+    bits of expectation and correlation_with_ands."""
+    rng = np.random.default_rng(int(p * 1000))
+    for n in (1, 5, 12):
+        f = ps.BooleanFunction(n, rng.random(1 << n) < 0.2)
+        v = ps.distance_to_constant_or_and(f, p)
+        mean = ps.expectation(f, p)
+        if v.kind == "zero":
+            assert v.distance.hex() == mean.hex()
+        elif v.kind == "constant":
+            assert v.distance.hex() == (1.0 - mean).hex()
+        else:
+            dists = (mean + (p ** np.arange(n + 1.0))[popcounts(n)]
+                     - 2.0 * correlation_with_ands(f.table, n, p))
+            pick = sum(1 << i for i in v.witness)
+            assert v.distance.hex() == float(dists[pick]).hex()
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, float("nan")])
+def test_distance_rejects_bad_bias(p):
+    with pytest.raises(ValueError, match="bias p"):
+        ps.distance_to_constant_or_and(ps.make_and(3, [0]), p)
+
+
+def test_distance_peak_memory_stays_at_four_tables():
+    """corr, the level powers and two temporaries: 4 x 8 MiB at n = 20.
+    Keeping the weights and the float64 table alive until then would add
+    two more tables."""
+    f = ps.BooleanFunction(20, np.random.default_rng(20).random(1 << 20) < 0.3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ps.distance_to_constant_or_and(f, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 << 20
 
 
 def test_distance_to_and_or_exact_hit():

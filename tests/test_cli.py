@@ -6,6 +6,8 @@ import pytest
 
 import polyspec as ps
 from polyspec.cli import ExperimentConfig, build_parser, main, stream_rng
+from conftest import json_io_functions
+from oracles import streamed_json_bytes
 
 SUBCOMMANDS = ["transform", "noise", "ns", "profile", "make", "classify",
                "solve", "test-hom", "prs", "audit", "sweep"]
@@ -36,6 +38,16 @@ def test_make_then_noise_pipeline(tmp_path, capsys):
     noised = ps.load_function(out)
     target = ps.make_and_or(3, ps.BlockPartition(({0, 1}, {2})))
     assert np.abs(noised.table - 0.25 * target.table).max() < 1e-12
+
+
+@pytest.mark.parametrize("f", json_io_functions(), ids=repr)
+def test_noise_out_bytes_match_streaming_encoder(f, tmp_path):
+    fn = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    ps.save_function(f, fn)
+    assert main(["noise", "--rho", "0.3", "--in", str(fn), "--out", str(out)]) == 0
+    expect = ps.core.to_json_dict(ps.downward_noise(ps.load_function(fn), 0.3))
+    assert out.read_bytes() == streamed_json_bytes(expect, tmp_path / "ref.json")
 
 
 def test_noise_iterated_flag(tmp_path):

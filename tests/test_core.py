@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polyspec as ps
-from conftest import random_boolean, random_bounded
-from oracles import mu_weight, naive_expectation, naive_l1, naive_restrict
+from conftest import json_io_functions, random_boolean, random_bounded
+from oracles import (mu_weight, naive_expectation, naive_l1, naive_restrict,
+                     streamed_json_bytes)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
 
 
 def test_evaluate_and():
@@ -206,6 +210,32 @@ def test_json_round_trip(tmp_path, rng):
     data2 = json.loads(path2.read_text())
     assert data2["kind"] == "bounded" and len(data2["values"]) == 8
     assert ps.load_function(path2) == b
+
+
+@pytest.mark.parametrize("f", json_io_functions(), ids=repr)
+def test_save_function_bytes_match_streaming_encoder(f, tmp_path):
+    path = tmp_path / "f.json"
+    ps.save_function(f, path)
+    assert path.read_bytes() == streamed_json_bytes(ps.core.to_json_dict(f),
+                                                    tmp_path / "ref.json")
+
+
+def test_failed_save_leaves_existing_file(tmp_path):
+    path = tmp_path / "f.json"
+    ps.save_function(ps.make_and(2, [0]), path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        ps.save_function(object(), path)
+    assert path.read_bytes() == before
+
+
+def test_no_module_streams_json():
+    """json.dump encodes through the pure-Python encoder, several times
+    slower than json.dumps on a function file; modules encode with dumps."""
+    modules = sorted(SRC.glob("*.py"))
+    assert any(m.name == "core.py" for m in modules)
+    offenders = [m.name for m in modules if "json.dump(" in m.read_text()]
+    assert offenders == []
 
 
 def test_json_rejects_unknown_kind(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.influences import is_monotone, sensitivity_degree_gap
+from polyspec.influences import (high_influence_coordinates, is_monotone,
+                                 sensitivity_degree_gap)
 from conftest import random_boolean, random_bounded
 from oracles import (naive_influence, naive_junta_project, naive_negative_influence,
                      naive_sensitivity, naive_shift)
@@ -39,6 +40,37 @@ def test_influences_match_naive(rng):
                 naive_influence(f.table, n, i, p), abs=1e-12)
             assert ps.negative_influence(f, i, p) == pytest.approx(
                 naive_negative_influence(f.table, n, i, p), abs=1e-12)
+
+
+def bit_identity_cases(rng) -> list:
+    """Boolean, bounded and monotone inputs for n <= 10; the monotone ones
+    have negative influences that are exactly zero."""
+    cases = []
+    for n in range(11):
+        f = random_boolean(n, rng)
+        cases += [f, random_bounded(n, rng), ps.monotonize(f)]
+    return cases
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.123])
+def test_profile_and_candidates_match_per_coordinate_bits(p, rng):
+    """float.hex tells -0.0 from 0.0, so the sign of every zero is compared."""
+    for f in bit_identity_cases(rng):
+        infl = [ps.influence(f, i, p).hex() for i in range(f.n)]
+        neg = [ps.negative_influence(f, i, p).hex() for i in range(f.n)]
+        prof = ps.influence_profile(f, p)
+        assert [x.hex() for x in prof.influences] == infl
+        assert [x.hex() for x in prof.negative_influences] == neg
+        for tau in (0.0, 0.05, 0.2):
+            assert high_influence_coordinates(f, p, tau) == [
+                i for i in range(f.n) if ps.influence(f, i, p) >= tau]
+        if f.n:
+            rho = 0.75      # the audit measures at bias rho * params.p, near p
+            params = ps.NoiseParams(p=p / rho, rho=rho, lam=0.25)
+            g = ps.make_and(f.n, [0])
+            audit = ps.theorem_audit("monotone", f, g, params)
+            assert audit.premise["max_negative_influence"].hex() == max(
+                ps.negative_influence(f, i, rho * params.p) for i in range(f.n)).hex()
 
 
 def test_influence_fourier_identity(rng):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polyspec.fourier import analysis_kernel, synthesis_kernel
-from polyspec.lattice import apply_kernel, coordinate_pairs, subcube_codes
+from polyspec.lattice import (apply_kernel, coordinate_pairs, subcube_codes,
+                              zeta_supersets)
 from polyspec.noise import inverse_noise_kernel, noise_kernel
 from oracles import bit, stagewise_kernel
 
@@ -59,6 +60,7 @@ KERNELS = {
     "synthesis": synthesis_kernel(0.7),
     "zeta": np.array([[1.0, 0.0], [1.0, 1.0]]),
     "mobius": np.array([[1.0, 0.0], [-1.0, 1.0]]),
+    "supersets": np.array([[1.0, 1.0], [0.0, 1.0]]),
 }
 
 
@@ -95,6 +97,29 @@ def test_apply_kernel_matches_stagewise_bits(shape, dtype):
             assert out is got
             assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), \
                 (name, order)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_zeta_supersets_matches_superset_sums(n):
+    """Integer-valued inputs, so every sum is exact whatever its order."""
+    values = np.random.default_rng(n).integers(-4, 5, (3, 1 << n)).astype(np.float64)
+    expect = np.zeros_like(values)
+    for x in range(1 << n):
+        for y in range(1 << n):
+            if x & y == x:
+                expect[:, x] += values[:, y]
+    assert np.array_equal(zeta_supersets(values, n), expect)
+
+
+def test_zeta_supersets_leaves_the_upper_half():
+    """The x_i = 1 half of a stage is not recomputed as 0*a + b: an
+    infinite entry reaches only its subsets and the top point keeps -0.0."""
+    inf = np.inf
+    assert same_bits(zeta_supersets(np.array([inf, 0.0]), 1), np.array([inf, 0.0]))
+    got = zeta_supersets(np.array([inf, 0.0, 1.0, 0.0]), 2)
+    assert same_bits(got, np.array([inf, 0.0, 1.0, 0.0]))
+    got = zeta_supersets(np.array([2.0, 1.0, 0.5, -0.0]), 2)
+    assert same_bits(got, np.array([3.5, 1.0, 0.5, -0.0]))
 
 
 @pytest.mark.parametrize("values, n", [
