@@ -9,7 +9,6 @@ or input error, 1 failed strict audit.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import zlib
@@ -136,12 +135,12 @@ class CliError(Exception):
 def _load(path: str):
     try:
         return core.load_function(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:   # JSONDecodeError is a ValueError
         raise CliError(f"cannot read function file {path!r}: {exc}")
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=None, sort_keys=True)
+    text = core._dumps(obj, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -166,7 +165,7 @@ def _cmd_transform(args) -> int:
     f = _load(args.infile)
     spec = fourier_transform(f, args.p)
     _emit({"n": spec.n, "kind": "spectrum", "p": spec.p,
-           "values": spec.coeffs.tolist()}, args.out)
+           "values": spec.coeffs}, args.out)
     return 0
 
 
@@ -177,7 +176,7 @@ def _cmd_noise(args) -> int:
     if args.out:
         core.save_function(g, args.out)
     else:
-        _emit(core.to_json_dict(g), None)
+        _emit(core._json_fields(g), None)
     return 0
 
 
@@ -219,7 +218,7 @@ def _cmd_make(args) -> int:
     if args.out:
         core.save_function(f, args.out)
     else:
-        _emit(core.to_json_dict(f), None)
+        _emit(core._json_fields(f), None)
     return 0
 
 
@@ -238,7 +237,7 @@ def _cmd_solve(args) -> int:
     sol = analysis.solve_exact_pair(g, args.rho, args.lam)
     _emit({"feasible": sol.feasible, "lambda_max": sol.lam_max,
            "negative_mass": sol.negative_mass,
-           "preimage": sol.preimage.tolist()}, args.out)
+           "preimage": sol.preimage}, args.out)
     return 0
 
 

@@ -99,17 +99,6 @@ def set_influence(spec: Spectrum, coords) -> float:
     return spec.set_influence(coords)
 
 
-def character_table(n: int, S, p: float) -> np.ndarray:
-    """Dense table of the bias-p character of subset S (test/oracle helper)."""
-    _check_bias(p)
-    out = np.ones(1 << n, dtype=np.float64)
-    s = math.sqrt(p * (1.0 - p))
-    idx = np.arange(1 << n)
-    for i in S:
-        out *= (((idx >> i) & 1) - p) / s
-    return out
-
-
 def correlation_with_ands(table: np.ndarray, n: int, p: float) -> np.ndarray:
     """E[f * AND_S] under mu_p for every subset S at once, O(n*2^n).
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AnyFunction, BooleanFunction, BoundedFunction, average_out
-from .fourier import transform_table
-from .lattice import coordinate_pairs, measure_weights, popcounts, subcube_codes
+from .lattice import (coordinate_pairs, measure_weights, mobius_subsets, popcounts,
+                      subcube_codes)
 
 
 def influence(f: AnyFunction, i: int, p: float) -> float:
@@ -73,21 +73,14 @@ def sensitivity(f: BooleanFunction) -> int:
 
 
 def degree(f: BooleanFunction, tol: float = 1e-9, cross_check: bool = True) -> int:
-    """Largest |S| carrying a nonzero Fourier coefficient.
+    """Largest |S| carrying a nonzero Fourier coefficient, at any bias.
 
-    Computed from the bias-1/2 spectrum with a zero threshold; the result is
-    independent of the bias, which is re-verified at bias 1/3 unless
-    disabled.
+    That is the largest |S| with a nonzero subset-Moebius coefficient; for a
+    0/1 table these are integers of magnitude <= 2^n, exact in float64.
+    ``tol`` and ``cross_check`` are accepted and ignored.
     """
-    def deg_at(p: float) -> int:
-        coeffs = transform_table(f.table, f.n, p)
-        live = np.abs(coeffs) > tol
-        return int(popcounts(f.n)[live].max(initial=0))
-
-    d = deg_at(0.5)
-    if cross_check and deg_at(1.0 / 3.0) != d:
-        raise ArithmeticError("degree disagrees across biases; raise the threshold")
-    return d
+    coeffs = mobius_subsets(f.table.astype(np.float64), f.n)
+    return int(popcounts(f.n)[coeffs != 0].max(initial=0))
 
 
 @dataclass(frozen=True)

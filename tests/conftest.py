@@ -24,7 +24,9 @@ def random_bounded(n: int, rng) -> BoundedFunction:
 
 def json_io_functions() -> list:
     """Boolean tables of n = 0, 2, 5 and bounded tables whose floats print
-    with many digits, with 1e-05-style exponents and as 0.0."""
+    with many digits, with 1e-05-style exponents and as 0.0; then tables of
+    few distinct values (signed zeros, subnormals, two values) and an
+    all-distinct one.  Reprs stay unique, so test ids do too."""
     rng = np.random.default_rng(20240818)
     funcs = [random_boolean(n, rng) for n in (0, 2, 5)]
     funcs.append(BoundedFunction(0, [1.0 / 3.0]))
@@ -33,4 +35,9 @@ def json_io_functions() -> list:
     values[[1, 2, 3]] = [1e-05, 2.5e-07, 1.0 - 1e-12]
     values[4] = 0.1
     funcs.append(BoundedFunction(4, values))
+    funcs.append(BoundedFunction(2, [-0.0, 0.0, 0.0, -0.0]))
+    funcs.append(BoundedFunction(3, [5e-324, 1e-310, 1e-05, 0.1,
+                                     0.1, 1e-05, 1e-310, 5e-324]))
+    funcs.append(BoundedFunction(6, np.where(rng.random(64) < 0.3, 0.25, 0.75)))
+    funcs.append(BoundedFunction(7, rng.random(128)))
     return funcs

@@ -4,9 +4,10 @@ Everything here follows definitions point by point (no butterflies, no
 transforms) so the fast library paths are checked against genuinely
 separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The
 exceptions are :func:`stagewise_kernel`, the untiled butterfly loop that the
-tiled ``lattice.apply_kernel`` must match bit for bit, and
+tiled ``lattice.apply_kernel`` must match bit for bit,
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
-``core.save_function`` must match.
+``core.save_function`` must match, and :func:`spectrum_degree`, the
+thresholded bias-1/2 spectrum that ``influences.degree`` replaced.
 """
 
 import itertools
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from polyspec.lattice import coordinate_pairs
+from polyspec.fourier import transform_table
+from polyspec.lattice import coordinate_pairs, popcounts
 
 
 def bit(x: int, i: int) -> int:
@@ -47,6 +49,16 @@ def character(n: int, S, p: float, x: int) -> float:
     s = math.sqrt(p * (1.0 - p))
     for i in S:
         out *= (bit(x, i) - p) / s
+    return out
+
+
+def character_table(n: int, S, p: float) -> np.ndarray:
+    """Dense table of the bias-p character of subset S."""
+    out = np.ones(1 << n, dtype=np.float64)
+    s = math.sqrt(p * (1.0 - p))
+    idx = np.arange(1 << n)
+    for i in S:
+        out *= (((idx >> i) & 1) - p) / s
     return out
 
 
@@ -245,3 +257,9 @@ def streamed_json_bytes(obj, path) -> bytes:
         json.dump(obj, fh)
         fh.write("\n")
     return Path(path).read_bytes()
+
+
+def spectrum_degree(table, n: int, tol: float = 1e-9) -> int:
+    """Largest |S| whose bias-1/2 Fourier coefficient exceeds tol in size."""
+    live = np.abs(transform_table(table, n, 0.5)) > tol
+    return int(popcounts(n)[live].max(initial=0))

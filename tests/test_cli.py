@@ -41,13 +41,55 @@ def test_make_then_noise_pipeline(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("f", json_io_functions(), ids=repr)
-def test_noise_out_bytes_match_streaming_encoder(f, tmp_path):
+def test_noise_out_bytes_match_streaming_encoder(f, tmp_path, capsys):
     fn = tmp_path / "in.json"
     out = tmp_path / "out.json"
     ps.save_function(f, fn)
     assert main(["noise", "--rho", "0.3", "--in", str(fn), "--out", str(out)]) == 0
     expect = ps.core.to_json_dict(ps.downward_noise(ps.load_function(fn), 0.3))
     assert out.read_bytes() == streamed_json_bytes(expect, tmp_path / "ref.json")
+    assert main(["noise", "--rho", "0.3", "--in", str(fn)]) == 0
+    assert capsys.readouterr().out == json.dumps(expect, sort_keys=True) + "\n"
+
+
+def _assert_emitted(argv, expect: dict, out, capsys):
+    """The command's --out file and its stdout both hold json.dumps(expect)."""
+    text = json.dumps(expect, sort_keys=True) + "\n"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("f", json_io_functions(), ids=repr)
+def test_transform_bytes_match_json_dumps(f, p, tmp_path, capsys):
+    fn = tmp_path / "in.json"
+    ps.save_function(f, fn)
+    spec = ps.fourier_transform(ps.load_function(fn), p)
+    expect = {"n": spec.n, "kind": "spectrum", "p": p, "values": spec.coeffs.tolist()}
+    _assert_emitted(["transform", "--p", str(p), "--in", str(fn)], expect,
+                    tmp_path / "spec.json", capsys)
+
+
+SOLVE_CASES = [pytest.param(f, "0.25", id=f"n{f.n}") for f in json_io_functions()
+               if isinstance(f, ps.BooleanFunction)] + [
+    pytest.param(ps.make_and(3, range(3)), "1e-100", id="entry-1e300"),
+    pytest.param(ps.make_and(3, range(3)), "1e-200", id="infinity"),
+    pytest.param(ps.make_xor(3, range(3)), "1e-200", id="signed-infinities"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("g, rho", SOLVE_CASES)
+def test_solve_bytes_match_json_dumps(g, rho, tmp_path, capsys):
+    fn = tmp_path / "g.json"
+    ps.save_function(g, fn)
+    sol = ps.solve_exact_pair(ps.load_function(fn), float(rho))
+    expect = {"feasible": sol.feasible, "lambda_max": sol.lam_max,
+              "negative_mass": sol.negative_mass, "preimage": sol.preimage.tolist()}
+    _assert_emitted(["solve", "--rho", rho, "--in", str(fn)], expect,
+                    tmp_path / "sol.json", capsys)
 
 
 def test_noise_iterated_flag(tmp_path):

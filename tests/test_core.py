@@ -216,8 +216,31 @@ def test_json_round_trip(tmp_path, rng):
 def test_save_function_bytes_match_streaming_encoder(f, tmp_path):
     path = tmp_path / "f.json"
     ps.save_function(f, path)
-    assert path.read_bytes() == streamed_json_bytes(ps.core.to_json_dict(f),
-                                                    tmp_path / "ref.json")
+    data = ps.core.to_json_dict(f)
+    assert isinstance(data.get("values", []), list)
+    assert path.read_bytes() == streamed_json_bytes(data, tmp_path / "ref.json")
+
+
+FLOAT_TABLES = {
+    "signed-zeros": [-0.0, 0.0, 0.0, -0.0, 0.0, 0.0],
+    "subnormals": [5e-324, 1e-310, 2.2250738585072014e-308, 5e-324, 1e-310, 5e-324],
+    "exponents": [1e-05, 1e16, 1.5e16, 1e22, 1e-05, 1e16, 1e22, 1e-07],
+    "tenth": [0.1],
+    "two-valued": [0.25, -0.75] * 8,
+    "non-finite": [float("nan"), float("inf"), -float("inf"), float("nan"),
+                   float("inf"), 1e308, 1e308, -0.0],
+    "all-distinct": np.random.default_rng(7).standard_normal(256).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_TABLES))
+def test_float_list_json_matches_json_dumps(name):
+    values = np.array(FLOAT_TABLES[name])
+    assert ps.core._float_list_json(values) == json.dumps(values.tolist())
+    data = {"values": values, "n": 3, "meta": {"z": [1, None], "a": 0.1}}
+    listed = {**data, "values": values.tolist()}
+    for sort_keys in (False, True):
+        assert ps.core._dumps(data, sort_keys) == json.dumps(listed, sort_keys=sort_keys)
 
 
 def test_failed_save_leaves_existing_file(tmp_path):
@@ -231,11 +254,14 @@ def test_failed_save_leaves_existing_file(tmp_path):
 
 def test_no_module_streams_json():
     """json.dump encodes through the pure-Python encoder, several times
-    slower than json.dumps on a function file; modules encode with dumps."""
+    slower than json.dumps on a function file; modules encode with dumps.
+    Only core calls dumps, so every JSON text goes through the encoder that
+    formats each distinct float of a table once."""
     modules = sorted(SRC.glob("*.py"))
     assert any(m.name == "core.py" for m in modules)
     offenders = [m.name for m in modules if "json.dump(" in m.read_text()]
     assert offenders == []
+    assert [m.name for m in modules if "json.dumps(" in m.read_text()] == ["core.py"]
 
 
 def test_json_rejects_unknown_kind(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.fourier import character_table, transform_table
+from polyspec.fourier import transform_table
 from conftest import random_boolean, random_bounded
-from oracles import naive_fourier_coeff, subsets
+from oracles import character_table, naive_fourier_coeff, subsets
 
 
 def test_constant_spectrum():

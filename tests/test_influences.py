@@ -8,7 +8,7 @@ from polyspec.influences import (high_influence_coordinates, is_monotone,
                                  sensitivity_degree_gap)
 from conftest import random_boolean, random_bounded
 from oracles import (naive_influence, naive_junta_project, naive_negative_influence,
-                     naive_sensitivity, naive_shift)
+                     naive_sensitivity, naive_shift, spectrum_degree)
 
 
 def test_dictator_influence():
@@ -199,6 +199,26 @@ def test_degree_cross_check_biases(rng):
     for _ in range(10):
         f = random_boolean(5, rng)
         assert ps.degree(f) == ps.degree(f, cross_check=False)
+
+
+def test_degree_matches_spectrum_oracle(rng):
+    funcs = [ps.constant(n, v) for n in (0, 1, 6) for v in (0, 1)]
+    for _ in range(60):
+        n = int(rng.integers(1, 11))
+        coords = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+        blocks = np.array_split(np.array(coords), int(rng.integers(1, len(coords) + 1)))
+        sparse = np.zeros(1 << n, dtype=np.uint8)
+        sparse[rng.integers(0, 1 << n, 3)] = 1
+        funcs += [random_boolean(n, rng), ps.make_and(n, coords), ps.make_xor(n, coords),
+                  ps.make_and_or(n, ps.BlockPartition(tuple(map(set, blocks)))),
+                  ps.BooleanFunction(n, sparse)]
+    for f in funcs:
+        assert ps.degree(f) == spectrum_degree(f.table, f.n), f
+
+
+def test_degree_exact_at_n20():
+    assert ps.degree(ps.make_and(20, range(20))) == 20
+    assert ps.degree(ps.make_xor(20, range(20))) == 20
 
 
 def test_sensitivity_matches_pointwise(rng):
