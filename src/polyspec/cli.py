@@ -140,7 +140,7 @@ def _load(path: str):
 
 
 def _emit(obj, out: str | None) -> None:
-    text = core._dumps(obj, sort_keys=True)
+    text = core.dumps(obj, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -176,7 +176,7 @@ def _cmd_noise(args) -> int:
     if args.out:
         core.save_function(g, args.out)
     else:
-        _emit(core._json_fields(g), None)
+        _emit(g, None)
     return 0
 
 
@@ -218,7 +218,7 @@ def _cmd_make(args) -> int:
     if args.out:
         core.save_function(f, args.out)
     else:
-        _emit(core._json_fields(f), None)
+        _emit(f, None)
     return 0
 
 

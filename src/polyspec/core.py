@@ -216,28 +216,27 @@ def _json_fields(f: AnyFunction) -> dict:
 
 
 def to_json_dict(f: AnyFunction) -> dict:
+    """The function file's fields as plain JSON types, for ``json`` callers."""
     return {k: v.tolist() if isinstance(v, np.ndarray) else v
             for k, v in _json_fields(f).items()}
 
 
 def _float_list_json(values: np.ndarray) -> str:
     """``json.dumps(values.tolist())`` for a 1-D float64 array, formatting each
-    distinct bit pattern once (the uint64 view keeps -0.0 apart from +0.0).
-    Tables over half distinct, such as random floats, are faster formatted whole."""
+    distinct bit pattern once (the uint64 view keeps -0.0 apart from +0.0)."""
     bits = values.view(np.uint64)
     ordered = np.sort(bits)     # np.unique hashes here: ~20x slower at 2^18
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    if 2 * distinct.size > bits.size:
-        return json.dumps(values.tolist())
     # one encoder call formats every distinct value; no float text holds ", "
     text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
     gathered = np.array(text, dtype=object)[np.searchsorted(distinct, bits)]
     return "[" + ", ".join(gathered.tolist()) + "]"
 
 
-def _dumps(data: dict, sort_keys: bool = False) -> str:
-    """``json.dumps(data, sort_keys=sort_keys)`` for a dict with string keys,
-    each float64 ndarray value encoded as its ``tolist()`` would be."""
+def dumps(obj, sort_keys: bool = False) -> str:
+    """``json.dumps`` of a function's file fields, or of a dict with string
+    keys, each float64 ndarray value encoded as its ``tolist()`` would be."""
+    data = obj if isinstance(obj, dict) else _json_fields(obj)
     items = sorted(data.items()) if sort_keys else data.items()
     return "{" + ", ".join(
         json.dumps(k) + ": " + (_float_list_json(v) if isinstance(v, np.ndarray)
@@ -256,7 +255,7 @@ def from_json_dict(data: dict) -> AnyFunction:
 
 def save_function(f: AnyFunction, path) -> None:
     # Encoding first leaves an existing file untouched when encoding fails.
-    text = _dumps(_json_fields(f)) + "\n"
+    text = dumps(f) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -72,15 +72,16 @@ def sensitivity(f: BooleanFunction) -> int:
     return int(counts.max(initial=0))
 
 
-def degree(f: BooleanFunction, tol: float = 1e-9, cross_check: bool = True) -> int:
+def degree(f: AnyFunction, tol: float = 1e-9) -> int:
     """Largest |S| carrying a nonzero Fourier coefficient, at any bias.
 
-    That is the largest |S| with a nonzero subset-Moebius coefficient; for a
-    0/1 table these are integers of magnitude <= 2^n, exact in float64.
-    ``tol`` and ``cross_check`` are accepted and ignored.
+    That is the largest |S| whose subset-Moebius coefficient exceeds ``tol``
+    in size. For a 0/1 table these are integers of magnitude <= 2^n, exact in
+    float64, so the answer is exact for any ``tol`` < 1; for a bounded table
+    ``tol`` absorbs rounding.
     """
     coeffs = mobius_subsets(f.table.astype(np.float64), f.n)
-    return int(popcounts(f.n)[coeffs != 0].max(initial=0))
+    return int(popcounts(f.n)[np.abs(coeffs) > tol].max(initial=0))
 
 
 @dataclass(frozen=True)

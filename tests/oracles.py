@@ -259,7 +259,7 @@ def streamed_json_bytes(obj, path) -> bytes:
     return Path(path).read_bytes()
 
 
-def spectrum_degree(table, n: int, tol: float = 1e-9) -> int:
-    """Largest |S| whose bias-1/2 Fourier coefficient exceeds tol in size."""
-    live = np.abs(transform_table(table, n, 0.5)) > tol
+def spectrum_degree(table, n: int, tol: float = 1e-9, p: float = 0.5) -> int:
+    """Largest |S| whose bias-p Fourier coefficient exceeds tol in size."""
+    live = np.abs(transform_table(table, n, p)) > tol
     return int(popcounts(n)[live].max(initial=0))

@@ -240,7 +240,7 @@ def test_float_list_json_matches_json_dumps(name):
     data = {"values": values, "n": 3, "meta": {"z": [1, None], "a": 0.1}}
     listed = {**data, "values": values.tolist()}
     for sort_keys in (False, True):
-        assert ps.core._dumps(data, sort_keys) == json.dumps(listed, sort_keys=sort_keys)
+        assert ps.core.dumps(data, sort_keys) == json.dumps(listed, sort_keys=sort_keys)
 
 
 def test_failed_save_leaves_existing_file(tmp_path):

@@ -198,7 +198,15 @@ def test_influence_profile(rng):
 def test_degree_cross_check_biases(rng):
     for _ in range(10):
         f = random_boolean(5, rng)
-        assert ps.degree(f) == ps.degree(f, cross_check=False)
+        assert ps.degree(f) == spectrum_degree(f.table, f.n, p=1 / 3)
+
+
+def test_degree_of_bounded_tables_ignores_rounding(rng):
+    # 0.1 + 0.2 x0 + 0.3 x1: its {0, 1} Moebius coefficient rounds to -2.8e-17
+    assert ps.degree(ps.BoundedFunction(2, [0.1, 0.3, 0.4, 0.6])) == 1
+    for n in range(1, 8):
+        f = random_bounded(n, rng)
+        assert ps.degree(f) == spectrum_degree(f.table, n) == n
 
 
 def test_degree_matches_spectrum_oracle(rng):
