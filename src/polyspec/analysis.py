@@ -246,9 +246,9 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     """
     if not 0.0 < p < 1.0:
         raise ValueError("bias p must lie in (0,1)")
-    # expectation(f, p) and correlation_with_ands(f.table, f.n, p) on one
-    # weight table, released before the 2^n temporaries below so the peak
-    # stays at four tables
+    # the mean and the correlation with every AND (superset sums of the
+    # weighted table) on one weight table, released before the 2^n
+    # temporaries below so the peak stays at four tables
     w = measure_weights(f.n, p)
     weighted = f.table.astype(np.float64)
     mean = float(w @ weighted)

@@ -42,25 +42,18 @@ def worker_count() -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Run parameters; every theorem-statement scalar lives here.
+    """Sweep parameters; ``polyspec sweep`` reads every field.
 
-    All probabilities must lie in (0,1); a seed is mandatory for any
-    randomized run.  Configs round-trip losslessly through the key=value
-    file format.
+    p and rho must lie in (0,1) and each of ``sizes`` in [0, MAX_N_BOOLEAN].
+    Configs round-trip losslessly through the key=value file format, and a
+    key that is not a field is rejected.
     """
 
-    n: int = 8
     p: float = 0.5
     rho: float = 0.5
-    lam: float = 0.5
-    nu: float = 0.1
-    m: int = 2
-    width_cap: int = 4
-    samples: int = 1_000_000
+    andor_max_width: int = 2
     seed: int = 0
     tau: float = 0.05
-    eps: float = 0.1
-    eta: float = 0.1
     family: str = "and"
     sizes: str = "8"
     perturbations: str = "0,1,2,4,8"
@@ -70,16 +63,15 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
-        for name in ("p", "rho", "nu"):
+        for name in ("p", "rho"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"config {name} must lie in (0,1), got {v}")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"config lam must lie in (0,1], got {self.lam}")
+        for n in self.int_list("sizes"):
+            _check_dimension(n)
 
     def int_list(self, field_name: str) -> list[int]:
-        raw = getattr(self, field_name)
-        return [int(tok) for tok in str(raw).split(",") if tok != ""]
+        return _parse_coords(str(getattr(self, field_name)))
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:
@@ -123,6 +115,12 @@ def _parse_coords(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
+def _check_dimension(n: int) -> None:
+    """Reject a dimension no Boolean table allows before 2^n is allocated."""
+    if not 0 <= n <= core.MAX_N_BOOLEAN:
+        raise ValueError(f"dimension n = {n} outside [0, {core.MAX_N_BOOLEAN}]")
+
+
 def _parse_blocks(text: str) -> families.BlockPartition:
     blocks = [frozenset(_parse_coords(blk)) for blk in text.split(";") if blk]
     return families.BlockPartition(tuple(blocks))
@@ -149,6 +147,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _builtin_function(name: str, n: int):
+    _check_dimension(n)
     if name == "maj3":
         return families.make_majority3(max(n, 3))
     if name == "dictator":
@@ -214,6 +213,7 @@ _MAKERS = {
 
 
 def _cmd_make(args) -> int:
+    _check_dimension(args.n)
     f = _MAKERS[args.family](args)
     if args.out:
         core.save_function(f, args.out)
@@ -303,8 +303,8 @@ def _cmd_sweep(args) -> int:
     rows = analysis.sweep_rows(
         cfg.family, cfg.int_list("sizes"), cfg.int_list("perturbations"),
         cfg.trials, cfg.p, cfg.rho, cfg.seed, and_width=cfg.and_width,
-        andor_max_width=cfg.m, tau=cfg.tau, window_scale=cfg.window_scale,
-        workers=worker_count())
+        andor_max_width=cfg.andor_max_width, tau=cfg.tau,
+        window_scale=cfg.window_scale, workers=worker_count())
     text = analysis.SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     if cfg.out:
         with open(cfg.out, "w", newline="") as fh:
@@ -332,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = add("noise", _cmd_noise, "apply the downwards noise operator")
-    sp.add_argument("--p", type=float, default=0.5,
-                    help="output-side bias (recorded only; the operator "
-                         "depends on rho alone)")
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--m", type=int, default=None,
                     help="arity of the iterated operator (m >= 2)")

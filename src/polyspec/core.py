@@ -42,10 +42,6 @@ class BooleanFunction:
     def table(self) -> np.ndarray:
         return self._table
 
-    def values(self) -> np.ndarray:
-        """Truth table as float64 (fresh writable copy)."""
-        return self._table.astype(np.float64)
-
     @property
     def bits_hex(self) -> str:
         """Truth table packed 8 points per byte, point index = bit position."""
@@ -96,9 +92,6 @@ class BoundedFunction:
     @property
     def table(self) -> np.ndarray:
         return self._table
-
-    def values(self) -> np.ndarray:
-        return self._table.copy()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BoundedFunction) and self.n == other.n

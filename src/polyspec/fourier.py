@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from .core import AnyFunction, BoundedFunction
-from .lattice import (apply_kernel, popcounts, subset_mask, working_copy,
-                      zeta_supersets)
+from .lattice import apply_kernel, popcounts, subset_mask, working_copy
 
 
 def _check_bias(p: float) -> None:
@@ -97,14 +96,3 @@ def tail_weight(spec: Spectrum, k: int) -> float:
 
 def set_influence(spec: Spectrum, coords) -> float:
     return spec.set_influence(coords)
-
-
-def correlation_with_ands(table: np.ndarray, n: int, p: float) -> np.ndarray:
-    """E[f * AND_S] under mu_p for every subset S at once, O(n*2^n).
-
-    Entry S is the measure-weighted sum of the table over supersets of S.
-    """
-    from .lattice import measure_weights
-
-    weighted = table.astype(np.float64) * measure_weights(n, p)
-    return zeta_supersets(weighted, n)

@@ -25,32 +25,27 @@ def influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean squared change of f when coordinate i is flipped, under mu_p."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    return _influence(f.table.astype(np.float64), i, measure_weights(f.n - 1, p))
+    return _edge_influences(f.table.astype(np.float64), i, measure_weights(f.n - 1, p))[0]
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean positive part of the drop when coordinate i goes from 0 to 1."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    return _negative_influence(f.table.astype(np.float64), i,
-                               measure_weights(f.n - 1, p))
+    return _edge_influences(f.table.astype(np.float64), i, measure_weights(f.n - 1, p))[1]
 
 
-# The edge helpers take the float64 table and the (n-1)-coordinate edge
-# weights, so a loop over coordinates builds both once.
+def _edge_influences(table: np.ndarray, i: int, w: np.ndarray) -> tuple[float, float]:
+    """(influence, negative influence) of coordinate i from one edge pass.
 
-def _influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
+    Takes the float64 table and the (n-1)-coordinate edge weights, so a loop
+    over coordinates builds both once.  The negative influence keeps the bits
+    of w @ max(a - b, 0): b - a is exactly -(a - b), and 0.0 minus the sum
+    turns an all-zero sum into +0.0 whatever the signs of its terms.
+    """
     edges = coordinate_pairs(table, i)
     change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
-    return float(w @ change ** 2)
-
-
-def _negative_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
-    # edges0 - edges1 itself, not a negated edges1 - edges0, whose zeros would
-    # be -0.0 and rely on np.maximum to clear their sign
-    edges = coordinate_pairs(table, i)
-    drop = np.maximum(edges[:, 0, :] - edges[:, 1, :], 0.0).reshape(-1)
-    return float(w @ drop)
+    return float(w @ change ** 2), float(0.0 - w @ np.minimum(change, 0.0))
 
 
 def is_monotone(f: AnyFunction) -> bool:
@@ -111,8 +106,7 @@ def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
     if f.n:
         table = f.table.astype(np.float64)
         w = measure_weights(f.n - 1, p)
-        infl = tuple(_influence(table, i, w) for i in range(f.n))
-        neg = tuple(_negative_influence(table, i, w) for i in range(f.n))
+        infl, neg = zip(*(_edge_influences(table, i, w) for i in range(f.n)))
     s = d = None
     if isinstance(f, BooleanFunction):
         s = sensitivity(f)
@@ -167,7 +161,7 @@ def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int
         return []
     table = f.table.astype(np.float64)
     w = measure_weights(f.n - 1, p)
-    return [i for i in range(f.n) if _influence(table, i, w) >= tau]
+    return [i for i in range(f.n) if _edge_influences(table, i, w)[0] >= tau]
 
 
 def sensitivity_degree_gap(f: BooleanFunction) -> float:

@@ -180,10 +180,8 @@ def measure_weights(n: int, p: float) -> np.ndarray:
     return by_weight[popcounts(n)]
 
 
-def index_bits(n: int, codes: np.ndarray | None = None) -> np.ndarray:
+def index_bits(n: int, codes: np.ndarray) -> np.ndarray:
     """Coordinate matrix: bit i of each code, shape (len(codes), n), uint8."""
-    if codes is None:
-        codes = np.arange(1 << n, dtype=np.int64)
     return ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
 
 

@@ -36,14 +36,13 @@ class NoiseParams:
     """Scalar knobs of the eigenvalue problem: T f compared against lam * g.
 
     p: bias of the output measure; rho: retention of the downwards step
-    (the input measure has bias q = rho * p); lam: eigenvalue candidate;
-    nu: resampling rate for noise-sensitivity experiments.
+    (the input measure has bias q = rho * p); lam: eigenvalue candidate.
+    Noise-sensitivity experiments take their resampling rate nu directly.
     """
 
     p: float
     rho: float
     lam: float | None = None
-    nu: float | None = None
 
     def __post_init__(self):
         for name in ("p", "rho"):
@@ -52,8 +51,6 @@ class NoiseParams:
                 raise ValueError(f"{name} must lie in (0,1), got {v}")
         if self.lam is not None and not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0,1], got {self.lam}")
-        if self.nu is not None and not 0.0 < self.nu < 1.0:
-            raise ValueError(f"nu must lie in (0,1), got {self.nu}")
 
     @property
     def q(self) -> float:

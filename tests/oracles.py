@@ -7,7 +7,11 @@ exceptions are :func:`stagewise_kernel`, the untiled butterfly loop that the
 tiled ``lattice.apply_kernel`` must match bit for bit,
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
 ``core.save_function`` must match, and :func:`spectrum_degree`, the
-thresholded bias-1/2 spectrum that ``influences.degree`` replaced.
+thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
+:func:`correlation_with_ands`, the weighted superset sums whose bits
+``analysis.distance_to_constant_or_and`` must keep, and
+:func:`edge_influence` and :func:`edge_negative_influence`, the two edge
+passes per coordinate whose bits every influence path must keep.
 """
 
 import itertools
@@ -19,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from polyspec.fourier import transform_table
-from polyspec.lattice import coordinate_pairs, popcounts
+from polyspec.lattice import (coordinate_pairs, measure_weights, popcounts,
+                              zeta_supersets)
 
 
 def bit(x: int, i: int) -> int:
@@ -263,3 +268,30 @@ def spectrum_degree(table, n: int, tol: float = 1e-9, p: float = 0.5) -> int:
     """Largest |S| whose bias-p Fourier coefficient exceeds tol in size."""
     live = np.abs(transform_table(table, n, p)) > tol
     return int(popcounts(n)[live].max(initial=0))
+
+
+def correlation_with_ands(table: np.ndarray, n: int, p: float) -> np.ndarray:
+    """E[f * AND_S] under mu_p for every subset S at once, O(n*2^n).
+
+    Entry S is the measure-weighted sum of the table over supersets of S.
+    """
+    weighted = table.astype(np.float64) * measure_weights(n, p)
+    return zeta_supersets(weighted, n)
+
+
+def edge_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
+    """Influence of coordinate i from the float64 table and the
+    (n-1)-coordinate edge weights."""
+    edges = coordinate_pairs(table, i)
+    change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
+    return float(w @ change ** 2)
+
+
+def edge_negative_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
+    """Negative influence of coordinate i, with arguments as in
+    :func:`edge_influence`."""
+    # edges0 - edges1 itself, not a negated edges1 - edges0, whose zeros would
+    # be -0.0 and rely on np.maximum to clear their sign
+    edges = coordinate_pairs(table, i)
+    drop = np.maximum(edges[:, 0, :] - edges[:, 1, :], 0.0).reshape(-1)
+    return float(w @ drop)

@@ -8,13 +8,13 @@ import pytest
 import polyspec as ps
 from polyspec import analysis
 from polyspec.analysis import _and_correlation, _perturb
-from polyspec.fourier import correlation_with_ands
 from polyspec.lattice import (measure_weights, mobius_subsets, popcounts,
                               zeta_subsets, zeta_supersets)
 from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
 from oracles import (all_and_or_tables, all_block_partitions,
-                     and_or_candidate_count, bit, exact_l1, naive_agreement,
+                     and_or_candidate_count, bit, correlation_with_ands,
+                     exact_l1, naive_agreement,
                      naive_influence, naive_negative_influence,
                      pair_agreement, subsets)
 

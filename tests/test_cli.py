@@ -1,4 +1,7 @@
+import inspect
 import json
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +226,9 @@ def test_bad_bias_exits_2(tmp_path, capsys):
 
 
 def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(n=6, p=0.3, rho=0.25, lam=0.125, nu=0.05, m=3,
-                           samples=1000, seed=17, family="maj",
-                           sizes="4,6", perturbations="0,3", trials=2)
+    cfg = ExperimentConfig(p=0.3, rho=0.25, andor_max_width=3, seed=17,
+                           family="maj", sizes="4,6", perturbations="0,3",
+                           trials=2)
     path = tmp_path / "run.cfg"
     cfg.to_file(path)
     back = ExperimentConfig.from_file(path)
@@ -242,6 +245,85 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_validates_probabilities():
     with pytest.raises(ValueError):
         ExperimentConfig(p=1.2)
+
+
+# A non-default value of each config field, as written and as the
+# sweep_rows argument of the same name must receive it; ``out`` goes to the
+# CSV writer instead.
+SWEEP_READS = {
+    "p": ("0.25", 0.25),
+    "rho": ("0.75", 0.75),
+    "andor_max_width": ("3", 3),
+    "seed": ("99", 99),
+    "tau": ("0.125", 0.125),
+    "family": ("maj", "maj"),
+    "sizes": ("5,6", [5, 6]),
+    "perturbations": ("0,3", [0, 3]),
+    "trials": ("4", 4),
+    "and_width": ("3", 3),
+    "window_scale": ("0.25", 0.25),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_every_config_field_reaches_the_sweep(name, tmp_path, monkeypatch, capsys):
+    calls = []
+    signature = inspect.signature(ps.analysis.sweep_rows)
+    monkeypatch.setattr(ps.analysis, "sweep_rows", lambda *a, **kw: calls.append(
+        signature.bind(*a, **kw).arguments) or [])
+    cfg = tmp_path / "sweep.cfg"
+    if name == "out":
+        out = tmp_path / "rows.csv"
+        cfg.write_text(f"out={out}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert out.read_text() == ps.analysis.SWEEP_HEADER + "\n\n"
+        return
+    raw, want = SWEEP_READS[name]
+    default = getattr(ExperimentConfig(), name)
+    assert str(default) != raw
+    cfg.write_text(f"{name}={raw}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(calls) == 1 and calls[0][name] == want
+
+
+@pytest.mark.parametrize("line", ["m=2", "lam=0.5", "samples=10"])
+def test_sweep_rejects_removed_config_keys(line, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family=and\nsizes=5\n{line}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert repr(line.partition("=")[0]) in capsys.readouterr().err
+
+
+def test_noise_rejects_p(tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_and(2, [0]), fn)
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--p", "0.5", "--rho", "0.5", "--in", str(fn)])
+    assert exc.value.code == 2
+
+
+def _dimension_argv(n: int, tmp_path) -> dict:
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family=and\nsizes=5,{n}\nperturbations=0\ntrials=1\n")
+    return {"make": ["make", "--family", "and", "--n", str(n), "--coords", "0"],
+            "test-hom": ["test-hom", "--fn", "maj3", "--n", str(n), "--exact"],
+            "sweep": ["sweep", "--config", str(cfg)]}
+
+
+@pytest.mark.parametrize("command", ["make", "test-hom", "sweep"])
+def test_oversized_dimension_exits_2_before_allocating(command, tmp_path, capsys):
+    argv = _dimension_argv(40, tmp_path)[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "40" in err and "Traceback" not in err
+    argv = _dimension_argv(25, tmp_path)[command]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sweep_byte_identical(tmp_path):

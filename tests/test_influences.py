@@ -7,7 +7,9 @@ import polyspec as ps
 from polyspec.influences import (high_influence_coordinates, is_monotone,
                                  sensitivity_degree_gap)
 from conftest import random_boolean, random_bounded
-from oracles import (naive_influence, naive_junta_project, naive_negative_influence,
+from polyspec.lattice import measure_weights
+from oracles import (edge_influence, edge_negative_influence, naive_influence,
+                     naive_junta_project, naive_negative_influence,
                      naive_sensitivity, naive_shift, spectrum_degree)
 
 
@@ -44,20 +46,30 @@ def test_influences_match_naive(rng):
 
 def bit_identity_cases(rng) -> list:
     """Boolean, bounded and monotone inputs for n <= 10; the monotone ones
-    have negative influences that are exactly zero."""
+    have negative influences that are exactly zero.  The bounded tables
+    include ones of signed zeros only and ones of 1-decimal values, whose
+    edges are often flat."""
     cases = []
     for n in range(11):
         f = random_boolean(n, rng)
-        cases += [f, random_bounded(n, rng), ps.monotonize(f)]
+        signed_zeros = np.where(rng.random(1 << n) < 0.5, -0.0, 0.0)
+        decimals = rng.integers(0, 11, 1 << n) / 10.0
+        cases += [f, random_bounded(n, rng), ps.monotonize(f),
+                  ps.BoundedFunction(n, signed_zeros), ps.BoundedFunction(n, decimals)]
     return cases
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.123])
 def test_profile_and_candidates_match_per_coordinate_bits(p, rng):
-    """float.hex tells -0.0 from 0.0, so the sign of every zero is compared."""
+    """Both influences keep the bits of the two-pass edge helpers; float.hex
+    tells -0.0 from 0.0, so the sign of every zero is compared."""
     for f in bit_identity_cases(rng):
-        infl = [ps.influence(f, i, p).hex() for i in range(f.n)]
-        neg = [ps.negative_influence(f, i, p).hex() for i in range(f.n)]
+        table = f.table.astype(np.float64)
+        w = measure_weights(max(f.n - 1, 0), p)
+        infl = [edge_influence(table, i, w).hex() for i in range(f.n)]
+        neg = [edge_negative_influence(table, i, w).hex() for i in range(f.n)]
+        assert [ps.influence(f, i, p).hex() for i in range(f.n)] == infl
+        assert [ps.negative_influence(f, i, p).hex() for i in range(f.n)] == neg
         prof = ps.influence_profile(f, p)
         assert [x.hex() for x in prof.influences] == infl
         assert [x.hex() for x in prof.negative_influences] == neg

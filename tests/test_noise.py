@@ -143,8 +143,6 @@ def test_noise_params_validation():
         ps.NoiseParams(p=0.5, rho=1.0)
     with pytest.raises(ValueError):
         ps.NoiseParams(p=0.5, rho=0.5, lam=0.0)
-    with pytest.raises(ValueError):
-        ps.NoiseParams(p=0.5, rho=0.5, nu=1.5)
     assert ps.NoiseParams(p=0.5, rho=0.4).q == pytest.approx(0.2)
 
 
