@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, average_out, expectation,
-                   l1_distance)
+from .core import (AnyFunction, BooleanFunction, _check_open_unit, average_out,
+                   expectation, l1_distance)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
 from .influences import (high_influence_coordinates, junta_project, monotonize,
                          negative_influence)
 from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
-                      popcounts, subcube_codes, zeta_subsets, zeta_supersets)
+                      point_codes, popcounts, subcube_codes, zeta_subsets,
+                      zeta_supersets)
 from .noise import (NoiseParams, TesterReport, _biased_bits, _monte_carlo,
                     downward_noise_table, invert_downward, residual)
 
@@ -73,7 +74,7 @@ def classify_boolean_eigens(n: int, rho: float,
     if n > 4:
         raise ValueError("exhaustive eigen classification is capped at n = 4")
     size = 1 << n
-    tables = index_bits(size, np.arange(1 << size, dtype=np.int64)).astype(np.float64)
+    tables = index_bits(size, point_codes(size)).astype(np.float64)
     transformed = downward_noise_table(tables, n, rho)
     has_ones = tables.any(axis=1)
     # candidate eigenvalue: value of T f at any point where f = 1
@@ -244,8 +245,7 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     smaller witness (constants count as empty), then the lexicographically
     smaller one.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("bias p must lie in (0,1)")
+    _check_open_unit("bias p", p)
     # the mean and the correlation with every AND (superset sums of the
     # weighted table) on one weight table, released before the 2^n
     # temporaries below so the peak stays at four tables

@@ -64,9 +64,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("p", "rho"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"config {name} must lie in (0,1), got {v}")
+            core._check_open_unit(f"config {name}", getattr(self, name))
         for n in self.int_list("sizes"):
             _check_dimension(n)
 
@@ -170,8 +168,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_noise(args) -> int:
     f = _load(args.infile)
-    g = (noise.iterated_noise(f, args.rho, args.m) if args.m
-         else noise.downward_noise(f, args.rho))
+    g = noise.iterated_noise(f, args.rho, args.m)
     if args.out:
         core.save_function(g, args.out)
     else:
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("noise", _cmd_noise, "apply the downwards noise operator")
     sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--m", type=int, default=None,
+    sp.add_argument("--m", type=int, default=2,
                     help="arity of the iterated operator (m >= 2)")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", default=None)

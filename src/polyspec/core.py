@@ -19,6 +19,12 @@ MAX_N_BOUNDED = 20   # 8 MiB of doubles
 VALUE_TOL = 1e-12    # slack accepted on [0,1] bounds at construction
 
 
+def _check_open_unit(name: str, value: float) -> None:
+    """Reject a value outside the open interval (0, 1), NaN included."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0,1), got {value}")
+
+
 class BooleanFunction:
     """A function {0,1}^n -> {0,1} stored as a dense truth table."""
 
@@ -158,8 +164,7 @@ def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
     alpha |-> sum over beta of mu_q(beta) * f(alpha, beta); coordinates in
     ``keep`` keep their relative order.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("bias q must lie in (0,1)")
+    _check_open_unit("bias q", q)
     keep = set(keep)
     if any(i >= f.n or i < 0 for i in keep):
         raise ValueError("keep-set contains a coordinate outside [0, n)")
@@ -172,8 +177,7 @@ def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
 
 def expectation(f: AnyFunction, p: float) -> float:
     """Mean of f under the p-biased product measure."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("bias p must lie in (0,1)")
+    _check_open_unit("bias p", p)
     return float(measure_weights(f.n, p) @ f.table.astype(np.float64))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BooleanFunction
-from .lattice import coordinate_pairs, popcounts, subset_mask
+from .core import BooleanFunction, _check_open_unit
+from .lattice import coordinate_pairs, point_codes, popcounts, subset_mask
 
 
 @dataclass(frozen=True)
@@ -47,51 +47,59 @@ class BlockPartition:
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
 
+def _block_table(n: int, blocks, parity: bool) -> np.ndarray:
+    """AND over blocks of each block's XOR (parity) or OR, as a uint8 table.
+
+    No blocks gives the constant 1; an empty block gives the constant 0.
+    An OR is a mask test on the point codes.  An XOR starts from zeros and
+    flips the x_i = 1 half once per distinct coordinate i of the block; a
+    popcount gather indexed by the uint32 codes took 5-35 times as long at
+    n = 18, because numpy casts a non-intp index chunk by chunk.
+    """
+    table = np.ones(1 << n, dtype=np.uint8)
+    codes = None if parity else point_codes(n)
+    for block in blocks:
+        mask = subset_mask(n, block)
+        if parity:
+            odd = np.zeros(1 << n, dtype=np.uint8)
+            for i in range(n):
+                if (mask >> i) & 1:
+                    coordinate_pairs(odd, i)[:, 1, :] ^= 1
+            table &= odd
+        else:
+            np.logical_and(table, codes & mask, out=table)
+    return table
+
+
 def make_and(n: int, coords) -> BooleanFunction:
     """Conjunction of the given coordinates; empty set gives the constant 1."""
     mask = subset_mask(n, coords)
-    idx = np.arange(1 << n)
-    return BooleanFunction(n, ((idx & mask) == mask).astype(np.uint8))
+    return BooleanFunction(n, ((point_codes(n) & mask) == mask).astype(np.uint8))
 
 
 def make_or(n: int, coords) -> BooleanFunction:
-    mask = subset_mask(n, coords)
-    idx = np.arange(1 << n)
-    return BooleanFunction(n, ((idx & mask) != 0).astype(np.uint8) if mask
-                           else np.zeros(1 << n, np.uint8))
+    return BooleanFunction(n, _block_table(n, [coords], parity=False))
 
 
 def make_xor(n: int, coords) -> BooleanFunction:
-    mask = subset_mask(n, coords)
-    idx = np.arange(1 << n)
-    return BooleanFunction(n, (popcounts(n)[idx & mask] & 1).astype(np.uint8))
+    return BooleanFunction(n, _block_table(n, [coords], parity=True))
 
 
 def make_and_or(n: int, partition: BlockPartition) -> BooleanFunction:
     """AND of block ORs; singleton blocks reduce to a plain AND."""
-    idx = np.arange(1 << n)
-    table = np.ones(1 << n, dtype=np.uint8)
-    for block in partition.blocks:
-        table &= (idx & subset_mask(n, block)) != 0
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _block_table(n, partition.blocks, parity=False))
 
 
 def make_and_xor(n: int, partition: BlockPartition) -> BooleanFunction:
     """AND of block XORs."""
-    idx = np.arange(1 << n)
-    table = np.ones(1 << n, dtype=np.uint8)
-    for block in partition.blocks:
-        table &= popcounts(n)[idx & subset_mask(n, block)] & 1
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _block_table(n, partition.blocks, parity=True))
 
 
 def make_majority3(n: int = 3) -> BooleanFunction:
     """Majority of the first three coordinates (padded with idle ones)."""
     if n < 3:
         raise ValueError("majority3 needs n >= 3")
-    idx = np.arange(1 << n)
-    votes = ((idx & 1) + ((idx >> 1) & 1) + ((idx >> 2) & 1))
-    return BooleanFunction(n, (votes >= 2).astype(np.uint8))
+    return BooleanFunction(n, (popcounts(n)[point_codes(n) & 7] >= 2).astype(np.uint8))
 
 
 def minterms(g: BooleanFunction) -> set[frozenset[int]]:
@@ -104,74 +112,53 @@ def minterms(g: BooleanFunction) -> set[frozenset[int]]:
 
     if not is_monotone(g):
         raise ValueError("minterms are defined for monotone functions only")
-    return _minterms(g)
+    return {frozenset(i for i in range(g.n) if (x >> i) & 1)
+            for x in _minterms(g).tolist()}
 
 
-def _minterms(g: BooleanFunction) -> set[frozenset[int]]:
-    """:func:`minterms` of a function already known to be monotone."""
+def _minterms(g: BooleanFunction) -> np.ndarray:
+    """Point codes of the minterms of a function already known to be monotone."""
     # a true point is minimal iff clearing any single set bit gives 0: one
     # edge pass per coordinate clears the upper end of every true-true edge
     true = g.table.astype(bool)
     minimal = true.copy()
     for i in range(g.n):
         coordinate_pairs(minimal, i)[:, 1, :] &= ~coordinate_pairs(true, i)[:, 0, :]
-    return {frozenset(i for i in range(g.n) if (x >> i) & 1)
-            for x in np.flatnonzero(minimal).tolist()}
+    return np.flatnonzero(minimal)
 
 
 def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
     """Recover the unique block partition when g is an AND-OR, else None.
 
-    Recognition goes through the minterm hypergraph: fix one minterm
-    B = {b_1, ..., b_m} and color b_i with i; any other vertex v gets the
-    color of the unique b_i whose removal from B is completed to a true set
-    by v (vertices needing all of B stay uncolored and are irrelevant).
-    Blocks are the color classes; the candidate is verified against g
-    before it is returned.  A brute-force search over every partition backs
-    this up in the test suite.
+    Recognition goes through the transversal rule: the minterms of an
+    AND-OR are exactly the sets that pick one coordinate from each block,
+    so two coordinates of the support share a block iff no minterm holds
+    both.  Grouping the support by that rule gives the only candidate,
+    which is verified against g before it is returned.  A brute-force
+    search over every partition backs this up in the test suite.
     """
     from .influences import is_monotone
 
     if not is_monotone(g):
         return None
-    table = g.table
-    if table[0] == 1:
+    if g.table[0] == 1:
         # monotone with g(empty set) = 1 means constant 1: the empty AND
         return BlockPartition(())
-    if not table.any():
-        return None
     mins = _minterms(g)
-    sizes = {len(m) for m in mins}
-    if len(sizes) != 1:
+    # support coordinates not yet placed; i's block is i plus every one of
+    # them that shares no minterm with i
+    unplaced = int(np.bitwise_or.reduce(mins, initial=0))
+    blocks = []
+    for i in range(g.n):
+        if (unplaced >> i) & 1:
+            partners = int(np.bitwise_or.reduce(mins[((mins >> i) & 1) == 1]))
+            block = (unplaced & ~partners) | (1 << i)
+            blocks.append(frozenset(j for j in range(g.n) if (block >> j) & 1))
+            unplaced &= ~block
+    if not blocks:
         return None
-    m = sizes.pop()
-    base = sorted(next(iter(mins)))
-    color: dict[int, int] = {b: k for k, b in enumerate(base)}
-    base_mask = subset_mask(g.n, base)
-    for v in range(g.n):
-        if v in color:
-            continue
-        vbit = 1 << v
-        # minimal A within the base minterm whose union with v satisfies g
-        winners = []
-        for drop in range(-1, m):
-            a_mask = base_mask if drop < 0 else base_mask & ~(1 << base[drop])
-            if table[a_mask | vbit] == 1:
-                below_ok = all(
-                    table[(a_mask & ~(1 << base[j])) | vbit] == 0
-                    for j in range(m) if drop < 0 or j != drop
-                )
-                if below_ok:
-                    winners.append(drop)
-        if len(winners) != 1:
-            return None
-        if winners[0] >= 0:
-            color[v] = winners[0]
-    blocks = [set() for _ in range(m)]
-    for v, k in color.items():
-        blocks[k].add(v)
-    candidate = BlockPartition(tuple(frozenset(b) for b in blocks))
-    if np.array_equal(make_and_or(g.n, candidate).table, table):
+    candidate = BlockPartition(blocks)
+    if np.array_equal(make_and_or(g.n, candidate).table, g.table):
         return candidate
     return None
 
@@ -196,24 +183,32 @@ def or_width_cap(p: float, gamma: float) -> int:
 # ---------------------------------------------------------------------------
 # The two motivating near-eigenfunctions and the middle-slice example.
 
+def _or_inside_xor_outside(n: int, inside: np.ndarray) -> BooleanFunction:
+    """OR of the first two coordinates where ``inside`` holds, XOR elsewhere."""
+    first_two = [(0, 1)]
+    return BooleanFunction(n, np.where(inside, _block_table(n, first_two, parity=False),
+                                       _block_table(n, first_two, parity=True)))
+
+
+def _middle_band(n: int, window_scale: float) -> np.ndarray:
+    """Points of Hamming weight n/2 +- window_scale * sqrt(n ln n), read from
+    an (n + 1)-entry per-weight table."""
+    w = window_scale * math.sqrt(n * math.log(n))
+    return (np.abs(np.arange(n + 1.0) - n / 2.0) <= w)[popcounts(n)]
+
+
 def make_f1(n: int) -> BooleanFunction:
     """OR of the first two coordinates on Hamming weight >= n/3, XOR below."""
     if n < 3:
         raise ValueError("make_f1 needs n >= 3")
-    pc = popcounts(n)
-    idx = np.arange(1 << n)
-    x0 = idx & 1
-    x1 = (idx >> 1) & 1
-    heavy = pc >= math.ceil(n / 3)
-    return BooleanFunction(n, np.where(heavy, x0 | x1, x0 ^ x1).astype(np.uint8))
+    return _or_inside_xor_outside(n, popcounts(n) >= math.ceil(n / 3))
 
 
 def make_f2(n: int, lam: float, rng: np.random.Generator) -> BooleanFunction:
     """1 on Hamming weight >= n/3; an independent Bernoulli(lam) bit below."""
     if n < 3:
         raise ValueError("make_f2 needs n >= 3")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0,1), got {lam}")
+    _check_open_unit("lam", lam)
     pc = popcounts(n)
     heavy = pc >= math.ceil(n / 3)
     fills = (rng.random(1 << n) < lam).astype(np.uint8)
@@ -228,13 +223,7 @@ def make_midslice(n: int, window_scale: float = 1.0) -> BooleanFunction:
     """
     if n < 3:
         raise ValueError("make_midslice needs n >= 3")
-    w = window_scale * math.sqrt(n * math.log(n))
-    pc = popcounts(n).astype(np.float64)
-    idx = np.arange(1 << n)
-    x0 = idx & 1
-    x1 = (idx >> 1) & 1
-    band = np.abs(pc - n / 2.0) <= w
-    return BooleanFunction(n, np.where(band, x0 | x1, x0 ^ x1).astype(np.uint8))
+    return _or_inside_xor_outside(n, _middle_band(n, window_scale))
 
 
 def make_semirandom(n: int, window_scale: float, rng: np.random.Generator) -> BooleanFunction:
@@ -247,8 +236,6 @@ def make_semirandom(n: int, window_scale: float, rng: np.random.Generator) -> Bo
     """
     if n < 3:
         raise ValueError("make_semirandom needs n >= 3")
-    w = window_scale * math.sqrt(n * math.log(n))
-    pc = popcounts(n).astype(np.float64)
-    band = np.abs(pc - n / 2.0) <= w
+    band = _middle_band(n, window_scale)
     bits = (rng.random(1 << n) < 0.5).astype(np.uint8)
     return BooleanFunction(n, np.where(band, bits, 0).astype(np.uint8))

@@ -13,13 +13,8 @@ import math
 
 import numpy as np
 
-from .core import AnyFunction, BoundedFunction
-from .lattice import apply_kernel, popcounts, subset_mask, working_copy
-
-
-def _check_bias(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"bias must lie in (0,1), got {p}")
+from .core import AnyFunction, BoundedFunction, _check_open_unit
+from .lattice import apply_kernel, point_codes, popcounts, subset_mask, working_copy
 
 
 def analysis_kernel(p: float) -> np.ndarray:
@@ -44,7 +39,7 @@ class Spectrum:
     __slots__ = ("n", "p", "coeffs")
 
     def __init__(self, n: int, p: float, coeffs):
-        _check_bias(p)
+        _check_open_unit("bias p", p)
         arr = np.asarray(coeffs, dtype=np.float64)
         if arr.shape != (1 << n,):
             raise ValueError(f"coeffs shape {arr.shape}, expected ({1 << n},)")
@@ -63,20 +58,19 @@ class Spectrum:
     def set_influence(self, coords) -> float:
         """Squared coefficient mass on supersets of the given coordinate set."""
         m = subset_mask(self.n, coords)
-        s = np.arange(1 << self.n)
-        sel = (s & m) == m
+        sel = (point_codes(self.n) & m) == m
         return float(np.sum(self.coeffs[sel] ** 2))
 
 
 def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:
     """Fourier coefficients of a raw table (supports leading batch axes)."""
-    _check_bias(p)
+    _check_open_unit("bias p", p)
     return apply_kernel(working_copy(table), n, analysis_kernel(p))
 
 
 def synthesize_table(coeffs: np.ndarray, n: int, p: float) -> np.ndarray:
     """Inverse transform of raw coefficients (supports leading batch axes)."""
-    _check_bias(p)
+    _check_open_unit("bias p", p)
     return apply_kernel(working_copy(coeffs), n, synthesis_kernel(p))
 
 

@@ -3,7 +3,10 @@
 Points of {0,1}^n are encoded as integers in [0, 2^n); bit i (least
 significant first) carries coordinate x_i.  A point is identified with the
 subset of [n] it supports, so the same integer encoding indexes truth
-tables, Fourier coefficients and subset sums.
+tables, Fourier coefficients and subset sums.  :func:`point_codes` is the
+one builder of the 2^n point indices; it stores them in the smallest
+unsigned dtype that holds them, so a mask test or gather over the whole
+cube costs at most 4 B per point.
 
 All O(n*2^n) operators here are per-coordinate 2x2 kernels applied stage by
 stage ("butterflies").  A stage pairs up the two points that differ only in
@@ -163,6 +166,12 @@ def zeta_supersets(values: np.ndarray, n: int) -> np.ndarray:
     return apply_kernel(values, n, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def point_codes(n: int) -> np.ndarray:
+    """Every point code 0 .. 2^n - 1 (n <= 32), in the smallest unsigned
+    dtype that holds them: uint8 up to n = 8, uint16 up to 16, else uint32."""
+    return np.arange(1 << n, dtype=np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32)
+
+
 @lru_cache(maxsize=32)
 def popcounts(n: int) -> np.ndarray:
     """Hamming weight of every point index, as a read-only uint8 array."""
@@ -192,9 +201,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def subset_mask(n: int, coords) -> int:
+    """Bit mask of a coordinate set, as a Python int whatever the integer
+    type of the coordinates, so it masks a point-code array in its dtype."""
     mask = 0
     for i in coords:
         if not 0 <= i < n:
             raise ValueError(f"coordinate {i} outside [0, {n})")
         mask |= 1 << i
-    return mask
+    return int(mask)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnyFunction, BooleanFunction, BoundedFunction
+from .core import AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit
 from .fourier import synthesize_table, transform_table
 from .lattice import (apply_kernel, measure_weights, pack_bits, popcounts,
                       working_copy)
@@ -46,9 +46,7 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("p", "rho"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0,1), got {v}")
+            _check_open_unit(name, getattr(self, name))
         if self.lam is not None and not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0,1], got {self.lam}")
 
@@ -84,8 +82,7 @@ def inverse_noise_kernel(rho: float) -> np.ndarray:
 
 def downward_noise_table(table: np.ndarray, n: int, rho: float) -> np.ndarray:
     """Apply the operator to a raw table (supports leading batch axes)."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    _check_open_unit("rho", rho)
     return apply_kernel(working_copy(table), n, noise_kernel(rho))
 
 
@@ -108,8 +105,7 @@ def invert_downward(h, rho: float) -> np.ndarray:
     has no preimage among bounded functions, which is exactly what the
     feasibility classifiers look at.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    _check_open_unit("rho", rho)
     if isinstance(h, (BooleanFunction, BoundedFunction)):
         table, n = h.table, h.n
     else:
@@ -194,8 +190,7 @@ def sample_dnu(nu: float, n: int, rng: np.random.Generator,
     (coordinates agree with probability 1 - nu/2, independently), and
     y <= m <= x AND z on every sample.
     """
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must lie in (0,1), got {nu}")
+    _check_open_unit("nu", nu)
     theta = nu / (2.0 + nu)
     pm = 0.5 - nu / 4.0
     m = _biased_bits(rng, (size, n), pm)
@@ -228,8 +223,7 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
     Exact mode evaluates 2 * sum over S of (1 - (1-nu)^|S|) coeff(S)^2 from
     the bias-p spectrum; montecarlo mode samples correlated pairs.
     """
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must lie in (0,1), got {nu}")
+    _check_open_unit("nu", nu)
     if mode == "exact":
         coeffs = transform_table(g.table, g.n, p)
         flip = (1.0 - (1.0 - nu) ** np.arange(g.n + 1.0))[popcounts(g.n)]

@@ -189,6 +189,37 @@ def naive_minterms(table, n: int):
     return out
 
 
+def naive_and(n: int, coords) -> list:
+    return [int(all(bit(x, i) for i in coords)) for x in range(1 << n)]
+
+
+def naive_or(n: int, coords) -> list:
+    return [int(any(bit(x, i) for i in coords)) for x in range(1 << n)]
+
+
+def naive_xor(n: int, coords) -> list:
+    """Parity of the named variables; a repeated coordinate names one variable."""
+    return [sum(bit(x, i) for i in set(coords)) % 2 for x in range(1 << n)]
+
+
+def naive_majority3(n: int) -> list:
+    return [int(bit(x, 0) + bit(x, 1) + bit(x, 2) >= 2) for x in range(1 << n)]
+
+
+def _or_where_xor_elsewhere(n: int, where) -> list:
+    return [bit(x, 0) | bit(x, 1) if where(weight(x)) else bit(x, 0) ^ bit(x, 1)
+            for x in range(1 << n)]
+
+
+def naive_f1(n: int) -> list:
+    return _or_where_xor_elsewhere(n, lambda k: k >= math.ceil(n / 3))
+
+
+def naive_midslice(n: int, window_scale: float) -> list:
+    w = window_scale * math.sqrt(n * math.log(n))
+    return _or_where_xor_elsewhere(n, lambda k: abs(k - n / 2.0) <= w)
+
+
 def all_block_partitions(coords, max_width):
     """Every way to split coords into at most max_width nonempty blocks."""
     coords = list(coords)

@@ -107,6 +107,22 @@ def test_noise_iterated_flag(tmp_path):
     assert main(["noise", "--rho", "0.5", "--m", "1", "--in", str(fn)]) == 2
 
 
+def test_noise_arity_defaults_to_plain_operator(tmp_path, capsys):
+    fn = tmp_path / "andor.json"
+    assert main(["make", "--family", "andor", "--n", "6", "--blocks", "0,1;2,4",
+                 "--out", str(fn)]) == 0
+    capsys.readouterr()
+    assert main(["noise", "--rho", "0.3", "--m", "0", "--in", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "arity m must be at least 2, got 0" in captured.err
+    assert main(["noise", "--rho", "0.3", "--in", str(fn)]) == 0
+    default = capsys.readouterr().out
+    assert main(["noise", "--rho", "0.3", "--m", "2", "--in", str(fn)]) == 0
+    assert capsys.readouterr().out == default
+    assert default == json.dumps(ps.core.to_json_dict(
+        ps.downward_noise(ps.load_function(fn), 0.3)), sort_keys=True) + "\n"
+
+
 def test_make_counterexample_families(tmp_path, capsys):
     for args in (["--family", "f1", "--n", "12"],
                  ["--family", "f2", "--n", "12", "--lambda", "0.6",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polyspec as ps
+from polyspec.cli import ExperimentConfig
 from conftest import json_io_functions, random_boolean, random_bounded
 from oracles import (mu_weight, naive_expectation, naive_l1, naive_restrict,
                      streamed_json_bytes)
@@ -269,3 +270,33 @@ def test_json_rejects_unknown_kind(tmp_path):
     path.write_text('{"kind": "sparse", "n": 1}')
     with pytest.raises(ValueError):
         ps.load_function(path)
+
+
+_AND = ps.make_and(3, [0, 1])
+OPEN_UNIT_CHECKS = {
+    "expectation": ("bias p", lambda v: ps.expectation(_AND, v)),
+    "average_out": ("bias q", lambda v: ps.average_out(_AND, [0], v)),
+    "transform_table": ("bias p", lambda v: ps.fourier.transform_table(_AND.table, 3, v)),
+    "synthesize_table": ("bias p", lambda v: ps.fourier.synthesize_table(_AND.table, 3, v)),
+    "Spectrum": ("bias p", lambda v: ps.Spectrum(3, v, np.zeros(8))),
+    "NoiseParams.p": ("p", lambda v: ps.NoiseParams(p=v, rho=0.5)),
+    "NoiseParams.rho": ("rho", lambda v: ps.NoiseParams(p=0.5, rho=v)),
+    "downward_noise_table": ("rho", lambda v: ps.noise.downward_noise_table(_AND.table, 3, v)),
+    "invert_downward": ("rho", lambda v: ps.invert_downward(_AND, v)),
+    "sample_dnu": ("nu", lambda v: ps.noise.sample_dnu(v, 3, np.random.default_rng(0), 4)),
+    "noise_sensitivity": ("nu", lambda v: ps.noise_sensitivity(_AND, 0.5, v)),
+    "make_f2": ("lam", lambda v: ps.families.make_f2(3, v, np.random.default_rng(0))),
+    "distance_to_constant_or_and": ("bias p", lambda v: ps.distance_to_constant_or_and(_AND, v)),
+    "ExperimentConfig.p": ("config p", lambda v: ExperimentConfig(p=v)),
+    "ExperimentConfig.rho": ("config rho", lambda v: ExperimentConfig(rho=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OPEN_UNIT_CHECKS))
+def test_open_unit_checks_share_one_message(site):
+    name, call = OPEN_UNIT_CHECKS[site]
+    for bad in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == f"{name} must lie in (0,1), got {bad}"
+    call(0.5)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.families import or_width_cap
+from polyspec.families import make_f1, make_midslice, or_width_cap
 from polyspec.influences import is_monotone
+from polyspec.lattice import index_bits, popcounts
 from conftest import random_boolean
-from oracles import all_and_or_tables, bit, naive_minterms
+from oracles import (all_and_or_tables, bit, naive_and, naive_f1, naive_majority3,
+                     naive_midslice, naive_minterms, naive_or, naive_xor)
 
 
 def random_partition(n, max_width, rng, max_block=None):
@@ -46,6 +49,52 @@ def test_and_or_and_xor_tables_point_by_point(rng):
                     for b in bits]
         assert ps.make_and_or(n, part).table.tolist() == [int(v) for v in want_or]
         assert ps.make_and_xor(n, part).table.tolist() == [int(v) for v in want_xor]
+
+
+def test_constructors_match_point_by_point_oracles(rng):
+    for n in range(11):
+        # numpy integer coordinates must give the same tables as Python ints
+        coord_sets = [[], list(range(n)), [0, 0] if n else [],
+                      rng.integers(0, max(n, 1), 4) if n else []]
+        for coords in coord_sets:
+            assert ps.make_and(n, coords).table.tolist() == naive_and(n, coords)
+            assert ps.make_or(n, coords).table.tolist() == naive_or(n, coords)
+            assert ps.make_xor(n, coords).table.tolist() == naive_xor(n, coords)
+    assert ps.make_xor(3, [0, 0]) == ps.make_and(3, [0])
+    assert ps.make_and_or(0, ps.BlockPartition(())).table.tolist() == [1]
+    assert ps.make_and_xor(0, ps.BlockPartition(())).table.tolist() == [1]
+    for n in range(3, 11):
+        assert ps.make_majority3(n).table.tolist() == naive_majority3(n)
+        assert make_f1(n).table.tolist() == naive_f1(n)
+        for scale in (0.1, 0.5, 1.0, 10.0):
+            assert make_midslice(n, scale).table.tolist() == naive_midslice(n, scale)
+
+
+def test_constructors_peak_below_56_mib_at_n22():
+    n = 22
+    popcounts(n)
+    part = ps.BlockPartition(([0, 1, 2], [3, 4], [5, 6, 7, 8]))
+    builds = {
+        "and": lambda: ps.make_and(n, [0, 3, 7]),
+        "or": lambda: ps.make_or(n, [0, 3, 7]),
+        "xor": lambda: ps.make_xor(n, [0, 3, 7]),
+        "and_or": lambda: ps.make_and_or(n, part),
+        "and_xor": lambda: ps.make_and_xor(n, part),
+        "majority3": lambda: ps.make_majority3(n),
+        "f1": lambda: make_f1(n),
+        "f2": lambda: ps.families.make_f2(n, 0.3, np.random.default_rng(0)),
+        "midslice": lambda: make_midslice(n, 1.0),
+        "semirandom": lambda: ps.families.make_semirandom(n, 1.0, np.random.default_rng(0)),
+    }
+    peaks = {}
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            build()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 56 << 20, peaks
 
 
 def test_single_block_and_xor_is_xor():
@@ -145,24 +194,21 @@ def test_recognize_rejections():
     assert got is not None and got.width == 0
 
 
-def test_recognize_against_exhaustive_oracle(rng):
-    # completeness: every AND-OR at n = 4 is recognized and reconstructed;
-    # soundness: on arbitrary functions a hit always reproduces the table
-    # and never disagrees with the brute-force family membership
+def test_recognize_against_exhaustive_oracle():
+    # every one of the 2^16 tables at n = 4: recognized iff it is in the
+    # brute-force family, and every hit rebuilds the table
     n = 4
     family = all_and_or_tables(n)
-    for table, blocks in family.values():
+    tables = index_bits(1 << n, np.arange(1 << (1 << n)))
+    hits = 0
+    for table in tables:
         f = ps.BooleanFunction(n, table)
         got = ps.recognize_and_or(f)
-        assert got is not None
-        assert ps.make_and_or(n, got) == f
-    for _ in range(400):
-        f = random_boolean(n, rng)
-        got = ps.recognize_and_or(f)
-        member = f.table.tobytes() in family
-        assert (got is not None) == member
+        assert (got is not None) == (f.table.tobytes() in family)
         if got is not None:
             assert ps.make_and_or(n, got) == f
+            hits += 1
+    assert hits == len(family)
 
 
 def test_truncate_wide_ors():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from polyspec.fourier import analysis_kernel, synthesis_kernel
-from polyspec.lattice import (apply_kernel, coordinate_pairs, subcube_codes,
-                              zeta_supersets)
+from polyspec.lattice import (apply_kernel, coordinate_pairs, point_codes,
+                              subcube_codes, zeta_supersets)
 from polyspec.noise import inverse_noise_kernel, noise_kernel
 from oracles import bit, stagewise_kernel
 
@@ -41,6 +41,24 @@ def test_subcube_codes_smallest_dtype(c, dtype):
     codes = subcube_codes(n, range(c))
     assert codes.dtype == dtype
     assert np.array_equal(codes, np.arange(1 << n) & ((1 << c) - 1))
+
+
+@pytest.mark.parametrize("n, dtype", [(0, np.uint8), (8, np.uint8), (9, np.uint16),
+                                      (16, np.uint16), (17, np.uint32), (24, np.uint32)])
+def test_point_codes_smallest_dtype(n, dtype):
+    codes = point_codes(n)
+    assert codes.dtype == dtype and codes.shape == (1 << n,)
+    assert codes[0] == 0 and codes[-1] == (1 << n) - 1
+    assert np.all(np.diff(codes.astype(np.int64)) == 1)
+
+
+def test_only_lattice_builds_point_indices():
+    """Every other module takes the 2^n point codes from lattice.point_codes."""
+    modules = sorted(SRC.glob("*.py"))
+    assert any(m.name == "lattice.py" for m in modules)
+    offenders = [m.name for m in modules
+                 if m.name != "lattice.py" and "np.arange(1 <<" in m.read_text()]
+    assert offenders == []
 
 
 def test_only_lattice_spells_the_edge_reshape():
