@@ -293,13 +293,16 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
 
     Every candidate depends only on the c candidate coordinates, so it is
     built once on the 2^c sub-cube and gathered onto the full cube through
-    proj, the sub-cube code of every point (lattice.subcube_codes: at most
-    2 B per point for c <= 16; ndarray.take gathers without first widening
-    it to intp, as fancy indexing would).  Each candidate still
-    costs two 2^n dot products: the closed-form mean prod(1 - (1-p)^|B|),
-    weights aggregated onto the sub-cube or batched products would change
-    the summation order, and with it the last bits of the distance and the
-    ties resolved within TIE_TOL.
+    proj, the sub-cube code of every point (lattice.subcube_codes).  proj is
+    widened to intp once per call, since ndarray.take widens any other index
+    dtype on every call.  Each candidate is cast to float64 on the 2^c
+    sub-cube before the gather, so the two dot products cast nothing; they
+    see the float64 values a uint8 table would be cast to, so the bits do
+    not change.  Each candidate still costs two 2^n dot products: the
+    closed-form mean prod(1 - (1-p)^|B|), weights aggregated onto the
+    sub-cube or batched products would change the summation order, and
+    with it the last bits of the distance and the ties resolved within
+    TIE_TOL.
     """
     exact = recognize_and_or(f)
     if exact is not None and exact.width <= max_width:
@@ -315,13 +318,13 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     mean = expectation(f, p)
     w = measure_weights(f.n, p)
     wf = w * f.table
-    proj = subcube_codes(f.n, cand)
+    proj = subcube_codes(f.n, cand).astype(np.intp)
     best_dist, best_width, best_local = 1.0 - mean, 0, ()
     for size in range(1, c + 1):
         for support in itertools.combinations(range(c), size):
             for blocks in _partitions_into_blocks(list(support), max_width):
                 part = BlockPartition(blocks)
-                g = make_and_or(c, part).table.take(proj)
+                g = make_and_or(c, part).table.astype(np.float64).take(proj)
                 dist = mean + float(w @ g) - 2.0 * float(wf @ g)
                 if dist < best_dist - TIE_TOL or (
                         abs(dist - best_dist) <= TIE_TOL and part.width < best_width):

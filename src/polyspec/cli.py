@@ -9,6 +9,7 @@ or input error, 1 failed strict audit.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import zlib
@@ -66,7 +67,7 @@ class ExperimentConfig:
         for name in ("p", "rho"):
             core._check_open_unit(f"config {name}", getattr(self, name))
         for n in self.int_list("sizes"):
-            _check_dimension(n)
+            core._check_dimension(n)
 
     def int_list(self, field_name: str) -> list[int]:
         return _parse_coords(str(getattr(self, field_name)))
@@ -113,12 +114,6 @@ def _parse_coords(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _check_dimension(n: int) -> None:
-    """Reject a dimension no Boolean table allows before 2^n is allocated."""
-    if not 0 <= n <= core.MAX_N_BOOLEAN:
-        raise ValueError(f"dimension n = {n} outside [0, {core.MAX_N_BOOLEAN}]")
-
-
 def _parse_blocks(text: str) -> families.BlockPartition:
     blocks = [frozenset(_parse_coords(blk)) for blk in text.split(";") if blk]
     return families.BlockPartition(tuple(blocks))
@@ -145,7 +140,6 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _builtin_function(name: str, n: int):
-    _check_dimension(n)
     if name == "maj3":
         return families.make_majority3(max(n, 3))
     if name == "dictator":
@@ -210,7 +204,6 @@ _MAKERS = {
 
 
 def _cmd_make(args) -> int:
-    _check_dimension(args.n)
     f = _MAKERS[args.family](args)
     if args.out:
         core.save_function(f, args.out)
@@ -416,8 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process, so a session that calls main
+    many times in one process does not rebuild it on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "test-hom" and not args.fn and not args.infile:
         parser.error("test-hom needs --fn or --in")

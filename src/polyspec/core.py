@@ -25,14 +25,19 @@ def _check_open_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0,1), got {value}")
 
 
+def _check_dimension(n: int) -> None:
+    """Reject a dimension no Boolean table allows, before 2^n is allocated."""
+    if not 0 <= n <= MAX_N_BOOLEAN:
+        raise ValueError(f"dimension {n} outside [0, {MAX_N_BOOLEAN}]")
+
+
 class BooleanFunction:
     """A function {0,1}^n -> {0,1} stored as a dense truth table."""
 
     __slots__ = ("n", "_table")
 
     def __init__(self, n: int, table):
-        if not 0 <= n <= MAX_N_BOOLEAN:
-            raise ValueError(f"dimension {n} outside [0, {MAX_N_BOOLEAN}]")
+        _check_dimension(n)
         arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(f"table has shape {arr.shape}, expected ({1 << n},)")
@@ -43,6 +48,20 @@ class BooleanFunction:
         self.n = n
         self._table = np.ascontiguousarray(arr, dtype=np.uint8)
         self._table.flags.writeable = False
+
+    @classmethod
+    def _trusted(cls, n: int, table: np.ndarray) -> "BooleanFunction":
+        """Wrap a table the library built itself, without re-scanning it.
+
+        The caller guarantees a fresh C-contiguous uint8 array of 2^n
+        entries, each 0 or 1, that nothing else writes; it is set read-only
+        here.
+        """
+        self = cls.__new__(cls)
+        self.n = n
+        self._table = table
+        table.flags.writeable = False
+        return self
 
     @property
     def table(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BooleanFunction, _check_open_unit
+from .core import BooleanFunction, _check_dimension, _check_open_unit
 from .lattice import coordinate_pairs, point_codes, popcounts, subset_mask
 
 
@@ -51,55 +51,69 @@ def _block_table(n: int, blocks, parity: bool) -> np.ndarray:
     """AND over blocks of each block's XOR (parity) or OR, as a uint8 table.
 
     No blocks gives the constant 1; an empty block gives the constant 0.
-    An OR is a mask test on the point codes.  An XOR starts from zeros and
-    flips the x_i = 1 half once per distinct coordinate i of the block; a
-    popcount gather indexed by the uint32 codes took 5-35 times as long at
-    n = 18, because numpy casts a non-intp index chunk by chunk.
+    An OR is a mask test on the point codes: the first block's test starts
+    a bool table, later ones AND into it in place, and the table is
+    returned as a uint8 view, with no ones-filled start.  An XOR starts
+    from zeros and flips the x_i = 1 half once per distinct coordinate i of
+    the block; a popcount gather indexed by the uint32 codes took 5-35
+    times as long at n = 18, because numpy casts a non-intp index chunk by
+    chunk.
     """
+    if not blocks:
+        return np.ones(1 << n, dtype=np.uint8)
+    if not parity:
+        codes = point_codes(n)
+        masks = [subset_mask(n, block) for block in blocks]
+        table = (codes & masks[0]) != 0
+        for mask in masks[1:]:
+            np.logical_and(table, codes & mask, out=table)
+        return table.view(np.uint8)
     table = np.ones(1 << n, dtype=np.uint8)
-    codes = None if parity else point_codes(n)
     for block in blocks:
         mask = subset_mask(n, block)
-        if parity:
-            odd = np.zeros(1 << n, dtype=np.uint8)
-            for i in range(n):
-                if (mask >> i) & 1:
-                    coordinate_pairs(odd, i)[:, 1, :] ^= 1
-            table &= odd
-        else:
-            np.logical_and(table, codes & mask, out=table)
+        odd = np.zeros(1 << n, dtype=np.uint8)
+        for i in range(n):
+            if (mask >> i) & 1:
+                coordinate_pairs(odd, i)[:, 1, :] ^= 1
+        table &= odd
     return table
 
 
 def make_and(n: int, coords) -> BooleanFunction:
     """Conjunction of the given coordinates; empty set gives the constant 1."""
+    _check_dimension(n)
     mask = subset_mask(n, coords)
-    return BooleanFunction(n, ((point_codes(n) & mask) == mask).astype(np.uint8))
+    return BooleanFunction._trusted(n, ((point_codes(n) & mask) == mask).view(np.uint8))
 
 
 def make_or(n: int, coords) -> BooleanFunction:
-    return BooleanFunction(n, _block_table(n, [coords], parity=False))
+    _check_dimension(n)
+    return BooleanFunction._trusted(n, _block_table(n, [coords], parity=False))
 
 
 def make_xor(n: int, coords) -> BooleanFunction:
-    return BooleanFunction(n, _block_table(n, [coords], parity=True))
+    _check_dimension(n)
+    return BooleanFunction._trusted(n, _block_table(n, [coords], parity=True))
 
 
 def make_and_or(n: int, partition: BlockPartition) -> BooleanFunction:
     """AND of block ORs; singleton blocks reduce to a plain AND."""
-    return BooleanFunction(n, _block_table(n, partition.blocks, parity=False))
+    _check_dimension(n)
+    return BooleanFunction._trusted(n, _block_table(n, partition.blocks, parity=False))
 
 
 def make_and_xor(n: int, partition: BlockPartition) -> BooleanFunction:
     """AND of block XORs."""
-    return BooleanFunction(n, _block_table(n, partition.blocks, parity=True))
+    _check_dimension(n)
+    return BooleanFunction._trusted(n, _block_table(n, partition.blocks, parity=True))
 
 
 def make_majority3(n: int = 3) -> BooleanFunction:
     """Majority of the first three coordinates (padded with idle ones)."""
+    _check_dimension(n)
     if n < 3:
         raise ValueError("majority3 needs n >= 3")
-    return BooleanFunction(n, (popcounts(n)[point_codes(n) & 7] >= 2).astype(np.uint8))
+    return BooleanFunction._trusted(n, (popcounts(n)[point_codes(n) & 7] >= 2).view(np.uint8))
 
 
 def minterms(g: BooleanFunction) -> set[frozenset[int]]:
@@ -186,8 +200,9 @@ def or_width_cap(p: float, gamma: float) -> int:
 def _or_inside_xor_outside(n: int, inside: np.ndarray) -> BooleanFunction:
     """OR of the first two coordinates where ``inside`` holds, XOR elsewhere."""
     first_two = [(0, 1)]
-    return BooleanFunction(n, np.where(inside, _block_table(n, first_two, parity=False),
-                                       _block_table(n, first_two, parity=True)))
+    return BooleanFunction._trusted(n, np.where(
+        inside, _block_table(n, first_two, parity=False),
+        _block_table(n, first_two, parity=True)))
 
 
 def _middle_band(n: int, window_scale: float) -> np.ndarray:
@@ -199,6 +214,7 @@ def _middle_band(n: int, window_scale: float) -> np.ndarray:
 
 def make_f1(n: int) -> BooleanFunction:
     """OR of the first two coordinates on Hamming weight >= n/3, XOR below."""
+    _check_dimension(n)
     if n < 3:
         raise ValueError("make_f1 needs n >= 3")
     return _or_inside_xor_outside(n, popcounts(n) >= math.ceil(n / 3))
@@ -206,13 +222,14 @@ def make_f1(n: int) -> BooleanFunction:
 
 def make_f2(n: int, lam: float, rng: np.random.Generator) -> BooleanFunction:
     """1 on Hamming weight >= n/3; an independent Bernoulli(lam) bit below."""
+    _check_dimension(n)
     if n < 3:
         raise ValueError("make_f2 needs n >= 3")
     _check_open_unit("lam", lam)
     pc = popcounts(n)
     heavy = pc >= math.ceil(n / 3)
     fills = (rng.random(1 << n) < lam).astype(np.uint8)
-    return BooleanFunction(n, np.where(heavy, 1, fills).astype(np.uint8))
+    return BooleanFunction._trusted(n, np.where(heavy, 1, fills).astype(np.uint8))
 
 
 def make_midslice(n: int, window_scale: float = 1.0) -> BooleanFunction:
@@ -221,6 +238,7 @@ def make_midslice(n: int, window_scale: float = 1.0) -> BooleanFunction:
     The band is Hamming weight n/2 +- window_scale * sqrt(n ln n); the
     multiplicative constant on the window is a free parameter (natural log).
     """
+    _check_dimension(n)
     if n < 3:
         raise ValueError("make_midslice needs n >= 3")
     return _or_inside_xor_outside(n, _middle_band(n, window_scale))
@@ -234,8 +252,9 @@ def make_semirandom(n: int, window_scale: float, rng: np.random.Generator) -> Bo
     which is why sweeps treat 3/4 as the natural agreement floor.  Exposed
     as the 'semirandom' sweep preset.
     """
+    _check_dimension(n)
     if n < 3:
         raise ValueError("make_semirandom needs n >= 3")
     band = _middle_band(n, window_scale)
     bits = (rng.random(1 << n) < 0.5).astype(np.uint8)
-    return BooleanFunction(n, np.where(band, bits, 0).astype(np.uint8))
+    return BooleanFunction._trusted(n, np.where(band, bits, 0).astype(np.uint8))

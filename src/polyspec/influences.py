@@ -25,27 +25,38 @@ def influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean squared change of f when coordinate i is flipped, under mu_p."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    return _edge_influences(f.table.astype(np.float64), i, measure_weights(f.n - 1, p))[0]
+    return _influence(_edge_change(f.table.astype(np.float64), i),
+                      measure_weights(f.n - 1, p))
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean positive part of the drop when coordinate i goes from 0 to 1."""
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    return _edge_influences(f.table.astype(np.float64), i, measure_weights(f.n - 1, p))[1]
+    return _negative_influence(_edge_change(f.table.astype(np.float64), i),
+                               measure_weights(f.n - 1, p))
 
 
-def _edge_influences(table: np.ndarray, i: int, w: np.ndarray) -> tuple[float, float]:
-    """(influence, negative influence) of coordinate i from one edge pass.
-
-    Takes the float64 table and the (n-1)-coordinate edge weights, so a loop
-    over coordinates builds both once.  The negative influence keeps the bits
-    of w @ max(a - b, 0): b - a is exactly -(a - b), and 0.0 minus the sum
-    turns an all-zero sum into +0.0 whatever the signs of its terms.
-    """
+def _edge_change(table: np.ndarray, i: int) -> np.ndarray:
+    """f at x_i = 1 minus f at x_i = 0 along every i-edge, from the float64
+    table; a loop over coordinates converts the table once."""
     edges = coordinate_pairs(table, i)
-    change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
-    return float(w @ change ** 2), float(0.0 - w @ np.minimum(change, 0.0))
+    return (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
+
+
+def _influence(change: np.ndarray, w: np.ndarray) -> float:
+    """Influence from the edge changes and the (n-1)-coordinate edge weights."""
+    return float(w @ change ** 2)
+
+
+def _negative_influence(change: np.ndarray, w: np.ndarray) -> float:
+    """Negative influence from the edge changes and edge weights.
+
+    Keeps the bits of w @ max(a - b, 0): b - a is exactly -(a - b), and 0.0
+    minus the sum turns an all-zero sum into +0.0 whatever the signs of its
+    terms.
+    """
+    return float(0.0 - w @ np.minimum(change, 0.0))
 
 
 def is_monotone(f: AnyFunction) -> bool:
@@ -106,7 +117,8 @@ def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
     if f.n:
         table = f.table.astype(np.float64)
         w = measure_weights(f.n - 1, p)
-        infl, neg = zip(*(_edge_influences(table, i, w) for i in range(f.n)))
+        changes = (_edge_change(table, i) for i in range(f.n))
+        infl, neg = zip(*((_influence(c, w), _negative_influence(c, w)) for c in changes))
     s = d = None
     if isinstance(f, BooleanFunction):
         s = sensitivity(f)
@@ -161,7 +173,7 @@ def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int
         return []
     table = f.table.astype(np.float64)
     w = measure_weights(f.n - 1, p)
-    return [i for i in range(f.n) if _edge_influences(table, i, w)[0] >= tau]
+    return [i for i in range(f.n) if _influence(_edge_change(table, i), w) >= tau]
 
 
 def sensitivity_degree_gap(f: BooleanFunction) -> float:

@@ -350,29 +350,33 @@ def test_distance_to_and_or_bits_match_full_cube_search(rng):
     """Same distance bits as the search over full-cube candidate tables with
     the same formula, enumeration order and tie rule: the sub-cube build
     changes no floating-point operation.  Sweeps print 12 digits, so their
-    golden files cannot see a last-bit change; this test can."""
+    golden files cannot see a last-bit change; this test can.  With
+    n > max_support the search runs on a subset of the coordinates, so the
+    gather from the sub-cube is not the identity."""
     from polyspec.lattice import measure_weights
-    for p in (0.3, 0.7):
-        for n in range(2, 7):
-            f = random_boolean(n, rng)
-            if ps.recognize_and_or(f) is not None:
-                continue
-            w = measure_weights(n, p)
-            wf = w * f.table
-            mean = ps.expectation(f, p)
-            best, best_width = 1.0 - mean, 0
-            for size in range(1, n + 1):
-                for support in itertools.combinations(range(n), size):
-                    for blocks in all_block_partitions(support, 2):
-                        g = np.array([all(any(bit(x, i) for i in blk) for blk in blocks)
-                                      for x in range(1 << n)], dtype=np.uint8)
-                        d = mean + float(w @ g) - 2.0 * float(wf @ g)
-                        if d < best - analysis.TIE_TOL or (
-                                abs(d - best) <= analysis.TIE_TOL
-                                and len(blocks) < best_width):
-                            best, best_width = d, len(blocks)
-            v = ps.distance_to_and_or(f, p, max_width=2)
-            assert v.distance == max(best, 0.0)
+    cases = ([(p, n, 10) for p in (0.3, 0.7) for n in range(2, 7)]
+             + [(p, n, n - 3) for p in (0.3, 0.7, 0.123) for n in range(7, 10)])
+    for p, n, max_support in cases:
+        f = random_boolean(n, rng)
+        if ps.recognize_and_or(f) is not None:
+            continue
+        cand = _search_coordinates(f, p, 0.05, max_support)
+        w = measure_weights(n, p)
+        wf = w * f.table
+        mean = ps.expectation(f, p)
+        best, best_width = 1.0 - mean, 0
+        for size in range(1, len(cand) + 1):
+            for support in itertools.combinations(cand, size):
+                for blocks in all_block_partitions(support, 2):
+                    g = np.array([all(any(bit(x, i) for i in blk) for blk in blocks)
+                                  for x in range(1 << n)], dtype=np.uint8)
+                    d = mean + float(w @ g) - 2.0 * float(wf @ g)
+                    if d < best - analysis.TIE_TOL or (
+                            abs(d - best) <= analysis.TIE_TOL
+                            and len(blocks) < best_width):
+                        best, best_width = d, len(blocks)
+        v = ps.distance_to_and_or(f, p, max_width=2, max_support=max_support)
+        assert v.distance == max(best, 0.0), (p, n, max_support)
 
 
 def _search_coordinates(f, p, tau, max_support):

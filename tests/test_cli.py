@@ -461,3 +461,22 @@ def test_stream_rng_independent_names():
 
 def test_parser_prog_name():
     assert build_parser().prog == "polyspec"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(ps.cli, "build_parser", counting)
+    ps.cli._parser.cache_clear()
+    try:
+        for n in (2, 3):
+            assert main(["make", "--family", "and", "--n", str(n), "--coords", "0"]) == 0
+    finally:
+        ps.cli._parser.cache_clear()
+    assert len(built) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["n"] for line in out] == [2, 3]

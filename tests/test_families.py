@@ -70,24 +70,36 @@ def test_constructors_match_point_by_point_oracles(rng):
             assert make_midslice(n, scale).table.tolist() == naive_midslice(n, scale)
 
 
+def _constructor_calls(n: int) -> dict:
+    """One call of each family constructor at dimension n, on coordinates
+    0..8 where n has them; the constructors that need n >= 3 are left out
+    below that."""
+    coords = [i for i in (0, 3, 7) if i < n]
+    part = ps.BlockPartition(b for b in ([i for i in blk if i < n] for blk in
+                                         ([0, 1, 2], [3, 4], [5, 6, 7, 8])) if b)
+    calls = {
+        "and": lambda: ps.make_and(n, coords),
+        "or": lambda: ps.make_or(n, coords),
+        "xor": lambda: ps.make_xor(n, coords),
+        "and_or": lambda: ps.make_and_or(n, part),
+        "and_xor": lambda: ps.make_and_xor(n, part),
+    }
+    if n >= 3:
+        calls.update({
+            "majority3": lambda: ps.make_majority3(n),
+            "f1": lambda: make_f1(n),
+            "f2": lambda: ps.families.make_f2(n, 0.3, np.random.default_rng(0)),
+            "midslice": lambda: make_midslice(n, 1.0),
+            "semirandom": lambda: ps.families.make_semirandom(n, 1.0, np.random.default_rng(0)),
+        })
+    return calls
+
+
 def test_constructors_peak_below_56_mib_at_n22():
     n = 22
     popcounts(n)
-    part = ps.BlockPartition(([0, 1, 2], [3, 4], [5, 6, 7, 8]))
-    builds = {
-        "and": lambda: ps.make_and(n, [0, 3, 7]),
-        "or": lambda: ps.make_or(n, [0, 3, 7]),
-        "xor": lambda: ps.make_xor(n, [0, 3, 7]),
-        "and_or": lambda: ps.make_and_or(n, part),
-        "and_xor": lambda: ps.make_and_xor(n, part),
-        "majority3": lambda: ps.make_majority3(n),
-        "f1": lambda: make_f1(n),
-        "f2": lambda: ps.families.make_f2(n, 0.3, np.random.default_rng(0)),
-        "midslice": lambda: make_midslice(n, 1.0),
-        "semirandom": lambda: ps.families.make_semirandom(n, 1.0, np.random.default_rng(0)),
-    }
     peaks = {}
-    for name, build in builds.items():
+    for name, build in _constructor_calls(n).items():
         tracemalloc.start()
         try:
             build()
@@ -95,6 +107,33 @@ def test_constructors_peak_below_56_mib_at_n22():
         finally:
             tracemalloc.stop()
     assert max(peaks.values()) <= 56 << 20, peaks
+
+
+def test_constructors_reject_n25_before_allocating():
+    calls = _constructor_calls(25)
+    assert len(calls) == 10
+    for name, build in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension 25 outside"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
+
+
+def test_constructor_tables_are_read_only_uint8_bits():
+    """The constructors wrap their tables without the BooleanFunction
+    re-scan, so they must hand over exactly what the re-scan would give."""
+    for n in range(11):
+        for name, build in _constructor_calls(n).items():
+            t = build().table
+            assert t.dtype == np.uint8 and t.shape == (1 << n,), (name, n)
+            assert t.flags.c_contiguous and not t.flags.writeable, (name, n)
+            assert t.max(initial=0) <= 1, (name, n)
+            with pytest.raises(ValueError):
+                t[0] = 1
 
 
 def test_single_block_and_xor_is_xor():
