@@ -126,7 +126,7 @@ class CliError(Exception):
 def _load(path: str):
     try:
         return core.load_function(path)
-    except (OSError, ValueError, KeyError) as exc:   # JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
         raise CliError(f"cannot read function file {path!r}: {exc}")
 
 

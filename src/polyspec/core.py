@@ -74,6 +74,7 @@ class BooleanFunction:
 
     @classmethod
     def from_bits_hex(cls, n: int, bits_hex: str) -> "BooleanFunction":
+        _check_dimension(n)
         raw = np.frombuffer(bytes.fromhex(bits_hex), dtype=np.uint8)
         if raw.size != ((1 << n) + 7) // 8:
             raise ValueError(f"hex string of {raw.size} bytes for dimension {n}")
@@ -261,12 +262,29 @@ def dumps(obj, sort_keys: bool = False) -> str:
 
 
 def from_json_dict(data: dict) -> AnyFunction:
-    kind = data.get("kind")
+    """The function a parsed function file describes; ValueError when the
+    document is not an object with an integer n and a string bits_hex or a
+    list of numbers in values."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a function file holds a JSON object, not {type(data).__name__}")
+    kind, n = data.get("kind"), data.get("n")
+    if kind not in ("boolean", "bounded"):
+        raise ValueError(f"unknown function kind: {kind!r}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n is {type(n).__name__}, not an integer")
     if kind == "boolean":
-        return BooleanFunction.from_bits_hex(int(data["n"]), data["bits_hex"])
-    if kind == "bounded":
-        return BoundedFunction(int(data["n"]), np.asarray(data["values"], dtype=np.float64))
-    raise ValueError(f"unknown function kind: {kind!r}")
+        bits_hex = data.get("bits_hex")
+        if not isinstance(bits_hex, str):
+            raise ValueError(f"bits_hex is {type(bits_hex).__name__}, not a string")
+        return BooleanFunction.from_bits_hex(n, bits_hex)
+    values = data.get("values")
+    if not isinstance(values, list):
+        raise ValueError(f"values is {type(values).__name__}, not a list")
+    try:
+        table = np.asarray(values, dtype=np.float64)
+    except TypeError as exc:    # a list holding objects; bad strings raise ValueError
+        raise ValueError(f"values are not numbers: {exc}") from None
+    return BoundedFunction(n, table)
 
 
 def save_function(f: AnyFunction, path) -> None:

@@ -22,6 +22,18 @@ The n stages of a full transform are thus ceil(n/15) passes over memory
 instead of n.  Every element still sees the same operations in the same
 order, so results are bit-identical to one whole-table pass per stage.
 
+The halves of a tile's low stages are short contiguous runs, 2^j * cols
+elements at stage j of a (rows, span, cols) tile, so numpy's inner loop is
+short too; in a batch of n = 4 rows every stage is such a stage.  When two
+or more stages have runs under 128 elements, the tile is first copied with
+those low bits as its leading axis, as in the transpose step of Bailey's
+four-step FFT.  There each of those stages has halves of at least 128
+contiguous elements, and the copy is written back before the tile's
+remaining stages.  The copy only moves values: each one still goes through
+the same multiplies and adds in the same stage order, so the bits, -0.0
+and infinities included, are those of the in-place path.  Tables below
+2^9 elements and single stages never take the copy.
+
 Two kernel shapes leave one half of each stage as it is and skip it.  A
 lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse, subset
 zeta and Moebius) writes only the x_i = 1 half; an upper triangular one
@@ -43,6 +55,9 @@ import numpy as np
 _TILE = 1 << 16
 # Longest run of stages done on one tile; 2^_MAX_RUN <= _TILE / 2.
 _MAX_RUN = _TILE.bit_length() - 2
+# Shortest contiguous run a stage's halves may have before the tile's low
+# stages move to a transposed copy; 64 and 256 measured within noise of 128.
+_MIN_CHUNK = 128
 
 
 def coordinate_pairs(values: np.ndarray, i: int) -> np.ndarray:
@@ -86,8 +101,7 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     x_i = 0, value at x_i = 1) to (k00*a + k01*b, k10*a + k11*b).  Stages
     run over range(n), or over ``coords`` in the order given.
     """
-    k00, k01 = kernel[0]
-    k10, k11 = kernel[1]
+    update = _stage_update(kernel)
     work = values if values.flags.c_contiguous else np.ascontiguousarray(values)
     flat = work.reshape(-1)
     for lo, hi in _runs(range(n) if coords is None else coords):
@@ -96,23 +110,50 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                              f"coordinate {hi - 1}")
         for tile in _tiles(flat, lo, hi):
             rows, span, cols = tile.shape
-            for j in range(hi - lo):
+            low = _low_stages(tile, hi - lo)
+            if low:
+                # bit j < low of the span axis leads the copy, so stage j's
+                # halves are runs of 2^j * tile.size / 2^low elements
+                view = tile.reshape(rows, span >> low, 1 << low, cols)
+                buf = np.ascontiguousarray(view.transpose(2, 0, 1, 3))
+                for j in range(low):
+                    w = buf.reshape(1 << (low - j - 1), 2, -1)
+                    update(w[:, 0], w[:, 1])
+                view[...] = buf.transpose(1, 2, 0, 3)
+            for j in range(low, hi - lo):
                 w = tile.reshape(rows, span >> (j + 1), 2, 1 << j, cols)
-                a = w[:, :, 0]
-                b = w[:, :, 1]
-                if k00 == 1.0 and k01 == 0.0:
-                    # lower row leaves a untouched; update b from the live view
-                    w[:, :, 1] = k10 * a + k11 * b
-                elif k10 == 0.0 and k11 == 1.0:
-                    # upper row leaves b untouched; update a from the live view
-                    w[:, :, 0] = k00 * a + k01 * b
-                else:
-                    a0 = a.copy()
-                    w[:, :, 0] = k00 * a0 + k01 * b
-                    w[:, :, 1] = k10 * a0 + k11 * b
+                update(w[:, :, 0], w[:, :, 1])
     if work is not values:
         values[...] = work
     return values
+
+
+def _stage_update(kernel: np.ndarray):
+    """In-place update of one stage from its halves a (x_i = 0) and b
+    (x_i = 1); a triangular kernel leaves one half as it is."""
+    (k00, k01), (k10, k11) = kernel
+    if k00 == 1.0 and k01 == 0.0:
+        def update(a, b):
+            b[...] = k10 * a + k11 * b
+    elif k10 == 0.0 and k11 == 1.0:
+        def update(a, b):
+            a[...] = k00 * a + k01 * b
+    else:
+        def update(a, b):
+            a0 = a.copy()
+            a[...] = k00 * a0 + k01 * b
+            b[...] = k10 * a0 + k11 * b
+    return update
+
+
+def _low_stages(tile: np.ndarray, stages: int) -> int:
+    """How many leading stages of a (rows, span, cols) tile run on a
+    transposed copy: those with 2^j * cols < _MIN_CHUNK, capped so that the
+    copy's runs tile.size >> low reach _MIN_CHUNK.  Zero unless two stages
+    qualify, since the copy costs two passes over the tile."""
+    low = min(stages, (_MIN_CHUNK // tile.shape[2]).bit_length() - 1,
+              (tile.size // _MIN_CHUNK).bit_length() - 1)
+    return low if low >= 2 else 0
 
 
 def _runs(stages):

@@ -407,6 +407,21 @@ def test_set_padding_bits_exit_2(tmp_path, capsys):
     assert "padding" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    '[1, 2]',
+    '{"kind": "boolean", "n": 2, "bits_hex": 5}',
+    '{"kind": "boolean", "n": "2", "bits_hex": "0f"}',
+    '{"kind": "boolean", "n": 10000000000, "bits_hex": "0f"}',
+    '{"kind": "bounded", "n": 1, "values": {"a": 1}}',
+])
+def test_malformed_function_file_exits_2(doc, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    fn.write_text(doc + "\n")
+    assert main(["transform", "--p", "0.5", "--in", str(fn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polyspec: cannot read function file") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
 def test_sweep_bad_thread_count_exits_2(threads, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("POLYSPEC_THREADS", threads)

@@ -272,6 +272,29 @@ def test_json_rejects_unknown_kind(tmp_path):
         ps.load_function(path)
 
 
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "JSON object"),
+    ("boolean", "JSON object"),
+    ({"kind": "boolean", "n": 2, "bits_hex": 5}, "bits_hex"),
+    ({"kind": "boolean", "n": "2", "bits_hex": "0f"}, "integer"),
+    ({"kind": "boolean", "n": True, "bits_hex": "1"}, "integer"),
+    ({"kind": "bounded", "n": 1.0, "values": [0.0, 1.0]}, "integer"),
+    ({"kind": "bounded", "n": 1, "values": [{}, 1.0]}, "not numbers"),
+    ({"kind": "bounded", "n": 1}, "values is NoneType, not a list"),
+    ({"kind": "bounded", "n": 1, "values": {"0": 1.0}}, "not a list"),
+])
+def test_from_json_dict_rejects_malformed_documents(data, message):
+    with pytest.raises(ValueError, match=message):
+        ps.core.from_json_dict(data)
+
+
+def test_from_bits_hex_checks_the_dimension_before_shifting():
+    """n = 10**10 would otherwise build a 1.25 GB Python int for 1 << n."""
+    for n in (-1, 25, 10 ** 10):
+        with pytest.raises(ValueError, match="outside"):
+            ps.BooleanFunction.from_bits_hex(n, "0f")
+
+
 _AND = ps.make_and(3, [0, 1])
 OPEN_UNIT_CHECKS = {
     "expectation": ("bias p", lambda v: ps.expectation(_AND, v)),

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,9 @@ def stage_orders(n: int) -> dict:
         "descending": list(range(n - 1, -1, -1)),
         "non-adjacent": sorted({c for c in (0, 2, 3, 4, 7, n - 1) if c < n}),
         "repeated": [0, 1, 1, 2, n - 2, n - 2, n - 1],
+        # at n = 17 the run 2..16 is cut into column slices two wide, so the
+        # transposed low stages write back through a non-contiguous view
+        "from-2": list(range(2, n)),
     }
 
 
@@ -101,10 +105,12 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("shape", [(1 << 15,), (1 << 16,), (1 << 17,), (1 << 18,),
-                                   (7, 16), (1024, 64), (3, 1 << 17)])
+                                   (7, 16), (1024, 64), (3, 1 << 17),
+                                   (4096, 16), (256, 4096)])
 def test_apply_kernel_matches_stagewise_bits(shape, dtype):
     """The tiled engine does each element's stage arithmetic in the old
-    order, on both sides of the one-tile size 2^16."""
+    order, on both sides of the one-tile size 2^16, whether a tile's low
+    stages run in place or on a transposed copy."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape).astype(dtype)
     base[..., ::5] = 0.0
@@ -132,12 +138,28 @@ def test_zeta_supersets_matches_superset_sums(n):
 def test_zeta_supersets_leaves_the_upper_half():
     """The x_i = 1 half of a stage is not recomputed as 0*a + b: an
     infinite entry reaches only its subsets and the top point keeps -0.0."""
-    inf = np.inf
     assert same_bits(zeta_supersets(np.array([inf, 0.0]), 1), np.array([inf, 0.0]))
     got = zeta_supersets(np.array([inf, 0.0, 1.0, 0.0]), 2)
     assert same_bits(got, np.array([inf, 0.0, 1.0, 0.0]))
     got = zeta_supersets(np.array([2.0, 1.0, 0.5, -0.0]), 2)
     assert same_bits(got, np.array([3.5, 1.0, 0.5, -0.0]))
+    # Tables that take the transposed low stages.  Integer entries make every
+    # finite sum exact: expected are the finite sums, with inf on the subsets
+    # of each row's infinite point and -0.0 kept at the top point.
+    for shape in ((1 << 14,), (64, 256)):
+        n = shape[-1].bit_length() - 1
+        rng = np.random.default_rng(n)
+        values = rng.integers(-4, 5, shape).astype(np.float64).reshape(-1, 1 << n)
+        values[:, -1] = 0.0
+        expect = stagewise_kernel(values.copy(), n, KERNELS["supersets"])
+        codes = point_codes(n)
+        for row, x in enumerate(rng.integers(0, (1 << n) - 1, len(values))):
+            values[row, x] = inf
+            values[row, -1] = -0.0
+            expect[row, codes & ~x == 0] = inf
+            expect[row, -1] = -0.0
+        got = zeta_supersets(values.reshape(shape), n)
+        assert same_bits(got, expect.reshape(shape)), shape
 
 
 @pytest.mark.parametrize("values, n", [
@@ -159,14 +181,45 @@ def test_apply_kernel_rejects_a_missing_coordinate():
 
 def test_apply_kernel_transient_memory_stays_tile_sized():
     """At n = 20 the whole-table passes peaked at ~12 MiB of temporaries;
-    tiles keep the peak under 2 MiB."""
-    values = np.random.default_rng(5).random(1 << 20)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        for kernel in (KERNELS["analysis"], KERNELS["zeta"]):
-            apply_kernel(values, 20, kernel)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    tiles, with the transposed copy of one tile, keep the peak under 2 MiB,
+    also for a batch of n = 4 rows."""
+    for shape in ((1 << 20,), (4096, 16)):
+        n = shape[-1].bit_length() - 1
+        values = np.random.default_rng(5).random(shape)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            for kernel in (KERNELS["analysis"], KERNELS["zeta"]):
+                apply_kernel(values, n, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, shape
+
+
+def test_small_tables_and_single_stages_make_no_transposed_copy():
+    """A 1-D table at n <= 8 and a single-stage coords=[i] call read every
+    stage's halves from the table itself; the copy would cost more than the
+    short stages it speeds up.  A probe coefficient records the halves it
+    multiplies, and a full pass at n = 16 shows it sees the copy."""
+    halves = []
+
+    class Probe(float):
+        def __mul__(self, half):
+            halves.append(half)
+            return float(self) * half
+
+    def copied(values, n, coords=None):
+        halves.clear()
+        for kernel in ([[1.0, 0.0], [Probe(0.5), Probe(1.0)]],
+                       [[Probe(1.0), Probe(0.5)], [0.0, 1.0]]):
+            apply_kernel(values, n, kernel, coords)
+        assert halves
+        return sum(not np.may_share_memory(h, values) for h in halves)
+
+    for n in range(1, 9):
+        assert copied(np.ones(1 << n), n) == 0
+    big = np.ones(1 << 16)
+    for i in range(16):
+        assert copied(big, 16, [i]) == 0
+    assert copied(big, 16) > 0
