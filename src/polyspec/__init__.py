@@ -16,8 +16,7 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_semirandom,
                        make_or, make_xor, minterms, recognize_and_or,
                        truncate_wide_ors)
-from .fourier import (Spectrum, fourier_transform, inverse_fourier,
-                      set_influence, tail_weight)
+from .fourier import Spectrum, fourier_transform, inverse_fourier
 from .influences import (InfluenceProfile, degree, influence,
                          influence_profile, is_monotone, junta_project,
                          monotonize, negative_influence, sensitivity, shift)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, _check_open_unit, average_out,
-                   expectation, l1_distance)
+from .core import (AnyFunction, BooleanFunction, _check_dimension, _check_open_unit,
+                   average_out, expectation, l1_distance)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
 from .influences import (high_influence_coordinates, junta_project, monotonize,
@@ -45,8 +45,6 @@ class StructureVerdict:
     kind: str
     witness: object
     distance: float
-    residual: float | None = None
-    lam: float | None = None
     is_upper_bound: bool = False
 
     def witness_str(self) -> str:
@@ -71,6 +69,7 @@ def classify_boolean_eigens(n: int, rho: float,
     the operator to the whole batch at once.  The zero function is included
     with lam None.
     """
+    _check_dimension(n)
     if n > 4:
         raise ValueError("exhaustive eigen classification is capped at n = 4")
     size = 1 << n
@@ -160,6 +159,8 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
     oracle for small n, Monte Carlo and an extended-precision rerun at
     n = 16); montecarlo mode samples input pairs.
     """
+    _check_open_unit("bias p", p)
+    _check_open_unit("rho", rho)
     g = g or f
     h = h or f
     if not (f.n == g.n == h.n):
@@ -451,8 +452,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         conclusion = {"delta_g_const": dist,
                       "delta_f_mean": abs(expectation(f, rho * p) - lam * gamma)}
         witness = StructureVerdict(kind="zero" if gamma == 0 else "constant",
-                                   witness=gamma, distance=dist,
-                                   residual=premise["eta_residual"], lam=lam)
+                                   witness=gamma, distance=dist)
         return AuditReport(theorem, premise, conclusion, witness, tuple(notes))
 
     if theorem in ("small-rho", "monotone"):

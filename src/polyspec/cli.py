@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class ExperimentConfig:
     """Sweep parameters; ``polyspec sweep`` reads every field.
 
     p and rho must lie in (0,1) and each of ``sizes`` in [0, MAX_N_BOOLEAN].
-    Configs round-trip losslessly through the key=value file format, and a
-    key that is not a field is rejected.
+    Each field reads from a key=value file as the type of its default, and
+    a key that is not a field is rejected.
     """
 
     p: float = 0.5
@@ -72,11 +72,6 @@ class ExperimentConfig:
     def int_list(self, field_name: str) -> list[int]:
         return _parse_coords(str(getattr(self, field_name)))
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}={getattr(self, f.name)}\n")
-
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         values: dict = {}
@@ -93,21 +88,10 @@ class ExperimentConfig:
         kwargs: dict = {}
         for f in fields(cls):
             if f.name in values:
-                kwargs[f.name] = _coerce(f.type, values.pop(f.name))
+                kwargs[f.name] = type(f.default)(values.pop(f.name))
         if values:
             raise ValueError(f"unknown config keys: {sorted(values)}")
         return cls(**kwargs)
-
-
-def _coerce(type_name, raw):
-    if isinstance(raw, (int, float)):
-        return raw
-    name = type_name if isinstance(type_name, str) else getattr(type_name, "__name__", "str")
-    if name == "int":
-        return int(raw)
-    if name == "float":
-        return float(raw)
-    return str(raw)
 
 
 def _parse_coords(text: str) -> list[int]:
@@ -140,6 +124,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _builtin_function(name: str, n: int):
+    core._check_dimension(n)    # maj3 widens n to 3 and would hide a negative n
     if name == "maj3":
         return families.make_majority3(max(n, 3))
     if name == "dictator":
@@ -184,7 +169,7 @@ def _cmd_ns(args) -> int:
 
 def _cmd_profile(args) -> int:
     f = _load(args.infile)
-    _emit(influences.influence_profile(f, args.p).to_json_dict(), args.out)
+    _emit(asdict(influences.influence_profile(f, args.p)), args.out)
     return 0
 
 

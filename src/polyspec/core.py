@@ -203,6 +203,7 @@ def expectation(f: AnyFunction, p: float) -> float:
 
 def l1_distance(f: AnyFunction, g: AnyFunction, p: float) -> float:
     """L1 distance between f and g under the p-biased measure."""
+    _check_open_unit("bias p", p)
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
     diff = np.abs(f.table.astype(np.float64) - g.table.astype(np.float64))
@@ -230,12 +231,6 @@ def _json_fields(f: AnyFunction) -> dict:
     if isinstance(f, BooleanFunction):
         return {"n": f.n, "kind": "boolean", "bits_hex": f.bits_hex}
     return {"n": f.n, "kind": "bounded", "values": f.table}
-
-
-def to_json_dict(f: AnyFunction) -> dict:
-    """The function file's fields as plain JSON types, for ``json`` callers."""
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in _json_fields(f).items()}
 
 
 def _float_list_json(values: np.ndarray) -> str:

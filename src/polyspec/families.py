@@ -188,12 +188,6 @@ def truncate_wide_ors(partition: BlockPartition, width_cap: int) -> BlockPartiti
     return BlockPartition(tuple(b for b in partition.blocks if len(b) <= width_cap))
 
 
-def or_width_cap(p: float, gamma: float) -> int:
-    """Largest block size kept when ORs wider than log_{1/(1-p)}(1/gamma)
-    are removed."""
-    return math.floor(math.log(1.0 / gamma) / math.log(1.0 / (1.0 - p)))
-
-
 # ---------------------------------------------------------------------------
 # The two motivating near-eigenfunctions and the middle-slice example.
 

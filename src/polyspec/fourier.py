@@ -82,11 +82,3 @@ def inverse_fourier(spec: Spectrum) -> BoundedFunction:
     """Re-synthesize the table; round-trips within 1e-10 for [0,1] inputs."""
     table = synthesize_table(spec.coeffs, spec.n, spec.p)
     return BoundedFunction(spec.n, np.clip(table, 0.0, 1.0))
-
-
-def tail_weight(spec: Spectrum, k: int) -> float:
-    return spec.tail_weight(k)
-
-
-def set_influence(spec: Spectrum, coords) -> float:
-    return spec.set_influence(coords)

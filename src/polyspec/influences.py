@@ -11,12 +11,12 @@ in terms of a full-point expectation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnyFunction, BooleanFunction, BoundedFunction, average_out
+from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit,
+                   average_out)
 from .lattice import (coordinate_pairs, measure_weights, mobius_subsets, popcounts,
                       subcube_codes)
 
@@ -26,7 +26,7 @@ def influence(f: AnyFunction, i: int, p: float) -> float:
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
     return _influence(_edge_change(f.table.astype(np.float64), i),
-                      measure_weights(f.n - 1, p))
+                      _edge_weights(f.n, p))
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
@@ -34,7 +34,14 @@ def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate {i} outside [0, {f.n})")
     return _negative_influence(_edge_change(f.table.astype(np.float64), i),
-                               measure_weights(f.n - 1, p))
+                               _edge_weights(f.n, p))
+
+
+def _edge_weights(n: int, p: float) -> np.ndarray:
+    """mu_p weights of the n - 1 coordinates an edge leaves free, after the
+    check on p that every influence entry point shares."""
+    _check_open_unit("bias p", p)
+    return measure_weights(max(n - 1, 0), p)
 
 
 def _edge_change(table: np.ndarray, i: int) -> np.ndarray:
@@ -101,22 +108,12 @@ class InfluenceProfile:
     degree: int | None = None
     monotone: bool = field(default=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "influences": list(self.influences),
-            "negative_influences": list(self.negative_influences),
-            "max_sensitivity": self.max_sensitivity,
-            "degree": self.degree,
-            "monotone": self.monotone,
-        }
-
 
 def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
+    w = _edge_weights(f.n, p)
     infl = neg = ()
     if f.n:
         table = f.table.astype(np.float64)
-        w = measure_weights(f.n - 1, p)
         changes = (_edge_change(table, i) for i in range(f.n))
         infl, neg = zip(*((_influence(c, w), _negative_influence(c, w)) for c in changes))
     s = d = None
@@ -152,30 +149,19 @@ def monotonize(f: AnyFunction) -> AnyFunction:
     return out
 
 
-def junta_project(f: AnyFunction, coords, p: float,
-                  rounding: bool = False) -> AnyFunction:
+def junta_project(f: AnyFunction, coords, p: float) -> BoundedFunction:
     """Average f over the coordinates outside ``coords`` under mu_p.
 
     The output lives on the full n coordinates but depends only on
-    ``coords`` (the L2-closest such function).  With rounding, threshold at
-    1/2 to a Boolean function.
+    ``coords`` (the L2-closest such function).
     """
     keep = sorted(set(coords))
     table = average_out(f, keep, p).table.take(subcube_codes(f.n, keep))
-    if rounding:
-        return BooleanFunction(f.n, (table >= 0.5).astype(np.uint8))
     return BoundedFunction(f.n, table)
 
 
 def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:
     """Coordinates whose influence reaches tau; the junta candidate set."""
-    if not f.n:
-        return []
+    w = _edge_weights(f.n, p)
     table = f.table.astype(np.float64)
-    w = measure_weights(f.n - 1, p)
     return [i for i in range(f.n) if _influence(_edge_change(table, i), w) >= tau]
-
-
-def sensitivity_degree_gap(f: BooleanFunction) -> float:
-    """s(f) - sqrt(deg f); nonnegative for every Boolean function."""
-    return sensitivity(f) - math.sqrt(degree(f))

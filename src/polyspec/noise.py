@@ -50,10 +50,6 @@ class NoiseParams:
         if self.lam is not None and not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0,1], got {self.lam}")
 
-    @property
-    def q(self) -> float:
-        return self.rho * self.p
-
 
 @dataclass(frozen=True)
 class TesterReport:
@@ -117,11 +113,6 @@ def invert_downward(h, rho: float) -> np.ndarray:
     return apply_kernel(working_copy(table), n, inverse_noise_kernel(rho))
 
 
-def spectral_eigenvalue(p: float, rho: float, level: int = 1) -> float:
-    """Per-level shrink factor of T between the two Fourier bases."""
-    return ((1.0 - p) * rho / (1.0 - rho * p)) ** (level / 2.0)
-
-
 def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:
     """Max pointwise gap between the two routes for computing T f.
 
@@ -131,7 +122,8 @@ def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:
     """
     direct = downward_noise_table(f.table, f.n, rho)
     coeffs = transform_table(f.table, f.n, rho * p)
-    factors = (spectral_eigenvalue(p, rho) ** np.arange(f.n + 1.0))[popcounts(f.n)]
+    shrink = ((1.0 - p) * rho / (1.0 - rho * p)) ** 0.5
+    factors = (shrink ** np.arange(f.n + 1.0))[popcounts(f.n)]
     via_spectrum = synthesize_table(coeffs * factors, f.n, p)
     return float(np.abs(direct - via_spectrum).max())
 
@@ -160,6 +152,8 @@ def _monte_carlo(count_hits, samples: int, seed: int | None) -> TesterReport:
     _SAMPLE_BATCH; count_hits(batch) draws batch fresh samples from the
     caller's generator and returns how many hit.  Memory stays bounded by
     one batch whatever the sample count."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     hits = 0
     for start in range(0, samples, _SAMPLE_BATCH):
         hits += count_hits(min(_SAMPLE_BATCH, samples - start))
@@ -223,6 +217,7 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
     Exact mode evaluates 2 * sum over S of (1 - (1-nu)^|S|) coeff(S)^2 from
     the bias-p spectrum; montecarlo mode samples correlated pairs.
     """
+    _check_open_unit("bias p", p)
     _check_open_unit("nu", nu)
     if mode == "exact":
         coeffs = transform_table(g.table, g.n, p)

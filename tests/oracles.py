@@ -12,6 +12,10 @@ thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
 ``analysis.distance_to_constant_or_and`` must keep, and
 :func:`edge_influence` and :func:`edge_negative_influence`, the two edge
 passes per coordinate whose bits every influence path must keep.
+The closed forms at the end (:func:`spectral_eigenvalue`,
+:func:`or_width_cap`, :func:`sensitivity_degree_gap`) and
+:func:`to_json_dict`, the plain-``json`` form of a function file that
+``core.dumps`` must match, are small helpers only tests read.
 """
 
 import itertools
@@ -22,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from polyspec.core import _json_fields
 from polyspec.fourier import transform_table
+from polyspec.influences import degree, sensitivity
 from polyspec.lattice import (coordinate_pairs, measure_weights, popcounts,
                               zeta_supersets)
 
@@ -326,3 +332,25 @@ def edge_negative_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
     edges = coordinate_pairs(table, i)
     drop = np.maximum(edges[:, 0, :] - edges[:, 1, :], 0.0).reshape(-1)
     return float(w @ drop)
+
+
+def spectral_eigenvalue(p: float, rho: float, level: int = 1) -> float:
+    """Per-level shrink factor of T between the two Fourier bases."""
+    return ((1.0 - p) * rho / (1.0 - rho * p)) ** (level / 2.0)
+
+
+def or_width_cap(p: float, gamma: float) -> int:
+    """Largest block size kept when ORs wider than log_{1/(1-p)}(1/gamma)
+    are removed."""
+    return math.floor(math.log(1.0 / gamma) / math.log(1.0 / (1.0 - p)))
+
+
+def sensitivity_degree_gap(f) -> float:
+    """s(f) - sqrt(deg f); nonnegative for every Boolean function."""
+    return sensitivity(f) - math.sqrt(degree(f))
+
+
+def to_json_dict(f) -> dict:
+    """The function file's fields as plain JSON types, for ``json`` callers."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in _json_fields(f).items()}

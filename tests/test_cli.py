@@ -10,7 +10,7 @@ import pytest
 import polyspec as ps
 from polyspec.cli import ExperimentConfig, build_parser, main, stream_rng
 from conftest import json_io_functions
-from oracles import streamed_json_bytes
+from oracles import streamed_json_bytes, to_json_dict
 
 SUBCOMMANDS = ["transform", "noise", "ns", "profile", "make", "classify",
                "solve", "test-hom", "prs", "audit", "sweep"]
@@ -49,7 +49,7 @@ def test_noise_out_bytes_match_streaming_encoder(f, tmp_path, capsys):
     out = tmp_path / "out.json"
     ps.save_function(f, fn)
     assert main(["noise", "--rho", "0.3", "--in", str(fn), "--out", str(out)]) == 0
-    expect = ps.core.to_json_dict(ps.downward_noise(ps.load_function(fn), 0.3))
+    expect = to_json_dict(ps.downward_noise(ps.load_function(fn), 0.3))
     assert out.read_bytes() == streamed_json_bytes(expect, tmp_path / "ref.json")
     assert main(["noise", "--rho", "0.3", "--in", str(fn)]) == 0
     assert capsys.readouterr().out == json.dumps(expect, sort_keys=True) + "\n"
@@ -119,7 +119,7 @@ def test_noise_arity_defaults_to_plain_operator(tmp_path, capsys):
     default = capsys.readouterr().out
     assert main(["noise", "--rho", "0.3", "--m", "2", "--in", str(fn)]) == 0
     assert capsys.readouterr().out == default
-    assert default == json.dumps(ps.core.to_json_dict(
+    assert default == json.dumps(to_json_dict(
         ps.downward_noise(ps.load_function(fn), 0.3)), sort_keys=True) + "\n"
 
 
@@ -180,9 +180,12 @@ def test_profile_reports_json(tmp_path, capsys):
     fn = tmp_path / "f.json"
     ps.save_function(ps.make_majority3(), fn)
     assert main(["profile", "--p", "0.5", "--in", str(fn)]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    data = json.loads(out)
     assert data["monotone"] is True
     assert data["max_sensitivity"] == 2 and data["degree"] == 3
+    assert out == ('{"degree": 3, "influences": [0.5, 0.5, 0.5], "max_sensitivity": 2, '
+                   '"monotone": true, "negative_influences": [0.0, 0.0, 0.0], "p": 0.5}\n')
 
 
 def test_ns_exact(tmp_path, capsys):
@@ -241,12 +244,43 @@ def test_bad_bias_exits_2(tmp_path, capsys):
     assert main(["transform", "--p", "1.5", "--in", str(fn)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["test-hom", "--fn", "maj3", "--exact", "--p", "1.5"],
+    ["test-hom", "--fn", "maj3", "--rho", "1.5", "--samples", "1000"],
+    ["test-hom", "--fn", "maj3", "--p", "nan", "--samples", "10"],
+    ["profile", "--p", "1.5", "--in", "{fn}"],
+    ["ns", "--mode", "montecarlo", "--p", "1.5", "--nu", "0.2", "--samples", "10",
+     "--in", "{fn}"],
+], ids=" ".join)
+def test_probability_outside_open_unit_exits_2(argv, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_majority3(), fn)
+    assert main([a.format(fn=fn) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must lie in (0,1)" in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["test-hom", "--fn", "maj3"],
+    ["ns", "--mode", "montecarlo", "--nu", "0.2", "--in", "{fn}"],
+    ["prs", "--in", "{fn}"],
+], ids=lambda argv: argv[0])
+def test_sample_count_below_one_exits_2(argv, samples, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_majority3(), fn)
+    assert main([a.format(fn=fn) for a in argv] + ["--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polyspec: samples must be at least 1, got {samples}\n"
+
+
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig(p=0.3, rho=0.25, andor_max_width=3, seed=17,
                            family="maj", sizes="4,6", perturbations="0,3",
                            trials=2)
     path = tmp_path / "run.cfg"
-    cfg.to_file(path)
+    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
     back = ExperimentConfig.from_file(path)
     assert back == cfg
 
@@ -323,10 +357,18 @@ def _dimension_argv(n: int, tmp_path) -> dict:
     cfg.write_text(f"family=and\nsizes=5,{n}\nperturbations=0\ntrials=1\n")
     return {"make": ["make", "--family", "and", "--n", str(n), "--coords", "0"],
             "test-hom": ["test-hom", "--fn", "maj3", "--n", str(n), "--exact"],
+            "classify": ["classify", "--n", str(n), "--rho", "0.5"],
             "sweep": ["sweep", "--config", str(cfg)]}
 
 
-@pytest.mark.parametrize("command", ["make", "test-hom", "sweep"])
+@pytest.mark.parametrize("command", ["make", "test-hom", "classify", "sweep"])
+def test_negative_dimension_exits_2_naming_it(command, tmp_path, capsys):
+    assert main(_dimension_argv(-1, tmp_path)[command]) == 2
+    err = capsys.readouterr().err
+    assert "dimension -1 outside [0, 24]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["make", "test-hom", "classify", "sweep"])
 def test_oversized_dimension_exits_2_before_allocating(command, tmp_path, capsys):
     argv = _dimension_argv(40, tmp_path)[command]
     assert main(argv) == 2

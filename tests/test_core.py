@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import polyspec as ps
 from polyspec.cli import ExperimentConfig
 from conftest import json_io_functions, random_boolean, random_bounded
 from oracles import (mu_weight, naive_expectation, naive_l1, naive_restrict,
-                     streamed_json_bytes)
+                     streamed_json_bytes, to_json_dict)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
 
@@ -217,7 +220,7 @@ def test_json_round_trip(tmp_path, rng):
 def test_save_function_bytes_match_streaming_encoder(f, tmp_path):
     path = tmp_path / "f.json"
     ps.save_function(f, path)
-    data = ps.core.to_json_dict(f)
+    data = to_json_dict(f)
     assert isinstance(data.get("values", []), list)
     assert path.read_bytes() == streamed_json_bytes(data, tmp_path / "ref.json")
 
@@ -312,6 +315,18 @@ OPEN_UNIT_CHECKS = {
     "distance_to_constant_or_and": ("bias p", lambda v: ps.distance_to_constant_or_and(_AND, v)),
     "ExperimentConfig.p": ("config p", lambda v: ExperimentConfig(p=v)),
     "ExperimentConfig.rho": ("config rho", lambda v: ExperimentConfig(rho=v)),
+    "homomorphism_agreement.p": ("bias p", lambda v: ps.homomorphism_agreement(_AND, v, 0.5)),
+    "homomorphism_agreement.rho": ("rho", lambda v: ps.homomorphism_agreement(
+        _AND, 0.5, v, mode="montecarlo", samples=8, seed=0)),
+    "influence": ("bias p", lambda v: ps.influence(_AND, 0, v)),
+    "negative_influence": ("bias p", lambda v: ps.negative_influence(_AND, 0, v)),
+    "influence_profile": ("bias p", lambda v: ps.influence_profile(_AND, v)),
+    "influence_profile.n0": ("bias p", lambda v: ps.influence_profile(ps.constant(0, 1), v)),
+    "high_influence_coordinates": (
+        "bias p", lambda v: ps.influences.high_influence_coordinates(_AND, v, 0.1)),
+    "l1_distance": ("bias p", lambda v: ps.l1_distance(_AND, _AND, v)),
+    "noise_sensitivity.p": ("bias p", lambda v: ps.noise_sensitivity(
+        _AND, v, 0.5, mode="montecarlo", samples=8, seed=0)),
 }
 
 
@@ -323,3 +338,51 @@ def test_open_unit_checks_share_one_message(site):
             call(bad)
         assert str(err.value) == f"{name} must lie in (0,1), got {bad}"
     call(0.5)
+
+
+def _unexported_public_functions():
+    """(module file, name) of each public function a polyspec module defines
+    and the package does not export, filtered as
+    ``perfbench/tracer.public_functions`` filters them."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"polyspec.{path.stem}")
+        for attr, obj in vars(mod).items():
+            if (attr.startswith("_") or isinstance(obj, type) or not callable(obj)
+                    or getattr(obj, "__module__", None) != mod.__name__
+                    or inspect.isgeneratorfunction(obj)):
+                continue
+            if getattr(ps, attr, None) is not obj:
+                yield path, attr
+
+
+def _names_read(tree: ast.AST, skip: ast.AST | None) -> set[str]:
+    """Every ast.Name id and ast.Attribute attr in tree, outside skip."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_unexported_function_has_a_reader_outside_tests():
+    """A public function the package does not export must be read somewhere
+    in src/polyspec or perfbench/*.py, outside its own definition; code only
+    tests read belongs in tests/oracles.py."""
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    unread = []
+    for home, name in _unexported_public_functions():
+        own = next(node for node in trees[home].body
+                   if isinstance(node, ast.FunctionDef) and node.name == name)
+        if not any(name in _names_read(tree, own if path == home else None)
+                   for path, tree in trees.items()):
+            unread.append(f"{home.stem}.{name}")
+    assert unread == []

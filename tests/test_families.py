@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.families import make_f1, make_midslice, or_width_cap
+from polyspec.families import make_f1, make_midslice
 from polyspec.influences import is_monotone
 from polyspec.lattice import index_bits, popcounts
 from conftest import random_boolean
 from oracles import (all_and_or_tables, bit, naive_and, naive_f1, naive_majority3,
-                     naive_midslice, naive_minterms, naive_or, naive_xor)
+                     naive_midslice, naive_minterms, naive_or, naive_xor, or_width_cap)
 
 
 def random_partition(n, max_width, rng, max_block=None):

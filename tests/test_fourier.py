@@ -87,48 +87,48 @@ def test_tail_weight_values():
     n = 5
     parity = ps.make_xor(n, range(n))
     spec = ps.fourier_transform(parity, 0.5)
-    assert ps.tail_weight(spec, n) == pytest.approx(0.25, abs=1e-12)
-    assert ps.tail_weight(spec, 1) == pytest.approx(0.25, abs=1e-12)
-    assert ps.tail_weight(spec, 0) == pytest.approx(0.5, abs=1e-12)  # E[f^2]
+    assert spec.tail_weight(n) == pytest.approx(0.25, abs=1e-12)
+    assert spec.tail_weight(1) == pytest.approx(0.25, abs=1e-12)
+    assert spec.tail_weight(0) == pytest.approx(0.5, abs=1e-12)  # E[f^2]
 
     const = ps.fourier_transform(ps.constant(3, 1), 0.5)
-    assert ps.tail_weight(const, 1) == 0.0
+    assert const.tail_weight(1) == 0.0
 
     and2 = ps.fourier_transform(ps.make_and(2, [0, 1]), 0.5)
-    assert ps.tail_weight(and2, 2) == pytest.approx(1.0 / 16.0, abs=1e-12)
+    assert and2.tail_weight(2) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
 
 def test_tail_weight_monotone(rng):
     f = random_boolean(7, rng)
     spec = ps.fourier_transform(f, 0.4)
-    tails = [ps.tail_weight(spec, k) for k in range(9)]
+    tails = [spec.tail_weight(k) for k in range(9)]
     assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
     with pytest.raises(ValueError):
-        ps.tail_weight(spec, 9)
+        spec.tail_weight(9)
 
 
 def test_set_influence_values():
     for p in (0.25, 0.5, 0.6):
         spec = ps.fourier_transform(ps.make_and(3, [0]), p)
-        assert ps.set_influence(spec, [0]) == pytest.approx(p * (1 - p), abs=1e-12)
+        assert spec.set_influence([0]) == pytest.approx(p * (1 - p), abs=1e-12)
     const = ps.fourier_transform(ps.constant(3, 1), 0.5)
-    assert ps.set_influence(const, [1]) == 0.0
+    assert const.set_influence([1]) == 0.0
     # 0/1-valued parity: the only coefficient over {0,1} is the top one, 1/4
     parity = ps.fourier_transform(ps.make_xor(2, [0, 1]), 0.5)
-    assert ps.set_influence(parity, [0, 1]) == pytest.approx(0.25, abs=1e-12)
-    assert ps.set_influence(parity, [0, 1]) == ps.tail_weight(parity, 2)
+    assert parity.set_influence([0, 1]) == pytest.approx(0.25, abs=1e-12)
+    assert parity.set_influence([0, 1]) == parity.tail_weight(2)
 
 
 def test_set_influence_superset_monotone(rng):
     f = random_boolean(5, rng)
     spec = ps.fourier_transform(f, 0.5)
-    assert ps.set_influence(spec, []) == pytest.approx(ps.expectation(f, 0.5), abs=1e-9)
+    assert spec.set_influence([]) == pytest.approx(ps.expectation(f, 0.5), abs=1e-9)
     for S in subsets(5):
         for extra in range(5):
             if extra in S:
                 continue
-            assert (ps.set_influence(spec, list(S) + [extra])
-                    <= ps.set_influence(spec, S) + 1e-15)
+            assert (spec.set_influence(list(S) + [extra])
+                    <= spec.set_influence(S) + 1e-15)
 
 
 def test_batched_transform_agrees(rng):

@@ -1,16 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.influences import (high_influence_coordinates, is_monotone,
-                                 sensitivity_degree_gap)
+from polyspec.influences import high_influence_coordinates, is_monotone
 from conftest import random_boolean, random_bounded
 from polyspec.lattice import measure_weights
 from oracles import (edge_influence, edge_negative_influence, naive_influence,
                      naive_junta_project, naive_negative_influence,
-                     naive_sensitivity, naive_shift, spectrum_degree)
+                     naive_sensitivity, naive_shift, sensitivity_degree_gap,
+                     spectrum_degree)
 
 
 def test_dictator_influence():
@@ -92,7 +93,7 @@ def test_influence_fourier_identity(rng):
         spec = ps.fourier_transform(f, p)
         for i in range(6):
             assert ps.influence(f, i, p) * p * (1 - p) == pytest.approx(
-                ps.set_influence(spec, [i]), abs=1e-9)
+                spec.set_influence([i]), abs=1e-9)
 
 
 def test_sensitivity_and_degree_of_parity_and_and():
@@ -179,8 +180,9 @@ def test_junta_project_fixes_juntas(rng):
 
 def test_junta_project_dictator_to_empty():
     d = ps.make_and(2, [0])
-    assert ps.junta_project(d, [], 0.7, rounding=True) == ps.constant(2, 1)
-    assert ps.junta_project(d, [], 0.3, rounding=True) == ps.constant(2, 0)
+    for p, want in ((0.7, 1), (0.3, 0)):
+        rounded = (ps.junta_project(d, [], p).table >= 0.5).astype(np.uint8)
+        assert ps.BooleanFunction(2, rounded) == ps.constant(2, want)
 
 
 def test_junta_project_decreases_negative_influence(rng):
@@ -202,7 +204,7 @@ def test_influence_profile(rng):
     assert prof.monotone
     assert prof.influences == (0.5, 0.5, 0.5)
     assert prof.negative_influences == (0.0, 0.0, 0.0)
-    d = prof.to_json_dict()
+    d = dataclasses.asdict(prof)
     assert set(d) == {"p", "influences", "negative_influences",
                       "max_sensitivity", "degree", "monotone"}
 
@@ -267,6 +269,6 @@ def test_junta_project_matches_pointwise(p, rng):
             got = ps.junta_project(f, coords, p)
             assert got.n == n
             assert np.abs(got.table - want).max() <= 1e-12
-            rounded = ps.junta_project(f, coords, p, rounding=True)
+            rounded = got.table >= 0.5
             clear = np.abs(want - 0.5) > 1e-12
-            assert np.array_equal(rounded.table[clear], (want[clear] >= 0.5))
+            assert np.array_equal(rounded[clear], (want[clear] >= 0.5))
