@@ -22,8 +22,7 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
 from .influences import (high_influence_coordinates, junta_project, monotonize,
                          negative_influence)
 from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
-                      point_codes, popcounts, subcube_codes, zeta_subsets,
-                      zeta_supersets)
+                      popcounts, subcube_codes, zeta_subsets, zeta_supersets)
 from .noise import (NoiseParams, TesterReport, _biased_bits, _monte_carlo,
                     downward_noise_table, invert_downward, residual)
 
@@ -61,19 +60,36 @@ class StructureVerdict:
 # ---------------------------------------------------------------------------
 # Exhaustive eigenfunction classification
 
+def _monotone_codes(n: int) -> np.ndarray:
+    """Ascending int64 truth-table codes (bit x = f(x)) of every monotone
+    f on n <= 5 coordinates, the Dedekind numbers 2, 3, 6, 20, 168, 7581.
+
+    A code at k + 1 is a | b << 2^k for codes a, b at k with a <= b
+    pointwise (a & ~b == 0); b is the outer axis, so the codes ascend.
+    """
+    codes = np.array([0, 1], dtype=np.int64)
+    for k in range(n):
+        low, high = codes[None, :], codes[:, None]
+        codes = (low | high << (1 << k))[(low & ~high) == 0]
+    return codes
+
+
 def classify_boolean_eigens(n: int, rho: float,
                             tol: float = EIGEN_TOL) -> list[tuple[BooleanFunction, float | None]]:
-    """All Boolean f with T f = lam * f pointwise for some lam > 0.
+    """All Boolean f with T f = lam * f pointwise for some lam > 0, n <= 5.
 
-    Enumerates every one of the 2^(2^n) truth tables (so n <= 4), applying
-    the operator to the whole batch at once.  The zero function is included
-    with lam None.
+    Every such f is monotone: where f(x) = 0, 0 = T f(x) is a sum over
+    y <= x of f(y) times a positive weight, so f vanishes below x too.  So
+    only the monotone tables are candidates (168 at n = 4, 7581 at n = 5,
+    not 2^(2^n)); the operator runs on the whole batch at once, and the
+    hits come in ascending truth-table code.  The zero function is
+    included with lam None.
     """
     _check_dimension(n)
-    if n > 4:
-        raise ValueError("exhaustive eigen classification is capped at n = 4")
+    if n > 5:
+        raise ValueError("eigen classification is capped at n = 5")
     size = 1 << n
-    tables = index_bits(size, point_codes(size)).astype(np.float64)
+    tables = index_bits(size, _monotone_codes(n)).astype(np.float64)
     transformed = downward_noise_table(tables, n, rho)
     has_ones = tables.any(axis=1)
     # candidate eigenvalue: value of T f at any point where f = 1
@@ -82,9 +98,9 @@ def classify_boolean_eigens(n: int, rho: float,
     gap = np.abs(transformed - lam[:, None] * tables).max(axis=1)
     hits = np.flatnonzero((gap <= tol) & ((lam > 0) | ~has_ones))
     out: list[tuple[BooleanFunction, float | None]] = []
-    for code in hits:
-        f = BooleanFunction(n, tables[code].astype(np.uint8))
-        out.append((f, float(lam[code]) if lam[code] > 0 else None))
+    for row in hits:
+        f = BooleanFunction(n, tables[row].astype(np.uint8))
+        out.append((f, float(lam[row]) if lam[row] > 0 else None))
     return out
 
 
@@ -189,8 +205,13 @@ def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
 
     Accepts when |E[f] - 1/2| <= expectation_window and the agreement rate
     of f(x AND y) with f(x) AND f(y) reaches agreement_min.  With samples
-    None both statistics are exact.
+    None both statistics are exact.  A window that is negative or NaN, or
+    an agreement_min outside [0, 1] or NaN, raises ValueError.
     """
+    if not expectation_window >= 0.0:
+        raise ValueError(f"expectation window must be at least 0, got {expectation_window}")
+    if not 0.0 <= agreement_min <= 1.0:
+        raise ValueError(f"agreement minimum must lie in [0,1], got {agreement_min}")
     if samples is None:
         mean = expectation(f, p)
         agree = homomorphism_agreement(f, p, p, mode="exact")

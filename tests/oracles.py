@@ -11,7 +11,10 @@ thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
 :func:`correlation_with_ands`, the weighted superset sums whose bits
 ``analysis.distance_to_constant_or_and`` must keep, and
 :func:`edge_influence` and :func:`edge_negative_influence`, the two edge
-passes per coordinate whose bits every influence path must keep.
+passes per coordinate whose bits every influence path must keep, and
+:func:`classify_boolean_eigens_bruteforce`, the batch noise pass over all
+2^(2^n) tables whose list ``analysis.classify_boolean_eigens`` must give
+from the monotone tables alone.
 The closed forms at the end (:func:`spectral_eigenvalue`,
 :func:`or_width_cap`, :func:`sensitivity_degree_gap`) and
 :func:`to_json_dict`, the plain-``json`` form of a function file that
@@ -26,11 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from polyspec.core import _json_fields
+from polyspec.analysis import EIGEN_TOL
+from polyspec.core import BooleanFunction, _check_dimension, _json_fields
 from polyspec.fourier import transform_table
 from polyspec.influences import degree, sensitivity
-from polyspec.lattice import (coordinate_pairs, measure_weights, popcounts,
-                              zeta_supersets)
+from polyspec.lattice import (coordinate_pairs, index_bits, measure_weights,
+                              point_codes, popcounts, zeta_supersets)
+from polyspec.noise import downward_noise_table
 
 
 def bit(x: int, i: int) -> int:
@@ -291,6 +296,33 @@ def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
             w[..., 0, :] = k00 * a0 + k01 * b
             w[..., 1, :] = k10 * a0 + k11 * b
     return values
+
+
+def classify_boolean_eigens_bruteforce(n: int, rho: float,
+                                       tol: float = EIGEN_TOL) -> list[tuple[BooleanFunction, float | None]]:
+    """All Boolean f with T f = lam * f pointwise for some lam > 0.
+
+    Enumerates every one of the 2^(2^n) truth tables (so n <= 4), applying
+    the operator to the whole batch at once.  The zero function is included
+    with lam None.
+    """
+    _check_dimension(n)
+    if n > 4:
+        raise ValueError("exhaustive eigen classification is capped at n = 4")
+    size = 1 << n
+    tables = index_bits(size, point_codes(size)).astype(np.float64)
+    transformed = downward_noise_table(tables, n, rho)
+    has_ones = tables.any(axis=1)
+    # candidate eigenvalue: value of T f at any point where f = 1
+    lam = np.max(np.where(tables > 0.5, transformed, -np.inf), axis=1)
+    lam = np.where(has_ones, lam, 0.0)
+    gap = np.abs(transformed - lam[:, None] * tables).max(axis=1)
+    hits = np.flatnonzero((gap <= tol) & ((lam > 0) | ~has_ones))
+    out: list[tuple[BooleanFunction, float | None]] = []
+    for code in hits:
+        f = BooleanFunction(n, tables[code].astype(np.uint8))
+        out.append((f, float(lam[code]) if lam[code] > 0 else None))
+    return out
 
 
 def streamed_json_bytes(obj, path) -> bytes:

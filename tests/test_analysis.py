@@ -1,19 +1,23 @@
+import importlib.util
 import itertools
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polyspec as ps
 from polyspec import analysis
-from polyspec.analysis import _and_correlation, _perturb
-from polyspec.lattice import (measure_weights, mobius_subsets, popcounts,
-                              zeta_subsets, zeta_supersets)
+from polyspec.analysis import _and_correlation, _monotone_codes, _perturb
+from polyspec.influences import is_monotone
+from polyspec.lattice import (index_bits, measure_weights, mobius_subsets,
+                              popcounts, zeta_subsets, zeta_supersets)
 from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
 from oracles import (all_and_or_tables, all_block_partitions,
-                     and_or_candidate_count, bit, correlation_with_ands,
+                     and_or_candidate_count, bit,
+                     classify_boolean_eigens_bruteforce, correlation_with_ands,
                      exact_l1, naive_agreement,
                      naive_influence, naive_negative_influence,
                      pair_agreement, subsets)
@@ -49,7 +53,55 @@ def test_classify_n3_quarter():
 
 def test_classify_caps():
     with pytest.raises(ValueError):
-        ps.classify_boolean_eigens(5, 0.5)
+        ps.classify_boolean_eigens(6, 0.5)
+
+
+def _eigen_list(hits):
+    return [(f.table.tobytes(), None if lam is None else float.hex(lam))
+            for f, lam in hits]
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.7, 0.25, 0.123, 1e-3, 0.999])
+@pytest.mark.parametrize("n", range(5))
+def test_classify_matches_full_enumeration(n, rho):
+    """The monotone route gives the full enumeration's list: same tables,
+    same order, same lambda bits."""
+    assert _eigen_list(ps.classify_boolean_eigens(n, rho)) \
+        == _eigen_list(classify_boolean_eigens_bruteforce(n, rho))
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+def test_classify_n5_is_zero_and_the_ands(rho):
+    # perfbench's closed-form oracle, loaded by path: tests/oracles.py
+    # already holds the module name
+    path = Path(__file__).parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    closed_form = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(closed_form)
+    expected = closed_form.boolean_eigens(5, rho)
+    got = {f.table.tobytes(): lam for f, lam in ps.classify_boolean_eigens(5, rho)}
+    assert len(got) == 33 and got.keys() == expected.keys()
+    for key, lam in expected.items():
+        if lam is None:
+            assert got[key] is None
+        else:
+            assert abs(got[key] - lam) <= 1e-12
+
+
+def test_monotone_codes_count_the_dedekind_numbers():
+    for n, count in enumerate([2, 3, 6, 20, 168, 7581]):
+        codes = _monotone_codes(n)
+        assert codes.dtype == np.int64 and len(codes) == count
+        assert np.all(np.diff(codes) > 0)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_monotone_codes_are_the_monotone_tables(n):
+    size = 1 << n
+    tables = index_bits(size, np.arange(1 << size))
+    monotone = [code for code, table in enumerate(tables)
+                if is_monotone(ps.BooleanFunction(n, table))]
+    assert _monotone_codes(n).tolist() == monotone
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ def test_classify_lists_nine_eigenfunctions(capsys):
                                   0.5, 0.5, 0.5, 1.0], abs=1e-12)
 
 
+def test_classify_runs_up_to_n5(capsys):
+    assert main(["classify", "--n", "5", "--rho", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 33
+    assert main(["classify", "--n", "6", "--rho", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "polyspec: eigen classification is capped at n = 5\n"
+
+
 def test_transform_writes_spectrum(tmp_path, capsys):
     fn = tmp_path / "f.json"
     ps.save_function(ps.make_and(2, [0, 1]), fn)
@@ -258,6 +267,36 @@ def test_probability_outside_open_unit_exits_2(argv, tmp_path, capsys):
     assert main([a.format(fn=fn) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must lie in (0,1)" in captured.err
+
+
+PRS_BAD_THRESHOLDS = [
+    (["--expectation-window", "-1"], "expectation window must be at least 0, got -1.0"),
+    (["--expectation-window", "nan"], "expectation window must be at least 0, got nan"),
+    (["--agreement-min", "1.5"], "agreement minimum must lie in [0,1], got 1.5"),
+    (["--agreement-min", "-0.1"], "agreement minimum must lie in [0,1], got -0.1"),
+    (["--agreement-min", "nan"], "agreement minimum must lie in [0,1], got nan"),
+    (["--samples", "100", "--expectation-window", "-1"],
+     "expectation window must be at least 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", PRS_BAD_THRESHOLDS,
+                         ids=[" ".join(argv) for argv, _ in PRS_BAD_THRESHOLDS])
+def test_prs_threshold_out_of_range_exits_2(argv, message, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_majority3(), fn)
+    assert main(["prs", "--in", str(fn), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"polyspec: {message}\n"
+
+
+@pytest.mark.parametrize("window,agreement_min", [(0.0, 0.0), (0.0, 1.0), (np.inf, 0.5)])
+def test_prs_threshold_edges_are_accepted(window, agreement_min, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_and(2, [0]), fn)
+    assert main(["prs", "--in", str(fn), "--expectation-window", str(window),
+                 "--agreement-min", str(agreement_min)]) == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
