@@ -146,8 +146,8 @@ def _and_correlation(f_table: np.ndarray, h_table: np.ndarray, n: int,
     """
     a = h_table.astype(np.float64) * measure_weights(n, rho)
     a_sup = zeta_supersets(a, n)
-    m = mobius_subsets(f_table.astype(np.float64).copy(), n)
-    return zeta_subsets(a_sup * m, n)
+    a_sup *= mobius_subsets(f_table.astype(np.float64), n)
+    return zeta_subsets(a_sup, n)
 
 
 def _agreement_exact(f: BooleanFunction, g: BooleanFunction,
@@ -269,16 +269,21 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     """
     _check_open_unit("bias p", p)
     # the mean and the correlation with every AND (superset sums of the
-    # weighted table) on one weight table, released before the 2^n
-    # temporaries below so the peak stays at four tables
+    # weighted table) on one weight table, released before the level-power
+    # table, so the peak stays at two float64 tables
     w = measure_weights(f.n, p)
     weighted = f.table.astype(np.float64)
     mean = float(w @ weighted)
     weighted *= w
     del w
     corr = zeta_supersets(weighted, f.n)
-    pk = (p ** np.arange(f.n + 1.0))[popcounts(f.n)]
-    dists = mean + pk - 2.0 * corr       # L1 gap to each AND (f Boolean)
+    # L1 gap to each AND (f Boolean): mean + pk - 2.0 * corr, built in place
+    # on the level-power table pk with the same IEEE operations in order
+    dists = (p ** np.arange(f.n + 1.0))[popcounts(f.n)]
+    dists += mean
+    corr *= 2.0
+    dists -= corr
+    del corr
     best = min(mean, 1.0 - mean, float(dists.min()))
     if mean <= best + TIE_TOL:
         return StructureVerdict(kind="zero", witness=0, distance=mean)

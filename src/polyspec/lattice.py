@@ -42,6 +42,19 @@ skipped half keeps its exact values.  The general path would recompute it
 with a zero coefficient (1*a + 0*b, or 0*a + 1*b), which turns a -0.0 into
 +0.0 and an infinite partner into NaN; on any other input both give the
 same bits.
+
+Three unit kernels, [[1, 0], [1, 1]] (subset zeta), [[1, 0], [-1, 1]]
+(subset Moebius) and [[1, 1], [0, 1]] (superset zeta), run each stage as
+one in-place add or subtract on the written half: b = a + b, b = b - a and
+a = a + b.  The multiply form k10*a + k11*b allocates three temporaries
+and copies back; the in-place form streams each half once.  The bits are
+the same, -0.0 and infinities included: 1.0*x is exactly x and -1.0*x
+exactly -x, IEEE 754 defines b - a as b + (-a), and addition commutes.
+The one possible difference is the payload of the NaN that a Moebius stage
+returns when both of its operands are NaN, since b - a lists them in the
+other order than -a + b.  Only these three kernels, compared entry by
+entry, take the unit path; any other kernel (the inverse noise kernel at
+rho = 1/2, [[1, 0], [-1, 2]], among them) keeps the multiply form.
 """
 
 from __future__ import annotations
@@ -130,9 +143,21 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
 
 def _stage_update(kernel: np.ndarray):
     """In-place update of one stage from its halves a (x_i = 0) and b
-    (x_i = 1); a triangular kernel leaves one half as it is."""
+    (x_i = 1); a triangular kernel leaves one half as it is, and the three
+    unit kernels (subset zeta, subset Moebius, superset zeta) run as one
+    in-place add or subtract with the bits of the multiply form (up to the
+    payload of a NaN; see the module docstring)."""
     (k00, k01), (k10, k11) = kernel
-    if k00 == 1.0 and k01 == 0.0:
+    if (k00, k01, k10, k11) == (1.0, 0.0, 1.0, 1.0):
+        def update(a, b):
+            np.add(a, b, out=b)
+    elif (k00, k01, k10, k11) == (1.0, 0.0, -1.0, 1.0):
+        def update(a, b):
+            np.subtract(b, a, out=b)
+    elif (k00, k01, k10, k11) == (1.0, 1.0, 0.0, 1.0):
+        def update(a, b):
+            np.add(a, b, out=a)
+    elif k00 == 1.0 and k01 == 0.0:
         def update(a, b):
             b[...] = k10 * a + k11 * b
     elif k10 == 0.0 and k11 == 1.0:

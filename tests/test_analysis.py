@@ -359,6 +359,21 @@ def test_distance_peak_memory_stays_at_four_tables():
     assert peak < 36 << 20
 
 
+def test_distance_peak_memory_stays_under_three_tables():
+    """The gaps to every AND are built in place on the level-power table,
+    so at n = 20 the peak is corr and that table, 2 x 8 MiB, plus the
+    popcounts and the candidate mask, not the 4 x 8 MiB of an expression."""
+    f = ps.BooleanFunction(20, np.random.default_rng(20).random(1 << 20) < 0.3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ps.distance_to_constant_or_and(f, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+
+
 def test_distance_to_and_or_exact_hit():
     part = ps.BlockPartition(({0, 1}, {2}))
     v = ps.distance_to_and_or(ps.make_and_or(4, part), 0.5)

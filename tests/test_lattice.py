@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from polyspec.fourier import analysis_kernel, synthesis_kernel
-from polyspec.lattice import (apply_kernel, coordinate_pairs, point_codes,
-                              subcube_codes, zeta_supersets)
+from polyspec.lattice import (apply_kernel, coordinate_pairs, mobius_subsets,
+                              point_codes, subcube_codes, zeta_subsets,
+                              zeta_supersets)
 from polyspec.noise import inverse_noise_kernel, noise_kernel
 from oracles import bit, stagewise_kernel
 
@@ -80,6 +81,9 @@ KERNELS = {
     "zeta": np.array([[1.0, 0.0], [1.0, 1.0]]),
     "mobius": np.array([[1.0, 0.0], [-1.0, 1.0]]),
     "supersets": np.array([[1.0, 1.0], [0.0, 1.0]]),
+    # [[1, 0], [-1, 2]]: one entry away from Moebius, so it must keep the
+    # multiply form
+    "inverse-half": inverse_noise_kernel(0.5),
 }
 
 
@@ -160,6 +164,46 @@ def test_zeta_supersets_leaves_the_upper_half():
             expect[row, -1] = -0.0
         got = zeta_supersets(values.reshape(shape), n)
         assert same_bits(got, expect.reshape(shape)), shape
+
+
+def test_subset_zeta_and_mobius_keep_signed_zero_and_inf():
+    """Hand-worked unit stages: -0.0 + -0.0 is -0.0, -0.0 - -0.0 is +0.0,
+    and an infinite entry reaches its supersets with the Moebius sign."""
+    assert same_bits(zeta_subsets(np.array([-0.0, -0.0]), 1), np.array([-0.0, -0.0]))
+    assert same_bits(mobius_subsets(np.array([-0.0, -0.0]), 1), np.array([-0.0, 0.0]))
+    got = zeta_subsets(np.array([-0.0, inf, 1.0, 0.5]), 2)
+    assert same_bits(got, np.array([-0.0, inf, 1.0, inf]))
+    got = mobius_subsets(np.array([inf, 1.0, -0.0, 0.5]), 2)
+    assert same_bits(got, np.array([inf, -inf, -inf, inf]))
+    # 2*b - a, not the b - a of the Moebius stage
+    got = apply_kernel(np.array([1.0, 1.0]), 1, KERNELS["inverse-half"])
+    assert same_bits(got, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("shape", [(1 << 8,), (1 << 14,), (64, 256)])
+def test_unit_stages_match_the_multiply_form_on_edge_bits(shape):
+    """Subset zeta and Moebius run each stage as one in-place add or
+    subtract; on -0.0 and infinite entries that gives the bits of the
+    multiply form k10*a + k11*b, on the in-place path (n = 8) and on the
+    transposed low stages (n = 14 and a batch of n = 8 rows).  The first
+    quarter of each row holds only signed zeros, so zero signs reach the
+    output; each row's one infinity, +inf or -inf, never meets another in a
+    stage, so no NaN arises.  The inverse noise kernel at rho = 1/2 runs on
+    the same tables and keeps the multiply form."""
+    n = shape[-1].bit_length() - 1
+    rng = np.random.default_rng(n)
+    values = rng.integers(-4, 5, shape).astype(np.float64).reshape(-1, 1 << n)
+    values[:, ::3] = -0.0
+    quarter = 1 << (n - 2)
+    values[:, :quarter] = rng.choice([0.0, -0.0], (len(values), quarter))
+    for row, x in enumerate(rng.integers(quarter, 1 << n, len(values))):
+        values[row, x] = -inf if row % 2 else inf
+    values = values.reshape(shape)
+    runs = {"zeta": zeta_subsets, "mobius": mobius_subsets,
+            "inverse-half": lambda v, n: apply_kernel(v, n, KERNELS["inverse-half"])}
+    for name, run in runs.items():
+        expect = stagewise_kernel(values.copy(), n, KERNELS[name])
+        assert same_bits(run(values.copy(), n), expect), name
 
 
 @pytest.mark.parametrize("values, n", [
