@@ -144,7 +144,8 @@ def _and_correlation(f_table: np.ndarray, h_table: np.ndarray, n: int,
     subset sums of f, q is the subset zeta transform of A * m; three
     O(n*2^n) passes replace the 4^n double loop.
     """
-    a = h_table.astype(np.float64) * measure_weights(n, rho)
+    a = h_table.astype(np.float64)
+    a *= measure_weights(n, rho)
     a_sup = zeta_supersets(a, n)
     a_sup *= mobius_subsets(f_table.astype(np.float64), n)
     return zeta_subsets(a_sup, n)
@@ -154,12 +155,21 @@ def _agreement_exact(f: BooleanFunction, g: BooleanFunction,
                      h: BooleanFunction, p: float, rho: float) -> float:
     """Pr over x ~ mu_p, y ~ mu_rho that f(x AND y) = g(x) AND h(y)."""
     n = f.n
+    # E[h] first: its two temporary tables never coexist with tf and q
+    eh = float(measure_weights(n, rho) @ h.table.astype(np.float64))
     tf = downward_noise_table(f.table, n, rho)
     q = _and_correlation(f.table, h.table, n, rho)
-    eh = float(measure_weights(n, rho) @ h.table.astype(np.float64))
-    gx = g.table.astype(np.float64)
-    per_x = np.where(gx > 0.5, 1.0 - tf - eh + 2.0 * q, 1.0 - tf)
-    return float(measure_weights(n, p) @ per_x)
+    # per x: 1 - tf - eh + 2q where g = 1, 1 - tf where g = 0; built in place
+    # on tf with the same IEEE operations in the same order, so the peak
+    # holds three float64 tables, not the six of the plain expression
+    np.subtract(1.0, tf, out=tf)
+    hit = tf - eh
+    q *= 2.0
+    hit += q
+    del q
+    np.copyto(tf, hit, where=g.table.astype(bool))
+    del hit
+    return float(measure_weights(n, p) @ tf)
 
 
 def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
@@ -295,17 +305,19 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     return StructureVerdict(kind="and", witness=witness, distance=float(dists[pick]))
 
 
-def _partitions_into_blocks(items: list[int], max_blocks: int):
-    """All set partitions of items into at most max_blocks nonempty blocks."""
+def _partitions_into_blocks(items: tuple[int, ...], max_blocks: int):
+    """All set partitions of items into at most max_blocks nonempty blocks,
+    each a tuple of disjoint frozensets."""
     if not items:
-        yield []
+        yield ()
         return
     first, rest = items[0], items[1:]
+    alone = frozenset((first,))
     for sub in _partitions_into_blocks(rest, max_blocks):
         for k in range(len(sub)):
-            yield sub[:k] + [sub[k] | {first}] + sub[k + 1:]
+            yield sub[:k] + (sub[k] | alone,) + sub[k + 1:]
         if len(sub) < max_blocks:
-            yield sub + [{first}]
+            yield sub + (alone,)
 
 
 def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
@@ -322,10 +334,14 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     built once on the 2^c sub-cube and gathered onto the full cube through
     proj, the sub-cube code of every point (lattice.subcube_codes).  proj is
     widened to intp once per call, since ndarray.take widens any other index
-    dtype on every call.  Each candidate is cast to float64 on the 2^c
-    sub-cube before the gather, so the two dot products cast nothing; they
-    see the float64 values a uint8 table would be cast to, so the bits do
-    not change.  Each candidate still costs two 2^n dot products: the
+    dtype on every call.  When the search runs on every coordinate (c = n),
+    the sub-cube is the cube and proj the identity, so there is no gather.
+    Each candidate is cast to float64 on the 2^c sub-cube before the
+    gather, so the two dot products cast nothing; they see the float64
+    values a uint8 table would be cast to, so the bits do not change.  The
+    enumerator builds each partition's blocks disjoint, so the candidate's
+    BlockPartition is not checked again; the witness is, once.  Each
+    candidate still costs two 2^n dot products: the
     closed-form mean prod(1 - (1-p)^|B|), weights aggregated onto the
     sub-cube or batched products would change the summation order, and
     with it the last bits of the distance and the ties resolved within
@@ -345,17 +361,19 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     mean = expectation(f, p)
     w = measure_weights(f.n, p)
     wf = w * f.table
-    proj = subcube_codes(f.n, cand).astype(np.intp)
+    # c = n only when cand is range(n): the search on every coordinate
+    proj = None if c == f.n else subcube_codes(f.n, cand).astype(np.intp)
     best_dist, best_width, best_local = 1.0 - mean, 0, ()
     for size in range(1, c + 1):
         for support in itertools.combinations(range(c), size):
-            for blocks in _partitions_into_blocks(list(support), max_width):
-                part = BlockPartition(blocks)
-                g = make_and_or(c, part).table.astype(np.float64).take(proj)
+            for blocks in _partitions_into_blocks(support, max_width):
+                g = make_and_or(c, BlockPartition._trusted(blocks)).table.astype(np.float64)
+                if proj is not None:
+                    g = g.take(proj)
                 dist = mean + float(w @ g) - 2.0 * float(wf @ g)
                 if dist < best_dist - TIE_TOL or (
-                        abs(dist - best_dist) <= TIE_TOL and part.width < best_width):
-                    best_dist, best_width, best_local = dist, part.width, part.blocks
+                        abs(dist - best_dist) <= TIE_TOL and len(blocks) < best_width):
+                    best_dist, best_width, best_local = dist, len(blocks), blocks
     witness = BlockPartition(frozenset(cand[k] for k in b) for b in best_local)
     return StructureVerdict(kind="and_or", witness=witness,
                             distance=float(max(best_dist, 0.0)))

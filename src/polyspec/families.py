@@ -36,6 +36,19 @@ class BlockPartition:
             seen |= b
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _trusted(cls, blocks: tuple[frozenset[int], ...]) -> "BlockPartition":
+        """Wrap blocks the library built itself, without checking them.
+
+        The caller guarantees a tuple of nonempty, pairwise disjoint
+        frozensets of coordinates, in block order; nothing is copied or
+        checked.  The AND-OR search builds one partition per candidate this
+        way, where the enumerator already made the blocks disjoint.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "blocks", blocks)
+        return self
+
     @property
     def width(self) -> int:
         return len(self.blocks)

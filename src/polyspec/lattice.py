@@ -34,14 +34,15 @@ the same multiplies and adds in the same stage order, so the bits, -0.0
 and infinities included, are those of the in-place path.  Tables below
 2^9 elements and single stages never take the copy.
 
-Two kernel shapes leave one half of each stage as it is and skip it.  A
-lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse, subset
-zeta and Moebius) writes only the x_i = 1 half; an upper triangular one
-[[k00, k01], [0, 1]] (superset zeta) writes only the x_i = 0 half.  The
-skipped half keeps its exact values.  The general path would recompute it
-with a zero coefficient (1*a + 0*b, or 0*a + 1*b), which turns a -0.0 into
-+0.0 and an infinite partner into NaN; on any other input both give the
-same bits.
+A lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse)
+writes only the x_i = 1 half of each stage; the x_i = 0 half keeps its
+exact values.  Any other kernel that is not one of the unit kernels below
+takes the general path, which writes both halves.  A half it computes with
+coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a -0.0 into +0.0 and
+an infinite partner into NaN; on any other input it gives the same bits.
+An upper triangular kernel [[k00, k01], [0, 1]] therefore changes its
+x_i = 1 half in those two ways; superset zeta, the one such kernel in the
+library, is a unit kernel and keeps that half as it is.
 
 Three unit kernels, [[1, 0], [1, 1]] (subset zeta), [[1, 0], [-1, 1]]
 (subset Moebius) and [[1, 1], [0, 1]] (superset zeta), run each stage as
@@ -143,7 +144,7 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
 
 def _stage_update(kernel: np.ndarray):
     """In-place update of one stage from its halves a (x_i = 0) and b
-    (x_i = 1); a triangular kernel leaves one half as it is, and the three
+    (x_i = 1); a lower triangular kernel leaves a as it is, and the three
     unit kernels (subset zeta, subset Moebius, superset zeta) run as one
     in-place add or subtract with the bits of the multiply form (up to the
     payload of a NaN; see the module docstring)."""
@@ -160,9 +161,6 @@ def _stage_update(kernel: np.ndarray):
     elif k00 == 1.0 and k01 == 0.0:
         def update(a, b):
             b[...] = k10 * a + k11 * b
-    elif k10 == 0.0 and k11 == 1.0:
-        def update(a, b):
-            a[...] = k00 * a + k01 * b
     else:
         def update(a, b):
             a0 = a.copy()
@@ -232,10 +230,30 @@ def zeta_supersets(values: np.ndarray, n: int) -> np.ndarray:
     return apply_kernel(values, n, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+# The codes of every cube up to n = 16, shared: 256 B of uint8 and 128 KiB of
+# uint16.  Larger cubes get a fresh array per call, so no 2^n buffer outlives
+# the constructor that asked for it.
+_CODES_U8 = np.arange(1 << 8, dtype=np.uint8)
+_CODES_U16 = np.arange(1 << 16, dtype=np.uint16)
+_CODES_U8.flags.writeable = _CODES_U16.flags.writeable = False
+
+
 def point_codes(n: int) -> np.ndarray:
-    """Every point code 0 .. 2^n - 1 (n <= 32), in the smallest unsigned
-    dtype that holds them: uint8 up to n = 8, uint16 up to 16, else uint32."""
-    return np.arange(1 << n, dtype=np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32)
+    """Every point code 0 .. 2^n - 1 (n <= 32), read-only, in the smallest
+    unsigned dtype that holds them: uint8 up to n = 8, uint16 up to 16,
+    else uint32.
+
+    Up to n = 16 the result is a view of one shared module constant (one
+    for n <= 8, one for 9 <= n <= 16), so a caller that builds a small
+    table per call allocates no codes; above 16 it is a fresh array.
+    """
+    if n <= 8:
+        return _CODES_U8[:1 << n]
+    if n <= 16:
+        return _CODES_U16[:1 << n]
+    codes = np.arange(1 << n, dtype=np.uint32)
+    codes.flags.writeable = False
+    return codes
 
 
 @lru_cache(maxsize=32)

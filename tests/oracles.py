@@ -14,7 +14,9 @@ thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
 passes per coordinate whose bits every influence path must keep, and
 :func:`classify_boolean_eigens_bruteforce`, the batch noise pass over all
 2^(2^n) tables whose list ``analysis.classify_boolean_eigens`` must give
-from the monotone tables alone.
+from the monotone tables alone, and :func:`agreement_exact_expression`,
+the one-temporary-per-operation expression whose bits the in-place exact
+homomorphism agreement must keep.
 The closed forms at the end (:func:`spectral_eigenvalue`,
 :func:`or_width_cap`, :func:`sensitivity_degree_gap`) and
 :func:`to_json_dict`, the plain-``json`` form of a function file that
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polyspec.analysis import EIGEN_TOL
+from polyspec.analysis import EIGEN_TOL, _and_correlation
 from polyspec.core import BooleanFunction, _check_dimension, _json_fields
 from polyspec.fourier import transform_table
 from polyspec.influences import degree, sensitivity
@@ -386,3 +388,16 @@ def to_json_dict(f) -> dict:
     """The function file's fields as plain JSON types, for ``json`` callers."""
     return {k: v.tolist() if isinstance(v, np.ndarray) else v
             for k, v in _json_fields(f).items()}
+
+
+def agreement_exact_expression(f, g, h, p: float, rho: float) -> float:
+    """Exact homomorphism agreement through the plain per-x expression,
+    one fresh temporary per operation: the reference for the in-place
+    build of ``analysis._agreement_exact``."""
+    n = f.n
+    tf = downward_noise_table(f.table, n, rho)
+    q = _and_correlation(f.table, h.table, n, rho)
+    eh = float(measure_weights(n, rho) @ h.table.astype(np.float64))
+    gx = g.table.astype(np.float64)
+    per_x = np.where(gx > 0.5, 1.0 - tf - eh + 2.0 * q, 1.0 - tf)
+    return float(measure_weights(n, p) @ per_x)

@@ -15,8 +15,8 @@ from polyspec.lattice import (index_bits, measure_weights, mobius_subsets,
                               popcounts, zeta_subsets, zeta_supersets)
 from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
-from oracles import (all_and_or_tables, all_block_partitions,
-                     and_or_candidate_count, bit,
+from oracles import (agreement_exact_expression, all_and_or_tables,
+                     all_block_partitions, and_or_candidate_count, bit,
                      classify_boolean_eigens_bruteforce, correlation_with_ands,
                      exact_l1, naive_agreement,
                      naive_influence, naive_negative_influence,
@@ -129,6 +129,37 @@ def test_solve_without_lambda_returns_the_raw_preimage(rng):
     assert sol.preimage.tobytes() == invert_downward(g, 0.4).tobytes()
 
 
+def test_exact_pair_classification_n5_on_the_monotone_tables():
+    """Criterion 03 at n = 5.  If T f = lam g with f >= 0 and lam > 0, then
+    where g(x) = 0 the sum T f(x) forces f = 0 on every y <= x, so g is 0
+    there too: every feasible right-hand side is monotone, and the 7581
+    monotone tables hold all of them.  At rho = 1/2 the feasible ones are
+    zero and the 203 AND-ORs, each preimage 2^width times the AND-XOR of
+    the recognized partition; at rho = 1/4, zero and the 32 ANDs."""
+    n = 5
+    tables = index_bits(1 << n, _monotone_codes(n))
+    raw = tables.astype(np.float64)
+    zero = bytes(1 << n)
+
+    pre_half = invert_downward(raw, 0.5)
+    feasible = np.flatnonzero(pre_half.min(axis=1) >= 0)
+    assert len(feasible) == 204
+    assert {tables[r].tobytes() for r in feasible} == set(all_and_or_tables(n)) | {zero}
+    for r in feasible:
+        part = ps.recognize_and_or(ps.BooleanFunction(n, tables[r]))
+        if part is None:
+            assert tables[r].tobytes() == zero
+            continue
+        phi = ps.make_and_xor(n, part)
+        assert np.array_equal(pre_half[r], 2.0 ** part.width * phi.table)
+
+    pre_quarter = invert_downward(raw, 0.25)
+    feasible = np.flatnonzero(pre_quarter.min(axis=1) >= 0)
+    ands = {ps.make_and(n, coords).table.tobytes() for coords in subsets(n)}
+    assert len(feasible) == 33
+    assert {tables[r].tobytes() for r in feasible} == ands | {zero}
+
+
 def test_solve_zero():
     sol = ps.solve_exact_pair(ps.constant(3, 0), 0.5, lam=0.7)
     assert sol.feasible and sol.lam_max is None
@@ -164,6 +195,37 @@ def test_agreement_identity_matches_pair_enumeration(rng):
         assert fast == pytest.approx(pair_agreement(f, g, h, p, rho), abs=1e-12)
         assert fast == pytest.approx(
             naive_agreement(f.table, g.table, h.table, n, p, rho), abs=1e-10)
+
+
+def test_agreement_bits_match_the_plain_expression():
+    """The in-place build of the per-x agreement gives the bits of the
+    expression with one temporary per operation, non-dyadic p and rho
+    included, with g, f and h all different.  A last-bit change in per-x
+    values moves the final sum in only about one non-dyadic case in
+    fifteen, so there are 80 of them."""
+    rng = np.random.default_rng(2020)
+    for n in (3, 5, 7, 9, 12):
+        for _ in range(8):
+            f, g, h = (random_boolean(n, rng) for _ in range(3))
+            for p, rho in ((0.5, 0.5), (0.3, 0.7), (0.123, 0.456)):
+                got = ps.homomorphism_agreement(f, p, rho, g=g, h=h).estimate
+                want = agreement_exact_expression(f, g, h, p, rho)
+                assert got.hex() == want.hex(), (n, p, rho)
+
+
+def test_exact_agreement_peak_memory_stays_under_four_tables():
+    """At n = 20 the per-x agreement is built in place on T f, and E[h] is
+    taken before T f and q exist, so the peak is three 8 MiB float64 tables
+    (25-26 MiB measured), not the six of the plain expression (50 MiB)."""
+    f = ps.BooleanFunction(20, np.random.default_rng(20).random(1 << 20) < 0.3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ps.homomorphism_agreement(f, 0.3, 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 << 20
 
 
 def test_agreement_montecarlo_consistent(rng):
@@ -414,15 +476,18 @@ def test_distance_to_and_or_matches_bruteforce(rng):
 
 
 def test_distance_to_and_or_bits_match_full_cube_search(rng):
-    """Same distance bits as the search over full-cube candidate tables with
-    the same formula, enumeration order and tie rule: the sub-cube build
-    changes no floating-point operation.  Sweeps print 12 digits, so their
-    golden files cannot see a last-bit change; this test can.  With
-    n > max_support the search runs on a subset of the coordinates, so the
-    gather from the sub-cube is not the identity."""
+    """Same distance bits and the same witness, blocks in order, as the
+    search over full-cube candidate tables with the same formula,
+    enumeration order and tie rule: the sub-cube build changes no
+    floating-point operation.  Sweeps print 12 digits, so their golden
+    files cannot see a last-bit change; this test can.  With n <= max_support
+    the search runs on every coordinate and the sub-cube is the cube; with
+    n > max_support it runs on a subset of the coordinates, so the gather
+    from the sub-cube is not the identity."""
     from polyspec.lattice import measure_weights
-    cases = ([(p, n, 10) for p in (0.3, 0.7) for n in range(2, 7)]
-             + [(p, n, n - 3) for p in (0.3, 0.7, 0.123) for n in range(7, 10)])
+    # at p = 1/2 the distances are dyadic, so exact ties test the tie rule
+    cases = ([(p, n, 10) for p in (0.3, 0.5, 0.7) for n in range(2, 7)]
+             + [(p, n, n - 3) for p in (0.3, 0.5, 0.7, 0.123) for n in range(7, 10)])
     for p, n, max_support in cases:
         f = random_boolean(n, rng)
         if ps.recognize_and_or(f) is not None:
@@ -431,19 +496,25 @@ def test_distance_to_and_or_bits_match_full_cube_search(rng):
         w = measure_weights(n, p)
         wf = w * f.table
         mean = ps.expectation(f, p)
-        best, best_width = 1.0 - mean, 0
-        for size in range(1, len(cand) + 1):
-            for support in itertools.combinations(cand, size):
-                for blocks in all_block_partitions(support, 2):
-                    g = np.array([all(any(bit(x, i) for i in blk) for blk in blocks)
-                                  for x in range(1 << n)], dtype=np.uint8)
-                    d = mean + float(w @ g) - 2.0 * float(wf @ g)
-                    if d < best - analysis.TIE_TOL or (
-                            abs(d - best) <= analysis.TIE_TOL
-                            and len(blocks) < best_width):
-                        best, best_width = d, len(blocks)
-        v = ps.distance_to_and_or(f, p, max_width=2, max_support=max_support)
-        assert v.distance == max(best, 0.0), (p, n, max_support)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        for max_width in (1, 2, 3):
+            best, best_blocks = 1.0 - mean, ()
+            for size in range(1, len(cand) + 1):
+                for support in itertools.combinations(cand, size):
+                    for blocks in all_block_partitions(support, max_width):
+                        g = np.ones(1 << n, dtype=np.uint8)
+                        for blk in blocks:
+                            g &= bits[:, sorted(blk)].any(axis=1).astype(np.uint8)
+                        d = mean + float(w @ g) - 2.0 * float(wf @ g)
+                        if d < best - analysis.TIE_TOL or (
+                                abs(d - best) <= analysis.TIE_TOL
+                                and len(blocks) < len(best_blocks)):
+                            best, best_blocks = d, blocks
+            v = ps.distance_to_and_or(f, p, max_width=max_width,
+                                      max_support=max_support)
+            case = (p, n, max_support, max_width)
+            assert v.distance.hex() == max(best, 0.0).hex(), case
+            assert v.witness.blocks == best_blocks, case
 
 
 def _search_coordinates(f, p, tau, max_support):

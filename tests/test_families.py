@@ -26,12 +26,18 @@ def random_partition(n, max_width, rng, max_block=None):
 
 
 def test_block_partition_validation():
-    with pytest.raises(ValueError):
+    """The public constructor checks every partition; the unchecked one
+    the AND-OR search uses per candidate builds the same value."""
+    with pytest.raises(ValueError, match="disjoint"):
         ps.BlockPartition(({0, 1}, {1, 2}))     # overlap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         ps.BlockPartition(({0}, frozenset()))   # empty block
     part = ps.BlockPartition(({2}, {0, 1}))
     assert part.width == 2 and part.support() == {0, 1, 2}
+    trusted = ps.BlockPartition._trusted(part.blocks)
+    assert trusted == part and trusted.blocks is part.blocks
+    with pytest.raises(ValueError, match="disjoint"):
+        ps.BlockPartition(trusted.blocks + (frozenset({0}),))
 
 
 def test_singleton_blocks_give_plain_and():

@@ -54,6 +54,23 @@ def test_point_codes_smallest_dtype(n, dtype):
     assert np.all(np.diff(codes.astype(np.int64)) == 1)
 
 
+def test_point_codes_values_dtypes_and_read_only():
+    """Codes up to n = 16 are views of two shared constants, so no caller
+    may write them: every result is read-only, with the values and dtypes
+    of a fresh arange."""
+    for n in range(21):
+        codes = point_codes(n)
+        dtype = np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32
+        assert codes.dtype == dtype
+        assert np.array_equal(codes, np.arange(1 << n)), n
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[0] = 1
+    assert np.shares_memory(point_codes(0), point_codes(8))
+    assert np.shares_memory(point_codes(9), point_codes(16))
+    assert not np.shares_memory(point_codes(17), point_codes(17))
+
+
 def test_only_lattice_builds_point_indices():
     """Every other module takes the 2^n point codes from lattice.point_codes."""
     modules = sorted(SRC.glob("*.py"))
@@ -245,7 +262,8 @@ def test_small_tables_and_single_stages_make_no_transposed_copy():
     """A 1-D table at n <= 8 and a single-stage coords=[i] call read every
     stage's halves from the table itself; the copy would cost more than the
     short stages it speeds up.  A probe coefficient records the halves it
-    multiplies, and a full pass at n = 16 shows it sees the copy."""
+    multiplies, and a full pass at n = 16 shows it sees the copy.  Both the
+    lower triangular path and the general multiply form are probed."""
     halves = []
 
     class Probe(float):
@@ -253,17 +271,19 @@ def test_small_tables_and_single_stages_make_no_transposed_copy():
             halves.append(half)
             return float(self) * half
 
-    def copied(values, n, coords=None):
+    def copied(values, n, kernel, coords=None):
         halves.clear()
-        for kernel in ([[1.0, 0.0], [Probe(0.5), Probe(1.0)]],
-                       [[Probe(1.0), Probe(0.5)], [0.0, 1.0]]):
-            apply_kernel(values, n, kernel, coords)
+        apply_kernel(values, n, kernel, coords)
         assert halves
         return sum(not np.may_share_memory(h, values) for h in halves)
 
-    for n in range(1, 9):
-        assert copied(np.ones(1 << n), n) == 0
     big = np.ones(1 << 16)
-    for i in range(16):
-        assert copied(big, 16, [i]) == 0
-    assert copied(big, 16) > 0
+    # the general path multiplies k00 and k10 into a copy of the x_i = 0
+    # half, so only k01 and k11, which multiply the x_i = 1 half, probe
+    for kernel in ([[1.0, 0.0], [Probe(0.5), Probe(1.0)]],
+                   [[0.5, Probe(0.5)], [0.25, Probe(1.0)]]):
+        for n in range(1, 9):
+            assert copied(np.ones(1 << n), n, kernel) == 0
+        for i in range(16):
+            assert copied(big, 16, kernel, [i]) == 0
+        assert copied(big, 16, kernel) > 0
