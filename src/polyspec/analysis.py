@@ -23,8 +23,8 @@ from .influences import (high_influence_coordinates, junta_project, monotonize,
                          negative_influence)
 from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
                       popcounts, subcube_codes, zeta_subsets, zeta_supersets)
-from .noise import (NoiseParams, TesterReport, _biased_bits, _monte_carlo,
-                    downward_noise_table, invert_downward, residual)
+from .noise import (NoiseParams, TesterReport, _biased_bits, _check_lam,
+                    _monte_carlo, downward_noise_table, invert_downward, residual)
 
 EIGEN_TOL = 1e-10
 EXACT_PAIR_TOL = 1e-12
@@ -121,7 +121,9 @@ def solve_exact_pair(g: BooleanFunction, rho: float, lam: float | None = None,
     g is feasible iff the raw preimage is entrywise nonnegative; then
     f = lam * T^{-1} g lies in [0,1] exactly for lam in (0, 1/max entry].
     For g identically zero any lam works and f = 0 is the only solution.
+    A lam outside (0, 1] raises ValueError.
     """
+    _check_lam(lam)
     u = invert_downward(g, rho)
     most_negative = float(min(u.min(initial=0.0), 0.0))
     feasible = most_negative >= -tol
@@ -130,7 +132,8 @@ def solve_exact_pair(g: BooleanFunction, rho: float, lam: float | None = None,
         return ExactPairSolution(True, f, None, 0.0)
     top = float(u.max())
     lam_max = 1.0 / top if feasible and top > 0 else None
-    return ExactPairSolution(feasible, f, lam_max, -most_negative)
+    # 0.0 - x, not -x: a zero minimum reports +0.0, and NaN stays NaN
+    return ExactPairSolution(feasible, f, lam_max, 0.0 - most_negative)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +176,16 @@ def _agreement_exact(f: BooleanFunction, g: BooleanFunction,
 
 
 def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
-                           mode: str = "exact", g: BooleanFunction | None = None,
+                           g: BooleanFunction | None = None,
                            h: BooleanFunction | None = None,
-                           samples: int = 1_000_000,
-                           rng: np.random.Generator | None = None,
-                           seed: int | None = None) -> TesterReport:
+                           samples: int | None = None, rng=None) -> TesterReport:
     """Agreement rate of f(x AND y) with g(x) AND h(y); g = h = f by default.
 
-    Exact mode uses the O(n*2^n) correlation identity at every n a
+    Exact by default, from the O(n*2^n) correlation identity at every n a
     BooleanFunction allows (the 4^n pair enumeration backs it up as a test
     oracle for small n, Monte Carlo and an extended-precision rerun at
-    n = 16); montecarlo mode samples input pairs.
+    n = 16).  An int samples draws that many input pairs from rng (a seed,
+    a Generator or None) instead.
     """
     _check_open_unit("bias p", p)
     _check_open_unit("rho", rho)
@@ -191,32 +193,28 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
     h = h or f
     if not (f.n == g.n == h.n):
         raise ValueError("functions must share one dimension")
-    if mode == "exact":
+    if samples is None:
         val = _agreement_exact(f, g, h, p, rho)
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
-    if mode != "montecarlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
 
-    def agreements(batch: int) -> int:
-        x = pack_bits(_biased_bits(rng, (batch, f.n), p))
-        y = pack_bits(_biased_bits(rng, (batch, f.n), rho))
+    def agreements(gen: np.random.Generator, batch: int) -> int:
+        x = pack_bits(_biased_bits(gen, (batch, f.n), p))
+        y = pack_bits(_biased_bits(gen, (batch, f.n), rho))
         return int(np.count_nonzero(f.table[x & y] == (g.table[x] & h.table[y])))
 
-    return _monte_carlo(agreements, samples, seed)
+    return _monte_carlo(agreements, samples, rng)
 
 
 def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
-               rng: np.random.Generator | None = None, seed: int | None = None,
-               expectation_window: float = 0.05,
+               rng=None, expectation_window: float = 0.05,
                agreement_min: float = 0.95) -> TesterReport:
     """Dictatorship-style tester: near-half mean plus AND-agreement.
 
     Accepts when |E[f] - 1/2| <= expectation_window and the agreement rate
-    of f(x AND y) with f(x) AND f(y) reaches agreement_min.  With samples
-    None both statistics are exact.  A window that is negative or NaN, or
-    an agreement_min outside [0, 1] or NaN, raises ValueError.
+    of f(x AND y) with f(x) AND f(y) reaches agreement_min.  Both are exact
+    by default; an int samples estimates each from that many draws, the
+    mean first, on one stream built from rng.  A window that is negative or
+    NaN, or an agreement_min outside [0, 1] or NaN, raises ValueError.
     """
     if not expectation_window >= 0.0:
         raise ValueError(f"expectation window must be at least 0, got {expectation_window}")
@@ -224,24 +222,19 @@ def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
         raise ValueError(f"agreement minimum must lie in [0,1], got {agreement_min}")
     if samples is None:
         mean = expectation(f, p)
-        agree = homomorphism_agreement(f, p, p, mode="exact")
-        se, n_used, exact = 0.0, 0, True
     else:
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(rng)
 
-        def ones(batch: int) -> int:
-            x = pack_bits(_biased_bits(rng, (batch, f.n), p))
+        def ones(gen: np.random.Generator, batch: int) -> int:
+            x = pack_bits(_biased_bits(gen, (batch, f.n), p))
             return int(np.count_nonzero(f.table[x]))
 
-        mean = _monte_carlo(ones, samples, seed).estimate
-        agree = homomorphism_agreement(f, p, p, mode="montecarlo",
-                                       samples=samples, rng=rng, seed=seed)
-        se, n_used, exact = agree.std_error, samples, False
+        mean = _monte_carlo(ones, samples, rng).estimate
+    agree = homomorphism_agreement(f, p, p, samples=samples, rng=rng)
     accepted = (abs(mean - 0.5) <= expectation_window
                 and agree.estimate >= agreement_min)
-    return TesterReport(estimate=agree.estimate, std_error=se, samples=n_used,
-                        seed=seed, exact=exact, accepted=accepted,
+    return TesterReport(estimate=agree.estimate, std_error=agree.std_error,
+                        samples=agree.samples, exact=agree.exact, accepted=accepted,
                         details={"expectation": mean,
                                  "agreement": agree.estimate,
                                  "expectation_window": expectation_window,
@@ -419,20 +412,18 @@ class AuditReport:
 
 
 def _averaged_profile(f: AnyFunction, coords, avg_bias: float,
-                      target: BooleanFunction | None, scale: float,
-                      measure_bias: float) -> dict[str, float]:
+                      target: BooleanFunction, scale: float) -> dict[str, float]:
     """L1/Linf gaps between f averaged outside coords and scale * target.
 
-    Averaging uses avg_bias on the dropped coordinates; the L1 gap is taken
-    under measure_bias on the kept cube (the averaged function lives on the
-    input side of the operator, hence the lower bias by default).
+    Averaging uses avg_bias on the dropped coordinates, and the L1 gap is
+    taken under the same bias on the kept cube: the averaged function lives
+    on the input side of the operator.
     """
     keep = sorted(coords)
     ftilde = average_out(f, keep, avg_bias) if len(keep) < f.n else f
-    ref = (scale * target.table.astype(np.float64) if target is not None
-           else np.zeros(1 << len(keep)))
+    ref = scale * target.table.astype(np.float64)
     gap = np.abs(ftilde.table.astype(np.float64) - ref)
-    w = measure_weights(len(keep), measure_bias)
+    w = measure_weights(len(keep), avg_bias)
     return {"delta_f_avg_l1": float(w @ gap),
             "delta_f_avg_linf": float(gap.max(initial=0.0))}
 
@@ -464,7 +455,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
             raise ValueError("the triple audit needs all three functions")
         if not isinstance(f, BooleanFunction):
             raise ValueError("the triple audit needs Boolean f")
-        agree = homomorphism_agreement(f, p, rho, mode="exact", g=g, h=h)
+        agree = homomorphism_agreement(f, p, rho, g=g, h=h)
         vf = distance_to_constant_or_and(f, rho * p)
         vg = distance_to_constant_or_and(g, p)
         vh = distance_to_constant_or_and(h, rho)
@@ -512,7 +503,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
             conclusion["witness_size_bound"] = float(math.ceil(math.log2(2.0 / lam)))
             target = make_and(len(T), range(len(T)))
             conclusion.update(_averaged_profile(
-                f, T, rho * p, target, rho ** -len(T) * lam, rho * p))
+                f, T, rho * p, target, rho ** -len(T) * lam))
         else:
             gamma = 1.0 if v.kind == "constant" else 0.0
             conclusion["delta_f_mean"] = abs(expectation(f, rho * p) - lam * gamma)
@@ -530,7 +521,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
                                      for blk in part.blocks))
         target = make_and_xor(len(support), local)
         conclusion.update(_averaged_profile(
-            f, support, rho * p, target, 2.0 ** part.width * lam, rho * p))
+            f, support, rho * p, target, 2.0 ** part.width * lam))
         return AuditReport(theorem, premise, conclusion, v, tuple(notes))
 
     raise ValueError(f"unknown theorem id {theorem!r}")
@@ -541,6 +532,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
 
 SWEEP_HEADER = ("seed,n,p,rho,lambda,epsilon_hom,eta_residual,"
                 "delta_const_and,delta_andor,verdict_kind,witness")
+SWEEP_FAMILIES = ("and", "maj", "semirandom")
 
 
 def _fmt(x: float) -> str:
@@ -574,7 +566,7 @@ def _sweep_row(arg: tuple) -> str:
     base = _base_function(family, n, and_width, window_scale, rng)
     f = _perturb(base, k, rng) if k else base
     lam = expectation(f, p)
-    eps_hom = 1.0 - homomorphism_agreement(f, p, rho, mode="exact").estimate
+    eps_hom = 1.0 - homomorphism_agreement(f, p, rho).estimate
     eta = (residual(f, f, NoiseParams(p=p, rho=rho, lam=lam))
            if 0.0 < lam <= 1.0 else float("nan"))
     v = distance_to_constant_or_and(f, p)

@@ -45,7 +45,8 @@ def worker_count() -> int:
 class ExperimentConfig:
     """Sweep parameters; ``polyspec sweep`` reads every field.
 
-    p and rho must lie in (0,1) and each of ``sizes`` in [0, MAX_N_BOOLEAN].
+    p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN], family
+    in SWEEP_FAMILIES, and trials, and_width and the perturbations are >= 0.
     Each field reads from a key=value file as the type of its default, and
     a key that is not a field is rejected.
     """
@@ -68,6 +69,13 @@ class ExperimentConfig:
             core._check_open_unit(f"config {name}", getattr(self, name))
         for n in self.int_list("sizes"):
             core._check_dimension(n)
+        if self.family not in analysis.SWEEP_FAMILIES:
+            raise ValueError(f"config family must be one of "
+                             f"{', '.join(analysis.SWEEP_FAMILIES)}, got {self.family!r}")
+        for name in ("trials", "and_width", "perturbations"):
+            for value in self.int_list(name):
+                if value < 0:
+                    raise ValueError(f"config {name} must be at least 0, got {value}")
 
     def int_list(self, field_name: str) -> list[int]:
         return _parse_coords(str(getattr(self, field_name)))
@@ -159,9 +167,9 @@ def _cmd_ns(args) -> int:
     f = _load(args.infile)
     if not isinstance(f, core.BooleanFunction):
         raise CliError("noise sensitivity needs a Boolean function")
-    rng = stream_rng(args.seed, "ns") if args.mode == "montecarlo" else None
-    rep = noise.noise_sensitivity(f, args.p, args.nu, mode=args.mode,
-                                  samples=args.samples, rng=rng, seed=args.seed)
+    samples = args.samples if args.mode == "montecarlo" else None
+    rep = noise.noise_sensitivity(f, args.p, args.nu, samples=samples,
+                                  rng=stream_rng(args.seed, "ns"))
     _emit({"estimate": rep.estimate, "std_error": rep.std_error,
            "samples": rep.samples, "exact": rep.exact}, args.out)
     return 0
@@ -223,10 +231,9 @@ def _cmd_test_hom(args) -> int:
     for name, fn in (("f", f), ("g", g), ("h", h)):
         if fn is not None and not isinstance(fn, core.BooleanFunction):
             raise CliError(f"test-hom needs Boolean functions ({name} is not)")
-    mode = "exact" if args.exact else "montecarlo"
     rep = analysis.homomorphism_agreement(
-        f, args.p, args.rho, mode=mode, g=g, h=h, samples=args.samples,
-        rng=None if args.exact else stream_rng(args.seed, "hom"), seed=args.seed)
+        f, args.p, args.rho, g=g, h=h, samples=None if args.exact else args.samples,
+        rng=stream_rng(args.seed, "hom"))
     print(format(rep.estimate, ".12g"))
     return 0
 
@@ -236,9 +243,8 @@ def _cmd_prs(args) -> int:
     if not isinstance(f, core.BooleanFunction):
         raise CliError("prs needs a Boolean function")
     rep = analysis.prs_tester(
-        f, args.p, samples=args.samples,
-        rng=stream_rng(args.seed, "prs") if args.samples else None,
-        seed=args.seed, expectation_window=args.expectation_window,
+        f, args.p, samples=args.samples, rng=stream_rng(args.seed, "prs"),
+        expectation_window=args.expectation_window,
         agreement_min=args.agreement_min)
     _emit({"accepted": rep.accepted, "agreement": rep.estimate,
            "std_error": rep.std_error, "exact": rep.exact,

@@ -47,8 +47,12 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("p", "rho"):
             _check_open_unit(name, getattr(self, name))
-        if self.lam is not None and not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lam must lie in (0,1], got {self.lam}")
+        _check_lam(self.lam)
+
+
+def _check_lam(lam: float | None) -> None:
+    if lam is not None and not 0.0 < lam <= 1.0:
+        raise ValueError(f"lam must lie in (0,1], got {lam}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class TesterReport:
     estimate: float
     std_error: float
     samples: int
-    seed: int | None = None
     exact: bool = False
     details: dict | None = None
     accepted: bool | None = None
@@ -147,19 +150,20 @@ def _biased_bits(rng: np.random.Generator, shape, p: float) -> np.ndarray:
     return (rng.random(shape) < p).astype(np.uint8)
 
 
-def _monte_carlo(count_hits, samples: int, seed: int | None) -> TesterReport:
-    """Hit rate over ``samples`` draws, taken in batches of at most
-    _SAMPLE_BATCH; count_hits(batch) draws batch fresh samples from the
-    caller's generator and returns how many hit.  Memory stays bounded by
-    one batch whatever the sample count."""
+def _monte_carlo(count_hits, samples: int, rng) -> TesterReport:
+    """Hit rate over ``samples`` draws, in batches of at most _SAMPLE_BATCH;
+    count_hits(gen, batch) draws batch samples from gen = default_rng(rng),
+    which passes a Generator through, and returns how many hit.  Memory
+    stays bounded by one batch whatever the sample count."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    gen = np.random.default_rng(rng)
     hits = 0
     for start in range(0, samples, _SAMPLE_BATCH):
-        hits += count_hits(min(_SAMPLE_BATCH, samples - start))
+        hits += count_hits(gen, min(_SAMPLE_BATCH, samples - start))
     est = hits / samples
     se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
-    return TesterReport(estimate=est, std_error=se, samples=samples, seed=seed)
+    return TesterReport(estimate=est, std_error=se, samples=samples)
 
 
 def sample_coupled(params: NoiseParams, n: int, rng: np.random.Generator,
@@ -209,28 +213,23 @@ def sample_correlated_pair(p: float, nu: float, n: int,
 
 
 def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
-                      mode: str = "exact", samples: int = DEFAULT_SAMPLES,
-                      rng: np.random.Generator | None = None,
-                      seed: int | None = None) -> TesterReport:
+                      samples: int | None = None, rng=None) -> TesterReport:
     """Probability that a (1-nu)-correlated resample changes g.
 
-    Exact mode evaluates 2 * sum over S of (1 - (1-nu)^|S|) coeff(S)^2 from
-    the bias-p spectrum; montecarlo mode samples correlated pairs.
+    Exact by default: 2 * sum over S of (1 - (1-nu)^|S|) coeff(S)^2 from the
+    bias-p spectrum.  An int samples draws that many correlated pairs from
+    rng (a seed, a Generator or None) instead.
     """
     _check_open_unit("bias p", p)
     _check_open_unit("nu", nu)
-    if mode == "exact":
+    if samples is None:
         coeffs = transform_table(g.table, g.n, p)
         flip = (1.0 - (1.0 - nu) ** np.arange(g.n + 1.0))[popcounts(g.n)]
         val = 2.0 * float(np.sum(flip * coeffs ** 2))
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
-    if mode != "montecarlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
 
-    def flips(batch: int) -> int:
-        x, y = sample_correlated_pair(p, nu, g.n, rng, batch)
+    def flips(gen: np.random.Generator, batch: int) -> int:
+        x, y = sample_correlated_pair(p, nu, g.n, gen, batch)
         return int(np.count_nonzero(g.table[x] != g.table[y]))
 
-    return _monte_carlo(flips, samples, seed)
+    return _monte_carlo(flips, samples, rng)

@@ -200,8 +200,8 @@ def test_criterion_08_noise_sensitivity():
         g = ps.BooleanFunction(n, rng.integers(0, 2, 1 << n))
         nu = float(rng.uniform(0.05, 0.5))
         exact = ps.noise_sensitivity(g, 0.5, nu).estimate
-        mc = ps.noise_sensitivity(g, 0.5, nu, mode="montecarlo",
-                                  samples=1_000_000, seed=trial)
+        mc = ps.noise_sensitivity(g, 0.5, nu,
+                                  samples=1_000_000, rng=trial)
         z = abs(mc.estimate - exact) / mc.std_error
         worst_z = max(worst_z, z)
         assert z < 4.0

@@ -166,6 +166,23 @@ def test_solve_zero():
     assert np.array_equal(sol.preimage, np.zeros(8))
 
 
+@pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan"), 5.0, 1.0 + 2.0 ** -52])
+def test_solve_rejects_lambda_outside_zero_one(lam):
+    g = ps.make_and_or(3, ps.BlockPartition(({0, 1}, {2})))
+    with pytest.raises(ValueError) as err:
+        ps.solve_exact_pair(g, 0.5, lam=lam)
+    assert str(err.value) == f"lam must lie in (0,1], got {lam}"
+    assert ps.solve_exact_pair(g, 0.5, lam=1.0).feasible
+
+
+def test_solve_reports_plus_zero_negative_mass_when_feasible():
+    part = ps.BlockPartition(({0, 1}, {2}))
+    for g in (ps.make_and_or(3, part), ps.make_and(4, [1, 3]), ps.constant(3, 0)):
+        sol = ps.solve_exact_pair(g, 0.5)
+        assert sol.feasible
+        assert sol.negative_mass.hex() == "0x0.0p+0"
+
+
 # ---------------------------------------------------------------------------
 # homomorphism agreement
 
@@ -231,8 +248,8 @@ def test_exact_agreement_peak_memory_stays_under_four_tables():
 def test_agreement_montecarlo_consistent(rng):
     f = random_boolean(5, rng)
     exact = ps.homomorphism_agreement(f, 0.5, 0.5).estimate
-    mc = ps.homomorphism_agreement(f, 0.5, 0.5, mode="montecarlo",
-                                   samples=200_000, seed=3)
+    mc = ps.homomorphism_agreement(f, 0.5, 0.5,
+                                   samples=200_000, rng=3)
     assert abs(mc.estimate - exact) < 4 * mc.std_error
 
 
@@ -242,8 +259,8 @@ def test_exact_agreement_at_n16_matches_montecarlo():
               _perturb(ps.make_and(16, range(6)), 4000, rng)):
         exact = ps.homomorphism_agreement(f, 0.3, 0.6)
         assert exact.exact
-        mc = ps.homomorphism_agreement(f, 0.3, 0.6, mode="montecarlo",
-                                       samples=400_000, seed=16)
+        mc = ps.homomorphism_agreement(f, 0.3, 0.6,
+                                       samples=400_000, rng=16)
         assert abs(mc.estimate - exact.estimate) < 4 * mc.std_error
 
 
@@ -311,7 +328,7 @@ def test_prs_rejects_majority_at_tight_threshold():
 
 
 def test_prs_montecarlo_runs():
-    rep = ps.prs_tester(ps.make_and(4, [0]), samples=50_000, seed=8)
+    rep = ps.prs_tester(ps.make_and(4, [0]), samples=50_000, rng=8)
     assert not rep.exact and rep.samples == 50_000
     assert abs(rep.estimate - 1.0) < 0.01
 

@@ -383,6 +383,53 @@ def test_sweep_rejects_removed_config_keys(line, tmp_path, capsys):
     assert repr(line.partition("=")[0]) in capsys.readouterr().err
 
 
+SWEEP_BAD_VALUES = [
+    ("sizes=4\ntrials=-1", "config trials must be at least 0, got -1"),
+    ("sizes=\nfamily=tribes",
+     "config family must be one of and, maj, semirandom, got 'tribes'"),
+    ("sizes=4\nperturbations=0,-2", "config perturbations must be at least 0, got -2"),
+    ("sizes=4\nand_width=-1", "config and_width must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("text,message", SWEEP_BAD_VALUES,
+                         ids=[text.split("\n")[1] for text, _ in SWEEP_BAD_VALUES])
+def test_sweep_rejects_bad_values_before_any_row(text, message, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polyspec: bad sweep config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["trials=0", "sizes="])
+def test_sweep_without_rows_prints_the_header(line, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"sizes=4\n{line}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ps.analysis.SWEEP_HEADER + "\n\n"
+
+
+@pytest.mark.parametrize("lam", ["-1", "0", "nan", "5"])
+def test_solve_lambda_outside_zero_one_exits_2(lam, tmp_path, capsys):
+    fn = tmp_path / "g.json"
+    ps.save_function(ps.make_and(3, [0]), fn)
+    assert main(["solve", "--rho", "0.5", "--lambda", lam, "--in", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polyspec: lam must lie in (0,1], got {float(lam)}\n"
+
+
+def test_solve_prints_plus_zero_negative_mass(tmp_path, capsys):
+    fn = tmp_path / "g.json"
+    ps.save_function(ps.make_and_or(3, ps.BlockPartition(({0, 1}, {2}))), fn)
+    assert main(["solve", "--rho", "0.5", "--in", str(fn)]) == 0
+    assert '"negative_mass": 0.0,' in capsys.readouterr().out
+
+
 def test_noise_rejects_p(tmp_path, capsys):
     fn = tmp_path / "f.json"
     ps.save_function(ps.make_and(2, [0]), fn)

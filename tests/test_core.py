@@ -317,7 +317,7 @@ OPEN_UNIT_CHECKS = {
     "ExperimentConfig.rho": ("config rho", lambda v: ExperimentConfig(rho=v)),
     "homomorphism_agreement.p": ("bias p", lambda v: ps.homomorphism_agreement(_AND, v, 0.5)),
     "homomorphism_agreement.rho": ("rho", lambda v: ps.homomorphism_agreement(
-        _AND, 0.5, v, mode="montecarlo", samples=8, seed=0)),
+        _AND, 0.5, v, samples=8, rng=0)),
     "influence": ("bias p", lambda v: ps.influence(_AND, 0, v)),
     "negative_influence": ("bias p", lambda v: ps.negative_influence(_AND, 0, v)),
     "influence_profile": ("bias p", lambda v: ps.influence_profile(_AND, v)),
@@ -326,7 +326,7 @@ OPEN_UNIT_CHECKS = {
         "bias p", lambda v: ps.influences.high_influence_coordinates(_AND, v, 0.1)),
     "l1_distance": ("bias p", lambda v: ps.l1_distance(_AND, _AND, v)),
     "noise_sensitivity.p": ("bias p", lambda v: ps.noise_sensitivity(
-        _AND, v, 0.5, mode="montecarlo", samples=8, seed=0)),
+        _AND, v, 0.5, samples=8, rng=0)),
 }
 
 

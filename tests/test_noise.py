@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -190,8 +192,8 @@ def test_noise_sensitivity_exact_vs_montecarlo(rng):
     g = random_boolean(5, rng)
     exact = ps.noise_sensitivity(g, 0.5, 0.15)
     assert exact.exact and exact.std_error == 0.0
-    mc = ps.noise_sensitivity(g, 0.5, 0.15, mode="montecarlo",
-                              samples=300_000, seed=99)
+    mc = ps.noise_sensitivity(g, 0.5, 0.15,
+                              samples=300_000, rng=99)
     assert abs(mc.estimate - exact.estimate) < 4 * mc.std_error
 
 
@@ -269,10 +271,41 @@ PINNED_MONTE_CARLO = {
 def test_monte_carlo_estimates_pinned(samples):
     f = ps.BooleanFunction.from_bits_hex(7, "e8d2a5179c3f60b14e97d3a0c52b7f18")
     want = PINNED_MONTE_CARLO[samples]
-    ns = ps.noise_sensitivity(f, 0.3, 0.2, mode="montecarlo", samples=samples, seed=11)
+    ns = ps.noise_sensitivity(f, 0.3, 0.2, samples=samples, rng=11)
     assert (ns.estimate, ns.std_error, ns.samples) == (*want["ns"], samples)
-    hom = ps.homomorphism_agreement(f, 0.6, 0.4, mode="montecarlo",
-                                    samples=samples, seed=11)
+    hom = ps.homomorphism_agreement(f, 0.6, 0.4,
+                                    samples=samples, rng=11)
     assert (hom.estimate, hom.std_error) == want["hom"]
-    prs = ps.prs_tester(f, 0.45, samples=samples, seed=11)
+    prs = ps.prs_tester(f, 0.45, samples=samples, rng=11)
     assert (prs.estimate, prs.std_error, prs.details["expectation"]) == want["prs"]
+
+
+_MAJ = ps.make_majority3(5)
+ESTIMATORS = {
+    "noise_sensitivity": lambda **kw: ps.noise_sensitivity(_MAJ, 0.5, 0.2, **kw),
+    "homomorphism_agreement": lambda **kw: ps.homomorphism_agreement(_MAJ, 0.5, 0.5, **kw),
+    "prs_tester": lambda **kw: ps.prs_tester(_MAJ, 0.5, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_samples_alone_selects_monte_carlo(name):
+    call = ESTIMATORS[name]
+    exact = call()
+    assert exact.exact and exact.samples == 0 and exact.std_error == 0.0
+    sampled = call(samples=1000, rng=1)
+    assert not sampled.exact and sampled.samples == 1000 and sampled.std_error > 0.0
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        call(samples=0, rng=1)
+    params = inspect.signature(getattr(ps, name)).parameters
+    assert "mode" not in params and "seed" not in params
+    assert params["samples"].default is None and params["rng"].default is None
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_int_rng_draws_the_bits_of_its_generator(name):
+    call = ESTIMATORS[name]
+    by_seed = call(samples=300_001, rng=5)
+    by_generator = call(samples=300_001, rng=np.random.default_rng(5))
+    assert by_seed == by_generator
+    assert by_seed.estimate.hex() == by_generator.estimate.hex()

@@ -1,0 +1,46 @@
+"""The README's Library tour runs as written, and the code-line counter in
+tools/ counts what it says it counts."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme,
+                      re.MULTILINE | re.DOTALL)
+    assert block is not None and "import polyspec as ps" in block.group(1)
+    exec(compile(block.group(1), "README.md (Library tour)", "exec"), {})
+
+
+def _code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.code_lines
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f(a,\n"
+        "      b):\n"
+        '    """Docstring."""\n'
+        '    text = """a string\n'
+        'that is code"""\n'
+        "    return text\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    y = 2\n")
+    # X, def (2 lines), the string assignment (2 lines), return, class, y
+    assert _code_lines()(source) == 8
