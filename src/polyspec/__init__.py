@@ -3,8 +3,8 @@ p-biased hypercube: transforms, the one-sided noise operator and its
 inverse, structured AND-OR/AND-XOR families, and exhaustive desk-scale
 verification of their classification."""
 
-from .analysis import (AuditReport, ExactPairSolution, StructureVerdict,
-                       classify_boolean_eigens, distance_to_and_or,
+from .analysis import (AuditReport, ExactPairSolution, ExperimentConfig,
+                       StructureVerdict, classify_boolean_eigens, distance_to_and_or,
                        distance_to_constant_or_and, distance_to_monotone_junta,
                        homomorphism_agreement, one_sided_check, prs_tester,
                        solve_exact_pair, sweep_rows, theorem_audit)

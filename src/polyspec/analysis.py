@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, _check_dimension, _check_open_unit,
-                   average_out, expectation, l1_distance)
+from .core import (AnyFunction, BooleanFunction, _check_at_least_zero, _check_closed_unit,
+                   _check_dimension, _check_open_unit, average_out, expectation, l1_distance)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
 from .influences import (high_influence_coordinates, junta_project, monotonize,
@@ -216,10 +216,8 @@ def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
     mean first, on one stream built from rng.  A window that is negative or
     NaN, or an agreement_min outside [0, 1] or NaN, raises ValueError.
     """
-    if not expectation_window >= 0.0:
-        raise ValueError(f"expectation window must be at least 0, got {expectation_window}")
-    if not 0.0 <= agreement_min <= 1.0:
-        raise ValueError(f"agreement minimum must lie in [0,1], got {agreement_min}")
+    _check_at_least_zero("expectation window", expectation_window)
+    _check_closed_unit("agreement minimum", agreement_min)
     if samples is None:
         mean = expectation(f, p)
     else:
@@ -535,6 +533,67 @@ SWEEP_HEADER = ("seed,n,p,rho,lambda,epsilon_hom,eta_residual,"
 SWEEP_FAMILIES = ("and", "maj", "semirandom")
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Sweep parameters; ``sweep_rows`` reads every field but ``out``.
+
+    p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN], family
+    in SWEEP_FAMILIES, tau in [0, 1], and trials, and_width,
+    andor_max_width, window_scale and the perturbations are >= 0; NaN is
+    rejected.  Each field reads from a key=value file as the type of its
+    default, and a key that is not a field is rejected.
+    """
+
+    p: float = 0.5
+    rho: float = 0.5
+    andor_max_width: int = 2
+    seed: int = 0
+    tau: float = 0.05
+    family: str = "and"
+    sizes: str = "8"
+    perturbations: str = "0,1,2,4,8"
+    trials: int = 3
+    and_width: int = 2
+    window_scale: float = 0.5
+    out: str = ""
+
+    def __post_init__(self):
+        for name in ("p", "rho"):
+            _check_open_unit(f"config {name}", getattr(self, name))
+        for n in self.int_list("sizes"):
+            _check_dimension(n)
+        if self.family not in SWEEP_FAMILIES:
+            raise ValueError(f"config family must be one of "
+                             f"{', '.join(SWEEP_FAMILIES)}, got {self.family!r}")
+        for name in ("trials", "and_width", "andor_max_width", "perturbations"):
+            for value in self.int_list(name):
+                _check_at_least_zero(f"config {name}", value)
+        _check_at_least_zero("config window_scale", self.window_scale)
+        _check_closed_unit("config tau", self.tau)
+
+    def int_list(self, field_name: str) -> list[int]:
+        return [int(tok) for tok in str(getattr(self, field_name)).split(",") if tok != ""]
+
+    @classmethod
+    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
+        values: dict = {}
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
+                key, _, raw = line.partition("=")
+                values[key.strip()] = raw.strip()
+        values.update(overrides or {})
+        kwargs = {f.name: type(f.default)(values.pop(f.name))
+                  for f in fields(cls) if f.name in values}
+        if values:
+            raise ValueError(f"unknown config keys: {sorted(values)}")
+        return cls(**kwargs)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -547,41 +606,34 @@ def _perturb(f: BooleanFunction, k: int, rng: np.random.Generator) -> BooleanFun
     return BooleanFunction(f.n, table)
 
 
-def _base_function(family: str, n: int, width: int, window_scale: float,
+def _base_function(config: ExperimentConfig, n: int,
                    rng: np.random.Generator) -> BooleanFunction:
-    if family == "and":
-        coords = sorted(rng.choice(n, size=min(width, n), replace=False).tolist())
+    if config.family == "and":
+        coords = sorted(rng.choice(n, size=min(config.and_width, n), replace=False).tolist())
         return make_and(n, coords)
-    if family == "maj":
+    if config.family == "maj":
         return make_majority3(n)
-    if family == "semirandom":
-        return make_semirandom(n, window_scale, rng)
-    raise ValueError(f"unknown sweep family {family!r}")
+    return make_semirandom(n, config.window_scale, rng)
 
 
-def _sweep_row(arg: tuple) -> str:
-    (family, n, k, trial, p, rho, seed, and_width, andor_max_width, tau,
-     window_scale) = arg
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n, k, trial)))
-    base = _base_function(family, n, and_width, window_scale, rng)
+def _sweep_row(task: tuple) -> str:
+    config, n, k, trial = task
+    p, rho = config.p, config.rho
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, n, k, trial)))
+    base = _base_function(config, n, rng)
     f = _perturb(base, k, rng) if k else base
     lam = expectation(f, p)
     eps_hom = 1.0 - homomorphism_agreement(f, p, rho).estimate
     eta = (residual(f, f, NoiseParams(p=p, rho=rho, lam=lam))
            if 0.0 < lam <= 1.0 else float("nan"))
     v = distance_to_constant_or_and(f, p)
-    va = distance_to_and_or(f, p, max_width=andor_max_width, tau=tau,
+    va = distance_to_and_or(f, p, max_width=config.andor_max_width, tau=config.tau,
                             max_support=min(n, 8))
-    fields = [str(seed), str(n), _fmt(p), _fmt(rho), _fmt(lam), _fmt(eps_hom),
-              _fmt(eta), _fmt(v.distance), _fmt(va.distance), v.kind,
-              v.witness_str()]
-    return ",".join(fields)
+    return ",".join([str(config.seed), str(n), *map(_fmt, (p, rho, lam, eps_hom, eta,
+                     v.distance, va.distance)), v.kind, v.witness_str()])
 
 
-def sweep_rows(family: str, sizes, perturbations, trials: int, p: float,
-               rho: float, seed: int, and_width: int = 2,
-               andor_max_width: int = 2, tau: float = 0.05,
-               window_scale: float = 0.5, workers: int = 1) -> list[str]:
+def sweep_rows(config: ExperimentConfig, workers: int = 1) -> list[str]:
     """CSV rows for one perturbation family; deterministic in (config, seed).
 
     Every row perturbs a base function on k points, takes lam to be the
@@ -589,9 +641,8 @@ def sweep_rows(family: str, sizes, perturbations, trials: int, p: float,
     the eigenvalue residual and the structure distances.  Rows come back in
     task order regardless of the worker count.
     """
-    args = [(family, int(n), int(k), int(t), p, rho, seed, and_width,
-             andor_max_width, tau, window_scale)
-            for n in sizes for k in perturbations for t in range(trials)]
+    args = [(config, *nkt) for nkt in itertools.product(
+        config.int_list("sizes"), config.int_list("perturbations"), range(config.trials))]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

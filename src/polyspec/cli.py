@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,67 +39,6 @@ def worker_count() -> int:
     if workers < 1:
         raise CliError(f"POLYSPEC_THREADS must be an integer >= 1, got {raw!r}")
     return workers
-
-
-@dataclass
-class ExperimentConfig:
-    """Sweep parameters; ``polyspec sweep`` reads every field.
-
-    p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN], family
-    in SWEEP_FAMILIES, and trials, and_width and the perturbations are >= 0.
-    Each field reads from a key=value file as the type of its default, and
-    a key that is not a field is rejected.
-    """
-
-    p: float = 0.5
-    rho: float = 0.5
-    andor_max_width: int = 2
-    seed: int = 0
-    tau: float = 0.05
-    family: str = "and"
-    sizes: str = "8"
-    perturbations: str = "0,1,2,4,8"
-    trials: int = 3
-    and_width: int = 2
-    window_scale: float = 0.5
-    out: str = ""
-
-    def __post_init__(self):
-        for name in ("p", "rho"):
-            core._check_open_unit(f"config {name}", getattr(self, name))
-        for n in self.int_list("sizes"):
-            core._check_dimension(n)
-        if self.family not in analysis.SWEEP_FAMILIES:
-            raise ValueError(f"config family must be one of "
-                             f"{', '.join(analysis.SWEEP_FAMILIES)}, got {self.family!r}")
-        for name in ("trials", "and_width", "perturbations"):
-            for value in self.int_list(name):
-                if value < 0:
-                    raise ValueError(f"config {name} must be at least 0, got {value}")
-
-    def int_list(self, field_name: str) -> list[int]:
-        return _parse_coords(str(getattr(self, field_name)))
-
-    @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        values: dict = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
-        values.update(overrides or {})
-        kwargs: dict = {}
-        for f in fields(cls):
-            if f.name in values:
-                kwargs[f.name] = type(f.default)(values.pop(f.name))
-        if values:
-            raise ValueError(f"unknown config keys: {sorted(values)}")
-        return cls(**kwargs)
 
 
 def _parse_coords(text: str) -> list[int]:
@@ -167,8 +106,7 @@ def _cmd_ns(args) -> int:
     f = _load(args.infile)
     if not isinstance(f, core.BooleanFunction):
         raise CliError("noise sensitivity needs a Boolean function")
-    samples = args.samples if args.mode == "montecarlo" else None
-    rep = noise.noise_sensitivity(f, args.p, args.nu, samples=samples,
+    rep = noise.noise_sensitivity(f, args.p, args.nu, samples=args.samples,
                                   rng=stream_rng(args.seed, "ns"))
     _emit({"estimate": rep.estimate, "std_error": rep.std_error,
            "samples": rep.samples, "exact": rep.exact}, args.out)
@@ -277,15 +215,11 @@ def _cmd_sweep(args) -> int:
     if args.out:
         overrides["out"] = args.out
     try:
-        cfg = ExperimentConfig.from_file(args.config, overrides)
+        cfg = analysis.ExperimentConfig.from_file(args.config, overrides)
     except (OSError, ValueError) as exc:
         print(f"polyspec: bad sweep config: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    rows = analysis.sweep_rows(
-        cfg.family, cfg.int_list("sizes"), cfg.int_list("perturbations"),
-        cfg.trials, cfg.p, cfg.rho, cfg.seed, and_width=cfg.and_width,
-        andor_max_width=cfg.andor_max_width, tau=cfg.tau,
-        window_scale=cfg.window_scale, workers=worker_count())
+    rows = analysis.sweep_rows(cfg, workers=worker_count())
     text = analysis.SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     if cfg.out:
         with open(cfg.out, "w", newline="") as fh:
@@ -321,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("ns", _cmd_ns, "noise sensitivity of a Boolean function")
     sp.add_argument("--nu", type=float, required=True)
-    sp.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--samples", type=int, default=noise.DEFAULT_SAMPLES)
+    sp.add_argument("--samples", type=int, default=None,
+                    help="omit for exact evaluation")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
 
@@ -364,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float, default=0.5)
     sp.add_argument("--g", default=None)
     sp.add_argument("--h", default=None)
-    sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--samples", type=int, default=noise.DEFAULT_SAMPLES)
+    estimator = sp.add_mutually_exclusive_group()
+    estimator.add_argument("--exact", action="store_true")
+    estimator.add_argument("--samples", type=int, default=noise.DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("prs", _cmd_prs, "expectation-plus-agreement dictatorship test")

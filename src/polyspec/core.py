@@ -25,6 +25,18 @@ def _check_open_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0,1), got {value}")
 
 
+def _check_closed_unit(name: str, value: float) -> None:
+    """Reject a value outside the closed interval [0, 1], NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1], got {value}")
+
+
+def _check_at_least_zero(name: str, value: float) -> None:
+    """Reject a negative value, NaN included."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be at least 0, got {value}")
+
+
 def _check_dimension(n: int) -> None:
     """Reject a dimension no Boolean table allows, before 2^n is allocated."""
     if not 0 <= n <= MAX_N_BOOLEAN:

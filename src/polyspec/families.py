@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BooleanFunction, _check_dimension, _check_open_unit
+from .core import BooleanFunction, _check_at_least_zero, _check_dimension, _check_open_unit
 from .lattice import coordinate_pairs, point_codes, popcounts, subset_mask
 
 
@@ -214,7 +214,8 @@ def _or_inside_xor_outside(n: int, inside: np.ndarray) -> BooleanFunction:
 
 def _middle_band(n: int, window_scale: float) -> np.ndarray:
     """Points of Hamming weight n/2 +- window_scale * sqrt(n ln n), read from
-    an (n + 1)-entry per-weight table."""
+    an (n + 1)-entry per-weight table; a negative or NaN scale raises."""
+    _check_at_least_zero("window_scale", window_scale)
     w = window_scale * math.sqrt(n * math.log(n))
     return (np.abs(np.arange(n + 1.0) - n / 2.0) <= w)[popcounts(n)]
 

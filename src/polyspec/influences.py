@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit,
-                   average_out)
+from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_closed_unit,
+                   _check_open_unit, average_out)
 from .lattice import (coordinate_pairs, measure_weights, mobius_subsets, popcounts,
                       subcube_codes)
 
@@ -161,7 +161,8 @@ def junta_project(f: AnyFunction, coords, p: float) -> BoundedFunction:
 
 
 def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:
-    """Coordinates whose influence reaches tau; the junta candidate set."""
+    """Coordinates whose influence reaches tau in [0, 1]; the junta candidate set."""
+    _check_closed_unit("tau", tau)
     w = _edge_weights(f.n, p)
     table = f.table.astype(np.float64)
     return [i for i in range(f.n) if _influence(_edge_change(table, i), w) >= tau]

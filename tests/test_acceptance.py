@@ -330,9 +330,10 @@ def test_criterion_13_counterexamples():
 
 def test_criterion_14_sweep_qualitative():
     t0 = time.perf_counter()
-    and_rows = ps.sweep_rows("and", [8, 10, 12], [0, 1, 2, 4, 8, 16], 3,
-                             0.5, 0.5, seed=1414)
-    maj_rows = ps.sweep_rows("maj", [8, 12], [0], 3, 0.5, 0.5, seed=1414)
+    and_rows = ps.sweep_rows(ps.ExperimentConfig(
+        family="and", sizes="8,10,12", perturbations="0,1,2,4,8,16", trials=3, seed=1414))
+    maj_rows = ps.sweep_rows(ps.ExperimentConfig(
+        family="maj", sizes="8,12", perturbations="0", trials=3, seed=1414))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
 

@@ -672,8 +672,9 @@ def test_audit_unknown_id():
 # sweep
 
 def test_sweep_deterministic_and_schema():
-    rows1 = ps.sweep_rows("and", [6], [0, 2], 2, 0.5, 0.5, seed=5)
-    rows2 = ps.sweep_rows("and", [6], [0, 2], 2, 0.5, 0.5, seed=5)
+    cfg = ps.ExperimentConfig(family="and", sizes="6", perturbations="0,2", trials=2, seed=5)
+    rows1 = ps.sweep_rows(cfg)
+    rows2 = ps.sweep_rows(cfg)
     assert rows1 == rows2
     assert len(rows1) == 4
     header = ps.analysis.SWEEP_HEADER.split(",")
@@ -685,15 +686,17 @@ def test_sweep_deterministic_and_schema():
 
 
 def test_sweep_workers_match_serial():
-    serial = ps.sweep_rows("maj", [6], [0, 1], 2, 0.5, 0.5, seed=9, workers=1)
-    parallel = ps.sweep_rows("maj", [6], [0, 1], 2, 0.5, 0.5, seed=9, workers=2)
+    cfg = ps.ExperimentConfig(family="maj", sizes="6", perturbations="0,1", trials=2, seed=9)
+    serial = ps.sweep_rows(cfg, workers=1)
+    parallel = ps.sweep_rows(cfg, workers=2)
     assert serial == parallel
 
 
 def test_sweep_semirandom_sits_at_the_barrier():
     # near-middle-slice coin flips: agreement bounded away from 1 (toward
     # the 3/4 floor) while no constant or AND comes close
-    rows = ps.sweep_rows("semirandom", [10, 12], [0], 2, 0.5, 0.5, seed=77)
+    rows = ps.sweep_rows(ps.ExperimentConfig(family="semirandom", sizes="10,12",
+                                             perturbations="0", trials=2, seed=77))
     for r in rows:
         parts = r.split(",")
         eps, delta = float(parts[5]), float(parts[7])
@@ -703,4 +706,4 @@ def test_sweep_semirandom_sits_at_the_barrier():
 
 def test_sweep_unknown_family():
     with pytest.raises(ValueError):
-        ps.sweep_rows("tribes", [4], [0], 1, 0.5, 0.5, seed=1)
+        ps.ExperimentConfig(family="tribes", sizes="4", perturbations="0", trials=1, seed=1)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.cli import ExperimentConfig, build_parser, main, stream_rng
+from polyspec.analysis import ExperimentConfig
+from polyspec.cli import build_parser, main, stream_rng
 from conftest import json_io_functions
 from oracles import streamed_json_bytes, to_json_dict
 
@@ -258,8 +259,7 @@ def test_bad_bias_exits_2(tmp_path, capsys):
     ["test-hom", "--fn", "maj3", "--rho", "1.5", "--samples", "1000"],
     ["test-hom", "--fn", "maj3", "--p", "nan", "--samples", "10"],
     ["profile", "--p", "1.5", "--in", "{fn}"],
-    ["ns", "--mode", "montecarlo", "--p", "1.5", "--nu", "0.2", "--samples", "10",
-     "--in", "{fn}"],
+    ["ns", "--p", "1.5", "--nu", "0.2", "--samples", "10", "--in", "{fn}"],
 ], ids=" ".join)
 def test_probability_outside_open_unit_exits_2(argv, tmp_path, capsys):
     fn = tmp_path / "f.json"
@@ -302,7 +302,7 @@ def test_prs_threshold_edges_are_accepted(window, agreement_min, tmp_path, capsy
 @pytest.mark.parametrize("samples", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     ["test-hom", "--fn", "maj3"],
-    ["ns", "--mode", "montecarlo", "--nu", "0.2", "--in", "{fn}"],
+    ["ns", "--nu", "0.2", "--in", "{fn}"],
     ["prs", "--in", "{fn}"],
 ], ids=lambda argv: argv[0])
 def test_sample_count_below_one_exits_2(argv, samples, tmp_path, capsys):
@@ -336,9 +336,9 @@ def test_config_validates_probabilities():
         ExperimentConfig(p=1.2)
 
 
-# A non-default value of each config field, as written and as the
-# sweep_rows argument of the same name must receive it; ``out`` goes to the
-# CSV writer instead.
+# A non-default value of each config field, as written and as the config
+# sweep_rows receives must read it (the list keys through int_list); ``out``
+# goes to the CSV writer instead.
 SWEEP_READS = {
     "p": ("0.25", 0.25),
     "rho": ("0.75", 0.75),
@@ -359,7 +359,7 @@ def test_every_config_field_reaches_the_sweep(name, tmp_path, monkeypatch, capsy
     calls = []
     signature = inspect.signature(ps.analysis.sweep_rows)
     monkeypatch.setattr(ps.analysis, "sweep_rows", lambda *a, **kw: calls.append(
-        signature.bind(*a, **kw).arguments) or [])
+        signature.bind(*a, **kw).arguments["config"]) or [])
     cfg = tmp_path / "sweep.cfg"
     if name == "out":
         out = tmp_path / "rows.csv"
@@ -372,7 +372,9 @@ def test_every_config_field_reaches_the_sweep(name, tmp_path, monkeypatch, capsy
     assert str(default) != raw
     cfg.write_text(f"{name}={raw}\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
-    assert len(calls) == 1 and calls[0][name] == want
+    assert len(calls) == 1
+    read = calls[0].int_list(name) if isinstance(want, list) else getattr(calls[0], name)
+    assert read == want
 
 
 @pytest.mark.parametrize("line", ["m=2", "lam=0.5", "samples=10"])
@@ -389,6 +391,11 @@ SWEEP_BAD_VALUES = [
      "config family must be one of and, maj, semirandom, got 'tribes'"),
     ("sizes=4\nperturbations=0,-2", "config perturbations must be at least 0, got -2"),
     ("sizes=4\nand_width=-1", "config and_width must be at least 0, got -1"),
+    ("sizes=6\nandor_max_width=-1", "config andor_max_width must be at least 0, got -1"),
+    ("family=semirandom\nwindow_scale=-1", "config window_scale must be at least 0, got -1.0"),
+    ("family=semirandom\nwindow_scale=nan", "config window_scale must be at least 0, got nan"),
+    ("sizes=10\ntau=nan", "config tau must lie in [0,1], got nan"),
+    ("sizes=10\ntau=1.5", "config tau must lie in [0,1], got 1.5"),
 ]
 
 
@@ -411,6 +418,48 @@ def test_sweep_without_rows_prints_the_header(line, tmp_path, capsys):
     cfg.write_text(f"sizes=4\n{line}\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == ps.analysis.SWEEP_HEADER + "\n\n"
+
+
+AUDIT_2_8 = ["audit", "--theorem", "2.8", "--f", "{fn}", "--g", "{fn}", "--lambda", "0.25"]
+WINDOW_AND_TAU_ERRORS = [
+    (["make", "--family", "midslice", "--n", "4", "--window-scale", "nan"],
+     "window_scale must be at least 0, got nan"),
+    (["make", "--family", "semirandom", "--n", "4", "--window-scale", "-1"],
+     "window_scale must be at least 0, got -1.0"),
+    (AUDIT_2_8 + ["--tau", "nan"], "tau must lie in [0,1], got nan"),
+    (AUDIT_2_8 + ["--tau", "-1"], "tau must lie in [0,1], got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", WINDOW_AND_TAU_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in WINDOW_AND_TAU_ERRORS])
+def test_window_scale_and_tau_out_of_range_exit_2(argv, message, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_and(2, [0, 1]), fn)
+    assert main([a.format(fn=fn) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"polyspec: {message}\n"
+
+
+def test_ns_samples_alone_selects_monte_carlo(tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_majority3(), fn)
+    assert main(["ns", "--nu", "0.1", "--in", str(fn)]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert exact["exact"] is True and exact["samples"] == 0
+    assert main(["ns", "--nu", "0.1", "--samples", "1000", "--in", str(fn)]) == 0
+    sampled = json.loads(capsys.readouterr().out)
+    assert sampled["exact"] is False and sampled["samples"] == 1000
+    with pytest.raises(SystemExit) as exc:
+        main(["ns", "--mode", "exact", "--nu", "0.1", "--in", str(fn)])
+    assert exc.value.code == 2
+
+
+def test_test_hom_exact_and_samples_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["test-hom", "--fn", "maj3", "--exact", "--samples", "-5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam", ["-1", "0", "nan", "5"])
@@ -501,8 +550,13 @@ GOLDEN_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
-def test_sweep_matches_golden(name, tmp_path):
+# Each golden file under one worker (the plain file-name id) and two: the
+# tasks carry the config object into the worker processes.
+@pytest.mark.parametrize("name,threads", [
+    pytest.param(name, threads, id=name if threads == "1" else f"{name}-threads{threads}")
+    for threads in ("1", "2") for name in sorted(GOLDEN_SWEEPS)])
+def test_sweep_matches_golden(name, threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("POLYSPEC_THREADS", threads)
     cfgfile = tmp_path / "sweep.cfg"
     cfgfile.write_text(GOLDEN_SWEEPS[name])
     out = tmp_path / "out.csv"

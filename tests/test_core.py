@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.cli import ExperimentConfig
+from polyspec.analysis import ExperimentConfig
 from conftest import json_io_functions, random_boolean, random_bounded
 from oracles import (mu_weight, naive_expectation, naive_l1, naive_restrict,
                      streamed_json_bytes, to_json_dict)

@@ -359,6 +359,16 @@ def test_midslice_band_structure():
     assert ps.expectation(wide, 0.5) == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [-1.0, float("nan")])
+def test_middle_band_families_reject_negative_or_nan_scale(scale):
+    for make in (lambda: make_midslice(4, scale),
+                 lambda: ps.make_semirandom(4, scale, np.random.default_rng(0))):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"window_scale must be at least 0, got {scale}"
+    assert make_midslice(4, 0.0).table.tolist() == naive_midslice(4, 0.0)   # scale 0 is allowed
+
+
 def test_semirandom_structure():
     n = 12
     f = ps.make_semirandom(n, 0.5, np.random.default_rng(3))

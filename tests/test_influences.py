@@ -86,6 +86,14 @@ def test_profile_and_candidates_match_per_coordinate_bits(p, rng):
                 ps.negative_influence(f, i, rho * params.p) for i in range(f.n)).hex()
 
 
+@pytest.mark.parametrize("tau", [-0.1, 1.5, float("nan")])
+def test_high_influence_coordinates_rejects_tau_outside_unit(tau):
+    with pytest.raises(ValueError) as err:
+        high_influence_coordinates(ps.make_and(3, [0, 1]), 0.5, tau)
+    assert str(err.value) == f"tau must lie in [0,1], got {tau}"
+    assert high_influence_coordinates(ps.make_and(3, [0, 1]), 0.5, 1.0) == []
+
+
 def test_influence_fourier_identity(rng):
     # I_i equals the mass of coefficients containing i divided by p(1-p)
     for p in (1.0 / 3.0, 0.5):

@@ -1,9 +1,13 @@
-"""The README's Library tour runs as written, and the code-line counter in
-tools/ counts what it says it counts."""
+"""The README's Library tour runs as written, its sweep key table lists the
+config fields, and the code-line counter in tools/ counts what it says it
+counts."""
 
 import importlib.util
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from polyspec.analysis import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,6 +18,15 @@ def test_readme_library_tour_runs_as_written():
                       re.MULTILINE | re.DOTALL)
     assert block is not None and "import polyspec as ps" in block.group(1)
     exec(compile(block.group(1), "README.md (Library tour)", "exec"), {})
+
+
+def test_readme_sweep_key_table_lists_every_config_field_with_its_default():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("Sweep configs are flat", 1)[1].split("Columns:", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \|", section, re.MULTILINE)
+    want = [(f.name, f"`{f.default}`" if f.default != "" else "empty (stdout)")
+            for f in fields(ExperimentConfig)]
+    assert sorted(rows) == sorted(want)
 
 
 def _code_lines():
