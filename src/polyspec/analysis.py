@@ -321,23 +321,16 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     (all coordinates when n <= max_support), every subset of them, and
     every partition into at most max_width blocks.
 
-    Every candidate depends only on the c candidate coordinates, so it is
-    built once on the 2^c sub-cube and gathered onto the full cube through
-    proj, the sub-cube code of every point (lattice.subcube_codes).  proj is
-    widened to intp once per call, since ndarray.take widens any other index
-    dtype on every call.  When the search runs on every coordinate (c = n),
-    the sub-cube is the cube and proj the identity, so there is no gather.
-    Each candidate is cast to float64 on the 2^c sub-cube before the
-    gather, so the two dot products cast nothing; they see the float64
-    values a uint8 table would be cast to, so the bits do not change.  The
-    enumerator builds each partition's blocks disjoint, so the candidate's
-    BlockPartition is not checked again; the witness is, once.  Each
-    candidate still costs two 2^n dot products: the
-    closed-form mean prod(1 - (1-p)^|B|), weights aggregated onto the
-    sub-cube or batched products would change the summation order, and
-    with it the last bits of the distance and the ties resolved within
-    TIE_TOL.
+    Chunks of candidate tables G (2^13 entries at most) on the 2^c sub-cube
+    of the c searched coordinates score G @ off + (1 - G) @ on, with the
+    weights where f is 1 (on) and 0 (off) summed onto the sub-cube.  No term
+    is negative, so each distance is within a relative (2^(n-c) + 2^c) *
+    2^-53 of the exact one under the float64 weights (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2); members score 0.0.  A
+    candidate beats the best so far, in enumeration order, if it is closer
+    by more than TIE_TOL, or within TIE_TOL and narrower.
     """
+    _check_open_unit("bias p", p)
     exact = recognize_and_or(f)
     if exact is not None and exact.width <= max_width:
         return StructureVerdict(kind="and_or", witness=exact, distance=0.0)
@@ -349,25 +342,29 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
             ranked = sorted(cand, key=lambda i: -abs(negative_influence(f, i, p)))
             cand = sorted(ranked[:max_support])
     c = len(cand)
-    mean = expectation(f, p)
     w = measure_weights(f.n, p)
-    wf = w * f.table
+    on, off = w * f.table, w * (1 - f.table)
     # c = n only when cand is range(n): the search on every coordinate
-    proj = None if c == f.n else subcube_codes(f.n, cand).astype(np.intp)
-    best_dist, best_width, best_local = 1.0 - mean, 0, ()
-    for size in range(1, c + 1):
-        for support in itertools.combinations(range(c), size):
-            for blocks in _partitions_into_blocks(support, max_width):
-                g = make_and_or(c, BlockPartition._trusted(blocks)).table.astype(np.float64)
-                if proj is not None:
-                    g = g.take(proj)
-                dist = mean + float(w @ g) - 2.0 * float(wf @ g)
-                if dist < best_dist - TIE_TOL or (
-                        abs(dist - best_dist) <= TIE_TOL and len(blocks) < best_width):
-                    best_dist, best_width, best_local = dist, len(blocks), blocks
+    if c != f.n:
+        proj = subcube_codes(f.n, cand)
+        on, off = (np.bincount(proj, weights=x, minlength=1 << c) for x in (on, off))
+    candidates = (blocks for size in range(1, c + 1)
+                  for support in itertools.combinations(range(c), size)
+                  for blocks in _partitions_into_blocks(support, max_width))
+    # 2^13 entries, 64 KiB as float64: chunks of 2^15 raised the sweep's peak RSS by 0.8 MiB
+    chunk = np.empty((max(1, (1 << 13) >> c), 1 << c), dtype=np.uint8)
+    best_dist, best_local = float(off.sum()), ()
+    while batch := list(itertools.islice(candidates, len(chunk))):
+        chunk[:len(batch)] = [make_and_or(c, BlockPartition._trusted(b)).table for b in batch]
+        g = chunk[:len(batch)].astype(np.float64)
+        dists = g @ off
+        dists += np.subtract(1.0, g, out=g) @ on
+        for dist, blocks in zip(dists.tolist(), batch):
+            if dist < best_dist - TIE_TOL or (
+                    abs(dist - best_dist) <= TIE_TOL and len(blocks) < len(best_local)):
+                best_dist, best_local = dist, blocks
     witness = BlockPartition(frozenset(cand[k] for k in b) for b in best_local)
-    return StructureVerdict(kind="and_or", witness=witness,
-                            distance=float(max(best_dist, 0.0)))
+    return StructureVerdict(kind="and_or", witness=witness, distance=best_dist)
 
 
 def distance_to_monotone_junta(f: BooleanFunction, p: float,
@@ -538,7 +535,7 @@ class ExperimentConfig:
     """Sweep parameters; ``sweep_rows`` reads every field but ``out``.
 
     p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN], family
-    in SWEEP_FAMILIES, tau in [0, 1], and trials, and_width,
+    in SWEEP_FAMILIES, tau in [0, 1], and seed, trials, and_width,
     andor_max_width, window_scale and the perturbations are >= 0; NaN is
     rejected.  Each field reads from a key=value file as the type of its
     default, and a key that is not a field is rejected.
@@ -565,7 +562,7 @@ class ExperimentConfig:
         if self.family not in SWEEP_FAMILIES:
             raise ValueError(f"config family must be one of "
                              f"{', '.join(SWEEP_FAMILIES)}, got {self.family!r}")
-        for name in ("trials", "and_width", "andor_max_width", "perturbations"):
+        for name in ("seed", "trials", "and_width", "andor_max_width", "perturbations"):
             for value in self.int_list(name):
                 _check_at_least_zero(f"config {name}", value)
         _check_at_least_zero("config window_scale", self.window_scale)

@@ -348,6 +348,7 @@ def main(argv=None) -> int:
     if args.command == "test-hom" and not args.fn and not args.infile:
         parser.error("test-hom needs --fn or --in")
     try:
+        core._check_at_least_zero("--seed", getattr(args, "seed", None) or 0)
         return args.handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"polyspec: {exc}", file=sys.stderr)

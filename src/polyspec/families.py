@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,13 +39,9 @@ class BlockPartition:
 
     @classmethod
     def _trusted(cls, blocks: tuple[frozenset[int], ...]) -> "BlockPartition":
-        """Wrap blocks the library built itself, without checking them.
-
-        The caller guarantees a tuple of nonempty, pairwise disjoint
-        frozensets of coordinates, in block order; nothing is copied or
-        checked.  The AND-OR search builds one partition per candidate this
-        way, where the enumerator already made the blocks disjoint.
-        """
+        """Wrap a tuple of nonempty, pairwise disjoint frozensets, in block
+        order, without copying or checking it: the AND-OR search wraps each
+        candidate's blocks this way, which its enumerator made disjoint."""
         self = cls.__new__(cls)
         object.__setattr__(self, "blocks", blocks)
         return self
@@ -64,22 +61,22 @@ def _block_table(n: int, blocks, parity: bool) -> np.ndarray:
     """AND over blocks of each block's XOR (parity) or OR, as a uint8 table.
 
     No blocks gives the constant 1; an empty block gives the constant 0.
-    An OR is a mask test on the point codes: the first block's test starts
-    a bool table, later ones AND into it in place, and the table is
-    returned as a uint8 view, with no ones-filled start.  An XOR starts
-    from zeros and flips the x_i = 1 half once per distinct coordinate i of
-    the block; a popcount gather indexed by the uint32 codes took 5-35
-    times as long at n = 18, because numpy casts a non-intp index chunk by
-    chunk.
+    An OR starts a bool table from the first block's row (_or_row): a
+    shared row is copied, a mask test compared with 0.  The other rows AND
+    into it in place, and the table is returned as a uint8 view, with no
+    ones-filled start.  An XOR starts from zeros and flips the x_i = 1 half
+    once per distinct coordinate i of the block; a popcount gather indexed
+    by the uint32 codes took 5-35 times as long at n = 18, because numpy
+    casts a non-intp index chunk by chunk.
     """
     if not blocks:
         return np.ones(1 << n, dtype=np.uint8)
     if not parity:
         codes = point_codes(n)
-        masks = [subset_mask(n, block) for block in blocks]
-        table = (codes & masks[0]) != 0
-        for mask in masks[1:]:
-            np.logical_and(table, codes & mask, out=table)
+        first = _or_row(n, codes, blocks[0])
+        table = first != 0 if first.flags.writeable else first.copy()
+        for block in blocks[1:]:
+            np.logical_and(table, _or_row(n, codes, block), out=table)
         return table.view(np.uint8)
     table = np.ones(1 << n, dtype=np.uint8)
     for block in blocks:
@@ -90,6 +87,22 @@ def _block_table(n: int, blocks, parity: bool) -> np.ndarray:
                 coordinate_pairs(odd, i)[:, 1, :] ^= 1
         table &= odd
     return table
+
+
+def _or_row(n: int, codes: np.ndarray, block) -> np.ndarray:
+    """Nonzero where some coordinate of block is 1: for n <= 10, where the
+    AND-OR search builds, a shared read-only bool row memoised per mask (all
+    of n = 10 take 1.2 MiB), else codes & mask.  The block is checked on
+    every call."""
+    mask = subset_mask(n, block)
+    return _small_or_row(n, mask) if n <= 10 else codes & mask
+
+
+@lru_cache(maxsize=None)
+def _small_or_row(n: int, mask: int) -> np.ndarray:
+    row = (point_codes(n) & mask) != 0
+    row.flags.writeable = False
+    return row
 
 
 def make_and(n: int, coords) -> BooleanFunction:

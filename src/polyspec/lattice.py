@@ -80,12 +80,8 @@ def coordinate_pairs(values: np.ndarray, i: int) -> np.ndarray:
 
 
 def subcube_codes(n: int, coords) -> np.ndarray:
-    """Sub-cube code of every point: bit k of entry x is x_{coords[k]}.
-
-    The dtype is the smallest unsigned one that holds 2^len(coords) codes,
-    so gathering a sub-cube table onto the full cube needs no 2^n int64
-    index array.
-    """
+    """Sub-cube code of every point: bit k of entry x is x_{coords[k]}, in
+    the smallest unsigned dtype that holds 2^len(coords) codes."""
     coords = list(coords)
     codes = np.zeros(1 << n, dtype=np.min_scalar_type((1 << len(coords)) - 1))
     for k, i in enumerate(coords):

@@ -16,7 +16,9 @@ passes per coordinate whose bits every influence path must keep, and
 2^(2^n) tables whose list ``analysis.classify_boolean_eigens`` must give
 from the monotone tables alone, and :func:`agreement_exact_expression`,
 the one-temporary-per-operation expression whose bits the in-place exact
-homomorphism agreement must keep.
+homomorphism agreement must keep, and :func:`exact_and_or_distances`,
+the exact-rational AND-OR distances under the float64 weights that bound
+the error of ``analysis.distance_to_and_or``.
 The closed forms at the end (:func:`spectral_eigenvalue`,
 :func:`or_width_cap`, :func:`sensitivity_degree_gap`) and
 :func:`to_json_dict`, the plain-``json`` form of a function file that
@@ -266,6 +268,43 @@ def exact_l1(f, g, n: int, p: Fraction) -> Fraction:
     """L1 distance of two tables with p a Fraction: exact, so ties are exact."""
     return sum((mu_weight(n, p, x) for x in range(1 << n) if f[x] != g[x]),
                Fraction(0))
+
+
+def and_or_search_candidates(coords, max_width):
+    """The AND-OR search's candidates in its enumeration order: no blocks
+    (the constant 1), then every partition into at most max_width blocks
+    of every nonempty subset of coords, smaller subsets first."""
+    yield ()
+    for size in range(1, len(coords) + 1):
+        for support in itertools.combinations(coords, size):
+            yield from all_block_partitions(support, max_width)
+
+
+def exact_and_or_distances(table, n: int, p: float, candidates) -> list:
+    """Exact L1 distance from the table to each AND-OR in candidates (tuples
+    of blocks), as Fractions of the float64 measure_weights(n, p).
+
+    Every point of Hamming weight k has the same float weight, so each
+    distance is the sum over k of that weight times the number of points
+    of weight k where the AND-OR and the table differ, with no rounding.
+    """
+    level = [Fraction(float(x)) for x in measure_weights(n, p)[(1 << np.arange(n + 1)) - 1]]
+    # the denominators are powers of two: sum integers over the largest one
+    scale = max(w.denominator for w in level)
+    level = [w.numerator * (scale // w.denominator) for w in level]
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    weight = bits.sum(axis=1)
+    f = np.asarray(table) != 0
+    ors, out = {}, []
+    for blocks in candidates:
+        g = np.ones(1 << n, dtype=bool)
+        for blk in blocks:
+            if blk not in ors:
+                ors[blk] = bits[:, sorted(blk)].any(axis=1)
+            g &= ors[blk]
+        counts = np.bincount(weight[g != f], minlength=n + 1)
+        out.append(Fraction(sum(w * int(k) for w, k in zip(level, counts)), scale))
+    return out
 
 
 def and_or_candidate_count(c: int, max_width: int) -> int:

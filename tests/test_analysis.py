@@ -17,8 +17,8 @@ from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
 from oracles import (agreement_exact_expression, all_and_or_tables,
                      all_block_partitions, and_or_candidate_count, bit,
-                     classify_boolean_eigens_bruteforce, correlation_with_ands,
-                     exact_l1, naive_agreement,
+                     and_or_search_candidates, classify_boolean_eigens_bruteforce,
+                     correlation_with_ands, exact_and_or_distances, exact_l1, naive_agreement,
                      naive_influence, naive_negative_influence,
                      pair_agreement, subsets)
 
@@ -421,6 +421,8 @@ def test_distance_bits_match_expectation_and_correlation(p):
 def test_distance_rejects_bad_bias(p):
     with pytest.raises(ValueError, match="bias p"):
         ps.distance_to_constant_or_and(ps.make_and(3, [0]), p)
+    with pytest.raises(ValueError, match="bias p"):    # before the recognizer's hit
+        ps.distance_to_and_or(ps.make_and(3, [0]), p)
 
 
 def test_distance_peak_memory_stays_at_four_tables():
@@ -493,16 +495,21 @@ def test_distance_to_and_or_matches_bruteforce(rng):
 
 
 def test_distance_to_and_or_bits_match_full_cube_search(rng):
-    """Same distance bits and the same witness, blocks in order, as the
-    search over full-cube candidate tables with the same formula,
-    enumeration order and tie rule: the sub-cube build changes no
-    floating-point operation.  Sweeps print 12 digits, so their golden
-    files cannot see a last-bit change; this test can.  With n <= max_support
-    the search runs on every coordinate and the sub-cube is the cube; with
-    n > max_support it runs on a subset of the coordinates, so the gather
-    from the sub-cube is not the identity."""
+    """The same witness, blocks in order, as the sequential search over
+    full-cube candidate tables with the per-candidate formula
+    mean + w@g - 2*wf@g, the same enumeration order and the same tie rule.
+
+    At p = 1/2 every weight and every partial sum is dyadic, so that
+    formula and the search's nonnegative sums are both exact: the distance
+    bits must match, and the exact ties test the tie rule.  At other p the
+    formula cancels (relative errors up to 9e-11 seen), so the distance is
+    held instead to the exact Fraction L1 distance of the witness under the
+    float64 weights: within a relative (2^(n-c) + 2^c) * 2^-53, the bound
+    distance_to_and_or states for its search over c coordinates.  With
+    n <= max_support the search runs on every coordinate and the sub-cube is
+    the cube; with n > max_support it runs on a subset of the coordinates,
+    so the aggregation onto the sub-cube is not the identity."""
     from polyspec.lattice import measure_weights
-    # at p = 1/2 the distances are dyadic, so exact ties test the tie rule
     cases = ([(p, n, 10) for p in (0.3, 0.5, 0.7) for n in range(2, 7)]
              + [(p, n, n - 3) for p in (0.3, 0.5, 0.7, 0.123) for n in range(7, 10)])
     for p, n, max_support in cases:
@@ -530,8 +537,13 @@ def test_distance_to_and_or_bits_match_full_cube_search(rng):
             v = ps.distance_to_and_or(f, p, max_width=max_width,
                                       max_support=max_support)
             case = (p, n, max_support, max_width)
-            assert v.distance.hex() == max(best, 0.0).hex(), case
             assert v.witness.blocks == best_blocks, case
+            if p == 0.5:
+                assert v.distance.hex() == max(best, 0.0).hex(), case
+            else:
+                exact, = exact_and_or_distances(f.table, n, p, [v.witness.blocks])
+                bound = Fraction(2 ** (n - len(cand)) + 2 ** len(cand), 2 ** 53)
+                assert abs(Fraction(v.distance) - exact) <= bound * exact, case
 
 
 def _search_coordinates(f, p, tau, max_support):
@@ -562,6 +574,66 @@ def test_distance_to_and_or_on_high_influence_coordinates(p, rng):
         v = ps.distance_to_and_or(f, p, max_width=2, tau=tau,
                                   max_support=max_support)
         _check_and_or_verdict(f, p, 2, cand, v)
+
+
+@pytest.mark.parametrize("p", [0.123, 0.3, 0.7, 0.9])
+def test_distance_to_and_or_error_bound_against_exact_sums(p, monkeypatch, rng):
+    """Near-AND-OR inputs (one or two points flipped) and random inputs,
+    checked against the exact Fraction distances of every candidate under
+    the float64 weights: the distance is the witness's within a relative
+    (2^(n-c) + 2^c) * 2^-53, the witness is within the tie rule's reach of
+    the exact minimum, and no exactly tied candidate is narrower.  Family
+    members of width <= max_width, with the recognizer switched off so the
+    search has to find them, score exactly 0.0."""
+    u = Fraction(1, 2 ** 53)
+    cases = []
+    for n, max_width, max_support in [(6, 3, 6), (8, 2, 8), (8, 2, 5)]:
+        member = ps.make_and_or(n, ps.BlockPartition(({0, 2}, {3}, {5})[:max_width]))
+        for flips in (1, 2):
+            table = member.table.copy()
+            table[rng.choice(1 << n, size=flips, replace=False)] ^= 1
+            cases.append((ps.BooleanFunction(n, table), max_width, max_support))
+        cases.append((random_boolean(n, rng), max_width, max_support))
+    for f, max_width, max_support in cases:
+        n = f.n
+        cand = _search_coordinates(f, p, 0.05, max_support)
+        blocks = list(and_or_search_candidates(cand, max_width))
+        exact = dict(zip(blocks, exact_and_or_distances(f.table, n, p, blocks)))
+        v = ps.distance_to_and_or(f, p, max_width=max_width, max_support=max_support)
+        case = (p, n, max_width, max_support, f.table.tobytes().hex())
+        mine = exact[v.witness.blocks]
+        bound = (2 ** (n - len(cand)) + 2 ** len(cand)) * u
+        assert abs(Fraction(v.distance) - mine) <= bound * mine, case
+        best = min(exact.values())
+        assert mine - best <= (max_width + 1) * Fraction(analysis.TIE_TOL) + 2 * bound * mine, case
+        assert all(len(b) >= v.witness.width for b, d in exact.items() if d == mine), case
+    monkeypatch.setattr(analysis, "recognize_and_or", lambda g: None)
+    for n in (5, 8):
+        for blocks in [({1},), ({0, 4}, {2}), ({1}, {2, 3}, {4})]:
+            part = ps.BlockPartition(blocks)
+            v = ps.distance_to_and_or(ps.make_and_or(n, part), p, max_width=3)
+            assert v.distance == 0.0 and v.witness.sorted_blocks() == part.sorted_blocks()
+
+
+def test_distance_to_and_or_memory_at_ten_coordinates():
+    """At c = 10 the search holds one uint8 chunk of 2^13 entries and its
+    float64 copy (64 KiB), and fills the memoised OR rows of n = 10: 1,023
+    rows of 1 KiB each.  Its peak stays below 3 MiB (1.4 MiB measured) from
+    an empty row cache, and what stays alive after it, the rows, at most
+    1.5 MiB (1.25 MiB measured)."""
+    table = np.random.default_rng(10).integers(0, 2, 1 << 10)
+    table[0], table[1] = 1, 0      # f(empty) = 1 with some f(x) = 0: not monotone
+    f = ps.BooleanFunction(10, table)
+    ps.families._small_or_row.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ps.distance_to_and_or(f, 0.3, max_width=2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 3 << 20
+    assert kept - before <= 3 << 19
 
 
 def test_distance_to_and_or_builds_one_table_per_candidate(monkeypatch, rng):

@@ -396,6 +396,7 @@ SWEEP_BAD_VALUES = [
     ("family=semirandom\nwindow_scale=nan", "config window_scale must be at least 0, got nan"),
     ("sizes=10\ntau=nan", "config tau must lie in [0,1], got nan"),
     ("sizes=10\ntau=1.5", "config tau must lie in [0,1], got 1.5"),
+    ("sizes=4\nseed=-1", "config seed must be at least 0, got -1"),
 ]
 
 
@@ -428,6 +429,12 @@ WINDOW_AND_TAU_ERRORS = [
      "window_scale must be at least 0, got -1.0"),
     (AUDIT_2_8 + ["--tau", "nan"], "tau must lie in [0,1], got nan"),
     (AUDIT_2_8 + ["--tau", "-1"], "tau must lie in [0,1], got -1.0"),
+    # numpy seed sequences take no negative entropy: main checks every --seed
+    (["make", "--family", "f2", "--n", "4", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["test-hom", "--fn", "maj3", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["ns", "--nu", "0.1", "--in", "{fn}", "--seed", "-2"], "--seed must be at least 0, got -2"),
+    (["prs", "--in", "{fn}", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["sweep", "--config", "{fn}", "--seed", "-3"], "--seed must be at least 0, got -3"),
 ]
 
 

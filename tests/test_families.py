@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polyspec as ps
+from polyspec import families
 from polyspec.families import make_f1, make_midslice
 from polyspec.influences import is_monotone
 from polyspec.lattice import index_bits, popcounts
@@ -74,6 +75,47 @@ def test_constructors_match_point_by_point_oracles(rng):
         assert make_f1(n).table.tolist() == naive_f1(n)
         for scale in (0.1, 0.5, 1.0, 10.0):
             assert make_midslice(n, scale).table.tolist() == naive_midslice(n, scale)
+
+
+def test_block_tables_match_bit_matrix_tables_across_the_row_cache_edge(rng):
+    """The OR rows are shared and memoised up to n = 10 and fresh above; on
+    both sides, and on a second call that reads the memoised rows, the
+    block tables match tables built from a bit matrix, and every call hands
+    out its own read-only table, never a shared row."""
+    for n in range(13):
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        parts = [ps.BlockPartition(())] + [random_partition(n, 3, rng) for _ in range(3) if n]
+        for part in parts:
+            want_or = np.ones(1 << n, dtype=bool)
+            want_xor = np.ones(1 << n, dtype=bool)
+            for blk in part.blocks:
+                want_or &= bits[:, sorted(blk)].any(axis=1)
+                want_xor &= bits[:, sorted(blk)].sum(axis=1) % 2 == 1
+            for _ in range(2):
+                tables = [ps.make_and_or(n, part).table, ps.make_and_or(n, part).table,
+                          ps.make_and_xor(n, part).table]
+                assert np.array_equal(tables[0], want_or) and np.array_equal(tables[2], want_xor)
+                for blk in part.blocks:
+                    tables.append(ps.make_or(n, blk).table)
+                    assert np.array_equal(tables[-1], bits[:, sorted(blk)].any(axis=1))
+                rows = [families._small_or_row(n, sum(1 << i for i in blk))
+                        for blk in part.blocks if n <= 10]
+                for k, t in enumerate(tables):
+                    assert not t.flags.writeable, (n, part)
+                    assert not any(np.shares_memory(t, o) for o in tables[k + 1:] + rows)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_out_of_range_coordinate_raises_on_every_call(n):
+    """A bad coordinate raises the same error on a repeated call: the row
+    cache keeps no entry and no exception for it."""
+    message = rf"coordinate {n} outside \[0, {n}\)"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            ps.make_or(n, [0, n])
+        with pytest.raises(ValueError, match=message):
+            ps.make_and_or(n, ps.BlockPartition(({1}, {2, n})))
+        assert ps.make_or(n, [0]) == ps.make_and(n, [0])
 
 
 def _constructor_calls(n: int) -> dict:
