@@ -16,11 +16,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import (AnyFunction, BooleanFunction, _check_at_least_zero, _check_closed_unit,
-                   _check_dimension, _check_open_unit, average_out, expectation, l1_distance)
+                   _check_dimension, _check_open_unit, _check_same_dimension, average_out,
+                   expectation)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
-from .influences import (high_influence_coordinates, junta_project, monotonize,
-                         negative_influence)
+from .influences import (_influence, _influence_pass, _negative_influence, _sort_edges,
+                         high_influence_coordinates)
 from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
                       popcounts, subcube_codes, zeta_subsets, zeta_supersets)
 from .noise import (NoiseParams, TesterReport, _biased_bits, _check_lam,
@@ -74,8 +75,7 @@ def _monotone_codes(n: int) -> np.ndarray:
     return codes
 
 
-def classify_boolean_eigens(n: int, rho: float,
-                            tol: float = EIGEN_TOL) -> list[tuple[BooleanFunction, float | None]]:
+def classify_boolean_eigens(n: int, rho: float) -> list[tuple[BooleanFunction, float | None]]:
     """All Boolean f with T f = lam * f pointwise for some lam > 0, n <= 5.
 
     Every such f is monotone: where f(x) = 0, 0 = T f(x) is a sum over
@@ -83,7 +83,7 @@ def classify_boolean_eigens(n: int, rho: float,
     only the monotone tables are candidates (168 at n = 4, 7581 at n = 5,
     not 2^(2^n)); the operator runs on the whole batch at once, and the
     hits come in ascending truth-table code.  The zero function is
-    included with lam None.
+    included with lam None.  T f and lam * f may differ by EIGEN_TOL.
     """
     _check_dimension(n)
     if n > 5:
@@ -96,7 +96,7 @@ def classify_boolean_eigens(n: int, rho: float,
     lam = np.max(np.where(tables > 0.5, transformed, -np.inf), axis=1)
     lam = np.where(has_ones, lam, 0.0)
     gap = np.abs(transformed - lam[:, None] * tables).max(axis=1)
-    hits = np.flatnonzero((gap <= tol) & ((lam > 0) | ~has_ones))
+    hits = np.flatnonzero((gap <= EIGEN_TOL) & ((lam > 0) | ~has_ones))
     out: list[tuple[BooleanFunction, float | None]] = []
     for row in hits:
         f = BooleanFunction(n, tables[row].astype(np.uint8))
@@ -114,11 +114,11 @@ class ExactPairSolution:
     negative_mass: float          # magnitude of the most negative raw entry
 
 
-def solve_exact_pair(g: BooleanFunction, rho: float, lam: float | None = None,
-                     tol: float = EXACT_PAIR_TOL) -> ExactPairSolution:
+def solve_exact_pair(g: BooleanFunction, rho: float,
+                     lam: float | None = None) -> ExactPairSolution:
     """Invert the operator on g and classify feasibility.
 
-    g is feasible iff the raw preimage is entrywise nonnegative; then
+    g is feasible iff the raw preimage is entrywise >= -EXACT_PAIR_TOL; then
     f = lam * T^{-1} g lies in [0,1] exactly for lam in (0, 1/max entry].
     For g identically zero any lam works and f = 0 is the only solution.
     A lam outside (0, 1] raises ValueError.
@@ -126,7 +126,7 @@ def solve_exact_pair(g: BooleanFunction, rho: float, lam: float | None = None,
     _check_lam(lam)
     u = invert_downward(g, rho)
     most_negative = float(min(u.min(initial=0.0), 0.0))
-    feasible = most_negative >= -tol
+    feasible = most_negative >= -EXACT_PAIR_TOL
     f = u if lam is None else u * lam
     if not g.table.any():
         return ExactPairSolution(True, f, None, 0.0)
@@ -191,8 +191,7 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
     _check_open_unit("rho", rho)
     g = g or f
     h = h or f
-    if not (f.n == g.n == h.n):
-        raise ValueError("functions must share one dimension")
+    _check_same_dimension(f, g, h)
     if samples is None:
         val = _agreement_exact(f, g, h, p, rho)
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
@@ -247,8 +246,7 @@ def one_sided_check(f: AnyFunction, g: BooleanFunction, params: NoiseParams,
     T f falls strictly below lam.  (Strictly: an exact eigenpair with lam
     equal to the minimum of T f on the support of g scores eta2 = 0.)
     """
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    _check_same_dimension(f, g)
     tf = downward_noise_table(f.table, f.n, params.rho)
     w = measure_weights(f.n, params.p)
     gt = g.table.astype(np.float64)
@@ -317,37 +315,37 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     """Minimal L1 distance from f to an AND-OR of bounded width.
 
     An exact recognition hit short-circuits to distance zero.  Otherwise the
-    partition search runs over the coordinates of influence at least tau
-    (all coordinates when n <= max_support), every subset of them, and
-    every partition into at most max_width blocks.
+    search runs over every partition into at most max_width blocks of every
+    subset of c coordinates: all n when n <= max_support, else the
+    max_support of largest influence (ties to the lower) among those whose
+    influence reaches tau.  max_width and max_support must be >= 0, tau in [0, 1].
 
     Chunks of candidate tables G (2^13 entries at most) on the 2^c sub-cube
-    of the c searched coordinates score G @ off + (1 - G) @ on, with the
-    weights where f is 1 (on) and 0 (off) summed onto the sub-cube.  No term
-    is negative, so each distance is within a relative (2^(n-c) + 2^c) *
-    2^-53 of the exact one under the float64 weights (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 4.2); members score 0.0.  A
-    candidate beats the best so far, in enumeration order, if it is closer
-    by more than TIE_TOL, or within TIE_TOL and narrower.
+    score G @ off + (1 - G) @ on, with the weights where f is 1 (on) and 0
+    (off) summed onto the sub-cube.  No term is negative, so each distance
+    is within a relative (2^(n-c) + 2^c) * 2^-53 of the exact one under the
+    float64 weights (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 4.2); members score 0.0.  A candidate beats the best so far, in
+    enumeration order, if it is closer by more than TIE_TOL, or within
+    TIE_TOL and narrower.
     """
     _check_open_unit("bias p", p)
+    _check_at_least_zero("max_width", max_width)
+    _check_at_least_zero("max_support", max_support)
+    _check_closed_unit("tau", tau)
     exact = recognize_and_or(f)
     if exact is not None and exact.width <= max_width:
         return StructureVerdict(kind="and_or", witness=exact, distance=0.0)
-    if f.n <= max_support:
-        cand = list(range(f.n))
-    else:
-        cand = high_influence_coordinates(f, p, tau)
-        if len(cand) > max_support:
-            ranked = sorted(cand, key=lambda i: -abs(negative_influence(f, i, p)))
-            cand = sorted(ranked[:max_support])
+    cand = list(range(f.n))
+    if f.n > max_support:
+        infl, = _influence_pass(f, p, _influence)
+        ranked = sorted((i for i in cand if infl[i] >= tau), key=lambda i: -infl[i])
+        cand = sorted(ranked[:max_support])
     c = len(cand)
     w = measure_weights(f.n, p)
-    on, off = w * f.table, w * (1 - f.table)
-    # c = n only when cand is range(n): the search on every coordinate
-    if c != f.n:
-        proj = subcube_codes(f.n, cand)
-        on, off = (np.bincount(proj, weights=x, minlength=1 << c) for x in (on, off))
+    proj = subcube_codes(f.n, cand)
+    on, off = (np.bincount(proj, weights=x, minlength=1 << c)
+               for x in (w * f.table, w * (1 - f.table)))
     candidates = (blocks for size in range(1, c + 1)
                   for support in itertools.combinations(range(c), size)
                   for blocks in _partitions_into_blocks(support, max_width))
@@ -371,15 +369,15 @@ def distance_to_monotone_junta(f: BooleanFunction, p: float,
                                tau: float = 0.05) -> StructureVerdict:
     """Upper bound on the distance from f to a monotone Boolean junta.
 
-    Projects onto the coordinates of influence at least tau, monotonizes,
-    rounds at 1/2, and reports the resulting distance; the true minimum may
-    be smaller, hence is_upper_bound.
+    Averages f onto the cube of the coordinates of influence at least tau,
+    monotonizes and rounds at 1/2 there (the bits of monotonizing the junta
+    projection on all n), and lifts the result back to report its distance;
+    the true minimum may be smaller, hence is_upper_bound.
     """
     coords = high_influence_coordinates(f, p, tau)
-    projected = junta_project(f, coords, p)
-    mono = monotonize(projected)
-    rounded = BooleanFunction(f.n, (mono.table >= 0.5).astype(np.uint8))
-    dist = l1_distance(f, rounded, p)
+    mono = _sort_edges(average_out(f, coords, p).table.copy(), range(len(coords)))
+    rounded = (mono >= 0.5).take(subcube_codes(f.n, coords))
+    dist = float(measure_weights(f.n, p) @ (f.table != rounded))
     return StructureVerdict(kind="monotone_junta", witness=frozenset(coords),
                             distance=dist, is_upper_bound=True)
 
@@ -487,9 +485,8 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
 
     if theorem in ("small-rho", "monotone"):
         if theorem == "monotone":
-            premise["max_negative_influence"] = max(
-                (negative_influence(f, i, rho * p) for i in range(f.n)),
-                default=0.0)
+            neg, = _influence_pass(f, rho * p, _negative_influence)
+            premise["max_negative_influence"] = max(neg, default=0.0)
         v = distance_to_constant_or_and(g, p)
         conclusion = {"delta_g": v.distance}
         if v.kind == "and":

@@ -61,6 +61,13 @@ def _load(path: str):
         raise CliError(f"cannot read function file {path!r}: {exc}")
 
 
+def _load_boolean(path: str) -> core.BooleanFunction:
+    f = _load(path)
+    if not isinstance(f, core.BooleanFunction):
+        raise CliError(f"function file {path!r} holds a bounded function, not a Boolean one")
+    return f
+
+
 def _emit(obj, out: str | None) -> None:
     text = core.dumps(obj, sort_keys=True)
     if out:
@@ -103,9 +110,7 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_ns(args) -> int:
-    f = _load(args.infile)
-    if not isinstance(f, core.BooleanFunction):
-        raise CliError("noise sensitivity needs a Boolean function")
+    f = _load_boolean(args.infile)
     rep = noise.noise_sensitivity(f, args.p, args.nu, samples=args.samples,
                                   rng=stream_rng(args.seed, "ns"))
     _emit({"estimate": rep.estimate, "std_error": rep.std_error,
@@ -152,9 +157,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load(args.infile)
-    if not isinstance(g, core.BooleanFunction):
-        raise CliError("solve needs a Boolean right-hand side")
+    g = _load_boolean(args.infile)
     sol = analysis.solve_exact_pair(g, args.rho, args.lam)
     _emit({"feasible": sol.feasible, "lambda_max": sol.lam_max,
            "negative_mass": sol.negative_mass,
@@ -163,12 +166,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_test_hom(args) -> int:
-    f = (_builtin_function(args.fn, args.n) if args.fn else _load(args.infile))
-    g = _load(args.g) if args.g else None
-    h = _load(args.h) if args.h else None
-    for name, fn in (("f", f), ("g", g), ("h", h)):
-        if fn is not None and not isinstance(fn, core.BooleanFunction):
-            raise CliError(f"test-hom needs Boolean functions ({name} is not)")
+    f = _builtin_function(args.fn, args.n) if args.fn else _load_boolean(args.infile)
+    g = _load_boolean(args.g) if args.g else None
+    h = _load_boolean(args.h) if args.h else None
     rep = analysis.homomorphism_agreement(
         f, args.p, args.rho, g=g, h=h, samples=None if args.exact else args.samples,
         rng=stream_rng(args.seed, "hom"))
@@ -177,9 +177,7 @@ def _cmd_test_hom(args) -> int:
 
 
 def _cmd_prs(args) -> int:
-    f = _load(args.infile)
-    if not isinstance(f, core.BooleanFunction):
-        raise CliError("prs needs a Boolean function")
+    f = _load_boolean(args.infile)
     rep = analysis.prs_tester(
         f, args.p, samples=args.samples, rng=stream_rng(args.seed, "prs"),
         expectation_window=args.expectation_window,

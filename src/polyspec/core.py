@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import coordinate_pairs, measure_weights
+from .lattice import coordinate_pairs, measure_weights, subset_mask
 
 MAX_N_BOOLEAN = 24   # 16 MiB dense table
 MAX_N_BOUNDED = 20   # 8 MiB of doubles
@@ -37,10 +37,16 @@ def _check_at_least_zero(name: str, value: float) -> None:
         raise ValueError(f"{name} must be at least 0, got {value}")
 
 
-def _check_dimension(n: int) -> None:
-    """Reject a dimension no Boolean table allows, before 2^n is allocated."""
-    if not 0 <= n <= MAX_N_BOOLEAN:
-        raise ValueError(f"dimension {n} outside [0, {MAX_N_BOOLEAN}]")
+def _check_dimension(n: int, cap: int = MAX_N_BOOLEAN) -> None:
+    """Reject a dimension outside [0, cap], before 2^n is allocated."""
+    if not 0 <= n <= cap:
+        raise ValueError(f"dimension {n} outside [0, {cap}]")
+
+
+def _check_same_dimension(*functions) -> None:
+    """Reject functions that do not all share one dimension."""
+    if len({f.n for f in functions}) > 1:
+        raise ValueError("dimension mismatch: " + " != ".join(str(f.n) for f in functions))
 
 
 class BooleanFunction:
@@ -114,8 +120,7 @@ class BoundedFunction:
     __slots__ = ("n", "_table")
 
     def __init__(self, n: int, table):
-        if not 0 <= n <= MAX_N_BOUNDED:
-            raise ValueError(f"dimension {n} outside [0, {MAX_N_BOUNDED}]")
+        _check_dimension(n, MAX_N_BOUNDED)
         arr = np.asarray(table, dtype=np.float64)
         if arr.shape != (1 << n,):
             raise ValueError(f"table has shape {arr.shape}, expected ({1 << n},)")
@@ -177,16 +182,11 @@ def restrict(f: AnyFunction, r: Restriction) -> AnyFunction:
     Remaining coordinates keep their relative order and are renumbered
     from 0.
     """
-    coords = r.coordinates()
-    if any(i >= f.n or i < 0 for i in coords):
-        raise ValueError("restriction fixes a coordinate outside [0, n)")
+    subset_mask(f.n, r.coordinates())
     table = f.table
     for i, b in sorted(r.fixed, reverse=True):
         table = coordinate_pairs(table, i)[:, b, :].reshape(-1)
-    m = f.n - len(coords)
-    if isinstance(f, BooleanFunction):
-        return BooleanFunction(m, table)
-    return BoundedFunction(m, table)
+    return type(f)(f.n - len(r.fixed), table)
 
 
 def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
@@ -198,8 +198,7 @@ def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
     """
     _check_open_unit("bias q", q)
     keep = set(keep)
-    if any(i >= f.n or i < 0 for i in keep):
-        raise ValueError("keep-set contains a coordinate outside [0, n)")
+    subset_mask(f.n, keep)
     table = f.table.astype(np.float64)
     for j in sorted(set(range(f.n)) - keep, reverse=True):
         edges = coordinate_pairs(table, j)
@@ -216,15 +215,13 @@ def expectation(f: AnyFunction, p: float) -> float:
 def l1_distance(f: AnyFunction, g: AnyFunction, p: float) -> float:
     """L1 distance between f and g under the p-biased measure."""
     _check_open_unit("bias p", p)
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    _check_same_dimension(f, g)
     diff = np.abs(f.table.astype(np.float64) - g.table.astype(np.float64))
     return float(measure_weights(f.n, p) @ diff)
 
 
 def linf_distance(f: AnyFunction, g: AnyFunction) -> float:
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    _check_same_dimension(f, g)
     diff = np.abs(f.table.astype(np.float64) - g.table.astype(np.float64))
     return float(diff.max(initial=0.0))
 

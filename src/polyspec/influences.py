@@ -18,23 +18,34 @@ import numpy as np
 from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_closed_unit,
                    _check_open_unit, average_out)
 from .lattice import (coordinate_pairs, measure_weights, mobius_subsets, popcounts,
-                      subcube_codes)
+                      subcube_codes, subset_mask)
+
+DEGREE_TOL = 1e-9   # Moebius coefficients at most this size count as zero in degree
 
 
 def influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean squared change of f when coordinate i is flipped, under mu_p."""
-    if not 0 <= i < f.n:
-        raise ValueError(f"coordinate {i} outside [0, {f.n})")
+    subset_mask(f.n, [i])
     return _influence(_edge_change(f.table.astype(np.float64), i),
                       _edge_weights(f.n, p))
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean positive part of the drop when coordinate i goes from 0 to 1."""
-    if not 0 <= i < f.n:
-        raise ValueError(f"coordinate {i} outside [0, {f.n})")
+    subset_mask(f.n, [i])
     return _negative_influence(_edge_change(f.table.astype(np.float64), i),
                                _edge_weights(f.n, p))
+
+
+def _influence_pass(f: AnyFunction, p: float, *measures) -> list[tuple[float, ...]]:
+    """Each of measures (_influence, _negative_influence) at every coordinate,
+    one tuple per measure, from one float64 copy of the table and one
+    edge-weight table."""
+    w = _edge_weights(f.n, p)
+    table = f.table.astype(np.float64)
+    changes = (_edge_change(table, i) for i in range(f.n))
+    values = [tuple(m(c, w) for m in measures) for c in changes]
+    return list(zip(*values)) if values else [()] * len(measures)
 
 
 def _edge_weights(n: int, p: float) -> np.ndarray:
@@ -85,16 +96,16 @@ def sensitivity(f: BooleanFunction) -> int:
     return int(counts.max(initial=0))
 
 
-def degree(f: AnyFunction, tol: float = 1e-9) -> int:
+def degree(f: AnyFunction) -> int:
     """Largest |S| carrying a nonzero Fourier coefficient, at any bias.
 
-    That is the largest |S| whose subset-Moebius coefficient exceeds ``tol``
-    in size. For a 0/1 table these are integers of magnitude <= 2^n, exact in
-    float64, so the answer is exact for any ``tol`` < 1; for a bounded table
-    ``tol`` absorbs rounding.
+    That is the largest |S| whose subset-Moebius coefficient exceeds
+    DEGREE_TOL in size. For a 0/1 table these are integers of magnitude
+    <= 2^n, exact in float64, so the answer is exact; for a bounded table
+    the tolerance absorbs rounding.
     """
     coeffs = mobius_subsets(f.table.astype(np.float64), f.n)
-    return int(popcounts(f.n)[np.abs(coeffs) > tol].max(initial=0))
+    return int(popcounts(f.n)[np.abs(coeffs) > DEGREE_TOL].max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,7 @@ class InfluenceProfile:
 
 
 def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
-    w = _edge_weights(f.n, p)
-    infl = neg = ()
-    if f.n:
-        table = f.table.astype(np.float64)
-        changes = (_edge_change(table, i) for i in range(f.n))
-        infl, neg = zip(*((_influence(c, w), _negative_influence(c, w)) for c in changes))
+    infl, neg = _influence_pass(f, p, _influence, _negative_influence)
     s = d = None
     if isinstance(f, BooleanFunction):
         s = sensitivity(f)
@@ -126,13 +132,8 @@ def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
 
 def shift(f: AnyFunction, i: int) -> AnyFunction:
     """Sort every i-edge: min goes to x_i = 0, max to x_i = 1."""
-    if not 0 <= i < f.n:
-        raise ValueError(f"coordinate {i} outside [0, {f.n})")
-    table = f.table.copy()
-    edges = coordinate_pairs(table, i)
-    lo, hi = edges[:, 0, :], edges[:, 1, :]
-    lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
-    return type(f)(f.n, table)
+    subset_mask(f.n, [i])
+    return type(f)(f.n, _sort_edges(f.table.copy(), [i]))
 
 
 def monotonize(f: AnyFunction) -> AnyFunction:
@@ -141,12 +142,18 @@ def monotonize(f: AnyFunction) -> AnyFunction:
     Each stage moves the function by at most its own negative influence in
     L1, so the total displacement is controlled by the largest negative
     influence of f (up to the ((1-p)p)^(-n) * n blow-up of the aggregate
-    bound).
+    bound).  The stages sort one copy of the table.
     """
-    out = f
-    for i in range(f.n):
-        out = shift(out, i)
-    return out
+    return type(f)(f.n, _sort_edges(f.table.copy(), range(f.n)))
+
+
+def _sort_edges(table: np.ndarray, coords) -> np.ndarray:
+    """Shift each coordinate of coords in turn on a raw table, in place."""
+    for i in coords:
+        edges = coordinate_pairs(table, i)
+        lo, hi = edges[:, 0, :], edges[:, 1, :]
+        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return table
 
 
 def junta_project(f: AnyFunction, coords, p: float) -> BoundedFunction:
@@ -163,6 +170,5 @@ def junta_project(f: AnyFunction, coords, p: float) -> BoundedFunction:
 def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:
     """Coordinates whose influence reaches tau in [0, 1]; the junta candidate set."""
     _check_closed_unit("tau", tau)
-    w = _edge_weights(f.n, p)
-    table = f.table.astype(np.float64)
-    return [i for i in range(f.n) if _influence(_edge_change(table, i), w) >= tau]
+    infl, = _influence_pass(f, p, _influence)
+    return [i for i, v in enumerate(infl) if v >= tau]

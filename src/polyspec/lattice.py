@@ -282,7 +282,8 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 def subset_mask(n: int, coords) -> int:
     """Bit mask of a coordinate set, as a Python int whatever the integer
-    type of the coordinates, so it masks a point-code array in its dtype."""
+    type of the coordinates, so it masks a point-code array in its dtype;
+    the library's one coordinate range check (outside [0, n) raises)."""
     mask = 0
     for i in coords:
         if not 0 <= i < n:

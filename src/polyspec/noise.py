@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit
+from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit,
+                   _check_same_dimension)
 from .fourier import synthesize_table, transform_table
 from .lattice import (apply_kernel, measure_weights, pack_bits, popcounts,
                       working_copy)
@@ -135,8 +136,7 @@ def residual(f: AnyFunction, g: AnyFunction, params: NoiseParams) -> float:
     """L1 gap (under mu_p) between T f and lam * g."""
     if params.lam is None:
         raise ValueError("params.lam is required for a residual")
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} != {g.n}")
+    _check_same_dimension(f, g)
     tf = downward_noise_table(f.table, f.n, params.rho)
     gap = np.abs(tf - params.lam * g.table.astype(np.float64))
     return float(measure_weights(f.n, params.p) @ gap)

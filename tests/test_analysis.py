@@ -425,6 +425,28 @@ def test_distance_rejects_bad_bias(p):
         ps.distance_to_and_or(ps.make_and(3, [0]), p)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_width": -1}, "max_width must be at least 0, got -1"),
+    ({"max_width": float("nan")}, "max_width must be at least 0, got nan"),
+    ({"max_support": -1}, "max_support must be at least 0, got -1"),
+    ({"tau": float("nan")}, r"tau must lie in \[0,1\], got nan"),
+    ({"tau": 1.5}, r"tau must lie in \[0,1\], got 1.5"),
+    ({"tau": -0.1}, r"tau must lie in \[0,1\], got -0.1"),
+])
+@pytest.mark.parametrize("n", [3, 12])
+def test_distance_to_and_or_checks_its_parameters_at_every_n(kwargs, message, n):
+    """Checked on entry, whether or not n <= max_support reads tau, and
+    before the recognizer's hit.  Unchecked, max_width=-1 returned the
+    constant-1 distance 0.75 with witness () for AND(x0, x1) at n = 3, and
+    tau=nan returned 0.125 for that AND with one point flipped."""
+    f = ps.make_and(n, [0, 1])
+    flipped = f.table.copy()
+    flipped[-1] ^= 1
+    for g in (f, ps.BooleanFunction(n, flipped)):
+        with pytest.raises(ValueError, match=message):
+            ps.distance_to_and_or(g, 0.5, **kwargs)
+
+
 def test_distance_peak_memory_stays_at_four_tables():
     """corr, the level powers and two temporaries: 4 x 8 MiB at n = 20.
     Keeping the weights and the float64 table alive until then would add
@@ -551,12 +573,9 @@ def _search_coordinates(f, p, tau, max_support):
     n = f.n
     if n <= max_support:
         return list(range(n))
-    cand = [i for i in range(n) if naive_influence(f.table, n, i, p) >= tau]
-    if len(cand) > max_support:
-        ranked = sorted(cand, key=lambda i: -abs(
-            naive_negative_influence(f.table, n, i, p)))
-        cand = sorted(ranked[:max_support])
-    return cand
+    infl = [naive_influence(f.table, n, i, p) for i in range(n)]
+    ranked = sorted((i for i in range(n) if infl[i] >= tau), key=lambda i: -infl[i])
+    return sorted(ranked[:max_support])
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
@@ -659,6 +678,56 @@ def test_distance_to_and_or_builds_one_table_per_candidate(monkeypatch, rng):
         assert set(calls) <= {c}
 
 
+def test_distance_to_and_or_keeps_the_coordinates_of_largest_influence():
+    """AND(x0, x1) on n = 4 with the point 1111 flipped, searched on
+    max_support = 2 coordinates.  Coordinates 0 and 1 carry the largest
+    influence, 2 and 3 the largest negative influence; the search keeps 0
+    and 1 and finds the AND at 1/16, where ranking by negative influence
+    kept 2 and 3 and reported (2)(3) at 7/16."""
+    table = ps.make_and(4, [0, 1]).table.copy()
+    table[0b1111] ^= 1
+    f = ps.BooleanFunction(4, table)
+    assert _search_coordinates(f, 0.5, 0.05, 2) == [0, 1]
+    v = ps.distance_to_and_or(f, 0.5, max_width=2, max_support=2)
+    assert v.witness.sorted_blocks() == ((0,), (1,)) and v.distance == 0.0625
+    full = ps.distance_to_and_or(f, 0.5, max_width=2, max_support=4)
+    assert full.witness == v.witness and full.distance == v.distance
+
+
+def test_distance_to_and_or_search_width_and_support_zero():
+    """max_width 0 admits only the constant 1, max_support 0 no coordinate."""
+    f = ps.BooleanFunction(3, [0, 1, 1, 1, 0, 0, 1, 0])
+    for kwargs in ({"max_width": 0}, {"max_support": 0}):
+        v = ps.distance_to_and_or(f, 0.5, **kwargs)
+        assert v.witness.blocks == () and v.distance == 0.5
+
+
+@pytest.mark.parametrize("n", [3, 8, 12, 18])
+def test_monotone_junta_on_its_own_cube_matches_the_full_cube_pipeline(n, rng):
+    """distance_to_monotone_junta averages, monotonizes and rounds on the
+    junta's 2^k cube; it gives the bits of junta_project, full-cube
+    monotonize, rounding at 1/2 and l1_distance.  monotonize in turn gives
+    the bits of one shift per coordinate, on Boolean and bounded tables."""
+    near = ps.make_and_or(n, ps.BlockPartition(({0, 2}, {1}))).table.copy()
+    near[rng.choice(1 << n, size=3, replace=False)] ^= 1
+    cases = [ps.BooleanFunction(n, near), random_boolean(n, rng)]
+    for f, p in itertools.product(cases, (0.3, 0.5)):
+        coords = ps.influences.high_influence_coordinates(f, p, 0.05)
+        projected = ps.junta_project(f, coords, p)
+        mono = ps.monotonize(projected)
+        rounded = ps.BooleanFunction(n, (mono.table >= 0.5).astype(np.uint8))
+        v = ps.distance_to_monotone_junta(f, p)
+        assert v.witness == frozenset(coords) and v.is_upper_bound
+        assert v.distance.hex() == ps.l1_distance(f, rounded, p).hex(), (n, p)
+    for f in (cases[1], projected):
+        stepwise = f
+        for i in range(n):
+            stepwise = ps.shift(stepwise, i)
+        mono = ps.monotonize(f)
+        assert type(mono) is type(f) and ps.is_monotone(mono)
+        assert mono.table.tobytes() == stepwise.table.tobytes()
+
+
 def test_distance_to_monotone_junta_fixed_point():
     g = ps.make_and_or(5, ps.BlockPartition(({0}, {2, 4})))
     v = ps.distance_to_monotone_junta(g, 0.5, tau=0.05)
@@ -732,6 +801,64 @@ def test_audit_one_sided():
     rep = ps.theorem_audit("2.8", g, g, params)
     assert rep.premise["eta2"] == 0.0
     assert rep.conclusion["delta_g_monotone_junta"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_audit_half_rho_notes_a_rho_other_than_one_half():
+    part = ps.BlockPartition(({0, 1}, {2}))
+    f, g = ps.make_and_xor(4, part), ps.make_and_or(4, part)
+    for rho, notes in ((0.5, ()), (0.25, ("this audit is specific to rho = 1/2",))):
+        rep = ps.theorem_audit("half-rho", f, g, ps.NoiseParams(p=0.5, rho=rho, lam=0.25))
+        assert rep.notes == notes
+
+
+def test_audit_passed_is_vacuous_when_the_premise_fails():
+    rep = ps.AuditReport("monotone", {"eta_residual": 0.5, "max_negative_influence": 0.0},
+                         {"delta_g": 0.9})
+    assert rep.passed(eta_max=0.1, eps_max=0.1)        # eta_residual 0.5 > 0.1
+    assert not rep.passed(eta_max=0.5, eps_max=0.1)    # premise holds, delta_g 0.9 > 0.1
+    assert rep.passed(eta_max=0.5, eps_max=0.9)
+
+
+def test_audit_monotone_premise_is_the_largest_negative_influence(rng):
+    f = random_boolean(6, rng)
+    params = ps.NoiseParams(p=0.5, rho=0.5, lam=0.25)
+    rep = ps.theorem_audit("monotone", f, f, params)
+    want = max(naive_negative_influence(f.table, 6, i, 0.25) for i in range(6))
+    assert rep.premise["max_negative_influence"] == pytest.approx(want, abs=1e-15)
+    assert rep.premise["max_negative_influence"] == max(
+        ps.negative_influence(f, i, 0.25) for i in range(6))
+    t = ps.constant(0, 1)
+    rep = ps.theorem_audit("monotone", t, t, params)
+    assert rep.premise["max_negative_influence"] == 0.0
+
+
+AUDIT_ERRORS = [
+    ("triple", {}, "the triple audit needs all three functions"),
+    ("triple", {"f": ps.BoundedFunction(2, [0.0, 0.5, 0.5, 1.0]), "h": ps.make_and(2, [0])},
+     "the triple audit needs Boolean f"),
+    ("one-sided", {"lam": None}, "the one-sided audit needs params.lam"),
+    *[(theorem, {"lam": None}, "this audit needs params.lam")
+      for theorem in ("small-rho", "half-rho", "large-lambda", "monotone")],
+]
+
+
+@pytest.mark.parametrize("theorem,change,message", AUDIT_ERRORS)
+def test_audit_rejects_missing_inputs(theorem, change, message):
+    t = ps.make_and(2, [0])
+    args = {"f": t, "h": None, "lam": 0.5, **change}
+    with pytest.raises(ValueError, match=message):
+        ps.theorem_audit(theorem, args["f"], t, ps.NoiseParams(p=0.5, rho=0.5, lam=args["lam"]),
+                         h=args["h"])
+
+
+def test_witness_str_of_each_kind():
+    part = ps.BlockPartition(({2, 0}, {1}))
+    verdicts = [("zero", 0, "0"), ("constant", 1, "1"), ("and", frozenset({3, 1}), "1+3"),
+                ("and", frozenset(), "()"), ("monotone_junta", frozenset({0}), "0"),
+                ("and_or", part, "0+2;1"), ("and_or", ps.BlockPartition(()), "()"),
+                ("none", None, "")]
+    for kind, witness, text in verdicts:
+        assert ps.StructureVerdict(kind, witness, 0.0).witness_str() == text
 
 
 def test_audit_unknown_id():

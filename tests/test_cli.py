@@ -150,6 +150,44 @@ def test_test_hom_prints_reference_value(capsys):
     assert capsys.readouterr().out.strip() == "0.90625"
 
 
+@pytest.mark.parametrize("name,f", [("dictator", ps.make_and(4, [0])),
+                                    ("xor2", ps.make_xor(4, [0, 1]))])
+def test_test_hom_builtin_functions(name, f, capsys):
+    assert main(["test-hom", "--fn", name, "--n", "4", "--exact"]) == 0
+    want = ps.homomorphism_agreement(f, 0.5, 0.5).estimate
+    assert capsys.readouterr().out == format(want, ".12g") + "\n"
+
+
+def test_test_hom_unknown_builtin_exits_2(capsys):
+    assert main(["test-hom", "--fn", "tribes", "--exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "polyspec: unknown builtin function 'tribes'\n"
+
+
+# commands that read only Boolean functions, each given a bounded file at {b}
+BOOLEAN_ONLY_ARGV = {
+    "ns": ["ns", "--nu", "0.1", "--in", "{b}"],
+    "solve": ["solve", "--rho", "0.5", "--in", "{b}"],
+    "prs": ["prs", "--in", "{b}"],
+    "test-hom.in": ["test-hom", "--in", "{b}", "--exact"],
+    "test-hom.g": ["test-hom", "--fn", "maj3", "--g", "{b}", "--exact"],
+    "test-hom.h": ["test-hom", "--fn", "maj3", "--h", "{b}", "--exact"],
+}
+
+
+@pytest.mark.parametrize("site", sorted(BOOLEAN_ONLY_ARGV))
+def test_boolean_only_commands_reject_a_bounded_file(site, tmp_path, capsys):
+    bounded = tmp_path / "b.json"
+    ps.save_function(ps.BoundedFunction(3, np.full(8, 0.5)), bounded)
+    argv = [str(bounded) if a == "{b}" else a for a in BOOLEAN_ONLY_ARGV[site]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"polyspec: function file {str(bounded)!r} holds a bounded "
+                            f"function, not a Boolean one\n")
+
+
 def test_test_hom_requires_input(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["test-hom", "--exact"])
@@ -322,6 +360,24 @@ def test_config_round_trip(tmp_path):
     path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
     back = ExperimentConfig.from_file(path)
     assert back == cfg
+
+
+def test_config_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\n\n  # indented comment\nseed=4\n")
+    assert ExperimentConfig.from_file(path) == ExperimentConfig(seed=4)
+
+
+def test_sweep_seed_flag_overrides_the_config_seed(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family=and\nsizes=5\nperturbations=0,2\ntrials=1\nseed=5\n")
+    out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
+    cfg.write_text(cfg.read_text().replace("seed=5", "seed=9"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(want)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert out.read_bytes() == want.read_bytes()
+    assert len(rows) == 2 and all(row.startswith("9,5,") for row in rows)
 
 
 def test_config_rejects_unknown_keys(tmp_path):

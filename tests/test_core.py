@@ -48,6 +48,13 @@ def test_boolean_validation():
 
 def test_bounded_validation():
     ps.BoundedFunction(1, [0.0, 1.0 + 1e-13])  # inside tolerance
+    for n in (-1, 21):
+        with pytest.raises(ValueError, match=rf"dimension {n} outside \[0, 20\]"):
+            ps.BoundedFunction(n, np.zeros(1))
+    with pytest.raises(ValueError, match=r"table has shape \(3,\), expected \(4,\)"):
+        ps.BoundedFunction(2, np.zeros(3))
+    with pytest.raises(ValueError, match=r"coeffs shape \(3,\), expected \(4,\)"):
+        ps.Spectrum(2, 0.5, np.zeros(3))
     with pytest.raises(ValueError):
         ps.BoundedFunction(1, [0.0, 1.1])
     with pytest.raises(ValueError):
@@ -338,6 +345,56 @@ def test_open_unit_checks_share_one_message(site):
             call(bad)
         assert str(err.value) == f"{name} must lie in (0,1), got {bad}"
     call(0.5)
+
+
+_AND4 = ps.make_and(4, [0, 1])
+_PARAMS = ps.NoiseParams(p=0.5, rho=0.5, lam=0.5)
+# each site given functions of dimensions 3 and 4, as (call, message)
+DIMENSION_CHECKS = {
+    "l1_distance": (lambda: ps.l1_distance(_AND, _AND4, 0.5), "3 != 4"),
+    "linf_distance": (lambda: ps.linf_distance(_AND, _AND4), "3 != 4"),
+    "residual": (lambda: ps.residual(_AND, _AND4, _PARAMS), "3 != 4"),
+    "one_sided_check": (lambda: ps.one_sided_check(_AND, _AND4, _PARAMS, 0.5), "3 != 4"),
+    "homomorphism_agreement.g": (
+        lambda: ps.homomorphism_agreement(_AND, 0.5, 0.5, g=_AND4), "3 != 4 != 3"),
+    "homomorphism_agreement.h": (
+        lambda: ps.homomorphism_agreement(_AND, 0.5, 0.5, h=_AND4), "3 != 3 != 4"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DIMENSION_CHECKS))
+def test_dimension_checks_share_one_message(site):
+    call, dims = DIMENSION_CHECKS[site]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"dimension mismatch: {dims}"
+
+
+# each site given coordinate i of a function of dimension 3
+COORDINATE_CHECKS = {
+    "influence": lambda i: ps.influence(_AND, i, 0.5),
+    "negative_influence": lambda i: ps.negative_influence(_AND, i, 0.5),
+    "shift": lambda i: ps.shift(_AND, i),
+    "restrict": lambda i: ps.restrict(_AND, ps.Restriction({i: 1})),
+    "average_out": lambda i: ps.average_out(_AND, [0, i], 0.5),
+    "junta_project": lambda i: ps.junta_project(_AND, [i], 0.5),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COORDINATE_CHECKS))
+def test_coordinate_checks_share_one_message(site):
+    call = COORDINATE_CHECKS[site]
+    for bad in (-1, 3, 7):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == f"coordinate {bad} outside [0, 3)"
+    call(2)
+
+
+def test_boolean_functions_hash_by_dimension_and_table():
+    a, b = ps.make_and(3, [0, 1]), ps.BooleanFunction(3, ps.make_and(3, [0, 1]).table.copy())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, ps.make_and(3, [0]), ps.constant(3, 0), ps.constant(2, 0)}) == 4
 
 
 def _unexported_public_functions():

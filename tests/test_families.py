@@ -430,3 +430,19 @@ def test_family_dimension_guards():
         ps.make_f2(8, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         ps.make_majority3(2)
+
+
+SMALL_N_GUARDS = {
+    "make_f1": lambda n: ps.make_f1(n),
+    "make_f2": lambda n: ps.make_f2(n, 0.5, np.random.default_rng(0)),
+    "make_midslice": lambda n: ps.make_midslice(n),
+    "make_semirandom": lambda n: ps.make_semirandom(n, 0.5, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_N_GUARDS))
+def test_constructors_that_need_three_coordinates_reject_fewer(name):
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match=f"{name} needs n >= 3"):
+            SMALL_N_GUARDS[name](n)
+    assert SMALL_N_GUARDS[name](3).n == 3

@@ -309,3 +309,9 @@ def test_int_rng_draws_the_bits_of_its_generator(name):
     by_generator = call(samples=300_001, rng=np.random.default_rng(5))
     assert by_seed == by_generator
     assert by_seed.estimate.hex() == by_generator.estimate.hex()
+
+
+def test_residual_needs_lambda():
+    t = ps.make_and(2, [0])
+    with pytest.raises(ValueError, match="params.lam is required for a residual"):
+        ps.residual(t, t, ps.NoiseParams(p=0.5, rho=0.5))

@@ -1,9 +1,10 @@
 """The README's Library tour runs as written, its sweep key table lists the
-config fields, and the code-line counter in tools/ counts what it says it
-counts."""
+config fields, and the code-line counter and the never-run statement
+lister in tools/ report what they say they report."""
 
 import importlib.util
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,11 +30,15 @@ def test_readme_sweep_key_table_lists_every_config_field_with_its_default():
     assert sorted(rows) == sorted(want)
 
 
-def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.code_lines
+    return module
+
+
+def _code_lines():
+    return _tool("code_lines").code_lines
 
 
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
@@ -57,3 +62,49 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
         "    y = 2\n")
     # X, def (2 lines), the string assignment (2 lines), return, class, y
     assert _code_lines()(source) == 8
+
+
+def test_uncovered_lists_each_statement_a_run_never_reaches(tmp_path):
+    """A hand-made package and one test, traced by an inner pytest run:
+    the listing names the two statements the test never reaches, once
+    each, and no docstring, def or branch header that ran."""
+    pkg = tmp_path / "handmade_pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        '"""Module docstring."""\n'          # 1
+        "import functools\n"                  # 2
+        "\n"
+        "\n"
+        "@functools.lru_cache\n"              # 5
+        "def used(x):\n"                      # 6
+        '    """Docstring,\n'                 # 7
+        '    two lines."""\n'                 # 8
+        "    if x > 0:\n"                     # 9
+        "        return x\n"                  # 10
+        "    raise ValueError(\n"             # 11: never runs
+        "        'not positive')\n"
+        "\n"
+        "\n"
+        "def unused():\n"                     # 15
+        "    return 1\n")                     # 16: never runs
+    (tmp_path / "test_handmade.py").write_text(
+        "from handmade_pkg.mod import used\n"
+        "\n"
+        "\n"
+        "def test_used():\n"
+        "    assert used(2) == 2\n")
+    tool = _tool("uncovered")
+    before = sys.gettrace()
+    try:
+        status, hits = tool.traced_lines(pkg, [str(tmp_path / "test_handmade.py"), "-q",
+                                               "-p", "no:cacheprovider"])
+    finally:
+        for name in ("handmade_pkg", "handmade_pkg.mod", "test_handmade"):
+            sys.modules.pop(name, None)
+    assert sys.gettrace() is before
+    assert status == 0
+    missed = [(path.name, line, text) for path, line, text in tool.never_ran(pkg, hits)]
+    assert missed == [("mod.py", 11, "raise ValueError("), ("mod.py", 16, "return 1")]
+    assert tool.statements(pkg / "mod.py") == [(2, 2), (5, 12), (9, 10), (10, 10),
+                                               (11, 12), (15, 16), (16, 16)]
