@@ -238,20 +238,23 @@ def prs_tester(f: BooleanFunction, p: float = 0.5, samples: int | None = None,
                                  "agreement_min": agreement_min})
 
 
-def one_sided_check(f: AnyFunction, g: BooleanFunction, params: NoiseParams,
-                    lam: float) -> tuple[float, float]:
+def one_sided_check(f: AnyFunction, g: BooleanFunction,
+                    params: NoiseParams) -> tuple[float, float]:
     """One-sided error pair (eta1, eta2) of the relaxed eigenvalue problem.
 
     eta1 = E over mu_p of (1 - g) * T f; eta2 = Pr over mu_p that g = 1 yet
-    T f falls strictly below lam.  (Strictly: an exact eigenpair with lam
-    equal to the minimum of T f on the support of g scores eta2 = 0.)
+    T f falls strictly below lam = params.lam.  (Strictly: an exact
+    eigenpair with lam equal to the minimum of T f on the support of g
+    scores eta2 = 0.)
     """
+    if params.lam is None:
+        raise ValueError("params.lam is required for a one-sided check")
     _check_same_dimension(f, g)
     tf = downward_noise_table(f.table, f.n, params.rho)
     w = measure_weights(f.n, params.p)
     gt = g.table.astype(np.float64)
     eta1 = float(w @ ((1.0 - gt) * tf))
-    eta2 = float(w @ ((gt > 0.5) & (tf < lam)))
+    eta2 = float(w @ ((gt > 0.5) & (tf < params.lam)))
     return eta1, eta2
 
 
@@ -395,7 +398,10 @@ class AuditReport:
 
     def passed(self, eta_max: float, eps_max: float) -> bool:
         """Strict-mode gate: if every premise defect is within eta_max, every
-        conclusion distance must be within eps_max (vacuous otherwise)."""
+        conclusion distance must be within eps_max (vacuous otherwise).
+        Both thresholds must be at least 0; NaN is rejected."""
+        _check_at_least_zero("eta_max", eta_max)
+        _check_at_least_zero("eps_max", eps_max)
         premise_ok = all(v <= eta_max for k, v in self.premise.items()
                          if k.startswith(("eta", "epsilon", "max_")))
         if not premise_ok:
@@ -440,6 +446,8 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     nothing stronger.
     """
     theorem = THEOREM_ALIASES.get(theorem, theorem)
+    if theorem not in THEOREM_ALIASES.values():
+        raise ValueError(f"unknown theorem id {theorem!r}")
     p, rho, lam = params.p, params.rho, params.lam
     notes: list[str] = []
 
@@ -463,7 +471,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     if theorem == "one-sided":
         if lam is None:
             raise ValueError("the one-sided audit needs params.lam")
-        eta1, eta2 = one_sided_check(f, g, params, lam)
+        eta1, eta2 = one_sided_check(f, g, params)
         v = distance_to_monotone_junta(g, p, tau)
         return AuditReport(theorem, {"eta1": eta1, "eta2": eta2},
                            {"delta_g_monotone_junta": v.distance}, v, tuple(notes))
@@ -501,22 +509,20 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
             conclusion["delta_f_mean"] = abs(expectation(f, rho * p) - lam * gamma)
         return AuditReport(theorem, premise, conclusion, v, tuple(notes))
 
-    if theorem == "half-rho":
-        if abs(rho - 0.5) > 1e-12:
-            notes.append("this audit is specific to rho = 1/2")
-        v = distance_to_and_or(g, p, tau=tau)
-        part: BlockPartition = v.witness
-        conclusion = {"delta_g": v.distance, "width": float(part.width)}
-        support = sorted(part.support())
-        pos = {c: k for k, c in enumerate(support)}
-        local = BlockPartition(tuple(frozenset(pos[c] for c in blk)
-                                     for blk in part.blocks))
-        target = make_and_xor(len(support), local)
-        conclusion.update(_averaged_profile(
-            f, support, rho * p, target, 2.0 ** part.width * lam))
-        return AuditReport(theorem, premise, conclusion, v, tuple(notes))
-
-    raise ValueError(f"unknown theorem id {theorem!r}")
+    # half-rho, the one id left
+    if abs(rho - 0.5) > 1e-12:
+        notes.append("this audit is specific to rho = 1/2")
+    v = distance_to_and_or(g, p, tau=tau)
+    part: BlockPartition = v.witness
+    conclusion = {"delta_g": v.distance, "width": float(part.width)}
+    support = sorted(part.support())
+    pos = {c: k for k, c in enumerate(support)}
+    local = BlockPartition(tuple(frozenset(pos[c] for c in blk)
+                                 for blk in part.blocks))
+    target = make_and_xor(len(support), local)
+    conclusion.update(_averaged_profile(
+        f, support, rho * p, target, 2.0 ** part.width * lam))
+    return AuditReport(theorem, premise, conclusion, v, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,11 @@ def _load_boolean(path: str) -> core.BooleanFunction:
 
 
 def _emit(obj, out: str | None) -> None:
-    text = core.dumps(obj, sort_keys=True)
+    """Write a JSON document to the file out, or print the same bytes."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        core.save_function(obj, out)
     else:
-        print(text)
+        print(core.dumps(obj))
 
 
 def _builtin_function(name: str, n: int):
@@ -100,12 +99,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    f = _load(args.infile)
-    g = noise.iterated_noise(f, args.rho, args.m)
-    if args.out:
-        core.save_function(g, args.out)
-    else:
-        _emit(g, None)
+    _emit(noise.iterated_noise(_load(args.infile), args.rho, args.m), args.out)
     return 0
 
 
@@ -140,11 +134,7 @@ _MAKERS = {
 
 
 def _cmd_make(args) -> int:
-    f = _MAKERS[args.family](args)
-    if args.out:
-        core.save_function(f, args.out)
-    else:
-        _emit(f, None)
+    _emit(_MAKERS[args.family](args), args.out)
     return 0
 
 
@@ -166,7 +156,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_test_hom(args) -> int:
-    f = _builtin_function(args.fn, args.n) if args.fn else _load_boolean(args.infile)
+    f = _load_boolean(args.infile) if args.fn is None else _builtin_function(args.fn, args.n)
     g = _load_boolean(args.g) if args.g else None
     h = _load_boolean(args.h) if args.h else None
     rep = analysis.homomorphism_agreement(
@@ -215,8 +205,7 @@ def _cmd_sweep(args) -> int:
     try:
         cfg = analysis.ExperimentConfig.from_file(args.config, overrides)
     except (OSError, ValueError) as exc:
-        print(f"polyspec: bad sweep config: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        raise CliError(f"bad sweep config: {exc}")
     rows = analysis.sweep_rows(cfg, workers=worker_count())
     text = analysis.SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     if cfg.out:
@@ -234,38 +223,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "the p-biased hypercube")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext):
-        sp = sub.add_parser(name, help=helptext)
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser declaring one flag for every subcommand that takes it."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    out = flag("--out", default=None)
+    infile = flag("--in", dest="infile", required=True)
+    seed = flag("--seed", type=int, default=0)
+    samples = flag("--samples", type=int, default=None, help="omit for exact evaluation")
+
+    def add(name, fn, helptext, *parents):
+        sp = sub.add_parser(name, help=helptext, parents=parents)
         sp.set_defaults(handler=fn)
         return sp
 
-    sp = add("transform", _cmd_transform, "Fourier-transform a function file")
+    sp = add("transform", _cmd_transform, "Fourier-transform a function file", infile, out)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("noise", _cmd_noise, "apply the downwards noise operator")
+    sp = add("noise", _cmd_noise, "apply the downwards noise operator", infile, out)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--m", type=int, default=2,
                     help="arity of the iterated operator (m >= 2)")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("ns", _cmd_ns, "noise sensitivity of a Boolean function")
+    sp = add("ns", _cmd_ns, "noise sensitivity of a Boolean function",
+             infile, samples, seed, out)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="omit for exact evaluation")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
 
-    sp = add("profile", _cmd_profile, "influence profile as JSON")
+    sp = add("profile", _cmd_profile, "influence profile as JSON", infile, out)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("make", _cmd_make, "construct a family member")
+    sp = add("make", _cmd_make, "construct a family member", seed, out)
     sp.add_argument("--family", required=True,
                     choices=tuple(_MAKERS))
     sp.add_argument("--n", type=int, required=True)
@@ -274,23 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="semicolon-separated blocks, e.g. 0,1;2")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
     sp.add_argument("--window-scale", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
 
-    sp = add("classify", _cmd_classify, "exhaustive Boolean eigenfunctions")
+    sp = add("classify", _cmd_classify, "exhaustive Boolean eigenfunctions", out)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("solve", _cmd_solve, "invert the operator and test feasibility")
+    sp = add("solve", _cmd_solve, "invert the operator and test feasibility", infile, out)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("test-hom", _cmd_test_hom, "AND-homomorphism agreement rate")
-    sp.add_argument("--fn", default=None, help="builtin: maj3, dictator, xor2")
-    sp.add_argument("--in", dest="infile", default=None)
+    sp = add("test-hom", _cmd_test_hom, "AND-homomorphism agreement rate", seed)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fn", help="builtin: maj3, dictator, xor2")
+    source.add_argument("--in", dest="infile")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--p", type=float, default=0.5)
     sp.add_argument("--rho", type=float, default=0.5)
@@ -299,19 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     estimator = sp.add_mutually_exclusive_group()
     estimator.add_argument("--exact", action="store_true")
     estimator.add_argument("--samples", type=int, default=noise.DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("prs", _cmd_prs, "expectation-plus-agreement dictatorship test")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = add("prs", _cmd_prs, "expectation-plus-agreement dictatorship test",
+             infile, samples, seed, out)
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="omit for exact evaluation")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--expectation-window", type=float, default=0.05)
     sp.add_argument("--agreement-min", type=float, default=0.95)
-    sp.add_argument("--out", default=None)
 
-    sp = add("audit", _cmd_audit, "premise/conclusion report for one theorem")
+    sp = add("audit", _cmd_audit, "premise/conclusion report for one theorem", out)
     sp.add_argument("--theorem", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
@@ -323,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--eta", type=float, default=0.1)
     sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--out", default=None)
 
-    sp = add("sweep", _cmd_sweep, "perturbation sweep to CSV")
+    sp = add("sweep", _cmd_sweep, "perturbation sweep to CSV", out)
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
 
     return parser
 
@@ -341,12 +320,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "test-hom" and not args.fn and not args.infile:
-        parser.error("test-hom needs --fn or --in")
+    args = _parser().parse_args(argv)
     try:
-        core._check_at_least_zero("--seed", getattr(args, "seed", None) or 0)
+        # the flags that must be at least 0, checked before any file is read
+        for name in ("seed", "eta", "eps"):
+            core._check_at_least_zero(f"--{name}", getattr(args, name, None) or 0)
         return args.handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"polyspec: {exc}", file=sys.stderr)

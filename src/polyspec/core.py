@@ -254,14 +254,14 @@ def _float_list_json(values: np.ndarray) -> str:
     return "[" + ", ".join(gathered.tolist()) + "]"
 
 
-def dumps(obj, sort_keys: bool = False) -> str:
-    """``json.dumps`` of a function's file fields, or of a dict with string
-    keys, each float64 ndarray value encoded as its ``tolist()`` would be."""
-    data = obj if isinstance(obj, dict) else _json_fields(obj)
-    items = sorted(data.items()) if sort_keys else data.items()
+def dumps(obj) -> str:
+    """``json.dumps`` of a function's file fields in file order, or of a dict
+    with string keys with every dict's keys sorted; each float64 ndarray value
+    is encoded as its ``tolist()`` would be."""
+    items = sorted(obj.items()) if isinstance(obj, dict) else _json_fields(obj).items()
     return "{" + ", ".join(
         json.dumps(k) + ": " + (_float_list_json(v) if isinstance(v, np.ndarray)
-                                else json.dumps(v, sort_keys=sort_keys))
+                                else json.dumps(v, sort_keys=True))
         for k, v in items) + "}"
 
 
@@ -291,7 +291,9 @@ def from_json_dict(data: dict) -> AnyFunction:
     return BoundedFunction(n, table)
 
 
-def save_function(f: AnyFunction, path) -> None:
+def save_function(f: AnyFunction | dict, path) -> None:
+    """Write ``dumps(f)`` and a newline to path: a function file, or any
+    other document ``dumps`` encodes."""
     # Encoding first leaves an existing file untouched when encoding fails.
     text = dumps(f) + "\n"
     with open(path, "w") as fh:

@@ -134,11 +134,16 @@ def make_and_xor(n: int, partition: BlockPartition) -> BooleanFunction:
     return BooleanFunction._trusted(n, _block_table(n, partition.blocks, parity=True))
 
 
-def make_majority3(n: int = 3) -> BooleanFunction:
-    """Majority of the first three coordinates (padded with idle ones)."""
+def _check_at_least_three(n: int, name: str) -> None:
+    """Reject a dimension outside [3, MAX_N_BOOLEAN] for the maker called name."""
     _check_dimension(n)
     if n < 3:
-        raise ValueError("majority3 needs n >= 3")
+        raise ValueError(f"{name} needs n >= 3")
+
+
+def make_majority3(n: int = 3) -> BooleanFunction:
+    """Majority of the first three coordinates (padded with idle ones)."""
+    _check_at_least_three(n, "majority3")
     return BooleanFunction._trusted(n, (popcounts(n)[point_codes(n) & 7] >= 2).view(np.uint8))
 
 
@@ -235,17 +240,13 @@ def _middle_band(n: int, window_scale: float) -> np.ndarray:
 
 def make_f1(n: int) -> BooleanFunction:
     """OR of the first two coordinates on Hamming weight >= n/3, XOR below."""
-    _check_dimension(n)
-    if n < 3:
-        raise ValueError("make_f1 needs n >= 3")
+    _check_at_least_three(n, "make_f1")
     return _or_inside_xor_outside(n, popcounts(n) >= math.ceil(n / 3))
 
 
 def make_f2(n: int, lam: float, rng: np.random.Generator) -> BooleanFunction:
     """1 on Hamming weight >= n/3; an independent Bernoulli(lam) bit below."""
-    _check_dimension(n)
-    if n < 3:
-        raise ValueError("make_f2 needs n >= 3")
+    _check_at_least_three(n, "make_f2")
     _check_open_unit("lam", lam)
     pc = popcounts(n)
     heavy = pc >= math.ceil(n / 3)
@@ -259,9 +260,7 @@ def make_midslice(n: int, window_scale: float = 1.0) -> BooleanFunction:
     The band is Hamming weight n/2 +- window_scale * sqrt(n ln n); the
     multiplicative constant on the window is a free parameter (natural log).
     """
-    _check_dimension(n)
-    if n < 3:
-        raise ValueError("make_midslice needs n >= 3")
+    _check_at_least_three(n, "make_midslice")
     return _or_inside_xor_outside(n, _middle_band(n, window_scale))
 
 
@@ -273,9 +272,7 @@ def make_semirandom(n: int, window_scale: float, rng: np.random.Generator) -> Bo
     which is why sweeps treat 3/4 as the natural agreement floor.  Exposed
     as the 'semirandom' sweep preset.
     """
-    _check_dimension(n)
-    if n < 3:
-        raise ValueError("make_semirandom needs n >= 3")
+    _check_at_least_three(n, "make_semirandom")
     band = _middle_band(n, window_scale)
     bits = (rng.random(1 << n) < 0.5).astype(np.uint8)
     return BooleanFunction._trusted(n, np.where(band, bits, 0).astype(np.uint8))

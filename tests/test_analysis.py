@@ -338,10 +338,9 @@ def test_prs_montecarlo_runs():
 
 def test_one_sided_exact_and_pair():
     f = ps.make_and(4, [0, 1])
-    params = ps.NoiseParams(p=0.5, rho=0.5)
     tf = ps.downward_noise(f, 0.5)
     lam = float(tf.table[f.table > 0].min())     # equals rho^|T|
-    eta1, eta2 = ps.one_sided_check(f, f, params, lam)
+    eta1, eta2 = ps.one_sided_check(f, f, ps.NoiseParams(p=0.5, rho=0.5, lam=lam))
     assert eta2 == 0.0
     assert eta1 == 0.0          # T f vanishes off the support of a monotone f
 
@@ -350,15 +349,17 @@ def test_one_sided_nonmonotone_leaks():
     # a non-monotone f pushes mass below the support of g, so eta1 > 0
     f = ps.BooleanFunction(2, [1, 0, 1, 0])      # NOT x0
     g = ps.make_and(2, [0])
-    eta1, _ = ps.one_sided_check(f, g, ps.NoiseParams(p=0.5, rho=0.5), 0.5)
+    eta1, _ = ps.one_sided_check(f, g, ps.NoiseParams(p=0.5, rho=0.5, lam=0.5))
     assert eta1 > 0.2
 
 
 def test_one_sided_trivial_pairs():
-    params = ps.NoiseParams(p=0.5, rho=0.5)
+    params = ps.NoiseParams(p=0.5, rho=0.5, lam=0.5)
     zero, one = ps.constant(3, 0), ps.constant(3, 1)
-    assert ps.one_sided_check(zero, zero, params, 0.5) == (0.0, 0.0)
-    assert ps.one_sided_check(one, zero, params, 0.5) == (1.0, 0.0)
+    assert ps.one_sided_check(zero, zero, params) == (0.0, 0.0)
+    assert ps.one_sided_check(one, zero, params) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="params.lam is required for a one-sided check"):
+        ps.one_sided_check(zero, zero, ps.NoiseParams(p=0.5, rho=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +820,22 @@ def test_audit_passed_is_vacuous_when_the_premise_fails():
     assert rep.passed(eta_max=0.5, eps_max=0.9)
 
 
+@pytest.mark.parametrize("eta_max,eps_max,message", [
+    (float("nan"), 0.1, "eta_max must be at least 0, got nan"),
+    (-1.0, 0.1, "eta_max must be at least 0, got -1.0"),
+    (0.5, float("nan"), "eps_max must be at least 0, got nan"),
+    (0.5, -0.5, "eps_max must be at least 0, got -0.5"),
+])
+def test_audit_passed_rejects_thresholds_below_zero(eta_max, eps_max, message):
+    """A NaN or negative threshold fails every comparison, which made the
+    gate vacuous and so passed every audit."""
+    rep = ps.AuditReport("monotone", {"eta_residual": 0.5}, {"delta_g": 0.9})
+    with pytest.raises(ValueError) as err:
+        rep.passed(eta_max, eps_max)
+    assert str(err.value) == message
+    assert rep.passed(0.0, 0.0)
+
+
 def test_audit_monotone_premise_is_the_largest_negative_influence(rng):
     f = random_boolean(6, rng)
     params = ps.NoiseParams(p=0.5, rho=0.5, lam=0.25)
@@ -830,6 +847,34 @@ def test_audit_monotone_premise_is_the_largest_negative_influence(rng):
     t = ps.constant(0, 1)
     rep = ps.theorem_audit("monotone", t, t, params)
     assert rep.premise["max_negative_influence"] == 0.0
+
+
+# (t, count of functions with epsilon_hom <= t, largest delta among them) at
+# p = rho = 1/2, where delta is the distance to a constant or an AND
+DELTA_OF_EPSILON = {
+    2: [(0, 5, 0), (1 / 128, 5, 0), (1 / 32, 5, 0), (1 / 16, 5, 0), (1 / 8, 8, 1 / 4),
+        (1 / 4, 10, 1 / 4)],
+    3: [(0, 9, 0), (1 / 128, 9, 0), (1 / 32, 15, 1 / 8), (1 / 16, 21, 1 / 8), (1 / 8, 61, 1 / 4),
+        (1 / 4, 112, 3 / 8)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(DELTA_OF_EPSILON))
+def test_delta_of_epsilon_over_every_function(n):
+    """Every Boolean function of dimension n: how many are epsilon-approximate
+    AND-homomorphisms, and how far the farthest of them lies from a constant
+    or an AND.  Every weight is dyadic, so both are compared exactly."""
+    points = np.arange(1 << n)
+    rows = []
+    for code in range(1 << (1 << n)):
+        f = ps.BooleanFunction(n, (code >> points) & 1)
+        epsilon = 1.0 - ps.homomorphism_agreement(f, 0.5, 0.5).estimate
+        rows.append((epsilon, ps.distance_to_constant_or_and(f, 0.5).distance, f))
+    for t, count, delta in DELTA_OF_EPSILON[n]:
+        within = [d for epsilon, d, _ in rows if epsilon <= t]
+        assert (len(within), max(within)) == (count, delta)
+    homomorphisms = {f for epsilon, _, f in rows if epsilon == 0}
+    assert homomorphisms == {ps.constant(n, 0)} | {ps.make_and(n, S) for S in subsets(n)}
 
 
 AUDIT_ERRORS = [
@@ -861,10 +906,20 @@ def test_witness_str_of_each_kind():
         assert ps.StructureVerdict(kind, witness, 0.0).witness_str() == text
 
 
-def test_audit_unknown_id():
+def test_audit_unknown_id(monkeypatch):
+    """An unknown id is rejected first: before the missing lam is noticed,
+    and before the 2^n residual is computed."""
+    residuals = []
+    monkeypatch.setattr(analysis, "residual", lambda *args: residuals.append(args) or 0.0)
     t = ps.make_and(2, [0])
-    with pytest.raises(ValueError):
-        ps.theorem_audit("9.9", t, t, ps.NoiseParams(p=0.5, rho=0.5, lam=0.5))
+    for theorem in ("9.9", "bogus"):
+        for lam in (None, 0.5):
+            with pytest.raises(ValueError) as err:
+                ps.theorem_audit(theorem, t, t, ps.NoiseParams(p=0.5, rho=0.5, lam=lam))
+            assert str(err.value) == f"unknown theorem id {theorem!r}"
+    assert residuals == []
+    ps.theorem_audit("2.1", t, t, ps.NoiseParams(p=0.5, rho=0.5, lam=0.5))
+    assert len(residuals) == 1
 
 
 # ---------------------------------------------------------------------------

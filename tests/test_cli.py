@@ -53,12 +53,27 @@ def test_noise_out_bytes_match_streaming_encoder(f, tmp_path, capsys):
     expect = to_json_dict(ps.downward_noise(ps.load_function(fn), 0.3))
     assert out.read_bytes() == streamed_json_bytes(expect, tmp_path / "ref.json")
     assert main(["noise", "--rho", "0.3", "--in", str(fn)]) == 0
-    assert capsys.readouterr().out == json.dumps(expect, sort_keys=True) + "\n"
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-def _assert_emitted(argv, expect: dict, out, capsys):
-    """The command's --out file and its stdout both hold json.dumps(expect)."""
-    text = json.dumps(expect, sort_keys=True) + "\n"
+@pytest.mark.parametrize("argv", [
+    ["--family", "and", "--n", "0"],
+    ["--family", "andor", "--n", "3", "--blocks", "0,1;2"],
+    ["--family", "f2", "--n", "5", "--seed", "4"],
+], ids=" ".join)
+def test_make_prints_the_bytes_of_its_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["make", *argv, "--out", str(out)]) == 0
+    expect = to_json_dict(ps.load_function(out))
+    assert out.read_bytes() == streamed_json_bytes(expect, tmp_path / "ref.json")
+    assert main(["make", *argv]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _assert_emitted(argv, expect: dict | str, out, capsys):
+    """The command's --out file and its stdout both hold json.dumps(expect)
+    with sorted keys, or the text expect."""
+    text = expect if isinstance(expect, str) else json.dumps(expect, sort_keys=True) + "\n"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == text.encode()
     assert main(argv) == 0
@@ -74,6 +89,78 @@ def test_transform_bytes_match_json_dumps(f, p, tmp_path, capsys):
     expect = {"n": spec.n, "kind": "spectrum", "p": p, "values": spec.coeffs.tolist()}
     _assert_emitted(["transform", "--p", str(p), "--in", str(fn)], expect,
                     tmp_path / "spec.json", capsys)
+
+
+# Every document but a function file, as the command prints it and writes it
+# with --out: the keys of every dict sorted.  f is the AND-XOR and g the
+# AND-OR of the blocks {0, 1}, {2} at n = 3.
+PINNED_DOCUMENTS = {
+    "transform": (["transform", "--p", "0.3", "--in", "{f}"],
+                  '{"kind": "spectrum", "n": 3, "p": 0.3, "values": [0.126, 0.05499090833947007, '
+                  '0.05499090833947007, -0.126, 0.19246817918814527, 0.08399999999999999, '
+                  '0.08399999999999999, -0.19246817918814527]}'),
+    "profile": (["profile", "--p", "0.3", "--in", "{f}"],
+                '{"degree": 3, "influences": [0.3, 0.3, 0.42], "max_sensitivity": 3, '
+                '"monotone": false, "negative_influences": [0.09, 0.09, 0.0], "p": 0.3}'),
+    "ns": (["ns", "--nu", "0.2", "--in", "{f}"],
+           '{"estimate": 0.13099999999999998, "exact": true, "samples": 0, "std_error": 0.0}'),
+    "ns-sampled": (["ns", "--nu", "0.2", "--samples", "50", "--seed", "3", "--in", "{f}"],
+                   '{"estimate": 0.18, "exact": false, "samples": 50, '
+                   '"std_error": 0.054332310828824504}'),
+    "classify": (["classify", "--n", "2", "--rho", "0.5"],
+                 '{"count": 5, "eigenfunctions": [{"bits_hex": "00", "lambda": null}, '
+                 '{"bits_hex": "08", "lambda": 0.25}, {"bits_hex": "0a", "lambda": 0.5}, '
+                 '{"bits_hex": "0c", "lambda": 0.5}, {"bits_hex": "0f", "lambda": 1.0}], '
+                 '"n": 2, "rho": 0.5}'),
+    "solve": (["solve", "--rho", "0.25", "--in", "{g}"],
+              '{"feasible": false, "lambda_max": null, "negative_mass": 32.0, '
+              '"preimage": [0.0, 0.0, 0.0, 0.0, 0.0, 16.0, 16.0, -32.0]}'),
+    "prs": (["prs", "--in", "{f}"],
+            '{"accepted": false, "agreement": 0.90625, "agreement_min": 0.95, "exact": true, '
+            '"expectation": 0.25, "expectation_window": 0.05, "std_error": 0.0}'),
+    "prs-sampled": (["prs", "--in", "{f}", "--samples", "40", "--seed", "2"],
+                    '{"accepted": false, "agreement": 0.8, "agreement_min": 0.95, '
+                    '"exact": false, "expectation": 0.175, "expectation_window": 0.05, '
+                    '"std_error": 0.06324555320336758}'),
+    "audit-2.2": (["audit", "--theorem", "2.2", "--f", "{f}", "--g", "{g}", "--lambda", "0.25"],
+                  '{"conclusion": {"delta_f_avg_l1": 0.0, "delta_f_avg_linf": 0.0, '
+                  '"delta_g": 0.0, "width": 2.0}, "notes": [], "premise": {"eta_residual": 0.0}, '
+                  '"theorem": "half-rho", "verdict": {"distance": 0.0, "kind": "and_or", '
+                  '"witness": "0+1;2"}}'),
+    "audit-2.6": (["audit", "--theorem", "2.6", "--f", "{g}", "--g", "{g}", "--h", "{g}"],
+                  '{"conclusion": {"delta_f": 0.046875, "delta_g": 0.125, "delta_h": 0.125, '
+                  '"delta_zero_f": 0.109375, "delta_zero_gh": 0.375}, "notes": [], '
+                  '"premise": {"epsilon_hom": 0.03125}, "theorem": "triple", '
+                  '"verdict": {"distance": 0.125, "kind": "and", "witness": "2"}}'),
+    "audit-2.8": (["audit", "--theorem", "2.8", "--f", "{f}", "--g", "{g}", "--lambda", "0.25"],
+                  '{"conclusion": {"delta_g_monotone_junta": 0.0}, "notes": [], '
+                  '"premise": {"eta1": 0.0, "eta2": 0.0}, "theorem": "one-sided", '
+                  '"verdict": {"distance": 0.0, "kind": "monotone_junta", "witness": "0+1+2"}}'),
+    "sweep": (["sweep", "--config", "{cfg}"],
+              "seed,n,p,rho,lambda,epsilon_hom,eta_residual,delta_const_and,delta_andor,"
+              "verdict_kind,witness\n"
+              "3,4,0.5,0.5,0.25,0,0,0,0,and,0+3\n"
+              "3,4,0.5,0.5,0.375,0.0625,0.046875,0.125,0.125,and,0+3\n"
+              "3,5,0.5,0.5,0.25,0,0,0,0,and,0+4\n"
+              "3,5,0.5,0.5,0.25,0.025390625,0.013671875,0.0625,0.0625,and,0+4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
+def test_documents_print_the_bytes_they_write(name, tmp_path, capsys):
+    part = ps.BlockPartition(({0, 1}, {2}))
+    paths = {"f": tmp_path / "f.json", "g": tmp_path / "g.json", "cfg": tmp_path / "s.cfg"}
+    ps.save_function(ps.make_and_xor(3, part), paths["f"])
+    ps.save_function(ps.make_and_or(3, part), paths["g"])
+    paths["cfg"].write_text("family=and\nsizes=4,5\nperturbations=0,2\ntrials=1\nseed=3\n")
+    argv, text = PINNED_DOCUMENTS[name]
+    _assert_emitted([a.format(**paths) for a in argv], text + "\n", tmp_path / "out", capsys)
+
+
+def test_one_json_form_and_no_command_names_in_main():
+    assert list(inspect.signature(ps.core.dumps).parameters) == ["obj"]
+    source = inspect.getsource(main)
+    assert [c for c in SUBCOMMANDS if f'"{c}"' in source or f"'{c}'" in source] == []
 
 
 SOLVE_CASES = [pytest.param(f, "0.25", id=f"n{f.n}") for f in json_io_functions()
@@ -121,7 +208,7 @@ def test_noise_arity_defaults_to_plain_operator(tmp_path, capsys):
     assert main(["noise", "--rho", "0.3", "--m", "2", "--in", str(fn)]) == 0
     assert capsys.readouterr().out == default
     assert default == json.dumps(to_json_dict(
-        ps.downward_noise(ps.load_function(fn), 0.3)), sort_keys=True) + "\n"
+        ps.downward_noise(ps.load_function(fn), 0.3))) + "\n"
 
 
 def test_make_counterexample_families(tmp_path, capsys):
@@ -188,10 +275,17 @@ def test_boolean_only_commands_reject_a_bounded_file(site, tmp_path, capsys):
                             f"function, not a Boolean one\n")
 
 
-def test_test_hom_requires_input(capsys):
+def test_test_hom_requires_input(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["test-hom", "--exact"])
     assert exc.value.code == 2
+    # exactly one of --fn and --in: a file next to a builtin is not ignored
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_and(3, [0]), fn)
+    with pytest.raises(SystemExit) as exc:
+        main(["test-hom", "--fn", "maj3", "--in", str(fn), "--exact"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_classify_lists_nine_eigenfunctions(capsys):
@@ -280,6 +374,39 @@ def test_audit_strict_exit_codes(tmp_path, capsys):
                  "--p", "0.5", "--rho", "0.4", "--lambda", "0.9",
                  "--strict", "--eta", "10", "--eps", "1e-9"])
     assert code == 1
+
+
+AUDIT_BAD_THRESHOLDS = [
+    (["--eta", "nan", "--eps", "nan"], "--eta must be at least 0, got nan"),
+    (["--eta", "-1", "--eps", "-1"], "--eta must be at least 0, got -1.0"),
+    (["--eta", "0.9", "--eps", "nan"], "--eps must be at least 0, got nan"),
+    (["--eta", "0.9", "--eps", "-1"], "--eps must be at least 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("thresholds,message", AUDIT_BAD_THRESHOLDS,
+                         ids=[" ".join(argv) for argv, _ in AUDIT_BAD_THRESHOLDS])
+def test_audit_thresholds_below_zero_exit_2_before_any_file_is_read(
+        thresholds, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    ps.save_function(ps.BooleanFunction(3, np.random.default_rng(0).integers(0, 2, 8)), bad)
+    argv = ["audit", "--theorem", "2.1", "--f", str(bad), "--g", str(bad), "--p", "0.5",
+            "--rho", "0.4", "--lambda", "0.9", "--strict"]
+    assert main(argv + ["--eta", "0.9", "--eps", "0"]) == 1     # the gate rejects this pair
+    capsys.readouterr()
+    for f in (str(bad), str(tmp_path / "missing.json")):
+        argv[4] = f
+        assert main(argv + thresholds) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"polyspec: {message}\n"
+
+
+def test_audit_unknown_theorem_exits_2(tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    ps.save_function(ps.make_and(2, [0]), fn)
+    assert main(["audit", "--theorem", "bogus", "--f", str(fn), "--g", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "polyspec: unknown theorem id 'bogus'\n"
 
 
 def test_missing_file_exits_2(capsys):
@@ -631,6 +758,13 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("this is not a config\n")
     assert main(["sweep", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polyspec: bad sweep config: {cfgfile}:1: expected key=value\n"
+    missing = tmp_path / "missing.cfg"
+    assert main(["sweep", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err == (f"polyspec: bad sweep config: [Errno 2] No such file "
+                                       f"or directory: {str(missing)!r}\n")
 
 
 def test_noise_rejects_nan_input(tmp_path, capsys):
