@@ -449,7 +449,6 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     if theorem not in THEOREM_ALIASES.values():
         raise ValueError(f"unknown theorem id {theorem!r}")
     p, rho, lam = params.p, params.rho, params.lam
-    notes: list[str] = []
 
     if theorem == "triple":
         if h is None:
@@ -466,7 +465,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
             "delta_zero_gh": min(expectation(g, p), expectation(h, rho)),
         }
         return AuditReport(theorem, {"epsilon_hom": 1.0 - agree.estimate},
-                           conclusion, vg, tuple(notes))
+                           conclusion, vg)
 
     if theorem == "one-sided":
         if lam is None:
@@ -474,7 +473,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         eta1, eta2 = one_sided_check(f, g, params)
         v = distance_to_monotone_junta(g, p, tau)
         return AuditReport(theorem, {"eta1": eta1, "eta2": eta2},
-                           {"delta_g_monotone_junta": v.distance}, v, tuple(notes))
+                           {"delta_g_monotone_junta": v.distance}, v)
 
     if lam is None:
         raise ValueError("this audit needs params.lam")
@@ -489,7 +488,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
                       "delta_f_mean": abs(expectation(f, rho * p) - lam * gamma)}
         witness = StructureVerdict(kind="zero" if gamma == 0 else "constant",
                                    witness=gamma, distance=dist)
-        return AuditReport(theorem, premise, conclusion, witness, tuple(notes))
+        return AuditReport(theorem, premise, conclusion, witness)
 
     if theorem in ("small-rho", "monotone"):
         if theorem == "monotone":
@@ -507,11 +506,9 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         else:
             gamma = 1.0 if v.kind == "constant" else 0.0
             conclusion["delta_f_mean"] = abs(expectation(f, rho * p) - lam * gamma)
-        return AuditReport(theorem, premise, conclusion, v, tuple(notes))
+        return AuditReport(theorem, premise, conclusion, v)
 
     # half-rho, the one id left
-    if abs(rho - 0.5) > 1e-12:
-        notes.append("this audit is specific to rho = 1/2")
     v = distance_to_and_or(g, p, tau=tau)
     part: BlockPartition = v.witness
     conclusion = {"delta_g": v.distance, "width": float(part.width)}
@@ -522,7 +519,8 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     target = make_and_xor(len(support), local)
     conclusion.update(_averaged_profile(
         f, support, rho * p, target, 2.0 ** part.width * lam))
-    return AuditReport(theorem, premise, conclusion, v, tuple(notes))
+    notes = ("this audit is specific to rho = 1/2",) if abs(rho - 0.5) > 1e-12 else ()
+    return AuditReport(theorem, premise, conclusion, v, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +637,11 @@ def sweep_rows(config: ExperimentConfig, workers: int = 1) -> list[str]:
     Every row perturbs a base function on k points, takes lam to be the
     perturbed function's mu_p mean, and reports the homomorphism defect,
     the eigenvalue residual and the structure distances.  Rows come back in
-    task order regardless of the worker count.
+    task order whatever the worker count; no more workers start than rows.
     """
     args = [(config, *nkt) for nkt in itertools.product(
         config.int_list("sizes"), config.int_list("perturbations"), range(config.trials))]
+    workers = min(workers, len(args))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -70,7 +70,7 @@ def _load_boolean(path: str) -> core.BooleanFunction:
 
 def _emit(obj, out: str | None) -> None:
     """Write a JSON document to the file out, or print the same bytes."""
-    if out:
+    if out is not None:
         core.save_function(obj, out)
     else:
         print(core.dumps(obj))
@@ -157,8 +157,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_test_hom(args) -> int:
     f = _load_boolean(args.infile) if args.fn is None else _builtin_function(args.fn, args.n)
-    g = _load_boolean(args.g) if args.g else None
-    h = _load_boolean(args.h) if args.h else None
+    g = _load_boolean(args.g) if args.g is not None else None
+    h = _load_boolean(args.h) if args.h is not None else None
     rep = analysis.homomorphism_agreement(
         f, args.p, args.rho, g=g, h=h, samples=None if args.exact else args.samples,
         rng=stream_rng(args.seed, "hom"))
@@ -181,7 +181,7 @@ def _cmd_prs(args) -> int:
 def _cmd_audit(args) -> int:
     f = _load(args.f)
     g = _load(args.g)
-    h = _load(args.h) if args.h else None
+    h = _load(args.h) if args.h is not None else None
     params = noise.NoiseParams(p=args.p, rho=args.rho, lam=args.lam)
     report = analysis.theorem_audit(args.theorem, f, g, params, h=h, tau=args.tau)
     payload = {"theorem": report.theorem, "premise": report.premise,
@@ -197,11 +197,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out"] = args.out
+    overrides = {name: getattr(args, name) for name in ("seed", "out")
+                 if getattr(args, name) is not None}
     try:
         cfg = analysis.ExperimentConfig.from_file(args.config, overrides)
     except (OSError, ValueError) as exc:
@@ -322,9 +319,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # the flags that must be at least 0, checked before any file is read
+        # the flags that must be at least 0, and the path flags that must not
+        # be empty, checked before any file is read
         for name in ("seed", "eta", "eps"):
             core._check_at_least_zero(f"--{name}", getattr(args, name, None) or 0)
+        for name in ("in", "out", "f", "g", "h", "config"):
+            if getattr(args, "infile" if name == "in" else name, None) == "":
+                raise CliError(f"--{name} must name a file, got an empty path")
         return args.handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"polyspec: {exc}", file=sys.stderr)

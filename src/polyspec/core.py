@@ -8,7 +8,6 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,48 +146,6 @@ class BoundedFunction:
 AnyFunction = BooleanFunction | BoundedFunction
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Assignment of bits to a subset of coordinates.
-
-    Restricting f by {i: b, ...} produces the function of the remaining
-    coordinates alpha |-> f(alpha merged with the fixed bits).
-    """
-
-    fixed: tuple[tuple[int, int], ...]
-
-    def __init__(self, fixed):
-        items = dict(fixed)
-        for i, b in items.items():
-            if b not in (0, 1):
-                raise ValueError(f"fixed value for coordinate {i} must be 0 or 1")
-        object.__setattr__(self, "fixed", tuple(sorted(items.items())))
-
-    def coordinates(self) -> list[int]:
-        return [i for i, _ in self.fixed]
-
-
-def evaluate(f: AnyFunction, x: int) -> float:
-    """Value of f at the point with integer code x."""
-    if not 0 <= x < (1 << f.n):
-        raise IndexError(f"point {x} outside [0, 2^{f.n})")
-    v = f.table[x]
-    return int(v) if isinstance(f, BooleanFunction) else float(v)
-
-
-def restrict(f: AnyFunction, r: Restriction) -> AnyFunction:
-    """Fix the coordinates of r; the result has dimension n - |r|.
-
-    Remaining coordinates keep their relative order and are renumbered
-    from 0.
-    """
-    subset_mask(f.n, r.coordinates())
-    table = f.table
-    for i, b in sorted(r.fixed, reverse=True):
-        table = coordinate_pairs(table, i)[:, b, :].reshape(-1)
-    return type(f)(f.n - len(r.fixed), table)
-
-
 def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
     """Average f over the coordinates outside ``keep`` under bias q.
 
@@ -218,12 +175,6 @@ def l1_distance(f: AnyFunction, g: AnyFunction, p: float) -> float:
     _check_same_dimension(f, g)
     diff = np.abs(f.table.astype(np.float64) - g.table.astype(np.float64))
     return float(measure_weights(f.n, p) @ diff)
-
-
-def linf_distance(f: AnyFunction, g: AnyFunction) -> float:
-    _check_same_dimension(f, g)
-    diff = np.abs(f.table.astype(np.float64) - g.table.astype(np.float64))
-    return float(diff.max(initial=0.0))
 
 
 def constant(n: int, value) -> AnyFunction:

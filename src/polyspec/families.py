@@ -208,17 +208,6 @@ def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
     return None
 
 
-def truncate_wide_ors(partition: BlockPartition, width_cap: int) -> BlockPartition:
-    """Drop every block with more than width_cap variables.
-
-    The truncated function dominates the original pointwise; under bias p
-    the L1 gap is at most (number of blocks) * (1-p)^width_cap.
-    """
-    if width_cap < 1:
-        raise ValueError(f"width cap must be positive, got {width_cap}")
-    return BlockPartition(tuple(b for b in partition.blocks if len(b) <= width_cap))
-
-
 # ---------------------------------------------------------------------------
 # The two motivating near-eigenfunctions and the middle-slice example.
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import AnyFunction, BoundedFunction, _check_open_unit
+from .core import AnyFunction, _check_open_unit
 from .lattice import apply_kernel, point_codes, popcounts, subset_mask, working_copy
 
 
@@ -77,8 +77,3 @@ def synthesize_table(coeffs: np.ndarray, n: int, p: float) -> np.ndarray:
 def fourier_transform(f: AnyFunction, p: float) -> Spectrum:
     return Spectrum(f.n, p, transform_table(f.table, f.n, p))
 
-
-def inverse_fourier(spec: Spectrum) -> BoundedFunction:
-    """Re-synthesize the table; round-trips within 1e-10 for [0,1] inputs."""
-    table = synthesize_table(spec.coeffs, spec.n, spec.p)
-    return BoundedFunction(spec.n, np.clip(table, 0.0, 1.0))

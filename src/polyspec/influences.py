@@ -1,4 +1,4 @@
-"""Influence measures, sensitivity, degree, shifting and junta projection.
+"""Influence measures, sensitivity, degree, shifting and monotonization.
 
 Conventions.  The influence of coordinate i is the mu_p mean of the squared
 change under flipping x_i; the negative influence is the mu_p mean of
@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_closed_unit,
-                   _check_open_unit, average_out)
-from .lattice import (coordinate_pairs, measure_weights, mobius_subsets, popcounts,
-                      subcube_codes, subset_mask)
+from .core import AnyFunction, BooleanFunction, _check_closed_unit, _check_open_unit
+from .lattice import coordinate_pairs, measure_weights, mobius_subsets, popcounts, subset_mask
 
 DEGREE_TOL = 1e-9   # Moebius coefficients at most this size count as zero in degree
 
@@ -154,17 +152,6 @@ def _sort_edges(table: np.ndarray, coords) -> np.ndarray:
         lo, hi = edges[:, 0, :], edges[:, 1, :]
         lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
     return table
-
-
-def junta_project(f: AnyFunction, coords, p: float) -> BoundedFunction:
-    """Average f over the coordinates outside ``coords`` under mu_p.
-
-    The output lives on the full n coordinates but depends only on
-    ``coords`` (the L2-closest such function).
-    """
-    keep = sorted(set(coords))
-    table = average_out(f, keep, p).table.take(subcube_codes(f.n, keep))
-    return BoundedFunction(f.n, table)
 
 
 def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:

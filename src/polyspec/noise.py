@@ -92,9 +92,12 @@ def downward_noise(f: AnyFunction, rho: float) -> BoundedFunction:
 
 
 def iterated_noise(f: AnyFunction, rho: float, m: int) -> BoundedFunction:
-    """m-ary variant: AND of m-1 independent masks, retention rho^(m-1)."""
+    """m-ary variant: AND of m-1 independent masks, retention rho^(m-1) > 0."""
+    _check_open_unit("rho", rho)
     if m < 2:
         raise ValueError(f"arity m must be at least 2, got {m}")
+    if rho ** (m - 1) == 0.0:
+        raise ValueError(f"arity m = {m} underflows the retention {rho}^(m-1) to 0")
     return downward_noise(f, rho ** (m - 1))
 
 
@@ -164,17 +167,6 @@ def _monte_carlo(count_hits, samples: int, rng) -> TesterReport:
     est = hits / samples
     se = math.sqrt(max(est * (1.0 - est), 1.0 / samples) / samples)
     return TesterReport(estimate=est, std_error=se, samples=samples)
-
-
-def sample_coupled(params: NoiseParams, n: int, rng: np.random.Generator,
-                   size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled pair (y, x): x ~ mu_p, y = x AND z with z ~ mu_rho.
-
-    Marginally y ~ mu_{rho p} and y <= x coordinatewise on every sample.
-    """
-    x = _biased_bits(rng, (size, n), params.p)
-    z = _biased_bits(rng, (size, n), params.rho)
-    return pack_bits(x & z), pack_bits(x)
 
 
 def sample_dnu(nu: float, n: int, rng: np.random.Generator,

@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -41,3 +42,12 @@ def json_io_functions() -> list:
     funcs.append(BoundedFunction(6, np.where(rng.random(64) < 0.3, 0.25, 0.75)))
     funcs.append(BoundedFunction(7, rng.random(128)))
     return funcs
+
+
+def readme_library_tour() -> str:
+    """The Python block of the README's Library tour section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme,
+                      re.MULTILINE | re.DOTALL)
+    assert block is not None
+    return block.group(1)

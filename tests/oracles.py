@@ -18,7 +18,9 @@ from the monotone tables alone, and :func:`agreement_exact_expression`,
 the one-temporary-per-operation expression whose bits the in-place exact
 homomorphism agreement must keep, and :func:`exact_and_or_distances`,
 the exact-rational AND-OR distances under the float64 weights that bound
-the error of ``analysis.distance_to_and_or``.
+the error of ``analysis.distance_to_and_or``, and :func:`junta_project`,
+the full-cube projection whose bits ``analysis.distance_to_monotone_junta``
+keeps from the junta's own cube.
 The closed forms at the end (:func:`spectral_eigenvalue`,
 :func:`or_width_cap`, :func:`sensitivity_degree_gap`) and
 :func:`to_json_dict`, the plain-``json`` form of a function file that
@@ -34,11 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from polyspec.analysis import EIGEN_TOL, _and_correlation
-from polyspec.core import BooleanFunction, _check_dimension, _json_fields
+from polyspec.core import (BooleanFunction, BoundedFunction, _check_dimension,
+                           _json_fields, average_out)
 from polyspec.fourier import transform_table
 from polyspec.influences import degree, sensitivity
 from polyspec.lattice import (coordinate_pairs, index_bits, measure_weights,
-                              point_codes, popcounts, zeta_supersets)
+                              point_codes, popcounts, subcube_codes, zeta_supersets)
 from polyspec.noise import downward_noise_table
 
 
@@ -192,6 +195,17 @@ def naive_junta_project(table, n: int, coords, p: float):
                 w = math.prod(p if bit(y, i) else 1.0 - p for i in free)
                 out[x] += w * float(table[y])
     return out
+
+
+def junta_project(f, coords, p: float) -> BoundedFunction:
+    """Average f over the coordinates outside ``coords`` under mu_p.
+
+    The output lives on the full n coordinates but depends only on
+    ``coords`` (the L2-closest such function).
+    """
+    keep = sorted(set(coords))
+    table = average_out(f, keep, p).table.take(subcube_codes(f.n, keep))
+    return BoundedFunction(f.n, table)
 
 
 def naive_minterms(table, n: int):

@@ -19,7 +19,7 @@ from oracles import (agreement_exact_expression, all_and_or_tables,
                      all_block_partitions, and_or_candidate_count, bit,
                      and_or_search_candidates, classify_boolean_eigens_bruteforce,
                      correlation_with_ands, exact_and_or_distances, exact_l1, naive_agreement,
-                     naive_influence, naive_negative_influence,
+                     junta_project, naive_influence, naive_negative_influence,
                      pair_agreement, subsets)
 
 
@@ -714,7 +714,7 @@ def test_monotone_junta_on_its_own_cube_matches_the_full_cube_pipeline(n, rng):
     cases = [ps.BooleanFunction(n, near), random_boolean(n, rng)]
     for f, p in itertools.product(cases, (0.3, 0.5)):
         coords = ps.influences.high_influence_coordinates(f, p, 0.05)
-        projected = ps.junta_project(f, coords, p)
+        projected = junta_project(f, coords, p)
         mono = ps.monotonize(projected)
         rounded = ps.BooleanFunction(n, (mono.table >= 0.5).astype(np.uint8))
         v = ps.distance_to_monotone_junta(f, p)
@@ -944,6 +944,36 @@ def test_sweep_workers_match_serial():
     serial = ps.sweep_rows(cfg, workers=1)
     parallel = ps.sweep_rows(cfg, workers=2)
     assert serial == parallel
+
+
+def test_sweep_never_starts_more_workers_than_rows(monkeypatch):
+    """A pool gets min(workers, rows) processes, and none at one row or
+    fewer; a recorder that maps serially stands in for the pool, so no
+    process starts here."""
+    import concurrent.futures
+
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    for rows, workers, pool in ((0, 64, []), (1, 64, []), (3, 64, [3]), (3, 2, [2])):
+        cfg = ps.ExperimentConfig(sizes="4", perturbations="1", trials=rows)
+        started.clear()
+        assert len(ps.sweep_rows(cfg, workers=workers)) == rows
+        assert started == pool, (rows, workers)
+        assert ps.sweep_rows(cfg, workers=workers) == ps.sweep_rows(cfg)
 
 
 def test_sweep_semirandom_sits_at_the_barrier():

@@ -195,6 +195,16 @@ def test_noise_iterated_flag(tmp_path):
     assert main(["noise", "--rho", "0.5", "--m", "1", "--in", str(fn)]) == 2
 
 
+def test_noise_arity_whose_retention_underflows_exits_2_naming_m(tmp_path, capsys):
+    fn = tmp_path / "g.json"
+    ps.save_function(ps.make_and(3, [0]), fn)
+    assert main(["noise", "--rho", "0.5", "--m", "2000", "--in", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("polyspec: arity m = 2000 underflows the retention "
+                            "0.5^(m-1) to 0\n")
+
+
 def test_noise_arity_defaults_to_plain_operator(tmp_path, capsys):
     fn = tmp_path / "andor.json"
     assert main(["make", "--family", "andor", "--n", "6", "--blocks", "0,1;2,4",
@@ -407,6 +417,40 @@ def test_audit_unknown_theorem_exits_2(tmp_path, capsys):
     assert main(["audit", "--theorem", "bogus", "--f", str(fn), "--g", str(fn)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "polyspec: unknown theorem id 'bogus'\n"
+
+
+# each path flag given as an empty string, in every command that takes it;
+# {f} is a Boolean function file and {cfg} a sweep config whose out= names
+# a file, so an empty path that counted as "not given" would write it
+EMPTY_PATH_ARGV = [
+    ("in", ["transform", "--p", "0.5", "--in", ""]),
+    ("in", ["test-hom", "--in", "", "--exact"]),
+    ("out", ["make", "--family", "and", "--n", "2", "--coords", "0", "--out", ""]),
+    ("out", ["noise", "--rho", "0.5", "--in", "{f}", "--out", ""]),
+    ("out", ["sweep", "--config", "{cfg}", "--out", ""]),
+    ("f", ["audit", "--theorem", "2.1", "--lambda", "0.5", "--f", "", "--g", "{f}"]),
+    ("g", ["audit", "--theorem", "2.1", "--lambda", "0.5", "--f", "{f}", "--g", ""]),
+    ("g", ["test-hom", "--fn", "maj3", "--g", "", "--exact"]),
+    ("h", ["audit", "--theorem", "triple", "--f", "{f}", "--g", "{f}", "--h", ""]),
+    ("h", ["test-hom", "--fn", "maj3", "--h", "", "--exact"]),
+    ("config", ["sweep", "--config", ""]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", EMPTY_PATH_ARGV,
+                         ids=[f"{argv[0]} --{flag}" for flag, argv in EMPTY_PATH_ARGV])
+def test_empty_path_flag_exits_2_and_writes_nothing(flag, argv, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    ps.save_function(ps.make_and(3, [0]), tmp_path / "f.json")
+    (tmp_path / "c.cfg").write_text("sizes=3\nperturbations=0\ntrials=1\nout=rows.csv\n")
+    before = sorted(tmp_path.iterdir())
+    argv = [{"{f}": "f.json", "{cfg}": "c.cfg"}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polyspec: --{flag} must name a file, got an empty path\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_missing_file_exits_2(capsys):

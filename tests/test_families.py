@@ -298,23 +298,13 @@ def test_recognize_against_exhaustive_oracle():
     assert hits == len(family)
 
 
-def test_truncate_wide_ors():
-    part = ps.BlockPartition(({0}, {1, 2, 3, 4, 5}))
-    cut = ps.truncate_wide_ors(part, 3)
-    assert cut.blocks == (frozenset({0}),)
-    small = ps.BlockPartition(({0, 1}, {2}))
-    assert ps.truncate_wide_ors(small, 2) == small
-    with pytest.raises(ValueError):
-        ps.truncate_wide_ors(part, 0)
-
-
 def test_truncation_dominates_and_is_close(rng):
     p = 0.5
     for _ in range(20):
         n = int(rng.integers(3, 11))
         part = random_partition(n, 3, rng)
         cap = int(rng.integers(1, n + 1))
-        cut = ps.truncate_wide_ors(part, cap)
+        cut = ps.BlockPartition(b for b in part.blocks if len(b) <= cap)
         g = ps.make_and_or(n, part)
         psi = ps.make_and_or(n, cut)
         assert np.all(psi.table >= g.table)
@@ -341,8 +331,8 @@ def test_close_and_ors_truncate_identically(rng):
         cap = or_width_cap(p, gamma) if gamma < 1 else 0
         if not 1 <= cap < 4:
             continue
-        cut1 = ps.truncate_wide_ors(part1, cap)
-        cut2 = ps.truncate_wide_ors(part2, cap)
+        cut1 = ps.BlockPartition(b for b in part1.blocks if len(b) <= cap)
+        cut2 = ps.BlockPartition(b for b in part2.blocks if len(b) <= cap)
         assert (sorted(map(sorted, cut1.blocks))
                 == sorted(map(sorted, cut2.blocks)))
         assert ps.l1_distance(g1, ps.make_and_or(n, cut1), p) <= d * gamma + 1e-12
@@ -352,8 +342,8 @@ def test_f1_mean_and_structure():
     f1 = ps.make_f1(20)
     assert ps.expectation(f1, 0.5) == pytest.approx(0.75, abs=0.05)
     # on heavy inputs the function is the OR of the first two coordinates
-    assert ps.evaluate(f1, (1 << 20) - 1) == 1
-    assert ps.evaluate(f1, 0b111000) == 0      # three ones, OR of x0,x1 = 0
+    assert f1.table[(1 << 20) - 1] == 1
+    assert f1.table[0b111000] == 0             # three ones, OR of x0,x1 = 0
 
 
 def test_f2_mean_exceeds_lambda(rng):
@@ -391,11 +381,11 @@ def test_midslice_band_structure():
     w = 0.5 * math.sqrt(n * math.log(n))     # about 2.7 at n = 12
     mid = 0b111111000000                     # weight 6 = n/2: inside the band
     assert abs(bin(mid).count("1") - n / 2) <= w
-    assert ps.evaluate(f, mid) == 0          # OR of x0, x1 on the band
-    assert ps.evaluate(f, mid | 0b11) == 1
+    assert f.table[mid] == 0                 # OR of x0, x1 on the band
+    assert f.table[mid | 0b11] == 1
     low = 0b110                              # weight 2: outside, XOR branch
     assert abs(bin(low).count("1") - n / 2) > w
-    assert ps.evaluate(f, low) == 1          # x0 xor x1 = 0 xor 1
+    assert f.table[low] == 1                 # x0 xor x1 = 0 xor 1
     # a huge window turns the function into the plain OR of x0, x1
     wide = ps.make_midslice(n, window_scale=10.0)
     assert ps.expectation(wide, 0.5) == pytest.approx(0.75, abs=1e-12)

@@ -58,6 +58,20 @@ def test_iterated_noise():
         ps.iterated_noise(f, 0.5, 1)
 
 
+def test_iterated_noise_checks_rho_then_the_retention_of_m():
+    f = ps.make_and(3, [0, 2])
+    cases = [((bad, 3), f"rho must lie in (0,1), got {bad}")
+             for bad in (0.0, 1.5, float("nan"))]
+    # 0.5^1074 is the smallest subnormal; one more factor rounds to 0
+    cases.append(((0.5, 1076), "arity m = 1076 underflows the retention 0.5^(m-1) to 0"))
+    for (rho, m), message in cases:
+        with pytest.raises(ValueError) as err:
+            ps.iterated_noise(f, rho, m)
+        assert str(err.value) == message
+    dictator = ps.make_and(3, [0])     # T scales it by the retention
+    assert ps.iterated_noise(dictator, 0.5, 1075).table.max() == 5e-324
+
+
 def test_iterated_matches_composition(rng):
     f = random_bounded(5, rng)
     rho = 0.7
@@ -144,20 +158,6 @@ def test_noise_params_validation():
         ps.NoiseParams(p=0.5, rho=1.0)
     with pytest.raises(ValueError):
         ps.NoiseParams(p=0.5, rho=0.5, lam=0.0)
-
-
-def test_sample_coupled_marginals():
-    params = ps.NoiseParams(p=0.6, rho=0.5)
-    rng = np.random.default_rng(11)
-    n, size = 5, 400_000
-    y, x = ps.sample_coupled(params, n, rng, size)
-    yb, xb = index_bits(n, y), index_bits(n, x)
-    assert np.all(yb <= xb)
-    sigma_x = np.sqrt(params.p * (1 - params.p) / size)
-    q = params.rho * params.p
-    sigma_y = np.sqrt(q * (1 - q) / size)
-    assert np.abs(xb.mean(axis=0) - params.p).max() < 4 * sigma_x
-    assert np.abs(yb.mean(axis=0) - q).max() < 4 * sigma_y
 
 
 def test_sample_dnu_marginals_and_dominance():

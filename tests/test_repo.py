@@ -8,17 +8,16 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from conftest import readme_library_tour
 from polyspec.analysis import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_readme_library_tour_runs_as_written():
-    readme = (ROOT / "README.md").read_text()
-    block = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme,
-                      re.MULTILINE | re.DOTALL)
-    assert block is not None and "import polyspec as ps" in block.group(1)
-    exec(compile(block.group(1), "README.md (Library tour)", "exec"), {})
+    block = readme_library_tour()
+    assert "import polyspec as ps" in block
+    exec(compile(block, "README.md (Library tour)", "exec"), {})
 
 
 def test_readme_sweep_key_table_lists_every_config_field_with_its_default():
