@@ -154,25 +154,31 @@ def _and_correlation(f_table: np.ndarray, h_table: np.ndarray, n: int,
     return zeta_subsets(a_sup, n)
 
 
-def _agreement_exact(f: BooleanFunction, g: BooleanFunction,
-                     h: BooleanFunction, p: float, rho: float) -> float:
-    """Pr over x ~ mu_p, y ~ mu_rho that f(x AND y) = g(x) AND h(y)."""
-    n = f.n
+def _weighted_sums(tables: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w @ row for every row of tables (any leading axes), each with the bits
+    of the 1-D dot; a stacked matrix-vector product sums in another order."""
+    return (tables[..., None, :] @ w[:, None])[..., 0, 0]
+
+
+def _agreement_exact(f_t: np.ndarray, g_t: np.ndarray, h_t: np.ndarray, n: int,
+                     p: float, rho: float) -> np.ndarray:
+    """Pr over x ~ mu_p, y ~ mu_rho that f(x AND y) = g(x) AND h(y), one per
+    row of raw uint8 tables with the same leading batch axes."""
     # E[h] first: its two temporary tables never coexist with tf and q
-    eh = float(measure_weights(n, rho) @ h.table.astype(np.float64))
-    tf = downward_noise_table(f.table, n, rho)
-    q = _and_correlation(f.table, h.table, n, rho)
+    eh = _weighted_sums(h_t.astype(np.float64), measure_weights(n, rho))
+    tf = downward_noise_table(f_t, n, rho)
+    q = _and_correlation(f_t, h_t, n, rho)
     # per x: 1 - tf - eh + 2q where g = 1, 1 - tf where g = 0; built in place
     # on tf with the same IEEE operations in the same order, so the peak
     # holds three float64 tables, not the six of the plain expression
     np.subtract(1.0, tf, out=tf)
-    hit = tf - eh
+    hit = tf - eh[..., None]
     q *= 2.0
     hit += q
     del q
-    np.copyto(tf, hit, where=g.table.astype(bool))
+    np.copyto(tf, hit, where=g_t.astype(bool))
     del hit
-    return float(measure_weights(n, p) @ tf)
+    return _weighted_sums(tf, measure_weights(n, p))
 
 
 def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
@@ -181,11 +187,9 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
                            samples: int | None = None, rng=None) -> TesterReport:
     """Agreement rate of f(x AND y) with g(x) AND h(y); g = h = f by default.
 
-    Exact by default, from the O(n*2^n) correlation identity at every n a
-    BooleanFunction allows (the 4^n pair enumeration backs it up as a test
-    oracle for small n, Monte Carlo and an extended-precision rerun at
-    n = 16).  An int samples draws that many input pairs from rng (a seed,
-    a Generator or None) instead.
+    Exact by default, through ``_agreement_exact``, the O(n*2^n)
+    correlation identity over any stack of tables.  An int samples draws
+    that many input pairs from rng (a seed, a Generator or None) instead.
     """
     _check_open_unit("bias p", p)
     _check_open_unit("rho", rho)
@@ -193,7 +197,7 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
     h = h or f
     _check_same_dimension(f, g, h)
     if samples is None:
-        val = _agreement_exact(f, g, h, p, rho)
+        val = float(_agreement_exact(f.table, g.table, h.table, f.n, p, rho))
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
 
     def agreements(gen: np.random.Generator, batch: int) -> int:
@@ -261,31 +265,34 @@ def one_sided_check(f: AnyFunction, g: BooleanFunction,
 # ---------------------------------------------------------------------------
 # Structure distances
 
+def _and_distances(tables: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """mu_p mean of each row of raw uint8 tables (any leading axes), and the
+    L1 gap mean + p^|S| - 2 corr(S) from that row to every AND_S."""
+    # one weight table serves the mean and the superset sums, and is freed
+    # before the gaps, so the peak stays at two float64 tables
+    w = measure_weights(n, p)
+    weighted = tables.astype(np.float64)
+    mean = _weighted_sums(weighted, w)
+    weighted *= w
+    del w
+    corr = zeta_supersets(weighted, n)
+    # pk + mean per level, then gathered: its bits with no third 2^n table
+    dists = (p ** np.arange(n + 1.0) + mean[..., None])[..., popcounts(n)]
+    corr *= 2.0
+    dists -= corr
+    return mean, dists
+
+
 def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdict:
     """Minimal L1 distance from f to a constant or an AND, with witness.
 
-    The correlation of f with every AND comes from one superset-sum pass,
-    so the search over all 2^n subsets runs in O(n*2^n).  Ties prefer the
-    smaller witness (constants count as empty), then the lexicographically
-    smaller one.
+    The gap to every AND comes from ``_and_distances``, one superset-sum
+    pass in O(n*2^n) over any stack of tables.  Ties prefer the smaller
+    witness (constants count as empty), then the lexicographically smaller.
     """
     _check_open_unit("bias p", p)
-    # the mean and the correlation with every AND (superset sums of the
-    # weighted table) on one weight table, released before the level-power
-    # table, so the peak stays at two float64 tables
-    w = measure_weights(f.n, p)
-    weighted = f.table.astype(np.float64)
-    mean = float(w @ weighted)
-    weighted *= w
-    del w
-    corr = zeta_supersets(weighted, f.n)
-    # L1 gap to each AND (f Boolean): mean + pk - 2.0 * corr, built in place
-    # on the level-power table pk with the same IEEE operations in order
-    dists = (p ** np.arange(f.n + 1.0))[popcounts(f.n)]
-    dists += mean
-    corr *= 2.0
-    dists -= corr
-    del corr
+    mean, dists = _and_distances(f.table, f.n, p)
+    mean = float(mean)
     best = min(mean, 1.0 - mean, float(dists.min()))
     if mean <= best + TIE_TOL:
         return StructureVerdict(kind="zero", witness=0, distance=mean)
@@ -499,10 +506,14 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         if v.kind == "and":
             T = sorted(v.witness)
             conclusion["witness_size"] = float(len(T))
-            conclusion["witness_size_bound"] = float(math.ceil(math.log2(2.0 / lam)))
-            target = make_and(len(T), range(len(T)))
+            # ceil(log2(2 / lam)) exactly, for lam = m * 2^e with m in [1/2, 1)
+            conclusion["witness_size_bound"] = float(2 - math.frexp(lam)[1])
+            try:
+                scale = rho ** -len(T) * lam
+            except OverflowError:
+                raise ValueError(f"rho = {rho} overflows rho^-|T| at |T| = {len(T)}") from None
             conclusion.update(_averaged_profile(
-                f, T, rho * p, target, rho ** -len(T) * lam))
+                f, T, rho * p, make_and(len(T), range(len(T))), scale))
         else:
             gamma = 1.0 if v.kind == "constant" else 0.0
             conclusion["delta_f_mean"] = abs(expectation(f, rho * p) - lam * gamma)

@@ -1,4 +1,4 @@
-"""p-biased Fourier-Walsh transform, tail weights and set influences.
+"""p-biased Fourier-Walsh transform and tail weights.
 
 The orthonormal basis character of a subset S at bias p is
 prod over i in S of (x_i - p) / sqrt(p(1-p)); a function expands as
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import AnyFunction, _check_open_unit
-from .lattice import apply_kernel, point_codes, popcounts, subset_mask, working_copy
+from .lattice import apply_kernel, popcounts, working_copy
 
 
 def analysis_kernel(p: float) -> np.ndarray:
@@ -32,8 +32,8 @@ def synthesis_kernel(p: float) -> np.ndarray:
 class Spectrum:
     """Fourier coefficients of one function at one fixed bias.
 
-    The bias is stored alongside the coefficients so tail and influence
-    queries cannot silently mix spectra taken at different measures.
+    The bias is stored alongside the coefficients so tail queries cannot
+    silently mix spectra taken at different measures.
     """
 
     __slots__ = ("n", "p", "coeffs")
@@ -54,12 +54,6 @@ class Spectrum:
             raise ValueError(f"level {k} outside [0, {self.n + 1}]")
         mask = popcounts(self.n) >= k
         return float(np.sum(self.coeffs[mask] ** 2))
-
-    def set_influence(self, coords) -> float:
-        """Squared coefficient mass on supersets of the given coordinate set."""
-        m = subset_mask(self.n, coords)
-        sel = (point_codes(self.n) & m) == m
-        return float(np.sum(self.coeffs[sel] ** 2))
 
 
 def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:

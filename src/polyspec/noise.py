@@ -96,9 +96,11 @@ def iterated_noise(f: AnyFunction, rho: float, m: int) -> BoundedFunction:
     _check_open_unit("rho", rho)
     if m < 2:
         raise ValueError(f"arity m must be at least 2, got {m}")
-    if rho ** (m - 1) == 0.0:
+    # every rho < 1 underflows at 2^64; a larger int overflows as a float
+    retention = rho ** min(m - 1, 1 << 64)
+    if retention == 0.0:
         raise ValueError(f"arity m = {m} underflows the retention {rho}^(m-1) to 0")
-    return downward_noise(f, rho ** (m - 1))
+    return downward_noise(f, retention)
 
 
 def invert_downward(h, rho: float) -> np.ndarray:

@@ -22,7 +22,8 @@ the error of ``analysis.distance_to_and_or``, and :func:`junta_project`,
 the full-cube projection whose bits ``analysis.distance_to_monotone_junta``
 keeps from the junta's own cube.
 The closed forms at the end (:func:`spectral_eigenvalue`,
-:func:`or_width_cap`, :func:`sensitivity_degree_gap`) and
+:func:`or_width_cap`, :func:`set_influence`,
+:func:`sensitivity_degree_gap`) and
 :func:`to_json_dict`, the plain-``json`` form of a function file that
 ``core.dumps`` must match, are small helpers only tests read.
 """
@@ -40,8 +41,8 @@ from polyspec.core import (BooleanFunction, BoundedFunction, _check_dimension,
                            _json_fields, average_out)
 from polyspec.fourier import transform_table
 from polyspec.influences import degree, sensitivity
-from polyspec.lattice import (coordinate_pairs, index_bits, measure_weights,
-                              point_codes, popcounts, subcube_codes, zeta_supersets)
+from polyspec.lattice import (coordinate_pairs, index_bits, measure_weights, point_codes,
+                              popcounts, subcube_codes, subset_mask, zeta_supersets)
 from polyspec.noise import downward_noise_table
 
 
@@ -430,6 +431,14 @@ def or_width_cap(p: float, gamma: float) -> int:
     """Largest block size kept when ORs wider than log_{1/(1-p)}(1/gamma)
     are removed."""
     return math.floor(math.log(1.0 / gamma) / math.log(1.0 / (1.0 - p)))
+
+
+def set_influence(spec, coords) -> float:
+    """Squared coefficient mass of a ``Spectrum`` on supersets of the given
+    coordinate set."""
+    m = subset_mask(spec.n, coords)
+    sel = (point_codes(spec.n) & m) == m
+    return float(np.sum(spec.coeffs[sel] ** 2))
 
 
 def sensitivity_degree_gap(f) -> float:

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import polyspec as ps
 from polyspec import analysis
-from polyspec.analysis import _and_correlation, _monotone_codes, _perturb
+from polyspec.analysis import (_agreement_exact, _and_correlation, _and_distances,
+                               _monotone_codes, _perturb)
 from polyspec.influences import is_monotone
 from polyspec.lattice import (index_bits, measure_weights, mobius_subsets,
                               popcounts, zeta_subsets, zeta_supersets)
@@ -769,6 +771,27 @@ def test_audit_perturbed_and_grows_with_k(rng):
     assert deltas[1] == pytest.approx(4 / 2 ** n, abs=1e-12)
 
 
+def test_witness_size_bound_is_the_exact_ceiling_of_log2_of_2_over_lambda():
+    """The bound is the least k with lam * 2^k >= 2 at each power of two
+    2^-j in (0, 1] and one ulp either side of it, subnormals included.  The
+    float formula ceil(log2(2 / lam)) gives the same at every one of them
+    but two kinds: one ulp below 2^-j for j >= 3 it is one low, and below
+    2^-1023 the quotient overflows."""
+    g = ps.make_and(1, [0])
+    for j in range(1075):
+        power = math.ldexp(1.0, -j)
+        for side, lam in enumerate((np.nextafter(power, 0.0), power, np.nextafter(power, 2.0))):
+            lam = float(lam)
+            if not 0.0 < lam <= 1.0:
+                continue
+            rep = ps.theorem_audit("small-rho", g, g, ps.NoiseParams(p=0.5, rho=0.5, lam=lam))
+            num, den = lam.as_integer_ratio()
+            want = (-(-2 * den // num) - 1).bit_length()
+            assert rep.conclusion["witness_size_bound"] == want, lam
+            if 2.0 / lam < math.inf and not (side == 0 and j >= 3):
+                assert math.ceil(math.log2(2.0 / lam)) == want, lam
+
+
 def test_audit_large_lambda_near_constant():
     n, lam = 12, 0.7
     rng = np.random.default_rng(21)
@@ -856,25 +879,54 @@ DELTA_OF_EPSILON = {
         (1 / 4, 10, 1 / 4)],
     3: [(0, 9, 0), (1 / 128, 9, 0), (1 / 32, 15, 1 / 8), (1 / 16, 21, 1 / 8), (1 / 8, 61, 1 / 4),
         (1 / 4, 112, 3 / 8)],
+    4: [(0, 17, 0), (1 / 128, 27, 1 / 16), (1 / 32, 163, 1 / 8), (1 / 16, 489, 3 / 16),
+        (1 / 8, 2693, 5 / 16), (1 / 4, 15775, 3 / 8)],
 }
 
 
 @pytest.mark.parametrize("n", sorted(DELTA_OF_EPSILON))
 def test_delta_of_epsilon_over_every_function(n):
-    """Every Boolean function of dimension n: how many are epsilon-approximate
-    AND-homomorphisms, and how far the farthest of them lies from a constant
-    or an AND.  Every weight is dyadic, so both are compared exactly."""
-    points = np.arange(1 << n)
-    rows = []
-    for code in range(1 << (1 << n)):
-        f = ps.BooleanFunction(n, (code >> points) & 1)
-        epsilon = 1.0 - ps.homomorphism_agreement(f, 0.5, 0.5).estimate
-        rows.append((epsilon, ps.distance_to_constant_or_and(f, 0.5).distance, f))
-    for t, count, delta in DELTA_OF_EPSILON[n]:
-        within = [d for epsilon, d, _ in rows if epsilon <= t]
-        assert (len(within), max(within)) == (count, delta)
-    homomorphisms = {f for epsilon, _, f in rows if epsilon == 0}
-    assert homomorphisms == {ps.constant(n, 0)} | {ps.make_and(n, S) for S in subsets(n)}
+    """Every Boolean function of dimension n, stacked through the batched
+    cores of homomorphism_agreement and distance_to_constant_or_and: how
+    many are epsilon-approximate AND-homomorphisms, and how far the farthest
+    of them lies from a constant or an AND.  Every weight is dyadic, so
+    both are compared exactly, and the verdict's tie tolerance cannot move
+    a distance off the minimum gap."""
+    tables = index_bits(1 << n, np.arange(1 << (1 << n)))
+    epsilon = 1.0 - _agreement_exact(tables, tables, tables, n, 0.5, 0.5)
+    mean, dists = _and_distances(tables, n, 0.5)
+    delta = np.minimum(np.minimum(mean, 1.0 - mean), dists.min(axis=-1))
+    for t, count, largest in DELTA_OF_EPSILON[n]:
+        within = delta[epsilon <= t]
+        assert (len(within), within.max()) == (count, largest)
+    codes = 1 << np.arange(1 << n)
+    ands = {int(codes @ ps.make_and(n, S).table) for S in subsets(n)}
+    assert set(np.flatnonzero(epsilon == 0).tolist()) == {0} | ands
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_stacked_cores_give_each_row_the_bits_of_its_unstacked_call(n):
+    """The exact agreement and the AND gaps over a (2, 3, 2^n) stack of
+    distinct f, g and h equal, bit for bit and row by row, the unstacked
+    core and the public call on that row."""
+    rng = np.random.default_rng(n)
+    f_t, g_t, h_t = (rng.integers(0, 2, (2, 3, 1 << n), dtype=np.uint8) for _ in range(3))
+    for p, rho in itertools.product((0.3, 0.5), (0.3, 0.7)):
+        agreement = _agreement_exact(f_t, g_t, h_t, n, p, rho)
+        mean, dists = _and_distances(f_t, n, p)
+        for i, j in np.ndindex(2, 3):
+            one = _agreement_exact(f_t[i, j], g_t[i, j], h_t[i, j], n, p, rho)
+            f, g, h = (ps.BooleanFunction(n, t[i, j]) for t in (f_t, g_t, h_t))
+            public = ps.homomorphism_agreement(f, p, rho, g=g, h=h).estimate
+            assert float(agreement[i, j]).hex() == float(one).hex() == public.hex()
+            one_mean, one_dists = _and_distances(f_t[i, j], n, p)
+            assert float(mean[i, j]).hex() == float(one_mean).hex()
+            assert list(map(float.hex, dists[i, j].tolist())) == \
+                list(map(float.hex, one_dists.tolist()))
+            v = ps.distance_to_constant_or_and(f, p)
+            want = (mean[i, j] if v.kind == "zero" else 1.0 - mean[i, j] if v.kind == "constant"
+                    else dists[i, j, sum(1 << k for k in v.witness)])
+            assert v.distance.hex() == float(want).hex()
 
 
 AUDIT_ERRORS = [

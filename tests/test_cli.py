@@ -205,6 +205,38 @@ def test_noise_arity_whose_retention_underflows_exits_2_naming_m(tmp_path, capsy
                             "0.5^(m-1) to 0\n")
 
 
+HUGE_M = "1" + "0" * 400
+OUT_OF_FLOAT_RANGE = {
+    "noise m=10^400": (["noise", "--rho", "0.5", "--m", HUGE_M, "--in", "{g}"],
+                       f"arity m = {HUGE_M} underflows the retention 0.5^(m-1) to 0"),
+    "audit 2.1 rho=1e-320": (["audit", "--theorem", "2.1", "--lambda", "0.25", "--rho", "1e-320",
+                              "--f", "{g}", "--g", "{g}"],
+                             "rho = 1e-320 overflows rho^-|T| at |T| = 2"),
+    "audit 2.1 lambda=1e-320": (["audit", "--theorem", "2.1", "--lambda", "1e-320",
+                                 "--f", "{g}", "--g", "{g}"], 1065),
+    "audit 2.4 lambda=1e-320": (["audit", "--theorem", "2.4", "--lambda", "1e-320",
+                                 "--f", "{g}", "--g", "{g}"], 1065),
+}
+
+
+@pytest.mark.parametrize("argv,expect", OUT_OF_FLOAT_RANGE.values(), ids=list(OUT_OF_FLOAT_RANGE))
+def test_inputs_at_the_ends_of_the_float_range_give_a_report_or_exit_2(
+        argv, expect, tmp_path, capsys):
+    """Each of these ended in an OverflowError traceback and exit 1.  A huge
+    m and a rho whose -|T|-th power overflows now exit 2 with one stderr
+    line and nothing on stdout; lambda = 1e-320 lies in (0, 1], so it gets
+    a report, with the witness size bound ceil(log2(2 / lambda))."""
+    fn = tmp_path / "g.json"
+    ps.save_function(ps.make_and(3, [0, 1]), fn)
+    code = main([a.format(g=fn) for a in argv])
+    captured = capsys.readouterr()
+    if isinstance(expect, str):
+        assert (code, captured.out, captured.err) == (2, "", f"polyspec: {expect}\n")
+    else:
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["conclusion"]["witness_size_bound"] == expect
+
+
 def test_noise_arity_defaults_to_plain_operator(tmp_path, capsys):
     fn = tmp_path / "andor.json"
     assert main(["make", "--family", "andor", "--n", "6", "--blocks", "0,1;2,4",

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import json
 from pathlib import Path
 
@@ -369,19 +370,32 @@ def _names_read(tree: ast.AST, skip: ast.AST | None) -> set[str]:
     return names
 
 
-def _unread(exported: bool, trees: dict) -> list[str]:
-    """module.name of each public function, exported or not as asked, that
-    no tree reads outside the function's own definition."""
-    unread = []
+def _unread(defs, trees: dict) -> list[str]:
+    """module.name of each (home, name, own definition) in defs that no tree
+    reads outside that definition."""
+    return [f"{home.stem}.{name}" for home, name, own in defs
+            if not any(own.name in _names_read(tree, own if path == home else None)
+                       for path, tree in trees.items())]
+
+
+def _functions(exported: bool, trees: dict):
+    """(home, name, definition) of each public function, exported or not as
+    asked, with its definition node taken from trees."""
     for home, name, is_exported in _public_functions():
-        if is_exported != exported:
-            continue
-        own = next(node for node in trees[home].body
-                   if isinstance(node, ast.FunctionDef) and node.name == name)
-        if not any(name in _names_read(tree, own if path == home else None)
-                   for path, tree in trees.items()):
-            unread.append(f"{home.stem}.{name}")
-    return unread
+        if is_exported == exported:
+            yield home, name, next(node for node in trees[home].body
+                                   if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _methods(trees: dict):
+    """(home, Class.name, definition) of each public method and property (no
+    dunders) of each class the package exports under its name."""
+    exported = {(c.__module__, c.__name__) for c in vars(ps).values() if isinstance(c, type)}
+    for home, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and (f"polyspec.{home.stem}", cls.name) in exported:
+                yield from ((home, f"{cls.name}.{node.name}", node) for node in cls.body
+                            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
 
 
 def _library_trees() -> dict:
@@ -395,7 +409,8 @@ def test_every_unexported_function_has_a_reader_outside_tests():
     """A public function the package does not export must be read somewhere
     in src/polyspec or perfbench/*.py, outside its own definition; code only
     tests read belongs in tests/oracles.py."""
-    assert _unread(False, _library_trees()) == []
+    trees = _library_trees()
+    assert _unread(_functions(False, trees), trees) == []
 
 
 # Exported functions kept with no reader, as documented entry points:
@@ -406,17 +421,17 @@ UNREAD_ENTRY_POINTS = ["families.minterms", "influences.influence"]
 
 
 def test_every_exported_function_has_a_reader_outside_tests():
-    """An exported function must be read, outside its own definition, in
-    src/polyspec, perfbench/*.py, the acceptance criteria or the README
-    Library tour, or be one of UNREAD_ENTRY_POINTS; a name nothing reads
-    is surface to delete, and one only tests read belongs in
-    tests/oracles.py."""
+    """An exported function, or a public method or property of an exported
+    class, must be read, outside its own definition, in src/polyspec,
+    perfbench/*.py, the acceptance criteria or the README Library tour, or
+    be one of UNREAD_ENTRY_POINTS; a name nothing reads is surface to
+    delete, and one only tests read belongs in tests/oracles.py."""
     root = SRC.parents[1]
     trees = _library_trees()
     trees[root / "tests" / "test_acceptance.py"] = ast.parse(
         (root / "tests" / "test_acceptance.py").read_text())
     trees[root / "README.md"] = ast.parse(readme_library_tour())
-    unread = _unread(True, trees)
+    unread = _unread(itertools.chain(_functions(True, trees), _methods(trees)), trees)
     assert [name for name in unread if name not in UNREAD_ENTRY_POINTS] == []
     # an entry point that gains a reader leaves the list
     assert sorted(unread) == UNREAD_ENTRY_POINTS

@@ -11,7 +11,7 @@ from polyspec.lattice import measure_weights
 from oracles import (edge_influence, edge_negative_influence, junta_project,
                      naive_influence, naive_junta_project, naive_negative_influence,
                      naive_sensitivity, naive_shift, sensitivity_degree_gap,
-                     spectrum_degree)
+                     set_influence, spectrum_degree)
 
 
 def test_dictator_influence():
@@ -101,7 +101,7 @@ def test_influence_fourier_identity(rng):
         spec = ps.fourier_transform(f, p)
         for i in range(6):
             assert ps.influence(f, i, p) * p * (1 - p) == pytest.approx(
-                spec.set_influence([i]), abs=1e-9)
+                set_influence(spec, [i]), abs=1e-9)
 
 
 def test_sensitivity_and_degree_of_parity_and_and():

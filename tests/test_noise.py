@@ -64,6 +64,9 @@ def test_iterated_noise_checks_rho_then_the_retention_of_m():
              for bad in (0.0, 1.5, float("nan"))]
     # 0.5^1074 is the smallest subnormal; one more factor rounds to 0
     cases.append(((0.5, 1076), "arity m = 1076 underflows the retention 0.5^(m-1) to 0"))
+    # an m past any float, at the largest rho below 1
+    cases.append(((1 - 2 ** -53, 10 ** 400), f"arity m = {10 ** 400} underflows the "
+                  "retention 0.9999999999999999^(m-1) to 0"))
     for (rho, m), message in cases:
         with pytest.raises(ValueError) as err:
             ps.iterated_noise(f, rho, m)

@@ -1,15 +1,18 @@
 """The README's Library tour runs as written, its sweep key table lists the
-config fields, and the code-line counter and the never-run statement
-lister in tools/ report what they say they report."""
+config fields, its delta(epsilon) table is the curve tier-1 pins, and the
+code-line counter and the never-run statement lister in tools/ report what
+they say they report."""
 
 import importlib.util
 import re
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 from conftest import readme_library_tour
 from polyspec.analysis import ExperimentConfig
+from test_analysis import DELTA_OF_EPSILON
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +30,18 @@ def test_readme_sweep_key_table_lists_every_config_field_with_its_default():
     want = [(f.name, f"`{f.default}`" if f.default != "" else "empty (stdout)")
             for f in fields(ExperimentConfig)]
     assert sorted(rows) == sorted(want)
+
+
+def test_readme_delta_of_epsilon_table_matches_the_pinned_curve():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Approximate AND-homomorphisms at small n", 1)[1]
+    got = {2: [], 3: [], 4: []}
+    for t, cells in re.findall(r"^\| (0|1/\d+) \| (.*) \|$", section, re.MULTILINE):
+        values = [Fraction(cell) for cell in cells.split(" | ")]
+        for k, n in enumerate(got):
+            got[n].append((Fraction(t), values[2 * k], values[2 * k + 1]))
+    assert got == {n: [tuple(map(Fraction, row)) for row in curve]
+                   for n, curve in DELTA_OF_EPSILON.items()}
 
 
 def _tool(name: str):
