@@ -20,7 +20,7 @@ from .core import (AnyFunction, BooleanFunction, _check_at_least_zero, _check_cl
                    expectation)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
-from .influences import (_influence, _influence_pass, _negative_influence, _sort_edges,
+from .influences import (_influences, _ranked_coordinates, _sort_edges,
                          high_influence_coordinates)
 from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
                       popcounts, subcube_codes, zeta_subsets, zeta_supersets)
@@ -121,18 +121,23 @@ def solve_exact_pair(g: BooleanFunction, rho: float,
     g is feasible iff the raw preimage is entrywise >= -EXACT_PAIR_TOL; then
     f = lam * T^{-1} g lies in [0,1] exactly for lam in (0, 1/max entry].
     For g identically zero any lam works and f = 0 is the only solution.
-    A lam outside (0, 1] raises ValueError.
+    A lam outside (0, 1], or a rho so small that the preimage holds a NaN
+    (1/rho overflows and inf * 0 is NaN), raises ValueError; infinite
+    entries are valid output.
     """
     _check_lam(lam)
-    u = invert_downward(g, rho)
-    most_negative = float(min(u.min(initial=0.0), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = invert_downward(g, rho)
+    if np.isnan(low := u.min(initial=0.0)):     # the min of a table with a NaN is NaN
+        raise ValueError(f"rho = {rho} overflows the preimage to NaN at n = {g.n}")
+    most_negative = float(min(low, 0.0))
     feasible = most_negative >= -EXACT_PAIR_TOL
     f = u if lam is None else u * lam
     if not g.table.any():
         return ExactPairSolution(True, f, None, 0.0)
     top = float(u.max())
     lam_max = 1.0 / top if feasible and top > 0 else None
-    # 0.0 - x, not -x: a zero minimum reports +0.0, and NaN stays NaN
+    # 0.0 - x, not -x: a zero minimum reports +0.0
     return ExactPairSolution(feasible, f, lam_max, 0.0 - most_negative)
 
 
@@ -348,9 +353,7 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
         return StructureVerdict(kind="and_or", witness=exact, distance=0.0)
     cand = list(range(f.n))
     if f.n > max_support:
-        infl, = _influence_pass(f, p, _influence)
-        ranked = sorted((i for i in cand if infl[i] >= tau), key=lambda i: -infl[i])
-        cand = sorted(ranked[:max_support])
+        cand = sorted(_ranked_coordinates(f, p, tau)[:max_support])
     c = len(cand)
     w = measure_weights(f.n, p)
     proj = subcube_codes(f.n, cand)
@@ -456,6 +459,9 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     if theorem not in THEOREM_ALIASES.values():
         raise ValueError(f"unknown theorem id {theorem!r}")
     p, rho, lam = params.p, params.rho, params.lam
+    q = rho * p     # the input-side bias
+    if q == 0 and theorem != "one-sided":
+        raise ValueError(f"rho * p = {rho} * {p} underflows to 0")
 
     if theorem == "triple":
         if h is None:
@@ -463,12 +469,12 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         if not isinstance(f, BooleanFunction):
             raise ValueError("the triple audit needs Boolean f")
         agree = homomorphism_agreement(f, p, rho, g=g, h=h)
-        vf = distance_to_constant_or_and(f, rho * p)
+        vf = distance_to_constant_or_and(f, q)
         vg = distance_to_constant_or_and(g, p)
         vh = distance_to_constant_or_and(h, rho)
         conclusion = {
             "delta_f": vf.distance, "delta_g": vg.distance, "delta_h": vh.distance,
-            "delta_zero_f": expectation(f, rho * p),
+            "delta_zero_f": expectation(f, q),
             "delta_zero_gh": min(expectation(g, p), expectation(h, rho)),
         }
         return AuditReport(theorem, {"epsilon_hom": 1.0 - agree.estimate},
@@ -492,15 +498,14 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         gamma = 0 if e_g <= 0.5 else 1
         dist = min(e_g, 1.0 - e_g)
         conclusion = {"delta_g_const": dist,
-                      "delta_f_mean": abs(expectation(f, rho * p) - lam * gamma)}
+                      "delta_f_mean": abs(expectation(f, q) - lam * gamma)}
         witness = StructureVerdict(kind="zero" if gamma == 0 else "constant",
                                    witness=gamma, distance=dist)
         return AuditReport(theorem, premise, conclusion, witness)
 
     if theorem in ("small-rho", "monotone"):
         if theorem == "monotone":
-            neg, = _influence_pass(f, rho * p, _negative_influence)
-            premise["max_negative_influence"] = max(neg, default=0.0)
+            premise["max_negative_influence"] = max(_influences(f, q)[1], default=0.0)
         v = distance_to_constant_or_and(g, p)
         conclusion = {"delta_g": v.distance}
         if v.kind == "and":
@@ -513,10 +518,10 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
             except OverflowError:
                 raise ValueError(f"rho = {rho} overflows rho^-|T| at |T| = {len(T)}") from None
             conclusion.update(_averaged_profile(
-                f, T, rho * p, make_and(len(T), range(len(T))), scale))
+                f, T, q, make_and(len(T), range(len(T))), scale))
         else:
             gamma = 1.0 if v.kind == "constant" else 0.0
-            conclusion["delta_f_mean"] = abs(expectation(f, rho * p) - lam * gamma)
+            conclusion["delta_f_mean"] = abs(expectation(f, q) - lam * gamma)
         return AuditReport(theorem, premise, conclusion, v)
 
     # half-rho, the one id left
@@ -529,7 +534,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
                                  for blk in part.blocks))
     target = make_and_xor(len(support), local)
     conclusion.update(_averaged_profile(
-        f, support, rho * p, target, 2.0 ** part.width * lam))
+        f, support, q, target, 2.0 ** part.width * lam))
     notes = ("this audit is specific to rho = 1/2",) if abs(rho - 0.5) > 1e-12 else ()
     return AuditReport(theorem, premise, conclusion, v, notes)
 

@@ -24,26 +24,22 @@ DEGREE_TOL = 1e-9   # Moebius coefficients at most this size count as zero in de
 def influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean squared change of f when coordinate i is flipped, under mu_p."""
     subset_mask(f.n, [i])
-    return _influence(_edge_change(f.table.astype(np.float64), i),
-                      _edge_weights(f.n, p))
+    return _edge_measures(f.table.astype(np.float64), i, _edge_weights(f.n, p))[0]
 
 
 def negative_influence(f: AnyFunction, i: int, p: float) -> float:
     """Mean positive part of the drop when coordinate i goes from 0 to 1."""
     subset_mask(f.n, [i])
-    return _negative_influence(_edge_change(f.table.astype(np.float64), i),
-                               _edge_weights(f.n, p))
+    return _edge_measures(f.table.astype(np.float64), i, _edge_weights(f.n, p))[1]
 
 
-def _influence_pass(f: AnyFunction, p: float, *measures) -> list[tuple[float, ...]]:
-    """Each of measures (_influence, _negative_influence) at every coordinate,
-    one tuple per measure, from one float64 copy of the table and one
-    edge-weight table."""
+def _influences(f: AnyFunction, p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(influences, negative influences) at every coordinate, from one
+    float64 copy of the table and one edge-weight table."""
     w = _edge_weights(f.n, p)
     table = f.table.astype(np.float64)
-    changes = (_edge_change(table, i) for i in range(f.n))
-    values = [tuple(m(c, w) for m in measures) for c in changes]
-    return list(zip(*values)) if values else [()] * len(measures)
+    values = [_edge_measures(table, i, w) for i in range(f.n)]
+    return tuple(zip(*values)) if values else ((), ())
 
 
 def _edge_weights(n: int, p: float) -> np.ndarray:
@@ -53,26 +49,18 @@ def _edge_weights(n: int, p: float) -> np.ndarray:
     return measure_weights(max(n - 1, 0), p)
 
 
-def _edge_change(table: np.ndarray, i: int) -> np.ndarray:
-    """f at x_i = 1 minus f at x_i = 0 along every i-edge, from the float64
-    table; a loop over coordinates converts the table once."""
-    edges = coordinate_pairs(table, i)
-    return (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
+def _edge_measures(table: np.ndarray, i: int, w: np.ndarray) -> tuple[float, float]:
+    """Influence and negative influence of coordinate i from the float64
+    table and the (n-1)-coordinate edge weights.
 
-
-def _influence(change: np.ndarray, w: np.ndarray) -> float:
-    """Influence from the edge changes and the (n-1)-coordinate edge weights."""
-    return float(w @ change ** 2)
-
-
-def _negative_influence(change: np.ndarray, w: np.ndarray) -> float:
-    """Negative influence from the edge changes and edge weights.
-
-    Keeps the bits of w @ max(a - b, 0): b - a is exactly -(a - b), and 0.0
-    minus the sum turns an all-zero sum into +0.0 whatever the signs of its
-    terms.
+    The change along every i-edge is f at x_i = 1 minus f at x_i = 0.  The
+    negative influence keeps the bits of w @ max(a - b, 0): b - a is exactly
+    -(a - b), and 0.0 minus the sum turns an all-zero sum into +0.0 whatever
+    the signs of its terms.
     """
-    return float(0.0 - w @ np.minimum(change, 0.0))
+    edges = coordinate_pairs(table, i)
+    change = (edges[:, 1, :] - edges[:, 0, :]).reshape(-1)
+    return float(w @ change ** 2), float(0.0 - w @ np.minimum(change, 0.0))
 
 
 def is_monotone(f: AnyFunction) -> bool:
@@ -119,7 +107,7 @@ class InfluenceProfile:
 
 
 def influence_profile(f: AnyFunction, p: float) -> InfluenceProfile:
-    infl, neg = _influence_pass(f, p, _influence, _negative_influence)
+    infl, neg = _influences(f, p)
     s = d = None
     if isinstance(f, BooleanFunction):
         s = sensitivity(f)
@@ -157,5 +145,11 @@ def _sort_edges(table: np.ndarray, coords) -> np.ndarray:
 def high_influence_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:
     """Coordinates whose influence reaches tau in [0, 1]; the junta candidate set."""
     _check_closed_unit("tau", tau)
-    infl, = _influence_pass(f, p, _influence)
-    return [i for i, v in enumerate(infl) if v >= tau]
+    return sorted(_ranked_coordinates(f, p, tau))
+
+
+def _ranked_coordinates(f: AnyFunction, p: float, tau: float) -> list[int]:
+    """Coordinates whose influence reaches tau, largest influence first and
+    ties to the lower coordinate."""
+    infl = _influences(f, p)[0]
+    return sorted((i for i, v in enumerate(infl) if v >= tau), key=lambda i: -infl[i])

@@ -196,15 +196,10 @@ def _tiles(flat: np.ndarray, lo: int, hi: int):
     2^lo), either whole rows or column slices of one row."""
     view = flat.reshape(-1, 1 << (hi - lo), 1 << lo)
     outer, span, inner = view.shape
-    if span * inner <= _TILE:
-        step = _TILE // (span * inner)
-        for r in range(0, outer, step):
-            yield view[r:r + step]
-    else:
-        step = _TILE // span
-        for r in range(outer):
-            for c in range(0, inner, step):
-                yield view[r:r + 1, :, c:c + step]
+    rows, cols = max(1, _TILE // (span * inner)), min(inner, _TILE // span)
+    for r in range(0, outer, rows):
+        for c in range(0, inner, cols):
+            yield view[r:r + rows, :, c:c + cols]
 
 
 def zeta_subsets(values: np.ndarray, n: int) -> np.ndarray:

@@ -185,6 +185,19 @@ def test_solve_reports_plus_zero_negative_mass_when_feasible():
         assert sol.negative_mass.hex() == "0x0.0p+0"
 
 
+@pytest.mark.parametrize("g, rho", [
+    pytest.param(ps.make_and(3, [0, 1]), 1e-300, id="and-1e-300"),
+    pytest.param(ps.make_and(3, [0, 1]), 1e-320, id="and-1e-320"),
+    pytest.param(ps.constant(3, 1), 1e-320, id="one-1e-320"),
+])
+def test_solve_rejects_a_rho_whose_preimage_holds_nan(g, rho):
+    """1/rho, or a product of its powers, overflows to inf and inf * 0 is
+    NaN; the solver names rho and n instead of returning NaN entries."""
+    with pytest.raises(ValueError) as err:
+        ps.solve_exact_pair(g, rho)
+    assert str(err.value) == f"rho = {rho} overflows the preimage to NaN at n = 3"
+
+
 # ---------------------------------------------------------------------------
 # homomorphism agreement
 
@@ -695,6 +708,20 @@ def test_distance_to_and_or_keeps_the_coordinates_of_largest_influence():
     assert v.witness.sorted_blocks() == ((0,), (1,)) and v.distance == 0.0625
     full = ps.distance_to_and_or(f, 0.5, max_width=2, max_support=4)
     assert full.witness == v.witness and full.distance == v.distance
+
+
+def test_influence_ties_go_to_the_lower_coordinate():
+    """AND(x0, x1, x2) on n = 4 with the point {x3} flipped: at p = 1/2 the
+    influences are 3/8, 3/8, 3/8 and 1/8, the three ties bit-equal.  A
+    search on max_support = 2 keeps {0, 1} and reports (0)(1) at 3/16; one
+    on {1, 2} would report (1)(2)."""
+    table = ps.make_and(4, [0, 1, 2]).table.copy()
+    table[0b1000] ^= 1
+    f = ps.BooleanFunction(4, table)
+    assert [ps.influence(f, i, 0.5) for i in range(4)] == [0.375, 0.375, 0.375, 0.125]
+    assert ps.influences.high_influence_coordinates(f, 0.5, 0.05) == [0, 1, 2, 3]
+    v = ps.distance_to_and_or(f, 0.5, max_width=2, max_support=2)
+    assert v.witness.sorted_blocks() == ((0,), (1,)) and v.distance == 0.1875
 
 
 def test_distance_to_and_or_search_width_and_support_zero():

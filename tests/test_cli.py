@@ -216,16 +216,22 @@ OUT_OF_FLOAT_RANGE = {
                                  "--f", "{g}", "--g", "{g}"], 1065),
     "audit 2.4 lambda=1e-320": (["audit", "--theorem", "2.4", "--lambda", "1e-320",
                                  "--f", "{g}", "--g", "{g}"], 1065),
+    "solve rho=1e-300": (["solve", "--rho", "1e-300", "--in", "{g}"],
+                         "rho = 1e-300 overflows the preimage to NaN at n = 3"),
+    "solve rho=1e-320": (["solve", "--rho", "1e-320", "--in", "{g}"],
+                         "rho = 1e-320 overflows the preimage to NaN at n = 3"),
 }
 
 
 @pytest.mark.parametrize("argv,expect", OUT_OF_FLOAT_RANGE.values(), ids=list(OUT_OF_FLOAT_RANGE))
 def test_inputs_at_the_ends_of_the_float_range_give_a_report_or_exit_2(
         argv, expect, tmp_path, capsys):
-    """Each of these ended in an OverflowError traceback and exit 1.  A huge
-    m and a rho whose -|T|-th power overflows now exit 2 with one stderr
-    line and nothing on stdout; lambda = 1e-320 lies in (0, 1], so it gets
-    a report, with the witness size bound ceil(log2(2 / lambda))."""
+    """Each audit and noise case ended in an OverflowError traceback and
+    exit 1, and each solve case exited 0 with NaN in its JSON.  A huge m, a
+    rho whose -|T|-th power overflows and a rho whose inverse makes the
+    preimage NaN now exit 2 with one stderr line and nothing on stdout;
+    lambda = 1e-320 lies in (0, 1], so it gets a report, with the witness
+    size bound ceil(log2(2 / lambda))."""
     fn = tmp_path / "g.json"
     ps.save_function(ps.make_and(3, [0, 1]), fn)
     code = main([a.format(g=fn) for a in argv])
@@ -235,6 +241,26 @@ def test_inputs_at_the_ends_of_the_float_range_give_a_report_or_exit_2(
     else:
         assert (code, captured.err) == (0, "")
         assert json.loads(captured.out)["conclusion"]["witness_size_bound"] == expect
+
+
+@pytest.mark.parametrize("theorem", ["2.1", "2.2", "2.3", "2.4", "2.6", "2.8"])
+def test_audit_whose_input_bias_underflows_names_rho_times_p(theorem, tmp_path, capsys):
+    """At p = rho = 1e-200 the input-side bias rho * p is 0.0.  Every audit
+    that reads it exits 2 naming rho * p, not a bias the user did not give;
+    2.8 never reads it and reports."""
+    paths = {k: tmp_path / f"{k}.json" for k in "fgh"}
+    for path in paths.values():
+        ps.save_function(ps.make_and(3, [0, 1]), path)
+    files = [a for k, path in paths.items() for a in (f"--{k}", str(path))]
+    code = main(["audit", "--theorem", theorem, "--p", "1e-200", "--rho", "1e-200",
+                 "--lambda", "0.25", *files])
+    captured = capsys.readouterr()
+    if theorem == "2.8":
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["theorem"] == "one-sided"
+    else:
+        assert (code, captured.out, captured.err) == (
+            2, "", "polyspec: rho * p = 1e-200 * 1e-200 underflows to 0\n")
 
 
 def test_noise_arity_defaults_to_plain_operator(tmp_path, capsys):

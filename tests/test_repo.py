@@ -55,7 +55,7 @@ def _code_lines():
     return _tool("code_lines").code_lines
 
 
-def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     source = tmp_path / "sample.py"
     source.write_text(
         '"""Module docstring,\n'
@@ -76,6 +76,9 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
         "    y = 2\n")
     # X, def (2 lines), the string assignment (2 lines), return, class, y
     assert _code_lines()(source) == 8
+    # each file and the total: code lines, then all 16 lines
+    assert _tool("code_lines").main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"     8     16  {source}\n     8     16  total\n"
 
 
 def test_uncovered_lists_each_statement_a_run_never_reaches(tmp_path):

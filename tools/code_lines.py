@@ -3,9 +3,10 @@ a comment, blank-line or indentation token, docstrings excluded.
 
     python tools/code_lines.py src/polyspec
 
-Prints one ``<count>  <path>`` line per ``*.py`` file under the given
-directories, and a total.  A token that
-spans several lines (a long string, say) counts every line it covers.
+Prints one ``<code lines> <total lines>  <path>`` line per ``*.py`` file
+under the given directories, and a total; total lines count every line of
+the file.  A token that spans several lines (a long string, say) counts
+every line it covers.
 Docstrings are the string statements that open a module, class or
 function; ``ast`` finds them, ``tokenize`` finds the code.  Standard
 library only.
@@ -46,12 +47,13 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    total = 0
+    code_total = line_total = 0
     for path in (p for root in argv for p in sorted(Path(root).rglob("*.py"))):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+        code, lines = code_lines(path), len(path.read_text().splitlines())
+        code_total += code
+        line_total += lines
+        print(f"{code:6d} {lines:6d}  {path}")
+    print(f"{code_total:6d} {line_total:6d}  total")
     return 0
 
 
