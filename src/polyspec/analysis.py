@@ -22,7 +22,7 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
 from .influences import (_influences, _ranked_coordinates, _sort_edges,
                          high_influence_coordinates)
-from .lattice import (index_bits, measure_weights, mobius_subsets, pack_bits,
+from .lattice import (_by_level, index_bits, measure_weights, mobius_subsets, pack_bits,
                       popcounts, subcube_codes, zeta_subsets, zeta_supersets)
 from .noise import (NoiseParams, TesterReport, _biased_bits, _check_lam,
                     _monte_carlo, downward_noise_table, invert_downward, residual)
@@ -282,7 +282,7 @@ def _and_distances(tables: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np
     del w
     corr = zeta_supersets(weighted, n)
     # pk + mean per level, then gathered: its bits with no third 2^n table
-    dists = (p ** np.arange(n + 1.0) + mean[..., None])[..., popcounts(n)]
+    dists = _by_level(p ** np.arange(n + 1.0) + mean[..., None], n)
     corr *= 2.0
     dists -= corr
     return mean, dists

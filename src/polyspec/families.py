@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import BooleanFunction, _check_at_least_zero, _check_dimension, _check_open_unit
-from .lattice import coordinate_pairs, point_codes, popcounts, subset_mask
+from .lattice import _by_level, coordinate_pairs, point_codes, popcounts, subset_mask
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def _middle_band(n: int, window_scale: float) -> np.ndarray:
     an (n + 1)-entry per-weight table; a negative or NaN scale raises."""
     _check_at_least_zero("window_scale", window_scale)
     w = window_scale * math.sqrt(n * math.log(n))
-    return (np.abs(np.arange(n + 1.0) - n / 2.0) <= w)[popcounts(n)]
+    return _by_level(np.abs(np.arange(n + 1.0) - n / 2.0) <= w, n)
 
 
 def make_f1(n: int) -> BooleanFunction:

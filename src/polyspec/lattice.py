@@ -25,14 +25,25 @@ order, so results are bit-identical to one whole-table pass per stage.
 The halves of a tile's low stages are short contiguous runs, 2^j * cols
 elements at stage j of a (rows, span, cols) tile, so numpy's inner loop is
 short too; in a batch of n = 4 rows every stage is such a stage.  When two
-or more stages have runs under 128 elements, the tile is first copied with
-those low bits as its leading axis, as in the transpose step of Bailey's
-four-step FFT.  There each of those stages has halves of at least 128
-contiguous elements, and the copy is written back before the tile's
-remaining stages.  The copy only moves values: each one still goes through
-the same multiplies and adds in the same stage order, so the bits, -0.0
-and infinities included, are those of the in-place path.  Tables below
-2^9 elements and single stages never take the copy.
+or more stages have runs under 128 elements, the tile is first copied, into
+the call's scratch block (below), with those low bits as its leading axis,
+as in the transpose step of Bailey's four-step FFT.  There each of those
+stages has halves of at least 128 contiguous elements, and the copy is
+written back before the tile's remaining stages.  The copy only moves
+values: each one still goes through the same multiplies and adds in the
+same stage order, so the bits, -0.0 and infinities included, are those of
+the in-place path.  Tables below 2^9 elements and single stages never take
+the copy.
+
+Each call allocates one scratch block in the work's dtype: room for three
+halves of the largest tile and for its transposed copy.  A stage allocates
+nothing.  The multiply form copies the x_i = 0 half a into the block,
+writes each product there with out=, adds k10*a + k11*b with the k10*a
+product first (so a NaN keeps the payload the plain expression gives it)
+and copies the sum back into its half.  With fresh temporaries per stage,
+a 2^22 transform ran about 30% slower in some processes, a mode fixed for
+the process's life and set by how it was launched; with the block it did
+not.
 
 A lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse)
 writes only the x_i = 1 half of each stage; the x_i = 0 half keeps its
@@ -47,15 +58,16 @@ library, is a unit kernel and keeps that half as it is.
 Three unit kernels, [[1, 0], [1, 1]] (subset zeta), [[1, 0], [-1, 1]]
 (subset Moebius) and [[1, 1], [0, 1]] (superset zeta), run each stage as
 one in-place add or subtract on the written half: b = a + b, b = b - a and
-a = a + b.  The multiply form k10*a + k11*b allocates three temporaries
-and copies back; the in-place form streams each half once.  The bits are
-the same, -0.0 and infinities included: 1.0*x is exactly x and -1.0*x
-exactly -x, IEEE 754 defines b - a as b + (-a), and addition commutes.
-The one possible difference is the payload of the NaN that a Moebius stage
-returns when both of its operands are NaN, since b - a lists them in the
-other order than -a + b.  Only these three kernels, compared entry by
-entry, take the unit path; any other kernel (the inverse noise kernel at
-rho = 1/2, [[1, 0], [-1, 2]], among them) keeps the multiply form.
+a = a + b.  The multiply form k10*a + k11*b makes four passes over the
+half (two products, their sum, the copy back); the in-place form streams
+each half once.  The bits are the same, -0.0 and infinities included:
+1.0*x is exactly x and -1.0*x exactly -x, IEEE 754 defines b - a as
+b + (-a), and addition commutes.  The one possible difference is the
+payload of the NaN that a Moebius stage returns when both of its operands
+are NaN, since b - a lists them in the other order than -a + b.  Only
+these three kernels, compared entry by entry, take the unit path; any
+other kernel (the inverse noise kernel at rho = 1/2, [[1, 0], [-1, 2]],
+among them) keeps the multiply form.
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 # Elements per tile: 512 KiB of float64, which stays in a 2 MiB per-core L2
-# together with the tile's temporaries.
+# together with the call's 1.25 MiB scratch block.
 _TILE = 1 << 16
 # Longest run of stages done on one tile; 2^_MAX_RUN <= _TILE / 2.
 _MAX_RUN = _TILE.bit_length() - 2
@@ -111,9 +123,12 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     x_i = 0, value at x_i = 1) to (k00*a + k01*b, k10*a + k11*b).  Stages
     run over range(n), or over ``coords`` in the order given.
     """
-    update = _stage_update(kernel)
     work = values if values.flags.c_contiguous else np.ascontiguousarray(values)
     flat = work.reshape(-1)
+    # the call's one scratch block: three halves of the largest tile for the
+    # multiply form, then room for a tile's transposed copy
+    block = np.empty(5 * min(_TILE, flat.size) // 2, work.dtype)
+    update = _stage_update(kernel, block)
     for lo, hi in _runs(range(n) if coords is None else coords):
         if values.shape[-1] % (1 << hi):
             raise ValueError(f"last axis of length {values.shape[-1]} has no "
@@ -125,7 +140,8 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                 # bit j < low of the span axis leads the copy, so stage j's
                 # halves are runs of 2^j * tile.size / 2^low elements
                 view = tile.reshape(rows, span >> low, 1 << low, cols)
-                buf = np.ascontiguousarray(view.transpose(2, 0, 1, 3))
+                buf = block[-tile.size:].reshape(1 << low, rows, span >> low, cols)
+                buf[...] = view.transpose(2, 0, 1, 3)
                 for j in range(low):
                     w = buf.reshape(1 << (low - j - 1), 2, -1)
                     update(w[:, 0], w[:, 1])
@@ -138,13 +154,14 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     return values
 
 
-def _stage_update(kernel: np.ndarray):
+def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     """In-place update of one stage from its halves a (x_i = 0) and b
     (x_i = 1); a lower triangular kernel leaves a as it is, and the three
     unit kernels (subset zeta, subset Moebius, superset zeta) run as one
     in-place add or subtract with the bits of the multiply form (up to the
-    payload of a NaN; see the module docstring)."""
-    (k00, k01), (k10, k11) = kernel
+    payload of a NaN; see the module docstring).  The multiply form keeps a
+    copy of a and its products in the first three halves of ``scratch``."""
+    (k00, k01), (k10, k11) = np.asarray(kernel).tolist()
     if (k00, k01, k10, k11) == (1.0, 0.0, 1.0, 1.0):
         def update(a, b):
             np.add(a, b, out=b)
@@ -156,13 +173,25 @@ def _stage_update(kernel: np.ndarray):
             np.add(a, b, out=a)
     elif k00 == 1.0 and k01 == 0.0:
         def update(a, b):
-            b[...] = k10 * a + k11 * b
+            s = np.ndarray((2,) + a.shape, scratch.dtype, scratch)
+            t, u = s[0], s[1]
+            b[...] = _sum_of_products(k10, a, k11, b, t, u)
     else:
         def update(a, b):
-            a0 = a.copy()
-            a[...] = k00 * a0 + k01 * b
-            b[...] = k10 * a0 + k11 * b
+            s = np.ndarray((3,) + a.shape, scratch.dtype, scratch)
+            a0, t, u = s[2], s[0], s[1]
+            np.copyto(a0, a)
+            a[...] = _sum_of_products(k00, a0, k01, b, t, u)
+            b[...] = _sum_of_products(k10, a0, k11, b, t, u)
     return update
+
+
+def _sum_of_products(c0, x, c1, y, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """c0*x + c1*y into t, the products written into t and u with out= and
+    added in that order, so a NaN gets the plain expression's payload."""
+    np.multiply(c0, x, out=t)
+    np.multiply(c1, y, out=u)
+    return np.add(t, u, out=t)
 
 
 def _low_stages(tile: np.ndarray, stages: int) -> int:
@@ -260,8 +289,18 @@ def popcounts(n: int) -> np.ndarray:
 def measure_weights(n: int, p: float) -> np.ndarray:
     """Product-measure weights: weight(x) = p^|x| * (1-p)^(n-|x|)."""
     k = np.arange(n + 1, dtype=np.float64)
-    by_weight = p ** k * (1.0 - p) ** (n - k)
-    return by_weight[popcounts(n)]
+    return _by_level(p ** k * (1.0 - p) ** (n - k), n)
+
+
+def _by_level(values: np.ndarray, n: int) -> np.ndarray:
+    """values[..., popcounts(n)]: a per-level table (n + 1 entries on the
+    last axis) spread over the 2^n points, gathered by whole rows.  Point
+    hi * 2^h + lo has level |hi| + |lo|, and row k of an (n - h + 1) x 2^h
+    table holds values[..., k + |lo|], so the 2^(n-h) rows are taken by
+    |hi| without casting a 2^n index array."""
+    h = min(n, 8)
+    rows = values[..., np.arange(n - h + 1)[:, None] + popcounts(h)]
+    return np.take(rows, popcounts(n - h), axis=-2).reshape(values.shape[:-1] + (1 << n,))
 
 
 def index_bits(n: int, codes: np.ndarray) -> np.ndarray:

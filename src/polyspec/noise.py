@@ -25,8 +25,7 @@ import numpy as np
 from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit,
                    _check_same_dimension)
 from .fourier import synthesize_table, transform_table
-from .lattice import (apply_kernel, measure_weights, pack_bits, popcounts,
-                      working_copy)
+from .lattice import _by_level, apply_kernel, measure_weights, pack_bits, working_copy
 
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BATCH = 1 << 17
@@ -132,7 +131,7 @@ def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:
     direct = downward_noise_table(f.table, f.n, rho)
     coeffs = transform_table(f.table, f.n, rho * p)
     shrink = ((1.0 - p) * rho / (1.0 - rho * p)) ** 0.5
-    factors = (shrink ** np.arange(f.n + 1.0))[popcounts(f.n)]
+    factors = _by_level(shrink ** np.arange(f.n + 1.0), f.n)
     via_spectrum = synthesize_table(coeffs * factors, f.n, p)
     return float(np.abs(direct - via_spectrum).max())
 
@@ -217,9 +216,9 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
     _check_open_unit("bias p", p)
     _check_open_unit("nu", nu)
     if samples is None:
-        coeffs = transform_table(g.table, g.n, p)
-        flip = (1.0 - (1.0 - nu) ** np.arange(g.n + 1.0))[popcounts(g.n)]
-        val = 2.0 * float(np.sum(flip * coeffs ** 2))
+        coeffs = np.square(transform_table(g.table, g.n, p))
+        coeffs *= _by_level(1.0 - (1.0 - nu) ** np.arange(g.n + 1.0), g.n)
+        val = 2.0 * float(np.sum(coeffs))
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
 
     def flips(gen: np.random.Generator, batch: int) -> int:

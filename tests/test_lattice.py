@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import inf
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyspec import lattice
 from polyspec.fourier import analysis_kernel, synthesis_kernel
-from polyspec.lattice import (apply_kernel, coordinate_pairs, mobius_subsets,
-                              point_codes, subcube_codes, zeta_subsets,
+from polyspec.lattice import (_by_level, apply_kernel, coordinate_pairs,
+                              measure_weights, mobius_subsets, point_codes,
+                              popcounts, subcube_codes, zeta_subsets,
                               zeta_supersets)
 from polyspec.noise import inverse_noise_kernel, noise_kernel
 from oracles import bit, stagewise_kernel
@@ -80,6 +83,37 @@ def test_only_lattice_builds_point_indices():
     assert offenders == []
 
 
+@pytest.mark.parametrize("n", range(21))
+def test_by_level_is_the_popcount_gather(n):
+    """Row gather of a per-level table: the values, dtype and shape of
+    values[..., popcounts(n)], for 1-D and stacked tables, float and bool."""
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_normal(n + 1), rng.standard_normal((2, 3, n + 1)),
+                   rng.random(n + 1) < 0.5, rng.random((3, n + 1)) < 0.5):
+        got, expect = _by_level(values, n), values[..., popcounts(n)]
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("p", [0.123, 0.3, 0.5, 0.9])
+def test_measure_weights_is_the_per_point_closed_form(p):
+    """p^|x| * (1-p)^(n-|x|) evaluated at every point has the same bits."""
+    for n in (0, 1, 7, 8, 9, 12, 16):
+        k = popcounts(n).astype(np.float64)
+        assert same_bits(measure_weights(n, p), p ** k * (1.0 - p) ** (n - k)), n
+
+
+def test_only_lattice_indexes_by_popcounts():
+    """Every other module spreads a per-level table over the cube through
+    lattice._by_level, which gathers whole rows."""
+    modules = sorted(SRC.glob("*.py"))
+    assert any(m.name == "lattice.py" for m in modules)
+    gather = re.compile(r"\[(\.\.\., *)?popcounts\(")
+    offenders = [m.name for m in modules
+                 if m.name != "lattice.py" and gather.search(m.read_text())]
+    assert offenders == []
+
+
 def test_only_lattice_spells_the_edge_reshape():
     """Every other module reaches the two ends of an i-edge through
     lattice.coordinate_pairs."""
@@ -142,6 +176,27 @@ def test_apply_kernel_matches_stagewise_bits(shape, dtype):
             assert out is got
             assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), \
                 (name, order)
+
+
+@pytest.mark.parametrize("shape", [(1 << 10,), (1 << 17,), (64, 256)])
+def test_multiply_form_keeps_nan_payloads(shape):
+    """The multiply-form stages give each NaN the payload of the plain
+    expressions k00*a + k01*b and k10*a + k11*b, products added in that
+    order.  same_bits cannot show it, since NaN never compares equal, so
+    the bits are compared as uint64.  A tenth of the entries start as
+    quiet NaNs with distinct payloads, so many stages add two NaNs.  The
+    unit kernels are left out: a Moebius stage may return the other
+    operand's payload (see the lattice module docstring)."""
+    n = shape[-1].bit_length() - 1
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal(shape)
+    nan = rng.random(shape) < 0.1
+    payloads = rng.integers(1, 1 << 51, np.count_nonzero(nan), dtype=np.uint64)
+    base.view(np.uint64)[nan] = np.uint64(0x7FF8 << 48) | payloads
+    for name in ("noise", "inverse", "analysis", "synthesis", "inverse-half"):
+        got = apply_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
+        expect = stagewise_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
+        assert np.array_equal(got, expect), name
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -258,18 +313,25 @@ def test_apply_kernel_transient_memory_stays_tile_sized():
         assert peak < 2 << 20, shape
 
 
-def test_small_tables_and_single_stages_make_no_transposed_copy():
+def test_small_tables_and_single_stages_make_no_transposed_copy(monkeypatch):
     """A 1-D table at n <= 8 and a single-stage coords=[i] call read every
     stage's halves from the table itself; the copy would cost more than the
-    short stages it speeds up.  A probe coefficient records the halves it
-    multiplies, and a full pass at n = 16 shows it sees the copy.  Both the
-    lower triangular path and the general multiply form are probed."""
+    short stages it speeds up.  A wrapper around the stage update records
+    the halves each stage is given, and a full pass at n = 16 shows it sees
+    the copy.  Both the lower triangular path and the general multiply form
+    are recorded."""
     halves = []
+    stage_update = lattice._stage_update
 
-    class Probe(float):
-        def __mul__(self, half):
-            halves.append(half)
-            return float(self) * half
+    def recorded(kernel, scratch):
+        update = stage_update(kernel, scratch)
+
+        def record(a, b):
+            halves.extend((a, b))
+            update(a, b)
+        return record
+
+    monkeypatch.setattr(lattice, "_stage_update", recorded)
 
     def copied(values, n, kernel, coords=None):
         halves.clear()
@@ -278,10 +340,8 @@ def test_small_tables_and_single_stages_make_no_transposed_copy():
         return sum(not np.may_share_memory(h, values) for h in halves)
 
     big = np.ones(1 << 16)
-    # the general path multiplies k00 and k10 into a copy of the x_i = 0
-    # half, so only k01 and k11, which multiply the x_i = 1 half, probe
-    for kernel in ([[1.0, 0.0], [Probe(0.5), Probe(1.0)]],
-                   [[0.5, Probe(0.5)], [0.25, Probe(1.0)]]):
+    for kernel in (np.array([[1.0, 0.0], [0.5, 1.0]]),
+                   np.array([[0.5, 0.5], [0.25, 1.0]])):
         for n in range(1, 9):
             assert copied(np.ones(1 << n), n, kernel) == 0
         for i in range(16):

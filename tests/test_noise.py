@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ def test_noise_sensitivity_exact_values():
         for nu in (0.1, 0.4):
             got = ps.noise_sensitivity(ps.make_and(3, [0]), p, nu).estimate
             assert got == pytest.approx(2 * nu * p * (1 - p), abs=1e-12)
+
+
+def test_exact_noise_sensitivity_memory_at_n20():
+    """The squared coefficients are weighted in place, so the peak is two
+    8 MiB float64 tables, the squares and the flip factors (16.06 MiB
+    measured); the plain expression peaked at 24-25 MiB.  The value has the
+    bits of that expression."""
+    n, p, nu = 20, 0.5, 0.1
+    g = ps.BooleanFunction(n, np.random.default_rng(n).random(1 << n) < 0.3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = ps.noise_sensitivity(g, p, nu).estimate
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 << 20
+    coeffs = transform_table(g.table, n, p)
+    flip = (1.0 - (1.0 - nu) ** np.arange(n + 1.0))[popcounts(n)]
+    assert got.hex() == (2.0 * float(np.sum(flip * coeffs ** 2))).hex()
 
 
 def test_noise_sensitivity_exact_vs_montecarlo(rng):
