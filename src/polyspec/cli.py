@@ -180,8 +180,8 @@ def _cmd_prs(args) -> int:
 
 def _cmd_audit(args) -> int:
     f = _load(args.f)
-    g = _load(args.g)
-    h = _load(args.h) if args.h is not None else None
+    g = _load_boolean(args.g)
+    h = _load_boolean(args.h) if args.h is not None else None
     params = noise.NoiseParams(p=args.p, rho=args.rho, lam=args.lam)
     report = analysis.theorem_audit(args.theorem, f, g, params, h=h, tau=args.tau)
     payload = {"theorem": report.theorem, "premise": report.premise,

@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import BooleanFunction, _check_at_least_zero, _check_dimension, _check_open_unit
-from .lattice import _by_level, coordinate_pairs, point_codes, popcounts, subset_mask
+from .lattice import (_by_level, _partner_bits, coordinate_pairs, point_codes, popcounts,
+                      subset_mask)
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def make_majority3(n: int = 3) -> BooleanFunction:
 
 
 def minterms(g: BooleanFunction) -> set[frozenset[int]]:
-    """Minimal true points of a monotone function, as coordinate sets.
+    """Minimal true points of a monotone Boolean function, as coordinate sets.
 
     Empty result iff g is constant 0; the single empty set iff g is
     constant 1.
@@ -162,25 +163,41 @@ def minterms(g: BooleanFunction) -> set[frozenset[int]]:
 
 
 def _minterms(g: BooleanFunction) -> np.ndarray:
-    """Point codes of the minterms of a function already known to be monotone."""
-    # a true point is minimal iff clearing any single set bit gives 0: one
-    # edge pass per coordinate clears the upper end of every true-true edge
-    true = g.table.astype(bool)
-    minimal = true.copy()
+    """Point codes of the minterms of a function already known to be
+    monotone, in increasing order."""
+    # a true point is minimal iff clearing any single set bit gives 0: on the
+    # bits packed 8 points per byte, clear every true point with a true
+    # partner below it, then unpack only the bytes left nonzero
+    true = np.packbits(g.table, bitorder="little")
+    below = np.zeros_like(true)     # the points with a true partner below them
     for i in range(g.n):
-        coordinate_pairs(minimal, i)[:, 1, :] &= ~coordinate_pairs(true, i)[:, 0, :]
-    return np.flatnonzero(minimal)
+        below |= _partner_bits(true, i)
+    minimal = true & ~below
+    nonzero = np.flatnonzero(minimal)
+    k = np.flatnonzero(np.unpackbits(minimal[nonzero], bitorder="little"))
+    return 8 * nonzero[k >> 3] + (k & 7)
 
 
 def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
-    """Recover the unique block partition when g is an AND-OR, else None.
+    """Recover the unique block partition when the Boolean g is an AND-OR,
+    else None.
 
     Recognition goes through the transversal rule: the minterms of an
     AND-OR are exactly the sets that pick one coordinate from each block,
     so two coordinates of the support share a block iff no minterm holds
     both.  Grouping the support by that rule gives the only candidate,
-    which is verified against g before it is returned.  A brute-force
-    search over every partition backs this up in the test suite.
+    blocks B_1, ..., B_m.  A brute-force search over every partition backs
+    this up in the test suite.
+
+    The candidate is verified from the minterms, with no 2^n table: g is
+    that AND-OR iff every minterm holds exactly one coordinate of each
+    block and there are |B_1| * ... * |B_m| minterms.  Proof: the blocks
+    cover every coordinate of every minterm, so under the first condition
+    the minterms are distinct transversals, and with the count they are
+    all of them, the minterms of the AND-OR.  A monotone function is the
+    up-closure of its minterms (every true point lies above a minimal
+    one), so two monotone functions with the same minterms are equal.
+    Conversely the AND-OR's own minterms meet both conditions.
     """
     from .influences import is_monotone
 
@@ -200,12 +217,12 @@ def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
             block = (unplaced & ~partners) | (1 << i)
             blocks.append(frozenset(j for j in range(g.n) if (block >> j) & 1))
             unplaced &= ~block
-    if not blocks:
+    # no blocks: g is 0, with no minterms, and the empty product is 1
+    if len(mins) != math.prod(map(len, blocks)):
         return None
-    candidate = BlockPartition(blocks)
-    if np.array_equal(make_and_or(g.n, candidate).table, g.table):
-        return candidate
-    return None
+    hits = np.array([mins & subset_mask(g.n, block) for block in blocks])
+    # exactly one coordinate of each block: hit nonzero, and hit & (hit - 1) zero
+    return BlockPartition(blocks) if hits.all() and not (hits & (hits - 1)).any() else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AnyFunction, BooleanFunction, _check_closed_unit, _check_open_unit
-from .lattice import coordinate_pairs, measure_weights, mobius_subsets, popcounts, subset_mask
+from .lattice import (_partner_bits, coordinate_pairs, measure_weights, mobius_subsets, popcounts,
+                      subset_mask)
 
 DEGREE_TOL = 1e-9   # Moebius coefficients at most this size count as zero in degree
 
@@ -64,7 +65,19 @@ def _edge_measures(table: np.ndarray, i: int, w: np.ndarray) -> tuple[float, flo
 
 
 def is_monotone(f: AnyFunction) -> bool:
-    """Exhaustive edge check: no coordinate raise may decrease the value."""
+    """Exhaustive edge check: no coordinate raise may decrease the value.
+
+    A Boolean table is checked on its bits packed 8 points per byte: it is
+    monotone iff no point with x_i = 1 is 0 where its partner x - 2^i is 1.
+    """
+    if isinstance(f, BooleanFunction):
+        packed = np.packbits(f.table, bitorder="little")
+        for i in range(f.n):
+            above = _partner_bits(packed, i)
+            above |= packed     # differs from packed where the point is 0, its partner 1
+            if not np.array_equal(above, packed):
+                return False
+        return True
     for i in range(f.n):
         edges = coordinate_pairs(f.table, i)
         if np.any(edges[:, 0, :] > edges[:, 1, :]):
@@ -73,13 +86,28 @@ def is_monotone(f: AnyFunction) -> bool:
 
 
 def sensitivity(f: BooleanFunction) -> int:
-    """Max over points of the number of value-flipping coordinate flips."""
-    counts = np.zeros(1 << f.n, dtype=np.uint8)    # at most n <= 24 flips
+    """Max over points of the number of value-flipping coordinate flips, for
+    a Boolean table.
+
+    The per-point flip counts are kept as bit-sliced planes of bits packed
+    8 points per byte (plane k holds bit k of every count), and the maximum
+    is read from the top plane down.
+    """
+    packed = np.packbits(f.table, bitorder="little")
+    planes = [np.zeros_like(packed) for _ in range(f.n.bit_length())]
     for i in range(f.n):
-        edges = coordinate_pairs(f.table, i)
-        counts_i = coordinate_pairs(counts, i)
-        counts_i += (edges[:, 0, :] != edges[:, 1, :])[:, None, :]
-    return int(counts.max(initial=0))
+        carry = _partner_bits(packed, i)
+        carry |= _partner_bits(packed, i, upper=False)
+        carry ^= packed     # 1 where flipping x_i flips f
+        for plane in planes[:(i + 1).bit_length()]:     # the planes a count <= i + 1 uses
+            plane ^= carry
+            carry &= ~plane     # the bits that were 1 before the add
+    best, top = 0, np.full_like(packed, 0xFF)     # the points still at the maximum
+    for k in reversed(range(len(planes))):
+        planes[k] &= top
+        if planes[k].any():
+            best, top = best | 1 << k, planes[k]
+    return best
 
 
 def degree(f: AnyFunction) -> int:

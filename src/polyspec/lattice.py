@@ -8,6 +8,18 @@ one builder of the 2^n point indices; it stores them in the smallest
 unsigned dtype that holds them, so a mask test or gather over the whole
 cube costs at most 4 B per point.
 
+A Boolean table also comes packed 8 points per byte, as
+``np.packbits(table, bitorder="little")`` lays it out (the ``bits_hex`` of
+a function file): point x is bit x mod 8 of byte x // 8, and at n < 3 the
+one byte ends in zero padding bits.  Coordinates 0, 1 and 2 pair points
+inside a byte; coordinate i >= 3 pairs whole bytes, as coordinate i - 3 of
+the byte array.  :func:`_partner_bits` moves each point's partner across
+coordinate i into its place, by a shift and a mask inside each byte for
+i < 3 and by whole-byte halves through :func:`coordinate_pairs` for i >= 3.
+The partner of a padding bit is a padding bit, so padding stays 0.  The
+Boolean edge predicates (monotonicity, minterms, sensitivity) run on it,
+one byte per 8 points, and are exact: they only move and compare bits.
+
 All O(n*2^n) operators here are per-coordinate 2x2 kernels applied stage by
 stage ("butterflies").  A stage pairs up the two points that differ only in
 coordinate i; for tables with leading batch axes the kernel is applied along
@@ -89,6 +101,21 @@ _MIN_CHUNK = 128
 def coordinate_pairs(values: np.ndarray, i: int) -> np.ndarray:
     """View of ``values`` with shape (..., blocks, 2, 2**i); axis -2 is bit i."""
     return values.reshape(values.shape[:-1] + (-1, 2, 1 << i))
+
+
+def _partner_bits(packed: np.ndarray, i: int, upper: bool = True) -> np.ndarray:
+    """Bit x of the result is the bit of x's partner across coordinate i in
+    a Boolean table packed 8 points per byte (little bit order), at every
+    point with x_i = 1 (the partner x - 2^i); with upper=False, at every
+    point with x_i = 0 (the partner x + 2^i).  All other bits are 0."""
+    if i < 3:
+        # 0x55, 0x33, 0x0F: the bits of a byte's points with x_i = 0
+        s, low = 1 << i, (0x55, 0x33, 0x0F)[i]
+        out = packed & low if upper else packed >> s
+        return np.left_shift(out, s, out=out) if upper else np.bitwise_and(out, low, out=out)
+    out, side = np.zeros_like(packed), int(upper)
+    coordinate_pairs(out, i - 3)[:, side, :] = coordinate_pairs(packed, i - 3)[:, 1 - side, :]
+    return out
 
 
 def subcube_codes(n: int, coords) -> np.ndarray:

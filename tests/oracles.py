@@ -12,6 +12,10 @@ thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
 ``analysis.distance_to_constant_or_and`` must keep, and
 :func:`edge_influence` and :func:`edge_negative_influence`, the two edge
 passes per coordinate whose bits every influence path must keep, and
+:func:`edge_is_monotone`, :func:`edge_minterms` and
+:func:`edge_sensitivity`, the byte-per-point edge passes whose answers
+the packed-bit ``is_monotone``, ``families._minterms`` and
+``sensitivity`` must give, and
 :func:`classify_boolean_eigens_bruteforce`, the batch noise pass over all
 2^(2^n) tables whose list ``analysis.classify_boolean_eigens`` must give
 from the monotone tables alone, and :func:`agreement_exact_expression`,
@@ -420,6 +424,36 @@ def edge_negative_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:
     edges = coordinate_pairs(table, i)
     drop = np.maximum(edges[:, 0, :] - edges[:, 1, :], 0.0).reshape(-1)
     return float(w @ drop)
+
+
+def edge_is_monotone(table: np.ndarray, n: int) -> bool:
+    """No i-edge of the uint8 table goes down, one byte per point."""
+    for i in range(n):
+        edges = coordinate_pairs(table, i)
+        if np.any(edges[:, 0, :] > edges[:, 1, :]):
+            return False
+    return True
+
+
+def edge_minterms(table: np.ndarray, n: int) -> np.ndarray:
+    """Codes of the true points of a uint8 table with no true point just
+    below them, one bool per point."""
+    true = table.astype(bool)
+    minimal = true.copy()
+    for i in range(n):
+        coordinate_pairs(minimal, i)[:, 1, :] &= ~coordinate_pairs(true, i)[:, 0, :]
+    return np.flatnonzero(minimal)
+
+
+def edge_sensitivity(table: np.ndarray, n: int) -> int:
+    """Largest per-point count of value-flipping coordinate flips, counted
+    in one uint8 per point."""
+    counts = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        edges = coordinate_pairs(table, i)
+        counts_i = coordinate_pairs(counts, i)
+        counts_i += (edges[:, 0, :] != edges[:, 1, :])[:, None, :]
+    return int(counts.max(initial=0))
 
 
 def spectral_eigenvalue(p: float, rho: float, level: int = 1) -> float:

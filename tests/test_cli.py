@@ -321,7 +321,11 @@ def test_test_hom_unknown_builtin_exits_2(capsys):
 
 
 # commands that read only Boolean functions, each given a bounded file at {b}
+# ({f} is a Boolean file); audit takes any --f, but a Boolean --g and --h
 BOOLEAN_ONLY_ARGV = {
+    **{f"audit-{t}.g": ["audit", "--theorem", t, "--lambda", "0.25", "--f", "{b}", "--g", "{b}"]
+       for t in ("2.1", "2.2", "2.3", "2.4", "2.8")},
+    "audit-2.6.h": ["audit", "--theorem", "2.6", "--f", "{f}", "--g", "{f}", "--h", "{b}"],
     "ns": ["ns", "--nu", "0.1", "--in", "{b}"],
     "solve": ["solve", "--rho", "0.5", "--in", "{b}"],
     "prs": ["prs", "--in", "{b}"],
@@ -335,7 +339,9 @@ BOOLEAN_ONLY_ARGV = {
 def test_boolean_only_commands_reject_a_bounded_file(site, tmp_path, capsys):
     bounded = tmp_path / "b.json"
     ps.save_function(ps.BoundedFunction(3, np.full(8, 0.5)), bounded)
-    argv = [str(bounded) if a == "{b}" else a for a in BOOLEAN_ONLY_ARGV[site]]
+    ps.save_function(ps.make_and(3, [0]), tmp_path / "f.json")
+    paths = {"{b}": str(bounded), "{f}": str(tmp_path / "f.json")}
+    argv = [paths.get(a, a) for a in BOOLEAN_ONLY_ARGV[site]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,12 +6,13 @@ import pytest
 
 import polyspec as ps
 from polyspec import families
-from polyspec.families import make_f1, make_midslice
-from polyspec.influences import is_monotone
+from polyspec.families import _minterms, make_f1, make_midslice
+from polyspec.influences import is_monotone, sensitivity
 from polyspec.lattice import index_bits, popcounts
 from conftest import random_boolean
-from oracles import (all_and_or_tables, bit, naive_and, naive_f1, naive_majority3,
-                     naive_midslice, naive_minterms, naive_or, naive_xor, or_width_cap)
+from oracles import (all_and_or_tables, bit, edge_is_monotone, edge_minterms,
+                     edge_sensitivity, naive_and, naive_f1, naive_majority3, naive_midslice,
+                     naive_minterms, naive_or, naive_xor, or_width_cap)
 
 
 def random_partition(n, max_width, rng, max_block=None):
@@ -296,6 +297,62 @@ def test_recognize_against_exhaustive_oracle():
             assert ps.make_and_or(n, got) == f
             hits += 1
     assert hits == len(family)
+
+
+def _assert_packed_predicates_match_edge_passes(f):
+    """is_monotone, _minterms and sensitivity on packed bits give what the
+    byte-per-point edge passes give, minterm codes in the same order."""
+    assert is_monotone(f) == edge_is_monotone(f.table, f.n), f
+    got, want = _minterms(f), edge_minterms(f.table, f.n)
+    assert got.dtype == want.dtype and np.array_equal(got, want), f
+    assert sensitivity(f) == edge_sensitivity(f.table, f.n), f
+
+
+def test_packed_predicates_on_every_table_up_to_n3():
+    # n < 3 leaves padding bits in the one packed byte
+    for n in range(4):
+        for table in index_bits(1 << n, np.arange(1 << (1 << n))):
+            _assert_packed_predicates_match_edge_passes(ps.BooleanFunction(n, table))
+
+
+def test_packed_predicates_on_seeded_tables(rng):
+    for n in range(4, 13):
+        part = random_partition(n, min(4, n), rng)
+        for f in (random_boolean(n, rng), ps.monotonize(random_boolean(n, rng)),
+                  ps.make_and_or(n, part), ps.make_and_xor(n, part)):
+            _assert_packed_predicates_match_edge_passes(f)
+
+
+def test_packed_predicates_on_members_and_one_point_perturbations(rng):
+    for n in (18, 20):
+        part = random_partition(n, 4, rng)
+        for g in (ps.make_and_or(n, part), ps.make_and_xor(n, part)):
+            _assert_packed_predicates_match_edge_passes(g)
+            table = g.table.copy()
+            table[rng.integers(1 << n)] ^= 1
+            _assert_packed_predicates_match_edge_passes(ps.BooleanFunction(n, table))
+
+
+def test_packed_predicates_peak_below_the_edge_passes_at_n22():
+    """Peak traced bytes at n = 22 on an AND-OR (monotone, so every
+    coordinate is checked): is_monotone 1.50 MiB, _minterms 1.52 MiB and
+    sensitivity 4.01 MiB, where the byte-per-point edge passes peak at
+    2.02, 10.02 and 6.02 MiB."""
+    n = 22
+    g = ps.make_and_or(n, ps.BlockPartition((range(7), range(7, 14), range(14, n))))
+    bounds = {"is_monotone": (is_monotone, edge_is_monotone, 1.75),
+              "_minterms": (_minterms, edge_minterms, 2.5),
+              "sensitivity": (sensitivity, edge_sensitivity, 4.5)}
+    for name, (packed, edge, mib) in bounds.items():
+        peaks = []
+        for run in (lambda: packed(g), lambda: edge(g.table, n)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < mib < peaks[1], (name, peaks)
 
 
 def test_truncation_dominates_and_is_close(rng):
