@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, _check_at_least_zero, _check_closed_unit,
-                   _check_dimension, _check_open_unit, _check_same_dimension, average_out,
-                   expectation)
+from .core import (AnyFunction, BooleanFunction, _check_at_least_zero, _check_boolean,
+                   _check_closed_unit, _check_dimension, _check_open_unit,
+                   _check_same_dimension, average_out, expectation)
 from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
 from .influences import (_influences, _ranked_coordinates, _sort_edges,
@@ -344,6 +344,7 @@ def distance_to_and_or(f: BooleanFunction, p: float, max_width: int = 4,
     enumeration order, if it is closer by more than TIE_TOL, or within
     TIE_TOL and narrower.
     """
+    _check_boolean("distance_to_and_or", f)
     _check_open_unit("bias p", p)
     _check_at_least_zero("max_width", max_width)
     _check_at_least_zero("max_support", max_support)

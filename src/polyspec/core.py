@@ -42,6 +42,13 @@ def _check_dimension(n: int, cap: int = MAX_N_BOOLEAN) -> None:
         raise ValueError(f"dimension {n} outside [0, {cap}]")
 
 
+def _check_boolean(name: str, f) -> None:
+    """Reject a function that is not Boolean, naming the function that reads
+    its table as bits."""
+    if not isinstance(f, BooleanFunction):
+        raise ValueError(f"{name} needs a Boolean function, got {type(f).__name__}")
+
+
 def _check_same_dimension(*functions) -> None:
     """Reject functions that do not all share one dimension."""
     if len({f.n for f in functions}) > 1:

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BooleanFunction, _check_at_least_zero, _check_dimension, _check_open_unit
+from .core import (BooleanFunction, _check_at_least_zero, _check_boolean, _check_dimension,
+                   _check_open_unit)
 from .lattice import (_by_level, _partner_bits, coordinate_pairs, point_codes, popcounts,
                       subset_mask)
 
@@ -156,6 +157,7 @@ def minterms(g: BooleanFunction) -> set[frozenset[int]]:
     """
     from .influences import is_monotone
 
+    _check_boolean("minterms", g)
     if not is_monotone(g):
         raise ValueError("minterms are defined for monotone functions only")
     return {frozenset(i for i in range(g.n) if (x >> i) & 1)
@@ -201,6 +203,7 @@ def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
     """
     from .influences import is_monotone
 
+    _check_boolean("recognize_and_or", g)
     if not is_monotone(g):
         return None
     if g.table[0] == 1:

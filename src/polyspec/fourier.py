@@ -57,7 +57,23 @@ class Spectrum:
 
 
 def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Fourier coefficients of a raw table (supports leading batch axes)."""
+    """Fourier coefficients of a raw table (supports leading batch axes).
+
+    Each stage runs in difference form (see :mod:`polyspec.lattice`):
+    a + p*(b - a) and s*(b - a).  On a table with entries in [0, 1] every
+    coefficient is within 3n * 2^-53 of the exact result of the same
+    float64 kernel, to first order: the values at every stage are partial
+    coefficients of restrictions of the table, so they and b - a lie in
+    [-1, 1]; a stage is a convex combination and a difference scaled by
+    s <= 1/2, so it does not enlarge an earlier error, and it adds at most
+    three rounding errors of 2^-53.  :func:`synthesize_table` of a spectrum
+    c is within 5n * 2^-53 * ||c||_2 / sqrt(1 - p) in the mu_p-weighted
+    root mean square, since each of its stages maps the plain 2-norm onto
+    the weighted one isometrically.  Measured against a longdouble run at
+    n = 12, 16, 20 and p = 0.123, 0.3, 0.9, the errors were at most
+    0.1n * 2^-53 and 0.13n * 2^-53.  At p = 1/2 every value of a 0/1 table
+    is dyadic, and both directions are exact.
+    """
     _check_open_unit("bias p", p)
     return apply_kernel(working_copy(table), n, analysis_kernel(p))
 

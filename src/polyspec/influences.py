@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnyFunction, BooleanFunction, _check_closed_unit, _check_open_unit
+from .core import (AnyFunction, BooleanFunction, _check_boolean, _check_closed_unit,
+                   _check_open_unit)
 from .lattice import (_partner_bits, coordinate_pairs, measure_weights, mobius_subsets, popcounts,
                       subset_mask)
 
@@ -93,6 +94,7 @@ def sensitivity(f: BooleanFunction) -> int:
     8 points per byte (plane k holds bit k of every count), and the maximum
     is read from the top plane down.
     """
+    _check_boolean("sensitivity", f)
     packed = np.packbits(f.table, bitorder="little")
     planes = [np.zeros_like(packed) for _ in range(f.n.bit_length())]
     for i in range(f.n):

@@ -47,25 +47,36 @@ same stage order, so the bits, -0.0 and infinities included, are those of
 the in-place path.  Tables below 2^9 elements and single stages never take
 the copy.
 
+A run above coordinate 16 cuts the table into column slices: at n >= 20
+the run 15..n-1 gives tiles of 2^(n-15) runs of at most 2048 contiguous
+elements, 256 KiB apart, likely all on the same cache sets.  Such a tile
+(its run has at least five stages) that takes no transposed low stages is
+copied once into the scratch block, takes all of the run's stages there,
+and is written back once.  Like the transposed copy, this only moves values, so
+the bits are those of the in-place path.  Runs of 4096 elements and more
+(n <= 19) stay in place; see _MAX_STAGED_COLS.
+
 Each call allocates one scratch block in the work's dtype: room for three
-halves of the largest tile and for its transposed copy.  A stage allocates
-nothing.  The multiply form copies the x_i = 0 half a into the block,
-writes each product there with out=, adds k10*a + k11*b with the k10*a
-product first (so a NaN keeps the payload the plain expression gives it)
-and copies the sum back into its half.  With fresh temporaries per stage,
-a 2^22 transform ran about 30% slower in some processes, a mode fixed for
-the process's life and set by how it was launched; with the block it did
-not.
+halves of the largest tile and for its transposed or staged copy.  A stage
+allocates nothing.  The multiply form copies the x_i = 0 half a into the
+block, writes each product there with out=, adds k10*a + k11*b with the
+k10*a product first (so a NaN keeps the payload the plain expression gives
+it) and copies the sum back into its half.  With fresh temporaries per
+stage, a 2^22 transform ran about 30% slower in some processes, a mode
+fixed for the process's life and set by how it was launched; with the
+block it did not.
 
 A lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse)
 writes only the x_i = 1 half of each stage; the x_i = 0 half keeps its
-exact values.  Any other kernel that is not one of the unit kernels below
-takes the general path, which writes both halves.  A half it computes with
-coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a -0.0 into +0.0 and
-an infinite partner into NaN; on any other input it gives the same bits.
-An upper triangular kernel [[k00, k01], [0, 1]] therefore changes its
-x_i = 1 half in those two ways; superset zeta, the one such kernel in the
-library, is a unit kernel and keeps that half as it is.
+exact values.  The two Fourier kernels, tested for after it, run in
+difference form (below).  Any other kernel that is not one of the unit
+kernels below takes the general path, which writes both halves.  A half
+it computes with coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a
+-0.0 into +0.0 and an infinite partner into NaN; on any other input it
+gives the same bits.  An upper triangular kernel [[k00, k01], [0, 1]]
+therefore changes its x_i = 1 half in those two ways; superset zeta, the
+one such kernel in the library, is a unit kernel and keeps that half as it
+is.
 
 Three unit kernels, [[1, 0], [1, 1]] (subset zeta), [[1, 0], [-1, 1]]
 (subset Moebius) and [[1, 1], [0, 1]] (superset zeta), run each stage as
@@ -80,6 +91,18 @@ are NaN, since b - a lists them in the other order than -a + b.  Only
 these three kernels, compared entry by entry, take the unit path; any
 other kernel (the inverse noise kernel at rho = 1/2, [[1, 0], [-1, 2]],
 among them) keeps the multiply form.
+
+The analysis kernel [[1 - p, p], [-s, s]] (k00 + k01 == 1, k10 == -k11)
+runs as d = b - a, a += k01*d, b = k11*d: four in-place half-passes and
+one scratch half, against nine for the multiply form.  The synthesis
+kernel [[1, k01], [1, k11]] runs as a += k01*b, b *= k11 - k01,
+b += a.  These are other roundings of the same maps, so their bits are
+not the multiply form's; tests/oracles.stagewise_kernel holds the same
+forms as their bit-for-bit reference, and fourier.transform_table states
+their error.  An add of two NaNs here may keep either payload, depending
+on the layout of its operands in memory.  A lower triangular kernel with
+k10 == -k11 (the inverse noise kernel at rho = 1e-200 is
+[[1, 0], [-1e200, 1e200]]) never reaches these tests.
 """
 
 from __future__ import annotations
@@ -89,13 +112,21 @@ from functools import lru_cache
 import numpy as np
 
 # Elements per tile: 512 KiB of float64, which stays in a 2 MiB per-core L2
-# together with the call's 1.25 MiB scratch block.
+# together with the call's 1.25 MiB scratch block (whose last 512 KiB hold a
+# staged or transposed tile, so a staged tile stays within the same 1.25 MiB).
 _TILE = 1 << 16
 # Longest run of stages done on one tile; 2^_MAX_RUN <= _TILE / 2.
 _MAX_RUN = _TILE.bit_length() - 2
 # Shortest contiguous run a stage's halves may have before the tile's low
 # stages move to a transposed copy; 64 and 256 measured within noise of 128.
 _MIN_CHUNK = 128
+# Longest contiguous run of a column tile whose stages all run on a copy in
+# the scratch block.  Measured on both kernels side by side in one process
+# (numpy 2.4.6): the copy took the analysis kernel 24.1 -> 20.5 ms at n = 20
+# (runs of 2048) and 124 -> 93 ms at n = 22, and the noise kernel 62 -> 55 ms
+# at n = 22; at n = 19 (runs of 4096) it changed either by -2% to +3%, and at
+# n = 18 (runs of 8192) it made both 2-5% slower.
+_MAX_STAGED_COLS = 2048
 
 
 def coordinate_pairs(values: np.ndarray, i: int) -> np.ndarray:
@@ -173,9 +204,17 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                     w = buf.reshape(1 << (low - j - 1), 2, -1)
                     update(w[:, 0], w[:, 1])
                 view[...] = buf.transpose(1, 2, 0, 3)
+            # a column slice of short runs (so of 5 or more stages) takes
+            # all its stages in the block
+            live = tile
+            if not low and cols <= _MAX_STAGED_COLS and not tile.flags.c_contiguous:
+                live = block[-tile.size:].reshape(tile.shape)
+                live[...] = tile
             for j in range(low, hi - lo):
-                w = tile.reshape(rows, span >> (j + 1), 2, 1 << j, cols)
+                w = live.reshape(rows, span >> (j + 1), 2, 1 << j, cols)
                 update(w[:, :, 0], w[:, :, 1])
+            if live is not tile:
+                tile[...] = live
     if work is not values:
         values[...] = work
     return values
@@ -186,8 +225,11 @@ def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     (x_i = 1); a lower triangular kernel leaves a as it is, and the three
     unit kernels (subset zeta, subset Moebius, superset zeta) run as one
     in-place add or subtract with the bits of the multiply form (up to the
-    payload of a NaN; see the module docstring).  The multiply form keeps a
-    copy of a and its products in the first three halves of ``scratch``."""
+    payload of a NaN; see the module docstring).  After those, the analysis
+    kernel (k00 + k01 == 1, k10 == -k11) and the synthesis kernel
+    (k00 == k10 == 1) run in difference form with one scratch half.  The
+    multiply form keeps a copy of a and its products in the first three
+    halves of ``scratch``."""
     (k00, k01), (k10, k11) = np.asarray(kernel).tolist()
     if (k00, k01, k10, k11) == (1.0, 0.0, 1.0, 1.0):
         def update(a, b):
@@ -201,8 +243,17 @@ def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     elif k00 == 1.0 and k01 == 0.0:
         def update(a, b):
             s = np.ndarray((2,) + a.shape, scratch.dtype, scratch)
-            t, u = s[0], s[1]
-            b[...] = _sum_of_products(k10, a, k11, b, t, u)
+            b[...] = _sum_of_products(k10, a, k11, b, s[0], s[1])
+    elif k00 + k01 == 1.0 and k10 == -k11:
+        def update(a, b):
+            np.subtract(b, a, out=b)
+            a += np.multiply(k01, b, out=np.ndarray(a.shape, scratch.dtype, scratch))
+            b *= k11
+    elif k00 == 1.0 and k10 == 1.0:
+        def update(a, b):
+            a += np.multiply(k01, b, out=np.ndarray(a.shape, scratch.dtype, scratch))
+            b *= k11 - k01
+            b += a
     else:
         def update(a, b):
             s = np.ndarray((3,) + a.shape, scratch.dtype, scratch)

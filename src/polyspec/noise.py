@@ -216,7 +216,8 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
     _check_open_unit("bias p", p)
     _check_open_unit("nu", nu)
     if samples is None:
-        coeffs = np.square(transform_table(g.table, g.n, p))
+        coeffs = transform_table(g.table, g.n, p)
+        np.square(coeffs, out=coeffs)
         coeffs *= _by_level(1.0 - (1.0 - nu) ** np.arange(g.n + 1.0), g.n)
         val = 2.0 * float(np.sum(coeffs))
         return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)

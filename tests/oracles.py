@@ -341,7 +341,10 @@ def and_or_candidate_count(c: int, max_width: int) -> int:
 
 def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                      coords=None) -> np.ndarray:
-    """One whole-table pass per coordinate: the kernel loop before tiling."""
+    """One whole-table pass per coordinate: the kernel loop before tiling,
+    with the stage forms of ``lattice._stage_update`` chosen by the same
+    rule: the analysis kernel's difference form b - a, then the synthesis
+    kernel's form a + k01*b, each operation in the engine's operand order."""
     k00, k01 = kernel[0]
     k10, k11 = kernel[1]
     for i in range(n) if coords is None else coords:
@@ -351,6 +354,14 @@ def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
         if k00 == 1.0 and k01 == 0.0:
             # lower row leaves a untouched; update b from the live view
             w[..., 1, :] = k10 * a + k11 * b
+        elif k00 + k01 == 1.0 and k10 == -k11:
+            d = b - a
+            w[..., 0, :] = a + k01 * d
+            w[..., 1, :] = d * k11
+        elif k00 == 1.0 and k10 == 1.0:
+            a1 = a + k01 * b
+            w[..., 1, :] = b * (k11 - k01) + a1
+            w[..., 0, :] = a1
         else:
             a0 = a.copy()
             w[..., 0, :] = k00 * a0 + k01 * b

@@ -975,6 +975,26 @@ def test_audit_rejects_missing_inputs(theorem, change, message):
                          h=args["h"])
 
 
+BOOLEAN_ONLY = {
+    "sensitivity": ps.sensitivity,
+    "minterms": ps.minterms,
+    "recognize_and_or": ps.recognize_and_or,
+    "distance_to_and_or": lambda g: ps.distance_to_and_or(g, 0.3),
+    # reaches distance_to_and_or, which names itself
+    "half-rho": lambda g: ps.theorem_audit("half-rho", ps.make_and(2, [0]), g,
+                                           ps.NoiseParams(p=0.5, rho=0.5, lam=0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_ONLY))
+def test_boolean_only_functions_reject_a_bounded_function(name):
+    """Each function that reads a table as bits raises a ValueError naming
+    itself on a bounded function, not numpy's TypeError from np.packbits."""
+    expect = "distance_to_and_or" if name == "half-rho" else name
+    with pytest.raises(ValueError, match=f"^{expect} needs a Boolean function, got BoundedFunction$"):
+        BOOLEAN_ONLY[name](ps.BoundedFunction(2, [0.0, 0.5, 0.5, 1.0]))
+
+
 def test_witness_str_of_each_kind():
     part = ps.BlockPartition(({2, 0}, {1}))
     verdicts = [("zero", 0, "0"), ("constant", 1, "1"), ("and", frozenset({3, 1}), "1+3"),

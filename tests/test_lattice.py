@@ -135,6 +135,8 @@ KERNELS = {
     # [[1, 0], [-1, 2]]: one entry away from Moebius, so it must keep the
     # multiply form
     "inverse-half": inverse_noise_kernel(0.5),
+    # neither triangular nor a Fourier kernel: the general multiply form
+    "general": np.array([[0.6, 0.4], [0.25, 0.5]]),
 }
 
 
@@ -178,6 +180,68 @@ def test_apply_kernel_matches_stagewise_bits(shape, dtype):
                 (name, order)
 
 
+@pytest.mark.parametrize("coords", [None, list(range(14, 20))], ids=["default", "14-19"])
+def test_staged_upper_run_matches_stagewise_bits(coords):
+    """At n = 20 the runs 15..19 (of the default order) and 14..19 are cut
+    into column tiles of 2048- and 1024-element runs, which take all their
+    stages on a copy in the scratch block; every kernel keeps its stagewise
+    bits there.  float64 only, since a longdouble reference at 2^20 costs
+    seconds."""
+    n = 20
+    base = np.random.default_rng(n).standard_normal(1 << n)
+    base[::5] = 0.0
+    for name, kernel in KERNELS.items():
+        got = apply_kernel(base.copy(), n, kernel, coords)
+        assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), name
+
+
+def test_only_column_tiles_of_short_runs_are_staged(monkeypatch):
+    """A run's stages go to the scratch block when its tiles are column
+    slices of at most lattice._MAX_STAGED_COLS contiguous elements: the run
+    15..19 at n = 20 (2048 elements), not 15..18 at n = 19 (4096), not
+    15..17 at n = 18 (8192), and never a single stage.  A wrapper around the
+    stage update records whether each stage's halves lie in the table."""
+    in_table = []
+    stage_update = lattice._stage_update
+
+    def recorded(kernel, scratch):
+        update = stage_update(kernel, scratch)
+
+        def record(a, b):
+            in_table.append(np.may_share_memory(a, values))
+            update(a, b)
+        return record
+
+    monkeypatch.setattr(lattice, "_stage_update", recorded)
+    for n, coords, staged in ((20, range(15, 20), True), (19, range(15, 19), False),
+                              (18, range(15, 18), False), (20, [19], False)):
+        values = np.ones(1 << n)
+        in_table.clear()
+        apply_kernel(values, n, KERNELS["analysis"], list(coords))
+        assert in_table and set(in_table) == {not staged}, (n, list(coords))
+
+
+@pytest.mark.parametrize("shape", [(1 << 10,), (64, 256), (1 << 20,)])
+def test_kernels_beside_the_difference_forms_keep_their_bits(shape):
+    """Kernels that meet a Fourier form's test on some entries still take
+    their own path, bit for bit as the stagewise reference, compared as
+    uint64 so that infinities and NaN count: inverse_noise_kernel(1e-200) is
+    [[1, 0], [-1e200, 1e200]] (k10 == -k11, and its entries overflow to NaN),
+    noise_kernel(1e-300) is [[1, 0], [1, 1e-300]] (k00 == k10 == 1), and the
+    three unit kernels.  2^20 takes the staged upper run."""
+    n = shape[-1].bit_length() - 1
+    base = np.random.default_rng(n).standard_normal(shape)
+    base[..., ::5] = 0.0
+    kernels = {"inverse-1e-200": inverse_noise_kernel(1e-200),
+               "noise-1e-300": noise_kernel(1e-300),
+               **{k: KERNELS[k] for k in ("zeta", "mobius", "supersets")}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, kernel in kernels.items():
+            got = apply_kernel(base.copy(), n, kernel).view(np.uint64)
+            expect = stagewise_kernel(base.copy(), n, kernel).view(np.uint64)
+            assert np.array_equal(got, expect), name
+
+
 @pytest.mark.parametrize("shape", [(1 << 10,), (1 << 17,), (64, 256)])
 def test_multiply_form_keeps_nan_payloads(shape):
     """The multiply-form stages give each NaN the payload of the plain
@@ -185,15 +249,16 @@ def test_multiply_form_keeps_nan_payloads(shape):
     order.  same_bits cannot show it, since NaN never compares equal, so
     the bits are compared as uint64.  A tenth of the entries start as
     quiet NaNs with distinct payloads, so many stages add two NaNs.  The
-    unit kernels are left out: a Moebius stage may return the other
-    operand's payload (see the lattice module docstring)."""
+    unit kernels and the Fourier kernels' difference forms are left out:
+    their adds may return the other operand's payload (see the lattice
+    module docstring)."""
     n = shape[-1].bit_length() - 1
     rng = np.random.default_rng(n)
     base = rng.standard_normal(shape)
     nan = rng.random(shape) < 0.1
     payloads = rng.integers(1, 1 << 51, np.count_nonzero(nan), dtype=np.uint64)
     base.view(np.uint64)[nan] = np.uint64(0x7FF8 << 48) | payloads
-    for name in ("noise", "inverse", "analysis", "synthesis", "inverse-half"):
+    for name in ("noise", "inverse", "inverse-half", "general"):
         got = apply_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
         expect = stagewise_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
         assert np.array_equal(got, expect), name
