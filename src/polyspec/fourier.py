@@ -59,20 +59,32 @@ class Spectrum:
 def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:
     """Fourier coefficients of a raw table (supports leading batch axes).
 
-    Each stage runs in difference form (see :mod:`polyspec.lattice`):
-    a + p*(b - a) and s*(b - a).  On a table with entries in [0, 1] every
-    coefficient is within 3n * 2^-53 of the exact result of the same
-    float64 kernel, to first order: the values at every stage are partial
-    coefficients of restrictions of the table, so they and b - a lie in
-    [-1, 1]; a stage is a convex combination and a difference scaled by
-    s <= 1/2, so it does not enlarge an earlier error, and it adds at most
-    three rounding errors of 2^-53.  :func:`synthesize_table` of a spectrum
-    c is within 5n * 2^-53 * ||c||_2 / sqrt(1 - p) in the mu_p-weighted
-    root mean square, since each of its stages maps the plain 2-norm onto
-    the weighted one isometrically.  Measured against a longdouble run at
-    n = 12, 16, 20 and p = 0.123, 0.3, 0.9, the errors were at most
-    0.1n * 2^-53 and 0.13n * 2^-53.  At p = 1/2 every value of a 0/1 table
-    is dyadic, and both directions are exact.
+    The stages run four at a time (see :mod:`polyspec.lattice`): a group
+    of g <= 4 coordinates multiplies each vector of 2^g values by
+    M = K(x)...(x)K, K = analysis_kernel(p).  An entry of M is a product of
+    g kernel entries (g - 1 roundings), and BLAS sums the 2^g products m*x
+    of a coefficient in an order of its own, so each product passes
+    through at most 2^g - 1 additions.  On a table with entries in [0, 1]
+    the values entering a group are partial coefficients of restrictions of
+    the table, in [-1, 1], and each row of |M| sums to at most 1 (the rows
+    of |K| sum to 1 and 2s <= 1, s = sqrt(p(1-p))).  So to first order a
+    group adds at most 2^g + g - 1 <= 19g/4 rounding errors of 2^-53 and
+    does not enlarge an earlier error, and every coefficient is within
+    19n/4 * 2^-53 of the exact result of the same float64 kernel.
+    :func:`synthesize_table` of a spectrum c is within
+    (19/4)(1 + 2s)^2 n * 2^-53 * ||c||_2 <= 19n * 2^-53 * ||c||_2 in the
+    mu_p-weighted root mean square: its exact stages map the plain 2-norm
+    onto the weighted one isometrically, and |K|(x)...(x)|K| maps it with
+    norm at most (1 + 2s)^(g/2).  These worst cases exceed those of the
+    stage-by-stage difference form, 3n * 2^-53 and
+    5n * 2^-53 * ||c||_2 / sqrt(1 - p); the test suite holds both
+    directions to the latter.  Measured against the stagewise kernels run
+    in longdouble at n = 12, 16, 20 and p = 0.123, 0.3, 0.9, the errors
+    were at most 0.25n * 2^-53 and 0.21n * 2^-53 * ||c||_2 / sqrt(1 - p).
+    At p = 1/2 every value of a 0/1 table is dyadic, and both directions
+    are exact.  Below about p = 1e-154 the kernels run stage by stage in
+    difference form (a + p*(b - a) and s*(b - a) for this one), within the
+    stagewise bounds.
     """
     _check_open_unit("bias p", p)
     return apply_kernel(working_copy(table), n, analysis_kernel(p))

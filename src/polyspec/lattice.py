@@ -30,9 +30,11 @@ stretch of up to 15 consecutive ascending coordinates lo..hi-1 is one run;
 seen as (outer, 2^(hi-lo), 2^lo), the table splits into tiles of at most
 2^16 elements (512 KiB of float64) that hold whole edges of every stage in
 the run, and each tile takes all of the run's stages while it is in cache.
-The n stages of a full transform are thus ceil(n/15) passes over memory
+The n stages of a full noise pass are thus ceil(n/15) passes over memory
 instead of n.  Every element still sees the same operations in the same
 order, so results are bit-identical to one whole-table pass per stage.
+The two Fourier kernels instead take runs of at most 4 stages, each as one
+matrix product per tile (the last paragraph below).
 
 The halves of a tile's low stages are short contiguous runs, 2^j * cols
 elements at stage j of a (rows, span, cols) tile, so numpy's inner loop is
@@ -57,19 +59,20 @@ the bits are those of the in-place path.  Runs of 4096 elements and more
 (n <= 19) stay in place; see _MAX_STAGED_COLS.
 
 Each call allocates one scratch block in the work's dtype: room for three
-halves of the largest tile and for its transposed or staged copy.  A stage
-allocates nothing.  The multiply form copies the x_i = 0 half a into the
-block, writes each product there with out=, adds k10*a + k11*b with the
-k10*a product first (so a NaN keeps the payload the plain expression gives
-it) and copies the sum back into its half.  With fresh temporaries per
+halves of the largest tile and for its transposed or staged copy, or for
+the Fourier kernels' products.  A stage allocates nothing.  The multiply
+form copies the x_i = 0 half a into the block, writes each product there
+with out=, adds k10*a + k11*b with the k10*a product first (so a NaN keeps
+the payload the plain expression gives it) and copies the sum back into
+its half.  With fresh temporaries per
 stage, a 2^22 transform ran about 30% slower in some processes, a mode
 fixed for the process's life and set by how it was launched; with the
 block it did not.
 
 A lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse)
 writes only the x_i = 1 half of each stage; the x_i = 0 half keeps its
-exact values.  The two Fourier kernels, tested for after it, run in
-difference form (below).  Any other kernel that is not one of the unit
+exact values.  The two Fourier kernels, tested for after it, run four
+stages at a time (below).  Any other kernel that is not one of the unit
 kernels below takes the general path, which writes both halves.  A half
 it computes with coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a
 -0.0 into +0.0 and an infinite partner into NaN; on any other input it
@@ -93,21 +96,40 @@ other kernel (the inverse noise kernel at rho = 1/2, [[1, 0], [-1, 2]],
 among them) keeps the multiply form.
 
 The analysis kernel [[1 - p, p], [-s, s]] (k00 + k01 == 1, k10 == -k11)
-runs as d = b - a, a += k01*d, b = k11*d: four in-place half-passes and
-one scratch half, against nine for the multiply form.  The synthesis
-kernel [[1, k01], [1, k11]] runs as a += k01*b, b *= k11 - k01,
-b += a.  These are other roundings of the same maps, so their bits are
-not the multiply form's; tests/oracles.stagewise_kernel holds the same
-forms as their bit-for-bit reference, and fourier.transform_table states
-their error.  An add of two NaNs here may keep either payload, depending
-on the layout of its operands in memory.  A lower triangular kernel with
-k10 == -k11 (the inverse noise kernel at rho = 1e-200 is
-[[1, 0], [-1e200, 1e200]]) never reaches these tests.
+and the synthesis kernel [[1, k01], [1, k11]] (k00 == k10 == 1) run four
+consecutive coordinates at a time, the blocked form of a Kronecker-product
+transform (Van Loan, Computational Frameworks for the FFT, 1992): a group
+of g <= 4 coordinates multiplies every vector of 2^g values by the cached
+2^g x 2^g matrix K(x)...(x)K, one np.matmul call per tile, so BLAS does
+the arithmetic.  The products go to the scratch block and are copied back,
+so no table-sized temporary appears.  BLAS may round a column of M @ X
+differently when X has another width: with numpy 2.4.6 and OpenBLAS
+0.3.31 a column gets other bits when X is 1, 2, 3, 9, 17 or 100 columns
+wide than when it is 8 or 1000 wide.  So every operand has one shape that
+the group's first coordinate lo alone sets: at lo = 0, _WIDTH rows of 2^g
+values times the transposed matrix, the rows past the last multiple of
+_WIDTH zero padded in the block; above, (2^g, min(2^lo, _WIDTH)) column
+blocks read from the tile.  An element's bits then do not depend on the
+batch shape or on its place in the table, and not on the BLAS thread count
+either, since a 16 x 16 x 128 product is too small for OpenBLAS to split.
+These are other roundings of the same maps, so the bits are not the
+stagewise forms'; fourier.transform_table states their error.
+
+A Fourier kernel whose 16 x 16 matrix has an entry that is not a normal
+number (zero, subnormal, infinite or NaN), as below about p = 1e-154,
+where s^4 underflows or ((1 - p)/p)^2 overflows, runs stage by stage in
+difference form instead: analysis as d = b - a, a += k01*d, b = k11*d,
+synthesis as a += k01*b, b *= k11 - k01, b += a.  tests/oracles.
+stagewise_kernel holds these forms as their bit-for-bit reference.  An
+add of two NaNs in either form may keep either payload.  A lower
+triangular kernel with k10 == -k11 (the inverse noise kernel at
+rho = 1e-200 is [[1, 0], [-1e200, 1e200]]) never reaches these tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -127,6 +149,11 @@ _MIN_CHUNK = 128
 # at n = 22; at n = 19 (runs of 4096) it changed either by -2% to +3%, and at
 # n = 18 (runs of 8192) it made both 2-5% slower.
 _MAX_STAGED_COLS = 2048
+# Rows or columns of every Fourier group-product operand, one shape whatever
+# the table's layout.  Measured on transform_table (numpy 2.4.6, one BLAS
+# thread): 256 was within 3% of 128 from n = 16 up but took a lone n = 4
+# row 12-14 us against 10 us; 64 was 6-8% slower at n = 20 and 22.
+_WIDTH = 128
 
 
 def coordinate_pairs(values: np.ndarray, i: int) -> np.ndarray:
@@ -183,15 +210,20 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     """
     work = values if values.flags.c_contiguous else np.ascontiguousarray(values)
     flat = work.reshape(-1)
+    mats = _group_matrices(*np.asarray(kernel).ravel().tolist(), work.dtype)
     # the call's one scratch block: three halves of the largest tile for the
-    # multiply form, then room for a tile's transposed copy
-    block = np.empty(5 * min(_TILE, flat.size) // 2, work.dtype)
+    # multiply form, then room for a tile's transposed copy; or a tile's
+    # group products, and at least two padded operands
+    block = np.empty(max(5 * min(_TILE, flat.size) // 2, 32 * _WIDTH * bool(mats)), work.dtype)
     update = _stage_update(kernel, block)
-    for lo, hi in _runs(range(n) if coords is None else coords):
+    for lo, hi in _runs(range(n) if coords is None else coords, 4 if mats else _MAX_RUN):
         if values.shape[-1] % (1 << hi):
             raise ValueError(f"last axis of length {values.shape[-1]} has no "
                              f"coordinate {hi - 1}")
         for tile in _tiles(flat, lo, hi):
+            if mats:
+                _group_product(tile, mats[hi - lo - 1], block)
+                continue
             rows, span, cols = tile.shape
             low = _low_stages(tile, hi - lo)
             if low:
@@ -220,6 +252,43 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     return values
 
 
+@lru_cache(maxsize=32)
+def _group_matrices(k00: float, k01: float, k10: float, k11: float, dtype: np.dtype):
+    """[K, K(x)K, K(x)K(x)K, K(x)K(x)K(x)K] in ``dtype`` for an analysis or
+    synthesis kernel K = [[k00, k01], [k10, k11]], shared and not to be
+    written; None for any other kernel, and when an entry of the 16x16
+    matrix is not a normal number (zero, subnormal, infinite or NaN), so
+    that K runs stage by stage."""
+    if (k00, k01) == (1.0, 0.0) or not (k00 + k01 == 1.0 and k10 == -k11 or k00 == k10 == 1.0):
+        return None
+    with np.errstate(over="ignore"):
+        mats = list(accumulate([np.array([[k00, k01], [k10, k11]], dtype)] * 4, np.kron))
+    size = np.abs(mats[-1])
+    return mats if np.finfo(dtype).tiny <= size.min() and size.max() < np.inf else None
+
+
+def _group_product(tile: np.ndarray, m: np.ndarray, block: np.ndarray) -> None:
+    """Apply m = K(x)...(x)K along axis 1 of an (outer, 2^g, cols) tile in
+    place, by np.matmul calls whose operand shape the tile's cols alone sets:
+    at cols = 1, rows of 2^g values times m.T, _WIDTH rows to an operand,
+    else m times (2^g, min(cols, _WIDTH)) column blocks.  Products go to
+    ``block`` and are copied back; the rows past the last multiple of
+    _WIDTH go through the block first, zero padded to one operand."""
+    outer, size, cols = tile.shape
+    w = min(cols, _WIDTH) if cols > 1 else _WIDTH
+    if cols == 1:
+        rows, full = tile.reshape(outer, size), outer - outer % w
+        if full < outer:
+            x, y = block[:2 * w * size].reshape(2, w, size)
+            x[:outer - full], x[outer - full:] = rows[full:], 0.0
+            rows[full:] = np.matmul(x, m.T, out=y)[:outer - full]
+        x = rows[:full].reshape(-1, w, size)
+    else:
+        x = tile.reshape(outer, size, cols // w, w).transpose(0, 2, 1, 3)
+    y = block[:x.size].reshape(x.shape)
+    x[...] = np.matmul(*((x, m.T) if cols == 1 else (m, x)), out=y)
+
+
 def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     """In-place update of one stage from its halves a (x_i = 0) and b
     (x_i = 1); a lower triangular kernel leaves a as it is, and the three
@@ -227,7 +296,8 @@ def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     in-place add or subtract with the bits of the multiply form (up to the
     payload of a NaN; see the module docstring).  After those, the analysis
     kernel (k00 + k01 == 1, k10 == -k11) and the synthesis kernel
-    (k00 == k10 == 1) run in difference form with one scratch half.  The
+    (k00 == k10 == 1) run in difference form with one scratch half; they
+    come here only when apply_kernel cannot run them as group products.  The
     multiply form keeps a copy of a and its products in the first three
     halves of ``scratch``."""
     (k00, k01), (k10, k11) = np.asarray(kernel).tolist()
@@ -282,15 +352,15 @@ def _low_stages(tile: np.ndarray, stages: int) -> int:
     return low if low >= 2 else 0
 
 
-def _runs(stages):
+def _runs(stages, most: int):
     """Split stages into runs [lo, hi) of consecutive ascending coordinates.
 
-    A run holds at most _MAX_RUN stages; a descending, repeated or
+    A run holds at most ``most`` stages; a descending, repeated or
     non-adjacent coordinate starts a new run, so the stage order is kept.
     """
     runs = []
     for i in stages:
-        if runs and i == runs[-1][1] and i - runs[-1][0] < _MAX_RUN:
+        if runs and i == runs[-1][1] and i - runs[-1][0] < most:
             runs[-1][1] = i + 1
         else:
             runs.append([i, i + 1])

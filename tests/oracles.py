@@ -4,7 +4,8 @@ Everything here follows definitions point by point (no butterflies, no
 transforms) so the fast library paths are checked against genuinely
 separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The
 exceptions are :func:`stagewise_kernel`, the untiled butterfly loop that the
-tiled ``lattice.apply_kernel`` must match bit for bit,
+tiled ``lattice.apply_kernel`` must match bit for bit (the analysis and
+synthesis kernels within an error bound, where they run as group products),
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
 ``core.save_function`` must match, and :func:`spectrum_degree`, the
 thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
@@ -344,7 +345,10 @@ def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     """One whole-table pass per coordinate: the kernel loop before tiling,
     with the stage forms of ``lattice._stage_update`` chosen by the same
     rule: the analysis kernel's difference form b - a, then the synthesis
-    kernel's form a + k01*b, each operation in the engine's operand order."""
+    kernel's form a + k01*b, each operation in the engine's operand order.
+    The engine runs those two as group products, and in these forms only
+    at extreme bias; run in longdouble, this is the reference their error
+    bounds are checked against."""
     k00, k01 = kernel[0]
     k10, k11 = kernel[1]
     for i in range(n) if coords is None else coords:

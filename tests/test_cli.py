@@ -97,7 +97,7 @@ def test_transform_bytes_match_json_dumps(f, p, tmp_path, capsys):
 PINNED_DOCUMENTS = {
     "transform": (["transform", "--p", "0.3", "--in", "{f}"],
                   '{"kind": "spectrum", "n": 3, "p": 0.3, "values": [0.126, 0.054990908339470075, '
-                  '0.05499090833947007, -0.126, 0.19246817918814527, 0.08399999999999999, '
+                  '0.054990908339470075, -0.126, 0.19246817918814527, 0.08399999999999999, '
                   '0.08399999999999999, -0.19246817918814527]}'),
     "profile": (["profile", "--p", "0.3", "--in", "{f}"],
                 '{"degree": 3, "influences": [0.3, 0.3, 0.42], "max_sensitivity": 3, '

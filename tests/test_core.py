@@ -10,6 +10,7 @@ import pytest
 
 import polyspec as ps
 from polyspec.analysis import ExperimentConfig
+from polyspec.fourier import transform_table
 from conftest import json_io_functions, random_boolean, random_bounded, readme_library_tour
 from oracles import (junta_project, mu_weight, naive_expectation, naive_l1,
                      naive_restrict, streamed_json_bytes, to_json_dict)
@@ -186,6 +187,16 @@ FLOAT_TABLES = {
     "non-finite": [float("nan"), float("inf"), -float("inf"), float("nan"),
                    float("inf"), 1e308, 1e308, -0.0],
     "all-distinct": np.random.default_rng(7).standard_normal(256).tolist(),
+    # repeated, so that fewer than half their entries are distinct and they
+    # take the per-value gather
+    "subnormals-repeated": [5e-324, 1e-310, 2.2250738585072014e-308] * 4,
+    "non-finite-repeated": [float("nan"), float("inf"), -float("inf"), 1e308, -0.0] * 4,
+    # the three below have at least half their entries distinct, so they take
+    # the one json.dumps call rather than the per-value gather
+    "spectrum-p0.3": transform_table(np.random.default_rng(8).integers(0, 2, 1 << 10),
+                                     10, 0.3).tolist(),
+    "half-distinct": [0.25, 0.5, 0.75, 1.0] * 2,
+    "signed-zeros-distinct": [-0.0, 0.0, 1e-300, -2.5, 0.1],
 }
 
 

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from math import inf
 from pathlib import Path
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 from polyspec import lattice
-from polyspec.fourier import analysis_kernel, synthesis_kernel
+from polyspec.fourier import (analysis_kernel, synthesis_kernel, synthesize_table,
+                              transform_table)
 from polyspec.lattice import (_by_level, apply_kernel, coordinate_pairs,
                               measure_weights, mobius_subsets, point_codes,
                               popcounts, subcube_codes, zeta_subsets,
@@ -160,6 +164,38 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
             and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
+def fourier_error_bound(values: np.ndarray, n: int, kernel: np.ndarray, coords) -> np.ndarray:
+    """Entrywise first-order bound on the gap between the grouped analysis
+    or synthesis form and the stagewise kernel run in longdouble.  The
+    grouped form adds at most 19/4 roundings per stage (see
+    fourier.transform_table) of the envelope |K| applied to |values| stage
+    by stage.  The stagewise reference adds at most 5 per stage of an
+    envelope that also holds its intermediates, and one of 2^-53: from the
+    float64 entries it computes 1 - k01 exactly (analysis) and k11 - k01 in
+    float64 (synthesis), where the grouped form takes k00 and k11 as they
+    are."""
+    (k00, k01), (k10, k11) = kernel.tolist()
+    ref = ([[1 + abs(k01), abs(k01)], [abs(k11), abs(k11)]] if k10 == -k11   # analysis
+           else [[1.0, abs(k01)], [1.0, abs(k01) + abs(k11 - k01)]])        # synthesis
+    start = np.abs(values).astype(np.float64)
+    stages = n if coords is None else len(coords)
+    u, u_ref = np.finfo(values.dtype).eps / 2, np.finfo(np.longdouble).eps / 2
+    return stages * (4.75 * u * stagewise_kernel(start.copy(), n, np.abs(kernel), coords)
+                     + (5 * u_ref + 2.0 ** -53) * stagewise_kernel(start, n, np.array(ref), coords))
+
+
+def assert_kernel_result(got, base, n, name, coords, note):
+    """The analysis and synthesis kernels within fourier_error_bound of the
+    stagewise kernel run in longdouble; every other kernel with its
+    stagewise bits."""
+    kernel = KERNELS[name]
+    if name in ("analysis", "synthesis"):
+        exact = stagewise_kernel(base.astype(np.longdouble), n, kernel, coords)
+        assert np.all(np.abs(got - exact) <= fourier_error_bound(base, n, kernel, coords)), note
+    else:
+        assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), note
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("shape", [(1 << 15,), (1 << 16,), (1 << 17,), (1 << 18,),
                                    (7, 16), (1024, 64), (3, 1 << 17),
@@ -167,7 +203,10 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 def test_apply_kernel_matches_stagewise_bits(shape, dtype):
     """The tiled engine does each element's stage arithmetic in the old
     order, on both sides of the one-tile size 2^16, whether a tile's low
-    stages run in place or on a transposed copy."""
+    stages run in place or on a transposed copy.  The analysis and synthesis
+    kernels run four stages at a time as matrix products instead, so they
+    are held to their error bound against a longdouble stagewise run, in
+    every stage order."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape).astype(dtype)
     base[..., ::5] = 0.0
@@ -176,23 +215,23 @@ def test_apply_kernel_matches_stagewise_bits(shape, dtype):
             got = base.copy()
             out = apply_kernel(got, n, kernel, coords)
             assert out is got
-            assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), \
-                (name, order)
+            assert_kernel_result(got, base, n, name, coords, (name, order))
 
 
 @pytest.mark.parametrize("coords", [None, list(range(14, 20))], ids=["default", "14-19"])
 def test_staged_upper_run_matches_stagewise_bits(coords):
     """At n = 20 the runs 15..19 (of the default order) and 14..19 are cut
     into column tiles of 2048- and 1024-element runs, which take all their
-    stages on a copy in the scratch block; every kernel keeps its stagewise
-    bits there.  float64 only, since a longdouble reference at 2^20 costs
+    stages on a copy in the scratch block; every kernel but the two Fourier
+    kernels keeps its stagewise bits there, and those keep their error
+    bound.  float64 only, since a longdouble engine run at 2^20 costs
     seconds."""
     n = 20
     base = np.random.default_rng(n).standard_normal(1 << n)
     base[::5] = 0.0
     for name, kernel in KERNELS.items():
         got = apply_kernel(base.copy(), n, kernel, coords)
-        assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), name
+        assert_kernel_result(got, base, n, name, coords, name)
 
 
 def test_only_column_tiles_of_short_runs_are_staged(monkeypatch):
@@ -200,7 +239,8 @@ def test_only_column_tiles_of_short_runs_are_staged(monkeypatch):
     slices of at most lattice._MAX_STAGED_COLS contiguous elements: the run
     15..19 at n = 20 (2048 elements), not 15..18 at n = 19 (4096), not
     15..17 at n = 18 (8192), and never a single stage.  A wrapper around the
-    stage update records whether each stage's halves lie in the table."""
+    stage update records whether each stage's halves lie in the table; the
+    noise kernel runs stage by stage, as the Fourier kernels no longer do."""
     in_table = []
     stage_update = lattice._stage_update
 
@@ -217,8 +257,65 @@ def test_only_column_tiles_of_short_runs_are_staged(monkeypatch):
                               (18, range(15, 18), False), (20, [19], False)):
         values = np.ones(1 << n)
         in_table.clear()
-        apply_kernel(values, n, KERNELS["analysis"], list(coords))
+        apply_kernel(values, n, KERNELS["noise"], list(coords))
         assert in_table and set(in_table) == {not staged}, (n, list(coords))
+
+
+@pytest.mark.parametrize("shape", [(7, 16), (65536, 16), (256, 4096), (3, 1 << 17)])
+def test_stacked_fourier_rows_keep_the_bits_of_their_unstacked_calls(shape):
+    """The grouped form's matrix products give each element the same bits
+    whatever the batch shape and the element's place in it: every row of a
+    stacked transform and synthesis has the bits of its own call.  Compared
+    as uint64, so -0.0 counts."""
+    n = shape[-1].bit_length() - 1
+    base = np.random.default_rng(n).standard_normal(shape)
+    for run, p in ((transform_table, 0.3), (synthesize_table, 0.7)):
+        stacked = run(base, n, p).view(np.uint64)
+        for row in range(shape[0]):
+            assert np.array_equal(run(base[row], n, p).view(np.uint64), stacked[row]), \
+                (run.__name__, row)
+
+
+def test_fourier_bits_do_not_depend_on_blas_threads():
+    """The matrix products go through BLAS; with one and with two BLAS
+    threads an n = 20 transform and a (256, 4096) batch have the same
+    bytes, since each product is small enough to run on one thread."""
+    script = ("import hashlib, numpy as np\n"
+              "from polyspec.fourier import transform_table\n"
+              "rng = np.random.default_rng(7)\n"
+              "h = hashlib.sha256(transform_table(rng.random(1 << 20), 20, 0.3).tobytes())\n"
+              "h.update(transform_table(rng.random((256, 4096)), 12, 0.3).tobytes())\n"
+              "print(h.hexdigest())\n")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(SRC.parent)] + sys.path)}
+        run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, digests
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-160, 1 - 1e-16])
+def test_extreme_bias_falls_back_to_the_stagewise_bits(p):
+    """Below about p = 1e-154 an entry of the 16x16 analysis and synthesis
+    matrices underflows to zero or a subnormal, or overflows, so both run
+    stage by stage with the stagewise form's bits.  Near p = 1 every entry
+    is a normal number (the smallest, (1 - p)^4, is about 1.5e-64), so the
+    grouped form runs there and is held to its error bound."""
+    n = 12
+    table = np.random.default_rng(n).integers(0, 2, 1 << n).astype(np.float64)
+    coeffs = transform_table(table, n, p)
+    values = synthesize_table(coeffs, n, p)
+    for kernel, base, got in ((analysis_kernel(p), table, coeffs),
+                              (synthesis_kernel(p), coeffs, values)):
+        grouped = lattice._group_matrices(*kernel.ravel().tolist(), got.dtype)
+        assert (grouped is not None) == (p > 0.5)
+        if grouped is None:
+            assert same_bits(got, stagewise_kernel(base.copy(), n, kernel)), kernel
+        else:
+            exact = stagewise_kernel(base.astype(np.longdouble), n, kernel)
+            assert np.all(np.abs(got - exact) <= fourier_error_bound(base, n, kernel, None))
 
 
 @pytest.mark.parametrize("shape", [(1 << 10,), (64, 256), (1 << 20,)])
