@@ -467,8 +467,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     if theorem == "triple":
         if h is None:
             raise ValueError("the triple audit needs all three functions")
-        if not isinstance(f, BooleanFunction):
-            raise ValueError("the triple audit needs Boolean f")
+        _check_boolean("the triple audit", f)
         agree = homomorphism_agreement(f, p, rho, g=g, h=h)
         vf = distance_to_constant_or_and(f, q)
         vg = distance_to_constant_or_and(g, p)

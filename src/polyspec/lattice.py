@@ -33,8 +33,8 @@ the run, and each tile takes all of the run's stages while it is in cache.
 The n stages of a full noise pass are thus ceil(n/15) passes over memory
 instead of n.  Every element still sees the same operations in the same
 order, so results are bit-identical to one whole-table pass per stage.
-The two Fourier kernels instead take runs of at most 4 stages, each as one
-matrix product per tile (the last paragraph below).
+A kernel that runs as group products (below) instead takes runs of at
+most 4 stages, each as one matrix product per tile.
 
 The halves of a tile's low stages are short contiguous runs, 2^j * cols
 elements at stage j of a (rows, span, cols) tile, so numpy's inner loop is
@@ -60,7 +60,7 @@ the bits are those of the in-place path.  Runs of 4096 elements and more
 
 Each call allocates one scratch block in the work's dtype: room for three
 halves of the largest tile and for its transposed or staged copy, or for
-the Fourier kernels' products.  A stage allocates nothing.  The multiply
+a grouped kernel's products.  A stage allocates nothing.  The multiply
 form copies the x_i = 0 half a into the block, writes each product there
 with out=, adds k10*a + k11*b with the k10*a product first (so a NaN keeps
 the payload the plain expression gives it) and copies the sum back into
@@ -69,17 +69,16 @@ stage, a 2^22 transform ran about 30% slower in some processes, a mode
 fixed for the process's life and set by how it was launched; with the
 block it did not.
 
-A lower triangular kernel [[1, 0], [k10, k11]] (noise and its inverse)
-writes only the x_i = 1 half of each stage; the x_i = 0 half keeps its
-exact values.  The two Fourier kernels, tested for after it, run four
-stages at a time (below).  Any other kernel that is not one of the unit
-kernels below takes the general path, which writes both halves.  A half
-it computes with coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a
--0.0 into +0.0 and an infinite partner into NaN; on any other input it
-gives the same bits.  An upper triangular kernel [[k00, k01], [0, 1]]
-therefore changes its x_i = 1 half in those two ways; superset zeta, the
-one such kernel in the library, is a unit kernel and keeps that half as it
-is.
+A kernel runs stage by stage in one of three shapes.  A lower triangular
+kernel [[1, 0], [k10, k11]] (noise and its inverse) writes only the
+x_i = 1 half of each stage; the x_i = 0 half keeps its exact values.  Any
+other kernel that is not one of the unit kernels below takes the general
+multiply form, which writes both halves.  A half it computes with
+coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a -0.0 into +0.0 and
+an infinite partner into NaN; on any other input it gives the same bits.
+An upper triangular kernel [[k00, k01], [0, 1]] therefore changes its
+x_i = 1 half in those two ways; superset zeta, the one such kernel in the
+library, is a unit kernel and keeps that half as it is.
 
 Three unit kernels, [[1, 0], [1, 1]] (subset zeta), [[1, 0], [-1, 1]]
 (subset Moebius) and [[1, 1], [0, 1]] (superset zeta), run each stage as
@@ -95,35 +94,32 @@ these three kernels, compared entry by entry, take the unit path; any
 other kernel (the inverse noise kernel at rho = 1/2, [[1, 0], [-1, 2]],
 among them) keeps the multiply form.
 
-The analysis kernel [[1 - p, p], [-s, s]] (k00 + k01 == 1, k10 == -k11)
-and the synthesis kernel [[1, k01], [1, k11]] (k00 == k10 == 1) run four
-consecutive coordinates at a time, the blocked form of a Kronecker-product
-transform (Van Loan, Computational Frameworks for the FFT, 1992): a group
-of g <= 4 coordinates multiplies every vector of 2^g values by the cached
-2^g x 2^g matrix K(x)...(x)K, one np.matmul call per tile, so BLAS does
-the arithmetic.  The products go to the scratch block and are copied back,
-so no table-sized temporary appears.  BLAS may round a column of M @ X
-differently when X has another width: with numpy 2.4.6 and OpenBLAS
-0.3.31 a column gets other bits when X is 1, 2, 3, 9, 17 or 100 columns
-wide than when it is 8 or 1000 wide.  So every operand has one shape that
-the group's first coordinate lo alone sets: at lo = 0, _WIDTH rows of 2^g
-values times the transposed matrix, the rows past the last multiple of
-_WIDTH zero padded in the block; above, (2^g, min(2^lo, _WIDTH)) column
-blocks read from the tile.  An element's bits then do not depend on the
-batch shape or on its place in the table, and not on the BLAS thread count
-either, since a 16 x 16 x 128 product is too small for OpenBLAS to split.
-These are other roundings of the same maps, so the bits are not the
-stagewise forms'; fourier.transform_table states their error.
+A kernel K runs four consecutive coordinates at a time, in place of all
+three shapes, when every entry of the 16 x 16 matrix K(x)K(x)K(x)K is a
+normal number (neither zero, subnormal, infinite nor NaN): the blocked
+form of a Kronecker-product transform (Van Loan, Computational Frameworks
+for the FFT, 1992).  A group of g <= 4 coordinates multiplies every vector
+of 2^g values by the cached 2^g x 2^g matrix K(x)...(x)K, one np.matmul
+call per tile, so BLAS does the arithmetic.  The products go to the
+scratch block and are copied back, so no table-sized temporary appears.
+BLAS may round a column of M @ X differently when X has another width:
+with numpy 2.4.6 and OpenBLAS 0.3.31 a column gets other bits when X is
+1, 2, 3, 9, 17 or 100 columns wide than when it is 8 or 1000 wide.  So
+every operand has one shape that the group's first coordinate lo alone
+sets: at lo = 0, _WIDTH rows of 2^g values times the transposed matrix,
+the rows past the last multiple of _WIDTH zero padded in the block; above,
+(2^g, min(2^lo, _WIDTH)) column blocks read from the tile.  An element's
+bits then do not depend on the batch shape or on its place in the table,
+and not on the BLAS thread count either, since a 16 x 16 x 128 product is
+too small for OpenBLAS to split.  These are other roundings of the same
+maps, so the bits are not the stagewise forms'; fourier.transform_table
+states their error.
 
-A Fourier kernel whose 16 x 16 matrix has an entry that is not a normal
-number (zero, subnormal, infinite or NaN), as below about p = 1e-154,
-where s^4 underflows or ((1 - p)/p)^2 overflows, runs stage by stage in
-difference form instead: analysis as d = b - a, a += k01*d, b = k11*d,
-synthesis as a += k01*b, b *= k11 - k01, b += a.  tests/oracles.
-stagewise_kernel holds these forms as their bit-for-bit reference.  An
-add of two NaNs in either form may keep either payload.  A lower
-triangular kernel with k10 == -k11 (the inverse noise kernel at
-rho = 1e-200 is [[1, 0], [-1e200, 1e200]]) never reaches these tests.
+In float64 the rule groups the analysis kernel from about p = 1.2e-77 up
+(its matrix holds p^4) and the synthesis kernel from about p = 1.5e-154 up
+(its matrix holds (p/(1 - p))^2); below, they take the general multiply
+form.  Noise, its inverse and the unit kernels have a zero entry, so they
+run stage by stage at every parameter.
 """
 
 from __future__ import annotations
@@ -254,14 +250,13 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
 
 @lru_cache(maxsize=32)
 def _group_matrices(k00: float, k01: float, k10: float, k11: float, dtype: np.dtype):
-    """[K, K(x)K, K(x)K(x)K, K(x)K(x)K(x)K] in ``dtype`` for an analysis or
-    synthesis kernel K = [[k00, k01], [k10, k11]], shared and not to be
-    written; None for any other kernel, and when an entry of the 16x16
-    matrix is not a normal number (zero, subnormal, infinite or NaN), so
-    that K runs stage by stage."""
-    if (k00, k01) == (1.0, 0.0) or not (k00 + k01 == 1.0 and k10 == -k11 or k00 == k10 == 1.0):
-        return None
-    with np.errstate(over="ignore"):
+    """[K, K(x)K, K(x)K(x)K, K(x)K(x)K(x)K] in ``dtype`` for the kernel
+    K = [[k00, k01], [k10, k11]], shared and not to be written, when every
+    entry of the 16x16 matrix is a normal number; else None (an entry is
+    zero, subnormal, infinite or NaN), and K runs stage by stage.  A
+    product may overflow to inf, and inf*0 gives NaN; both fail the test,
+    so their warnings are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
         mats = list(accumulate([np.array([[k00, k01], [k10, k11]], dtype)] * 4, np.kron))
     size = np.abs(mats[-1])
     return mats if np.finfo(dtype).tiny <= size.min() and size.max() < np.inf else None
@@ -294,12 +289,10 @@ def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     (x_i = 1); a lower triangular kernel leaves a as it is, and the three
     unit kernels (subset zeta, subset Moebius, superset zeta) run as one
     in-place add or subtract with the bits of the multiply form (up to the
-    payload of a NaN; see the module docstring).  After those, the analysis
-    kernel (k00 + k01 == 1, k10 == -k11) and the synthesis kernel
-    (k00 == k10 == 1) run in difference form with one scratch half; they
-    come here only when apply_kernel cannot run them as group products.  The
-    multiply form keeps a copy of a and its products in the first three
-    halves of ``scratch``."""
+    payload of a NaN; see the module docstring).  Any other kernel, the
+    Fourier kernels at a bias where _group_matrices gives None among them,
+    takes the general multiply form, which keeps a copy of a and its
+    products in the first three halves of ``scratch``."""
     (k00, k01), (k10, k11) = np.asarray(kernel).tolist()
     if (k00, k01, k10, k11) == (1.0, 0.0, 1.0, 1.0):
         def update(a, b):
@@ -314,16 +307,6 @@ def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
         def update(a, b):
             s = np.ndarray((2,) + a.shape, scratch.dtype, scratch)
             b[...] = _sum_of_products(k10, a, k11, b, s[0], s[1])
-    elif k00 + k01 == 1.0 and k10 == -k11:
-        def update(a, b):
-            np.subtract(b, a, out=b)
-            a += np.multiply(k01, b, out=np.ndarray(a.shape, scratch.dtype, scratch))
-            b *= k11
-    elif k00 == 1.0 and k10 == 1.0:
-        def update(a, b):
-            a += np.multiply(k01, b, out=np.ndarray(a.shape, scratch.dtype, scratch))
-            b *= k11 - k01
-            b += a
     else:
         def update(a, b):
             s = np.ndarray((3,) + a.shape, scratch.dtype, scratch)

@@ -4,8 +4,8 @@ Everything here follows definitions point by point (no butterflies, no
 transforms) so the fast library paths are checked against genuinely
 separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The
 exceptions are :func:`stagewise_kernel`, the untiled butterfly loop that the
-tiled ``lattice.apply_kernel`` must match bit for bit (the analysis and
-synthesis kernels within an error bound, where they run as group products),
+tiled ``lattice.apply_kernel`` must match bit for bit (within an error
+bound, for a kernel it runs as group products),
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
 ``core.save_function`` must match, and :func:`spectrum_degree`, the
 thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
@@ -343,12 +343,11 @@ def and_or_candidate_count(c: int, max_width: int) -> int:
 def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                      coords=None) -> np.ndarray:
     """One whole-table pass per coordinate: the kernel loop before tiling,
-    with the stage forms of ``lattice._stage_update`` chosen by the same
-    rule: the analysis kernel's difference form b - a, then the synthesis
-    kernel's form a + k01*b, each operation in the engine's operand order.
-    The engine runs those two as group products, and in these forms only
-    at extreme bias; run in longdouble, this is the reference their error
-    bounds are checked against."""
+    in the two multiply forms of ``lattice._stage_update``, lower
+    triangular and general, each operation in the engine's operand order.
+    Every kernel the engine runs stage by stage, the unit kernels included,
+    matches it bit for bit; a kernel the engine runs as group products is
+    held to an error bound against it, run in longdouble."""
     k00, k01 = kernel[0]
     k10, k11 = kernel[1]
     for i in range(n) if coords is None else coords:
@@ -358,14 +357,6 @@ def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
         if k00 == 1.0 and k01 == 0.0:
             # lower row leaves a untouched; update b from the live view
             w[..., 1, :] = k10 * a + k11 * b
-        elif k00 + k01 == 1.0 and k10 == -k11:
-            d = b - a
-            w[..., 0, :] = a + k01 * d
-            w[..., 1, :] = d * k11
-        elif k00 == 1.0 and k10 == 1.0:
-            a1 = a + k01 * b
-            w[..., 1, :] = b * (k11 - k01) + a1
-            w[..., 0, :] = a1
         else:
             a0 = a.copy()
             w[..., 0, :] = k00 * a0 + k01 * b

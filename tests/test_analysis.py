@@ -959,7 +959,7 @@ def test_stacked_cores_give_each_row_the_bits_of_its_unstacked_call(n):
 AUDIT_ERRORS = [
     ("triple", {}, "the triple audit needs all three functions"),
     ("triple", {"f": ps.BoundedFunction(2, [0.0, 0.5, 0.5, 1.0]), "h": ps.make_and(2, [0])},
-     "the triple audit needs Boolean f"),
+     "the triple audit needs a Boolean function, got BoundedFunction"),
     ("one-sided", {"lam": None}, "the one-sided audit needs params.lam"),
     *[(theorem, {"lam": None}, "this audit needs params.lam")
       for theorem in ("small-rho", "half-rho", "large-lambda", "monotone")],

@@ -16,7 +16,7 @@ from polyspec.lattice import (_by_level, apply_kernel, coordinate_pairs,
                               measure_weights, mobius_subsets, point_codes,
                               popcounts, subcube_codes, zeta_subsets,
                               zeta_supersets)
-from polyspec.noise import inverse_noise_kernel, noise_kernel
+from polyspec.noise import inverse_noise_kernel, invert_downward, noise_kernel
 from oracles import bit, stagewise_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
@@ -139,7 +139,8 @@ KERNELS = {
     # [[1, 0], [-1, 2]]: one entry away from Moebius, so it must keep the
     # multiply form
     "inverse-half": inverse_noise_kernel(0.5),
-    # neither triangular nor a Fourier kernel: the general multiply form
+    # neither triangular nor a Fourier kernel; no zero entry, so it runs as
+    # group products
     "general": np.array([[0.6, 0.4], [0.25, 0.5]]),
 }
 
@@ -165,31 +166,24 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def fourier_error_bound(values: np.ndarray, n: int, kernel: np.ndarray, coords) -> np.ndarray:
-    """Entrywise first-order bound on the gap between the grouped analysis
-    or synthesis form and the stagewise kernel run in longdouble.  The
-    grouped form adds at most 19/4 roundings per stage (see
-    fourier.transform_table) of the envelope |K| applied to |values| stage
-    by stage.  The stagewise reference adds at most 5 per stage of an
-    envelope that also holds its intermediates, and one of 2^-53: from the
-    float64 entries it computes 1 - k01 exactly (analysis) and k11 - k01 in
-    float64 (synthesis), where the grouped form takes k00 and k11 as they
-    are."""
-    (k00, k01), (k10, k11) = kernel.tolist()
-    ref = ([[1 + abs(k01), abs(k01)], [abs(k11), abs(k11)]] if k10 == -k11   # analysis
-           else [[1.0, abs(k01)], [1.0, abs(k01) + abs(k11 - k01)]])        # synthesis
+    """Entrywise first-order bound on the gap between the group products
+    and the stagewise kernel run in longdouble: 19/4 roundings per stage
+    (see fourier.transform_table) and the reference's 3, each of the
+    envelope |K| applied to |values| stage by stage."""
     start = np.abs(values).astype(np.float64)
     stages = n if coords is None else len(coords)
     u, u_ref = np.finfo(values.dtype).eps / 2, np.finfo(np.longdouble).eps / 2
-    return stages * (4.75 * u * stagewise_kernel(start.copy(), n, np.abs(kernel), coords)
-                     + (5 * u_ref + 2.0 ** -53) * stagewise_kernel(start, n, np.array(ref), coords))
+    return stages * (4.75 * u + 3 * u_ref) * stagewise_kernel(start, n, np.abs(kernel), coords)
 
 
 def assert_kernel_result(got, base, n, name, coords, note):
-    """The analysis and synthesis kernels within fourier_error_bound of the
-    stagewise kernel run in longdouble; every other kernel with its
-    stagewise bits."""
+    """Every kernel that runs as group products (analysis, synthesis and
+    general, and no other) within fourier_error_bound of the stagewise
+    kernel run in longdouble; every other kernel with its stagewise bits."""
     kernel = KERNELS[name]
-    if name in ("analysis", "synthesis"):
+    grouped = lattice._group_matrices(*kernel.ravel().tolist(), got.dtype) is not None
+    assert grouped == (name in ("analysis", "synthesis", "general")), note
+    if grouped:
         exact = stagewise_kernel(base.astype(np.longdouble), n, kernel, coords)
         assert np.all(np.abs(got - exact) <= fourier_error_bound(base, n, kernel, coords)), note
     else:
@@ -203,10 +197,9 @@ def assert_kernel_result(got, base, n, name, coords, note):
 def test_apply_kernel_matches_stagewise_bits(shape, dtype):
     """The tiled engine does each element's stage arithmetic in the old
     order, on both sides of the one-tile size 2^16, whether a tile's low
-    stages run in place or on a transposed copy.  The analysis and synthesis
-    kernels run four stages at a time as matrix products instead, so they
-    are held to their error bound against a longdouble stagewise run, in
-    every stage order."""
+    stages run in place or on a transposed copy.  The kernels that run four
+    stages at a time as matrix products instead are held to their error
+    bound against a longdouble stagewise run, in every stage order."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape).astype(dtype)
     base[..., ::5] = 0.0
@@ -222,9 +215,9 @@ def test_apply_kernel_matches_stagewise_bits(shape, dtype):
 def test_staged_upper_run_matches_stagewise_bits(coords):
     """At n = 20 the runs 15..19 (of the default order) and 14..19 are cut
     into column tiles of 2048- and 1024-element runs, which take all their
-    stages on a copy in the scratch block; every kernel but the two Fourier
-    kernels keeps its stagewise bits there, and those keep their error
-    bound.  float64 only, since a longdouble engine run at 2^20 costs
+    stages on a copy in the scratch block; every kernel that runs stage by
+    stage keeps its stagewise bits there, and the grouped ones keep their
+    error bound.  float64 only, since a longdouble engine run at 2^20 costs
     seconds."""
     n = 20
     base = np.random.default_rng(n).standard_normal(1 << n)
@@ -240,7 +233,7 @@ def test_only_column_tiles_of_short_runs_are_staged(monkeypatch):
     15..19 at n = 20 (2048 elements), not 15..18 at n = 19 (4096), not
     15..17 at n = 18 (8192), and never a single stage.  A wrapper around the
     stage update records whether each stage's halves lie in the table; the
-    noise kernel runs stage by stage, as the Fourier kernels no longer do."""
+    noise kernel runs stage by stage."""
     in_table = []
     stage_update = lattice._stage_update
 
@@ -296,36 +289,62 @@ def test_fourier_bits_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
-@pytest.mark.parametrize("p", [1e-300, 1e-160, 1 - 1e-16])
+@pytest.mark.parametrize("p", [1e-300, 1e-160, 1e-100, 1 - 1e-16])
 def test_extreme_bias_falls_back_to_the_stagewise_bits(p):
-    """Below about p = 1e-154 an entry of the 16x16 analysis and synthesis
-    matrices underflows to zero or a subnormal, or overflows, so both run
-    stage by stage with the stagewise form's bits.  Near p = 1 every entry
-    is a normal number (the smallest, (1 - p)^4, is about 1.5e-64), so the
-    grouped form runs there and is held to its error bound."""
+    """An entry of the 16x16 analysis matrix, p^4, underflows below about
+    p = 1.2e-77, and one of the synthesis matrix, (p/(1 - p))^2, below
+    about p = 1.5e-154; there the kernel runs stage by stage in the general
+    multiply form, with the stagewise bits.  At p = 1e-100 the two kernels
+    split.  Near p = 1 every entry is a normal number (the smallest,
+    (1 - p)^4, is about 1.5e-64), so the group products run there and are
+    held to their error bound."""
     n = 12
     table = np.random.default_rng(n).integers(0, 2, 1 << n).astype(np.float64)
     coeffs = transform_table(table, n, p)
     values = synthesize_table(coeffs, n, p)
-    for kernel, base, got in ((analysis_kernel(p), table, coeffs),
-                              (synthesis_kernel(p), coeffs, values)):
-        grouped = lattice._group_matrices(*kernel.ravel().tolist(), got.dtype)
-        assert (grouped is not None) == (p > 0.5)
-        if grouped is None:
-            assert same_bits(got, stagewise_kernel(base.copy(), n, kernel)), kernel
-        else:
+    for kernel, base, got, expect in ((analysis_kernel(p), table, coeffs, p > 1.2e-77),
+                                      (synthesis_kernel(p), coeffs, values, p > 1.5e-154)):
+        assert (lattice._group_matrices(*kernel.ravel().tolist(), got.dtype) is not None) == expect
+        if expect:
             exact = stagewise_kernel(base.astype(np.longdouble), n, kernel)
             assert np.all(np.abs(got - exact) <= fourier_error_bound(base, n, kernel, None))
+        else:
+            assert same_bits(got, stagewise_kernel(base.copy(), n, kernel)), kernel
+
+
+def test_group_rule_decides_extreme_kernels_without_warnings():
+    """The normality rule computes every library kernel's 16x16 matrix at
+    extreme parameters with no RuntimeWarning (the test configuration makes
+    one an error), though a product overflows and inf*0 gives NaN, as for
+    inverse_noise_kernel(1e-200).  The cache is bypassed, so an earlier call
+    under np.errstate cannot hide a warning.  Noise and its inverse have a
+    zero entry and never run as group products; the Fourier kernels do in
+    float64 from about p = 1.2e-77 (analysis) and 1.5e-154 (synthesis) up,
+    and at every p here in a longdouble wider than float64.  The inverse at
+    rho = 1e-200 and 1e-160 still maps the constant one to [1, 0]."""
+    wide = np.finfo(np.longdouble).minexp < np.finfo(np.float64).minexp
+    cases = [(kernel(rho), False, False) for rho in (1e-160, 1e-200, 1e-300)
+             for kernel in (noise_kernel, inverse_noise_kernel)]
+    for p in (1e-100, 1e-300, 5e-324, 1 - 1e-16):
+        for kernel, double in ((analysis_kernel(p), p > 1.2e-77), (synthesis_kernel(p), p > 1.5e-154)):
+            cases.append((kernel, double, wide or double))
+    for kernel, in_double, in_long in cases:
+        for dtype, expect in ((np.float64, in_double), (np.longdouble, in_long)):
+            mats = lattice._group_matrices.__wrapped__(*kernel.ravel().tolist(), np.dtype(dtype))
+            assert (mats is not None) == expect, (kernel, dtype)
+    for rho in (1e-200, 1e-160):
+        assert same_bits(invert_downward(np.ones(2), rho), np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("shape", [(1 << 10,), (64, 256), (1 << 20,)])
 def test_kernels_beside_the_difference_forms_keep_their_bits(shape):
-    """Kernels that meet a Fourier form's test on some entries still take
-    their own path, bit for bit as the stagewise reference, compared as
-    uint64 so that infinities and NaN count: inverse_noise_kernel(1e-200) is
-    [[1, 0], [-1e200, 1e200]] (k10 == -k11, and its entries overflow to NaN),
-    noise_kernel(1e-300) is [[1, 0], [1, 1e-300]] (k00 == k10 == 1), and the
-    three unit kernels.  2^20 takes the staged upper run."""
+    """Kernels with a zero entry run stage by stage whatever their other
+    entries, bit for bit as the stagewise reference, compared as uint64 so
+    that infinities and NaN count: inverse_noise_kernel(1e-200) is
+    [[1, 0], [-1e200, 1e200]] (its 16x16 matrix overflows, and inf*0 gives
+    NaN), noise_kernel(1e-300) is [[1, 0], [1, 1e-300]] (its matrix
+    underflows), and the three unit kernels.  2^20 takes the staged upper
+    run."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape)
     base[..., ::5] = 0.0
@@ -346,19 +365,24 @@ def test_multiply_form_keeps_nan_payloads(shape):
     order.  same_bits cannot show it, since NaN never compares equal, so
     the bits are compared as uint64.  A tenth of the entries start as
     quiet NaNs with distinct payloads, so many stages add two NaNs.  The
-    unit kernels and the Fourier kernels' difference forms are left out:
-    their adds may return the other operand's payload (see the lattice
-    module docstring)."""
+    general form runs the Fourier kernels at p = 1e-300, where their 16x16
+    matrices leave the normal range.  The unit kernels are left out: their
+    adds may return the other operand's payload (see the lattice module
+    docstring)."""
     n = shape[-1].bit_length() - 1
     rng = np.random.default_rng(n)
     base = rng.standard_normal(shape)
     nan = rng.random(shape) < 0.1
     payloads = rng.integers(1, 1 << 51, np.count_nonzero(nan), dtype=np.uint64)
     base.view(np.uint64)[nan] = np.uint64(0x7FF8 << 48) | payloads
-    for name in ("noise", "inverse", "inverse-half", "general"):
-        got = apply_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
-        expect = stagewise_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
-        assert np.array_equal(got, expect), name
+    kernels = {**{k: KERNELS[k] for k in ("noise", "inverse", "inverse-half")},
+               "analysis-1e-300": analysis_kernel(1e-300),
+               "synthesis-1e-300": synthesis_kernel(1e-300)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, kernel in kernels.items():
+            got = apply_kernel(base.copy(), n, kernel).view(np.uint64)
+            expect = stagewise_kernel(base.copy(), n, kernel).view(np.uint64)
+            assert np.array_equal(got, expect), name
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -481,7 +505,8 @@ def test_small_tables_and_single_stages_make_no_transposed_copy(monkeypatch):
     short stages it speeds up.  A wrapper around the stage update records
     the halves each stage is given, and a full pass at n = 16 shows it sees
     the copy.  Both the lower triangular path and the general multiply form
-    are recorded."""
+    (the analysis kernel at p = 1e-300, which does not run as group
+    products) are recorded."""
     halves = []
     stage_update = lattice._stage_update
 
@@ -503,7 +528,7 @@ def test_small_tables_and_single_stages_make_no_transposed_copy(monkeypatch):
 
     big = np.ones(1 << 16)
     for kernel in (np.array([[1.0, 0.0], [0.5, 1.0]]),
-                   np.array([[0.5, 0.5], [0.25, 1.0]])):
+                   analysis_kernel(1e-300)):
         for n in range(1, 9):
             assert copied(np.ones(1 << n), n, kernel) == 0
         for i in range(16):
