@@ -200,6 +200,8 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
     _check_open_unit("rho", rho)
     g = g or f
     h = h or f
+    for fn in (f, g, h):
+        _check_boolean("homomorphism_agreement", fn)
     _check_same_dimension(f, g, h)
     if samples is None:
         val = float(_agreement_exact(f.table, g.table, h.table, f.n, p, rho))
@@ -388,6 +390,7 @@ def distance_to_monotone_junta(f: BooleanFunction, p: float,
     projection on all n), and lifts the result back to report its distance;
     the true minimum may be smaller, hence is_upper_bound.
     """
+    _check_boolean("distance_to_monotone_junta", f)
     coords = high_influence_coordinates(f, p, tau)
     mono = _sort_edges(average_out(f, coords, p).table.copy(), range(len(coords)))
     rounded = (mono >= 0.5).take(subcube_codes(f.n, coords))

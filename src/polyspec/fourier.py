@@ -83,10 +83,10 @@ def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:
     table is dyadic, and both directions are exact.  Where the 16 x 16
     matrix has an entry that is not a normal number, below about
     p = 1.2e-77 for this kernel (p^4 underflows) and 1.5e-154 for the
-    synthesis kernel ((p/(1 - p))^2 underflows), the kernels run stage by
-    stage in the general multiply form k00*a + k01*b, k10*a + k11*b: the
-    g = 1 case above, 2 roundings per stage, within the bounds derived
-    above.
+    synthesis kernel ((p/(1 - p))^2 underflows), the groups shrink to the
+    largest g whose matrix is normal, down to g = 1, K itself, with 2
+    roundings per stage.  Every g stays within the bounds derived above,
+    plus the underflow that a stagewise run in float64 meets as well.
     """
     _check_open_unit("bias p", p)
     return apply_kernel(working_copy(table), n, analysis_kernel(p))

@@ -34,7 +34,7 @@ The n stages of a full noise pass are thus ceil(n/15) passes over memory
 instead of n.  Every element still sees the same operations in the same
 order, so results are bit-identical to one whole-table pass per stage.
 A kernel that runs as group products (below) instead takes runs of at
-most 4 stages, each as one matrix product per tile.
+most g <= 4 stages, each as one matrix product per tile.
 
 The halves of a tile's low stages are short contiguous runs, 2^j * cols
 elements at stage j of a (rows, span, cols) tile, so numpy's inner loop is
@@ -58,27 +58,23 @@ and is written back once.  Like the transposed copy, this only moves values, so
 the bits are those of the in-place path.  Runs of 4096 elements and more
 (n <= 19) stay in place; see _MAX_STAGED_COLS.
 
-Each call allocates one scratch block in the work's dtype: room for three
+Each call allocates one scratch block in the work's dtype: room for two
 halves of the largest tile and for its transposed or staged copy, or for
 a grouped kernel's products.  A stage allocates nothing.  The multiply
-form copies the x_i = 0 half a into the block, writes each product there
-with out=, adds k10*a + k11*b with the k10*a product first (so a NaN keeps
-the payload the plain expression gives it) and copies the sum back into
-its half.  With fresh temporaries per
-stage, a 2^22 transform ran about 30% slower in some processes, a mode
-fixed for the process's life and set by how it was launched; with the
-block it did not.
+form writes the products k10*a and k11*b into the block with out=, adds
+them with the k10*a product first (so a NaN keeps the payload the plain
+expression gives it) and copies the sum back into its half.  With fresh
+temporaries per stage, a 2^22 transform ran about 30% slower in some
+processes, a mode fixed for the process's life and set by how it was
+launched; with the block it did not.
 
-A kernel runs stage by stage in one of three shapes.  A lower triangular
-kernel [[1, 0], [k10, k11]] (noise and its inverse) writes only the
-x_i = 1 half of each stage; the x_i = 0 half keeps its exact values.  Any
-other kernel that is not one of the unit kernels below takes the general
-multiply form, which writes both halves.  A half it computes with
-coefficients 1 and 0 (1*a + 0*b, or 0*a + 1*b) turns a -0.0 into +0.0 and
-an infinite partner into NaN; on any other input it gives the same bits.
-An upper triangular kernel [[k00, k01], [0, 1]] therefore changes its
-x_i = 1 half in those two ways; superset zeta, the one such kernel in the
-library, is a unit kernel and keeps that half as it is.
+A kernel's four entries pick one of two forms (_groups).  A kernel that
+leaves one half of each stage as it is runs stage by stage: a lower
+triangular kernel [[1, 0], [k10, k11]] (noise and its inverse) writes
+k10*a + k11*b into the x_i = 1 half in the multiply form, and the
+x_i = 0 half keeps its exact values; superset zeta [[1, 1], [0, 1]]
+writes only the x_i = 0 half.  Every other kernel runs as group products
+(below).
 
 Three unit kernels, [[1, 0], [1, 1]] (subset zeta), [[1, 0], [-1, 1]]
 (subset Moebius) and [[1, 1], [0, 1]] (superset zeta), run each stage as
@@ -91,35 +87,37 @@ b + (-a), and addition commutes.  The one possible difference is the
 payload of the NaN that a Moebius stage returns when both of its operands
 are NaN, since b - a lists them in the other order than -a + b.  Only
 these three kernels, compared entry by entry, take the unit path; any
-other kernel (the inverse noise kernel at rho = 1/2, [[1, 0], [-1, 2]],
-among them) keeps the multiply form.
+other lower triangular kernel (the inverse noise kernel at rho = 1/2,
+[[1, 0], [-1, 2]], among them) keeps the multiply form.
 
-A kernel K runs four consecutive coordinates at a time, in place of all
-three shapes, when every entry of the 16 x 16 matrix K(x)K(x)K(x)K is a
-normal number (neither zero, subnormal, infinite nor NaN): the blocked
-form of a Kronecker-product transform (Van Loan, Computational Frameworks
-for the FFT, 1992).  A group of g <= 4 coordinates multiplies every vector
-of 2^g values by the cached 2^g x 2^g matrix K(x)...(x)K, one np.matmul
-call per tile, so BLAS does the arithmetic.  The products go to the
-scratch block and are copied back, so no table-sized temporary appears.
-BLAS may round a column of M @ X differently when X has another width:
-with numpy 2.4.6 and OpenBLAS 0.3.31 a column gets other bits when X is
-1, 2, 3, 9, 17 or 100 columns wide than when it is 8 or 1000 wide.  So
-every operand has one shape that the group's first coordinate lo alone
-sets: at lo = 0, _WIDTH rows of 2^g values times the transposed matrix,
-the rows past the last multiple of _WIDTH zero padded in the block; above,
-(2^g, min(2^lo, _WIDTH)) column blocks read from the tile.  An element's
-bits then do not depend on the batch shape or on its place in the table,
-and not on the BLAS thread count either, since a 16 x 16 x 128 product is
-too small for OpenBLAS to split.  These are other roundings of the same
-maps, so the bits are not the stagewise forms'; fourier.transform_table
-states their error.
+A grouped kernel K runs g consecutive coordinates at a time, g the
+largest of 4, 3 and 2 for which every entry of the 2^g x 2^g matrix
+K(x)...(x)K is a normal number (neither zero, subnormal, infinite nor
+NaN), and 1, K itself, when none is: the blocked form of a
+Kronecker-product transform (Van Loan, Computational Frameworks for the
+FFT, 1992).  A group multiplies every vector of 2^g values by the cached
+matrix, one np.matmul call per tile, so BLAS does the arithmetic.  The
+products go to the scratch block and are copied back, so no table-sized
+temporary appears.  BLAS may round a column of M @ X differently when X
+has another width: with numpy 2.4.6 and OpenBLAS 0.3.31 a column gets
+other bits when X is 1, 2, 3, 9, 17 or 100 columns wide than when it is
+8 or 1000 wide.  So every operand has one shape that the group's first
+coordinate lo alone sets: at lo = 0, _WIDTH rows of 2^g values times the
+transposed matrix, the rows past the last multiple of _WIDTH zero padded
+in the block; above, (2^g, min(2^lo, _WIDTH)) column blocks read from the
+tile.  An element's bits then do not depend on the batch shape or on its
+place in the table, and not on the BLAS thread count either, since a
+16 x 16 x 128 product is too small for OpenBLAS to split.  These are
+other roundings of the same maps, so the bits are not the stagewise
+forms'; fourier.transform_table states their error.
 
-In float64 the rule groups the analysis kernel from about p = 1.2e-77 up
-(its matrix holds p^4) and the synthesis kernel from about p = 1.5e-154 up
-(its matrix holds (p/(1 - p))^2); below, they take the general multiply
-form.  Noise, its inverse and the unit kernels have a zero entry, so they
-run stage by stage at every parameter.
+The Fourier kernels take g = 4 in float64 from about p = 1.2e-77 up for
+analysis (its matrix holds p^4) and from about p = 1.5e-154 up for
+synthesis (its matrix holds (p/(1 - p))^2).  Below, the group shrinks:
+
+    p          1e-100  1e-160  1e-200  1e-300  5e-324
+    analysis      3       1       1       1       1
+    synthesis     4       3       3       2       1
 """
 
 from __future__ import annotations
@@ -130,8 +128,8 @@ from itertools import accumulate
 import numpy as np
 
 # Elements per tile: 512 KiB of float64, which stays in a 2 MiB per-core L2
-# together with the call's 1.25 MiB scratch block (whose last 512 KiB hold a
-# staged or transposed tile, so a staged tile stays within the same 1.25 MiB).
+# together with the call's 1 MiB scratch block (whose last 512 KiB hold a
+# staged or transposed tile, so a staged tile stays within the same 1 MiB).
 _TILE = 1 << 16
 # Longest run of stages done on one tile; 2^_MAX_RUN <= _TILE / 2.
 _MAX_RUN = _TILE.bit_length() - 2
@@ -202,26 +200,33 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
 
     kernel = [[k00, k01], [k10, k11]] maps the pair (a, b) = (value at
     x_i = 0, value at x_i = 1) to (k00*a + k01*b, k10*a + k11*b).  Stages
-    run over range(n), or over ``coords`` in the order given.
+    run over range(n), or over ``coords``, which must be consecutive
+    ascending coordinates such as [i]; any other list raises ValueError.
     """
+    stages = list(range(n) if coords is None else coords)
+    lo, hi = (stages[0], stages[-1] + 1) if stages else (0, 0)
+    if stages != list(range(lo, hi)):
+        raise ValueError(f"coords {stages} are not consecutive ascending coordinates")
+    if values.shape[-1] % (1 << hi):
+        raise ValueError(f"last axis of length {values.shape[-1]} has no "
+                         f"coordinate {hi - 1}")
     work = values if values.flags.c_contiguous else np.ascontiguousarray(values)
     flat = work.reshape(-1)
-    mats = _group_matrices(*np.asarray(kernel).ravel().tolist(), work.dtype)
-    # the call's one scratch block: three halves of the largest tile for the
+    mats = _groups(kernel, work.dtype)
+    # the call's one scratch block: two halves of the largest tile for the
     # multiply form, then room for a tile's transposed copy; or a tile's
     # group products, and at least two padded operands
-    block = np.empty(max(5 * min(_TILE, flat.size) // 2, 32 * _WIDTH * bool(mats)), work.dtype)
-    update = _stage_update(kernel, block)
-    for lo, hi in _runs(range(n) if coords is None else coords, 4 if mats else _MAX_RUN):
-        if values.shape[-1] % (1 << hi):
-            raise ValueError(f"last axis of length {values.shape[-1]} has no "
-                             f"coordinate {hi - 1}")
-        for tile in _tiles(flat, lo, hi):
+    block = np.empty(max(2 * min(_TILE, flat.size), 32 * _WIDTH * bool(mats)), work.dtype)
+    update = None if mats else _stage_update(kernel, block)
+    most = len(mats) if mats else _MAX_RUN
+    for start in range(lo, hi, most):
+        stop = min(start + most, hi)
+        for tile in _tiles(flat, start, stop):
             if mats:
-                _group_product(tile, mats[hi - lo - 1], block)
+                _group_product(tile, mats[stop - start - 1], block)
                 continue
             rows, span, cols = tile.shape
-            low = _low_stages(tile, hi - lo)
+            low = _low_stages(tile, stop - start)
             if low:
                 # bit j < low of the span axis leads the copy, so stage j's
                 # halves are runs of 2^j * tile.size / 2^low elements
@@ -238,7 +243,7 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
             if not low and cols <= _MAX_STAGED_COLS and not tile.flags.c_contiguous:
                 live = block[-tile.size:].reshape(tile.shape)
                 live[...] = tile
-            for j in range(low, hi - lo):
+            for j in range(low, stop - start):
                 w = live.reshape(rows, span >> (j + 1), 2, 1 << j, cols)
                 update(w[:, :, 0], w[:, :, 1])
             if live is not tile:
@@ -248,18 +253,30 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     return values
 
 
+def _groups(kernel: np.ndarray, dtype: np.dtype):
+    """None for a kernel that leaves one half of each stage as it is, top
+    row (1, 0) or superset zeta [[1, 1], [0, 1]], which runs stage by
+    stage; else the group matrices it runs with (_group_matrices).  The
+    entries decide before any Kronecker product is built."""
+    k = np.asarray(kernel).ravel().tolist()
+    stagewise = k[:2] == [1.0, 0.0] or k == [1.0, 1.0, 0.0, 1.0]
+    return None if stagewise else _group_matrices(*k, dtype)
+
+
 @lru_cache(maxsize=32)
 def _group_matrices(k00: float, k01: float, k10: float, k11: float, dtype: np.dtype):
-    """[K, K(x)K, K(x)K(x)K, K(x)K(x)K(x)K] in ``dtype`` for the kernel
-    K = [[k00, k01], [k10, k11]], shared and not to be written, when every
-    entry of the 16x16 matrix is a normal number; else None (an entry is
-    zero, subnormal, infinite or NaN), and K runs stage by stage.  A
+    """[K, K(x)K, ...] in ``dtype`` for the kernel K = [[k00, k01],
+    [k10, k11]], shared and not to be written: up to the largest g <= 4
+    whose 2^g x 2^g matrix holds only normal numbers (neither zero,
+    subnormal, infinite nor NaN), and K alone when no g > 1 does.  A
     product may overflow to inf, and inf*0 gives NaN; both fail the test,
     so their warnings are silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
         mats = list(accumulate([np.array([[k00, k01], [k10, k11]], dtype)] * 4, np.kron))
-    size = np.abs(mats[-1])
-    return mats if np.finfo(dtype).tiny <= size.min() and size.max() < np.inf else None
+    # past the first matrix that is not normal none is (each holds the one
+    # before times every entry of K), so the normal ones lead mats
+    g = sum(np.finfo(dtype).tiny <= a.min() and a.max() < np.inf for a in map(np.abs, mats))
+    return mats[:max(g, 1)]
 
 
 def _group_product(tile: np.ndarray, m: np.ndarray, block: np.ndarray) -> None:
@@ -286,13 +303,12 @@ def _group_product(tile: np.ndarray, m: np.ndarray, block: np.ndarray) -> None:
 
 def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     """In-place update of one stage from its halves a (x_i = 0) and b
-    (x_i = 1); a lower triangular kernel leaves a as it is, and the three
-    unit kernels (subset zeta, subset Moebius, superset zeta) run as one
-    in-place add or subtract with the bits of the multiply form (up to the
-    payload of a NaN; see the module docstring).  Any other kernel, the
-    Fourier kernels at a bias where _group_matrices gives None among them,
-    takes the general multiply form, which keeps a copy of a and its
-    products in the first three halves of ``scratch``."""
+    (x_i = 1), for a kernel that runs stage by stage (see _groups): the
+    three unit kernels (subset zeta, subset Moebius, superset zeta) run as
+    one in-place add or subtract with the bits of the multiply form (up to
+    the payload of a NaN; see the module docstring), and any other, lower
+    triangular, writes k10*a + k11*b into b through the first two halves
+    of ``scratch``, leaving a as it is."""
     (k00, k01), (k10, k11) = np.asarray(kernel).tolist()
     if (k00, k01, k10, k11) == (1.0, 0.0, 1.0, 1.0):
         def update(a, b):
@@ -303,17 +319,10 @@ def _stage_update(kernel: np.ndarray, scratch: np.ndarray):
     elif (k00, k01, k10, k11) == (1.0, 1.0, 0.0, 1.0):
         def update(a, b):
             np.add(a, b, out=a)
-    elif k00 == 1.0 and k01 == 0.0:
+    else:
         def update(a, b):
             s = np.ndarray((2,) + a.shape, scratch.dtype, scratch)
             b[...] = _sum_of_products(k10, a, k11, b, s[0], s[1])
-    else:
-        def update(a, b):
-            s = np.ndarray((3,) + a.shape, scratch.dtype, scratch)
-            a0, t, u = s[2], s[0], s[1]
-            np.copyto(a0, a)
-            a[...] = _sum_of_products(k00, a0, k01, b, t, u)
-            b[...] = _sum_of_products(k10, a0, k11, b, t, u)
     return update
 
 
@@ -333,21 +342,6 @@ def _low_stages(tile: np.ndarray, stages: int) -> int:
     low = min(stages, (_MIN_CHUNK // tile.shape[2]).bit_length() - 1,
               (tile.size // _MIN_CHUNK).bit_length() - 1)
     return low if low >= 2 else 0
-
-
-def _runs(stages, most: int):
-    """Split stages into runs [lo, hi) of consecutive ascending coordinates.
-
-    A run holds at most ``most`` stages; a descending, repeated or
-    non-adjacent coordinate starts a new run, so the stage order is kept.
-    """
-    runs = []
-    for i in stages:
-        if runs and i == runs[-1][1] and i - runs[-1][0] < most:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
-    return runs
 
 
 def _tiles(flat: np.ndarray, lo: int, hi: int):

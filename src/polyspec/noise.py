@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_open_unit,
-                   _check_same_dimension)
+from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_boolean,
+                   _check_open_unit, _check_same_dimension)
 from .fourier import synthesize_table, transform_table
 from .lattice import _by_level, apply_kernel, measure_weights, pack_bits, working_copy
 
@@ -213,6 +213,7 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
     bias-p spectrum.  An int samples draws that many correlated pairs from
     rng (a seed, a Generator or None) instead.
     """
+    _check_boolean("noise_sensitivity", g)
     _check_open_unit("bias p", p)
     _check_open_unit("nu", nu)
     if samples is None:

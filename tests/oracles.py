@@ -343,11 +343,12 @@ def and_or_candidate_count(c: int, max_width: int) -> int:
 def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                      coords=None) -> np.ndarray:
     """One whole-table pass per coordinate: the kernel loop before tiling,
-    in the two multiply forms of ``lattice._stage_update``, lower
-    triangular and general, each operation in the engine's operand order.
-    Every kernel the engine runs stage by stage, the unit kernels included,
-    matches it bit for bit; a kernel the engine runs as group products is
-    held to an error bound against it, run in longdouble."""
+    in the lower triangular multiply form of ``lattice._stage_update``,
+    each operation in the engine's operand order, and for any other kernel
+    in the general multiply form from a copy of a.  Every kernel the engine
+    runs stage by stage, the unit kernels included, matches it bit for bit;
+    a kernel the engine runs as group products is held to an error bound
+    against it, run in longdouble."""
     k00, k01 = kernel[0]
     k10, k11 = kernel[1]
     for i in range(n) if coords is None else coords:

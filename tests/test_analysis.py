@@ -983,14 +983,35 @@ BOOLEAN_ONLY = {
     # reaches distance_to_and_or, which names itself
     "half-rho": lambda g: ps.theorem_audit("half-rho", ps.make_and(2, [0]), g,
                                            ps.NoiseParams(p=0.5, rho=0.5, lam=0.25)),
+    # the estimators' exact paths returned a number for a bounded function
+    # and their sampled paths another one or numpy's TypeError
+    "homomorphism_agreement": lambda f: ps.homomorphism_agreement(f, 0.5, 0.5),
+    "homomorphism_agreement.sampled": lambda f: ps.homomorphism_agreement(
+        f, 0.5, 0.5, samples=100, rng=1),
+    "homomorphism_agreement.g": lambda g: ps.homomorphism_agreement(
+        ps.make_and(2, [0]), 0.5, 0.5, g=g),
+    "homomorphism_agreement.h": lambda h: ps.homomorphism_agreement(
+        ps.make_and(2, [0]), 0.5, 0.5, h=h, samples=100, rng=1),
+    # reaches homomorphism_agreement
+    "prs_tester": ps.prs_tester,
+    "prs_tester.sampled": lambda f: ps.prs_tester(f, samples=100, rng=1),
+    "noise_sensitivity": lambda g: ps.noise_sensitivity(g, 0.5, 0.1),
+    "noise_sensitivity.sampled": lambda g: ps.noise_sensitivity(g, 0.5, 0.1, samples=100, rng=1),
+    # compared the table with its rounding as bits: a constant 0.3 read 1.0
+    "distance_to_monotone_junta": lambda g: ps.distance_to_monotone_junta(g, 0.5),
+    # reaches distance_to_monotone_junta
+    "one-sided": lambda g: ps.theorem_audit("one-sided", ps.make_and(2, [0]), g,
+                                            ps.NoiseParams(p=0.5, rho=0.5, lam=0.25)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BOOLEAN_ONLY))
 def test_boolean_only_functions_reject_a_bounded_function(name):
     """Each function that reads a table as bits raises a ValueError naming
-    itself on a bounded function, not numpy's TypeError from np.packbits."""
-    expect = "distance_to_and_or" if name == "half-rho" else name
+    itself on a bounded function, not numpy's TypeError from np.packbits;
+    the estimators do so on their exact and their sampled paths."""
+    expect = {"half-rho": "distance_to_and_or", "one-sided": "distance_to_monotone_junta",
+              "prs_tester": "homomorphism_agreement"}.get(name.split(".")[0], name.split(".")[0])
     with pytest.raises(ValueError, match=f"^{expect} needs a Boolean function, got BoundedFunction$"):
         BOOLEAN_ONLY[name](ps.BoundedFunction(2, [0.0, 0.5, 0.5, 1.0]))
 

@@ -16,7 +16,8 @@ from polyspec.lattice import (_by_level, apply_kernel, coordinate_pairs,
                               measure_weights, mobius_subsets, point_codes,
                               popcounts, subcube_codes, zeta_subsets,
                               zeta_supersets)
-from polyspec.noise import inverse_noise_kernel, invert_downward, noise_kernel
+from polyspec.noise import (downward_noise_table, inverse_noise_kernel, invert_downward,
+                            noise_kernel)
 from oracles import bit, stagewise_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
@@ -146,13 +147,12 @@ KERNELS = {
 
 
 def stage_orders(n: int) -> dict:
-    """Stage lists that cross run and tile boundaries for the last axis 2^n."""
+    """Runs of ascending coordinates that cross run and tile boundaries for
+    the last axis 2^n; test_staged_upper_run_matches_stagewise_bits adds
+    14..19 at n = 20."""
     return {
         "default": None,
         "ascending": list(range(1, n)),
-        "descending": list(range(n - 1, -1, -1)),
-        "non-adjacent": sorted({c for c in (0, 2, 3, 4, 7, n - 1) if c < n}),
-        "repeated": [0, 1, 1, 2, n - 2, n - 2, n - 1],
         # at n = 17 the run 2..16 is cut into column slices two wide, so the
         # transposed low stages write back through a non-contiguous view
         "from-2": list(range(2, n)),
@@ -177,11 +177,12 @@ def fourier_error_bound(values: np.ndarray, n: int, kernel: np.ndarray, coords) 
 
 
 def assert_kernel_result(got, base, n, name, coords, note):
-    """Every kernel that runs as group products (analysis, synthesis and
-    general, and no other) within fourier_error_bound of the stagewise
-    kernel run in longdouble; every other kernel with its stagewise bits."""
+    """Every kernel that the form rule runs as group products (analysis,
+    synthesis and general, and no other) within fourier_error_bound of the
+    stagewise kernel run in longdouble; every other kernel with its
+    stagewise bits."""
     kernel = KERNELS[name]
-    grouped = lattice._group_matrices(*kernel.ravel().tolist(), got.dtype) is not None
+    grouped = lattice._groups(kernel, got.dtype) is not None
     assert grouped == (name in ("analysis", "synthesis", "general")), note
     if grouped:
         exact = stagewise_kernel(base.astype(np.longdouble), n, kernel, coords)
@@ -199,7 +200,7 @@ def test_apply_kernel_matches_stagewise_bits(shape, dtype):
     order, on both sides of the one-tile size 2^16, whether a tile's low
     stages run in place or on a transposed copy.  The kernels that run four
     stages at a time as matrix products instead are held to their error
-    bound against a longdouble stagewise run, in every stage order."""
+    bound against a longdouble stagewise run, in every run of stages."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape).astype(dtype)
     base[..., ::5] = 0.0
@@ -289,62 +290,79 @@ def test_fourier_bits_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
-@pytest.mark.parametrize("p", [1e-300, 1e-160, 1e-100, 1 - 1e-16])
+@pytest.mark.parametrize("p", [1e-300, 1e-160, 1e-100, 5e-324, 1 - 1e-16])
 def test_extreme_bias_falls_back_to_the_stagewise_bits(p):
-    """An entry of the 16x16 analysis matrix, p^4, underflows below about
-    p = 1.2e-77, and one of the synthesis matrix, (p/(1 - p))^2, below
-    about p = 1.5e-154; there the kernel runs stage by stage in the general
-    multiply form, with the stagewise bits.  At p = 1e-100 the two kernels
-    split.  Near p = 1 every entry is a normal number (the smallest,
-    (1 - p)^4, is about 1.5e-64), so the group products run there and are
-    held to their error bound."""
+    """At every bias the Fourier kernels run as group products, with
+    smaller groups where K(x)K(x)K(x)K leaves the normal range (see
+    test_group_rule_decides_extreme_kernels_without_warnings).  Analysis
+    and synthesis stay entrywise within fourier_error_bound plus the float64
+    stagewise run's own gap to the longdouble reference, which float64
+    underflow sets at tiny p (9.5e-118 for the analysis at p = 1e-100), on
+    a 0/1 table and a random one."""
     n = 12
-    table = np.random.default_rng(n).integers(0, 2, 1 << n).astype(np.float64)
-    coeffs = transform_table(table, n, p)
-    values = synthesize_table(coeffs, n, p)
-    for kernel, base, got, expect in ((analysis_kernel(p), table, coeffs, p > 1.2e-77),
-                                      (synthesis_kernel(p), coeffs, values, p > 1.5e-154)):
-        assert (lattice._group_matrices(*kernel.ravel().tolist(), got.dtype) is not None) == expect
-        if expect:
+    rng = np.random.default_rng(n)
+    for table in (rng.integers(0, 2, 1 << n).astype(np.float64), rng.random(1 << n)):
+        coeffs = transform_table(table, n, p)
+        values = synthesize_table(coeffs, n, p)
+        for kernel, base, got in ((analysis_kernel(p), table, coeffs),
+                                  (synthesis_kernel(p), coeffs, values)):
+            assert lattice._groups(kernel, got.dtype) is not None
             exact = stagewise_kernel(base.astype(np.longdouble), n, kernel)
-            assert np.all(np.abs(got - exact) <= fourier_error_bound(base, n, kernel, None))
-        else:
-            assert same_bits(got, stagewise_kernel(base.copy(), n, kernel)), kernel
+            own = np.abs(stagewise_kernel(base.copy(), n, kernel) - exact)
+            bound = fourier_error_bound(base, n, kernel, None) + own
+            assert np.all(np.abs(got - exact) <= bound), kernel
+
+
+# the group size the form rule picks for the Fourier kernels in float64
+EXTREME_GROUPS = {1e-100: (3, 4), 1e-160: (1, 3), 1e-200: (1, 3), 1e-300: (1, 2),
+                  5e-324: (1, 1), 1 - 1e-16: (4, 4)}
 
 
 def test_group_rule_decides_extreme_kernels_without_warnings():
-    """The normality rule computes every library kernel's 16x16 matrix at
+    """The form rule computes every library kernel's group matrices at
     extreme parameters with no RuntimeWarning (the test configuration makes
-    one an error), though a product overflows and inf*0 gives NaN, as for
-    inverse_noise_kernel(1e-200).  The cache is bypassed, so an earlier call
-    under np.errstate cannot hide a warning.  Noise and its inverse have a
-    zero entry and never run as group products; the Fourier kernels do in
-    float64 from about p = 1.2e-77 (analysis) and 1.5e-154 (synthesis) up,
-    and at every p here in a longdouble wider than float64.  The inverse at
-    rho = 1e-200 and 1e-160 still maps the constant one to [1, 0]."""
-    wide = np.finfo(np.longdouble).minexp < np.finfo(np.float64).minexp
-    cases = [(kernel(rho), False, False) for rho in (1e-160, 1e-200, 1e-300)
-             for kernel in (noise_kernel, inverse_noise_kernel)]
-    for p in (1e-100, 1e-300, 5e-324, 1 - 1e-16):
-        for kernel, double in ((analysis_kernel(p), p > 1.2e-77), (synthesis_kernel(p), p > 1.5e-154)):
-            cases.append((kernel, double, wide or double))
-    for kernel, in_double, in_long in cases:
-        for dtype, expect in ((np.float64, in_double), (np.longdouble, in_long)):
-            mats = lattice._group_matrices.__wrapped__(*kernel.ravel().tolist(), np.dtype(dtype))
-            assert (mats is not None) == expect, (kernel, dtype)
+    one an error), though a product overflows and inf*0 gives NaN.  The
+    cache is bypassed, so an earlier call under np.errstate cannot hide a
+    warning.  Noise and its inverse run stage by stage at every rho; the
+    Fourier kernels run as group products of the pinned size in float64,
+    and of at least that size in longdouble.  The inverse at rho = 1e-200
+    and 1e-160 still maps the constant one to [1, 0]."""
+    uncached = lattice._group_matrices.__wrapped__
+    for rho in (1e-160, 1e-200, 1e-300):
+        for kernel in (noise_kernel(rho), inverse_noise_kernel(rho)):
+            for dtype in (np.float64, np.longdouble):
+                assert lattice._groups(kernel, np.dtype(dtype)) is None, (kernel, dtype)
+            # asked directly, the rule meets inf*0 here and gives K alone
+            assert len(uncached(*kernel.ravel().tolist(), np.dtype(np.float64))) == 1
+    for p, sizes in EXTREME_GROUPS.items():
+        for kernel, g in zip((analysis_kernel(p), synthesis_kernel(p)), sizes):
+            assert len(uncached(*kernel.ravel().tolist(), np.dtype(np.float64))) == g, (p, kernel)
+            assert len(uncached(*kernel.ravel().tolist(), np.dtype(np.longdouble))) >= g
     for rho in (1e-200, 1e-160):
         assert same_bits(invert_downward(np.ones(2), rho), np.array([1.0, 0.0]))
 
 
+def test_stagewise_kernels_build_no_group_matrices():
+    """The noise kernel, its inverse and the three subset-sum kernels are
+    told apart from their entries alone: cycling 40 values of rho, more
+    than the cache holds, never reaches the cached Kronecker products."""
+    before = lattice._group_matrices.cache_info()
+    row = np.random.default_rng(4).random(16)
+    for rho in np.linspace(0.05, 0.95, 40):
+        invert_downward(downward_noise_table(row, 4, rho), rho)
+    for run in (zeta_subsets, mobius_subsets, zeta_supersets):
+        run(row.copy(), 4)
+    assert lattice._group_matrices.cache_info() == before
+
+
 @pytest.mark.parametrize("shape", [(1 << 10,), (64, 256), (1 << 20,)])
 def test_kernels_beside_the_difference_forms_keep_their_bits(shape):
-    """Kernels with a zero entry run stage by stage whatever their other
-    entries, bit for bit as the stagewise reference, compared as uint64 so
-    that infinities and NaN count: inverse_noise_kernel(1e-200) is
-    [[1, 0], [-1e200, 1e200]] (its 16x16 matrix overflows, and inf*0 gives
-    NaN), noise_kernel(1e-300) is [[1, 0], [1, 1e-300]] (its matrix
-    underflows), and the three unit kernels.  2^20 takes the staged upper
-    run."""
+    """Kernels that leave one half of each stage as it is run stage by
+    stage whatever their other entries, bit for bit as the stagewise
+    reference, compared as uint64 so that infinities and NaN count:
+    inverse_noise_kernel(1e-200) is [[1, 0], [-1e200, 1e200]],
+    noise_kernel(1e-300) is [[1, 0], [1, 1e-300]], and the three unit
+    kernels.  2^20 takes the staged upper run."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape)
     base[..., ::5] = 0.0
@@ -365,24 +383,18 @@ def test_multiply_form_keeps_nan_payloads(shape):
     order.  same_bits cannot show it, since NaN never compares equal, so
     the bits are compared as uint64.  A tenth of the entries start as
     quiet NaNs with distinct payloads, so many stages add two NaNs.  The
-    general form runs the Fourier kernels at p = 1e-300, where their 16x16
-    matrices leave the normal range.  The unit kernels are left out: their
-    adds may return the other operand's payload (see the lattice module
-    docstring)."""
+    unit kernels are left out: their adds may return the other operand's
+    payload (see the lattice module docstring)."""
     n = shape[-1].bit_length() - 1
     rng = np.random.default_rng(n)
     base = rng.standard_normal(shape)
     nan = rng.random(shape) < 0.1
     payloads = rng.integers(1, 1 << 51, np.count_nonzero(nan), dtype=np.uint64)
     base.view(np.uint64)[nan] = np.uint64(0x7FF8 << 48) | payloads
-    kernels = {**{k: KERNELS[k] for k in ("noise", "inverse", "inverse-half")},
-               "analysis-1e-300": analysis_kernel(1e-300),
-               "synthesis-1e-300": synthesis_kernel(1e-300)}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, kernel in kernels.items():
-            got = apply_kernel(base.copy(), n, kernel).view(np.uint64)
-            expect = stagewise_kernel(base.copy(), n, kernel).view(np.uint64)
-            assert np.array_equal(got, expect), name
+    for name in ("noise", "inverse", "inverse-half"):
+        got = apply_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
+        expect = stagewise_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
+        assert np.array_equal(got, expect), name
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -481,6 +493,19 @@ def test_apply_kernel_rejects_a_missing_coordinate():
         apply_kernel(np.zeros((2, 12)), 4, KERNELS["noise"])
 
 
+@pytest.mark.parametrize("coords", [[3, 2, 1, 0], [0, 1, 1, 2], [0, 2, 3], [1, 0]],
+                         ids=["descending", "repeated", "non-adjacent", "swapped"])
+def test_apply_kernel_rejects_stages_outside_one_ascending_run(coords):
+    """coords is one run of consecutive ascending coordinates; any other
+    list raises before a stage runs, for either form, and the table is left
+    as it was."""
+    for kernel in (KERNELS["noise"], KERNELS["analysis"]):
+        values = np.arange(16.0)
+        with pytest.raises(ValueError, match="not consecutive ascending"):
+            apply_kernel(values, 4, kernel, coords)
+        assert np.array_equal(values, np.arange(16.0))
+
+
 def test_apply_kernel_transient_memory_stays_tile_sized():
     """At n = 20 the whole-table passes peaked at ~12 MiB of temporaries;
     tiles, with the transposed copy of one tile, keep the peak under 2 MiB,
@@ -504,9 +529,7 @@ def test_small_tables_and_single_stages_make_no_transposed_copy(monkeypatch):
     stage's halves from the table itself; the copy would cost more than the
     short stages it speeds up.  A wrapper around the stage update records
     the halves each stage is given, and a full pass at n = 16 shows it sees
-    the copy.  Both the lower triangular path and the general multiply form
-    (the analysis kernel at p = 1e-300, which does not run as group
-    products) are recorded."""
+    the copy."""
     halves = []
     stage_update = lattice._stage_update
 
@@ -527,10 +550,9 @@ def test_small_tables_and_single_stages_make_no_transposed_copy(monkeypatch):
         return sum(not np.may_share_memory(h, values) for h in halves)
 
     big = np.ones(1 << 16)
-    for kernel in (np.array([[1.0, 0.0], [0.5, 1.0]]),
-                   analysis_kernel(1e-300)):
-        for n in range(1, 9):
-            assert copied(np.ones(1 << n), n, kernel) == 0
-        for i in range(16):
-            assert copied(big, 16, kernel, [i]) == 0
-        assert copied(big, 16, kernel) > 0
+    kernel = np.array([[1.0, 0.0], [0.5, 1.0]])
+    for n in range(1, 9):
+        assert copied(np.ones(1 << n), n, kernel) == 0
+    for i in range(16):
+        assert copied(big, 16, kernel, [i]) == 0
+    assert copied(big, 16, kernel) > 0
