@@ -554,11 +554,12 @@ SWEEP_FAMILIES = ("and", "maj", "semirandom")
 class ExperimentConfig:
     """Sweep parameters; ``sweep_rows`` reads every field but ``out``.
 
-    p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN], family
-    in SWEEP_FAMILIES, tau in [0, 1], and seed, trials, and_width,
-    andor_max_width, window_scale and the perturbations are >= 0; NaN is
-    rejected.  Each field reads from a key=value file as the type of its
-    default, and a key that is not a field is rejected.
+    p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN] (and
+    at least 3 unless family is "and"), family in SWEEP_FAMILIES, tau in
+    [0, 1], and seed, trials, and_width, andor_max_width, window_scale and
+    the perturbations are >= 0; NaN is rejected.  Each field reads from a
+    key=value file as the type of its default, and a key that is not a
+    field is rejected.
     """
 
     p: float = 0.5
@@ -582,6 +583,9 @@ class ExperimentConfig:
         if self.family not in SWEEP_FAMILIES:
             raise ValueError(f"config family must be one of "
                              f"{', '.join(SWEEP_FAMILIES)}, got {self.family!r}")
+        if self.family != "and" and min(self.int_list("sizes"), default=3) < 3:
+            raise ValueError(f"config family {self.family} needs sizes of at least 3, "
+                             f"got {self.sizes}")
         for name in ("seed", "trials", "and_width", "andor_max_width", "perturbations"):
             for value in self.int_list(name):
                 _check_at_least_zero(f"config {name}", value)

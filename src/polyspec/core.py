@@ -263,5 +263,11 @@ def save_function(f: AnyFunction | dict, path) -> None:
 
 
 def load_function(path) -> AnyFunction:
+    """Read a function file.  Malformed content raises ValueError, JSON
+    nested too deeply for the parser included."""
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON nested too deeply in {str(path)!r}") from None
+    return from_json_dict(doc)

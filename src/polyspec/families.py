@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (BooleanFunction, _check_at_least_zero, _check_boolean, _check_dimension,
                    _check_open_unit)
+from .influences import is_monotone
 from .lattice import (_by_level, _partner_bits, coordinate_pairs, point_codes, popcounts,
                       subset_mask)
 
@@ -63,41 +64,40 @@ def _block_table(n: int, blocks, parity: bool) -> np.ndarray:
     """AND over blocks of each block's XOR (parity) or OR, as a uint8 table.
 
     No blocks gives the constant 1; an empty block gives the constant 0.
-    An OR starts a bool table from the first block's row (_or_row): a
-    shared row is copied, a mask test compared with 0.  The other rows AND
-    into it in place, and the table is returned as a uint8 view, with no
-    ones-filled start.  An XOR starts from zeros and flips the x_i = 1 half
-    once per distinct coordinate i of the block; a popcount gather indexed
-    by the uint32 codes took 5-35 times as long at n = 18, because numpy
-    casts a non-intp index chunk by chunk.
+    Every block's mask is checked before any row is built.  Each block
+    gives one bool row, from one of three sources: for an OR at n <= 10,
+    where the AND-OR search builds, the shared read-only row of
+    _small_or_row (memoised per mask; all of n = 10 take 1.2 MiB); for an
+    OR above n = 10, (codes & mask) != 0, with the codes fetched once per
+    table; for an XOR, zeros with the x_i = 1 half flipped once per
+    coordinate i of the block (a popcount gather indexed by the uint32
+    codes took 5-35 times as long at n = 18, because numpy casts a non-intp
+    index chunk by chunk).  The table starts as a copy of the first row,
+    the other rows AND into it in place one at a time, and it is returned
+    as a uint8 view.  Bool rows keep the AND free of casts: at n = 22 a
+    uint32 row took 1.9 ms to AND in, a bool row 0.33 ms.
     """
-    if not blocks:
+    masks = [subset_mask(n, block) for block in blocks]
+    if not masks:
         return np.ones(1 << n, dtype=np.uint8)
-    if not parity:
-        codes = point_codes(n)
-        first = _or_row(n, codes, blocks[0])
-        table = first != 0 if first.flags.writeable else first.copy()
-        for block in blocks[1:]:
-            np.logical_and(table, _or_row(n, codes, block), out=table)
-        return table.view(np.uint8)
-    table = np.ones(1 << n, dtype=np.uint8)
-    for block in blocks:
-        mask = subset_mask(n, block)
-        odd = np.zeros(1 << n, dtype=np.uint8)
-        for i in range(n):
-            if (mask >> i) & 1:
-                coordinate_pairs(odd, i)[:, 1, :] ^= 1
-        table &= odd
-    return table
+    codes = point_codes(n) if n > 10 and not parity else None
+    table = None
+    for mask in masks:
+        row = (_xor_row(n, mask) if parity else
+               _small_or_row(n, mask) if codes is None else (codes & mask) != 0)
+        if table is None:
+            table = row.copy()
+        else:
+            np.logical_and(table, row, out=table)
+    return table.view(np.uint8)
 
 
-def _or_row(n: int, codes: np.ndarray, block) -> np.ndarray:
-    """Nonzero where some coordinate of block is 1: for n <= 10, where the
-    AND-OR search builds, a shared read-only bool row memoised per mask (all
-    of n = 10 take 1.2 MiB), else codes & mask.  The block is checked on
-    every call."""
-    mask = subset_mask(n, block)
-    return _small_or_row(n, mask) if n <= 10 else codes & mask
+def _xor_row(n: int, mask: int) -> np.ndarray:
+    odd = np.zeros(1 << n, dtype=bool)
+    for i in range(n):
+        if (mask >> i) & 1:
+            coordinate_pairs(odd, i)[:, 1, :] ^= True
+    return odd
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +155,6 @@ def minterms(g: BooleanFunction) -> set[frozenset[int]]:
     Empty result iff g is constant 0; the single empty set iff g is
     constant 1.
     """
-    from .influences import is_monotone
-
     _check_boolean("minterms", g)
     if not is_monotone(g):
         raise ValueError("minterms are defined for monotone functions only")
@@ -201,8 +199,6 @@ def recognize_and_or(g: BooleanFunction) -> BlockPartition | None:
     one), so two monotone functions with the same minterms are equal.
     Conversely the AND-OR's own minterms meet both conditions.
     """
-    from .influences import is_monotone
-
     _check_boolean("recognize_and_or", g)
     if not is_monotone(g):
         return None

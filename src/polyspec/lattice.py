@@ -375,28 +375,10 @@ def zeta_supersets(values: np.ndarray, n: int) -> np.ndarray:
     return apply_kernel(values, n, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-# The codes of every cube up to n = 16, shared: 256 B of uint8 and 128 KiB of
-# uint16.  Larger cubes get a fresh array per call, so no 2^n buffer outlives
-# the constructor that asked for it.
-_CODES_U8 = np.arange(1 << 8, dtype=np.uint8)
-_CODES_U16 = np.arange(1 << 16, dtype=np.uint16)
-_CODES_U8.flags.writeable = _CODES_U16.flags.writeable = False
-
-
 def point_codes(n: int) -> np.ndarray:
-    """Every point code 0 .. 2^n - 1 (n <= 32), read-only, in the smallest
-    unsigned dtype that holds them: uint8 up to n = 8, uint16 up to 16,
-    else uint32.
-
-    Up to n = 16 the result is a view of one shared module constant (one
-    for n <= 8, one for 9 <= n <= 16), so a caller that builds a small
-    table per call allocates no codes; above 16 it is a fresh array.
-    """
-    if n <= 8:
-        return _CODES_U8[:1 << n]
-    if n <= 16:
-        return _CODES_U16[:1 << n]
-    codes = np.arange(1 << n, dtype=np.uint32)
+    """Every point code 0 .. 2^n - 1 (n <= 32), as a fresh read-only array
+    in the smallest unsigned dtype that holds them."""
+    codes = np.arange(1 << n, dtype=np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32)
     codes.flags.writeable = False
     return codes
 

@@ -44,10 +44,16 @@ def json_io_functions() -> list:
     return funcs
 
 
-def readme_library_tour() -> str:
-    """The Python block of the README's Library tour section."""
+def readme_block(title: str, fence: str = "```") -> str:
+    """The first fenced block of the README after the line title, from its
+    opening line fence."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme,
+    block = re.search(rf"^{re.escape(title)}\n.*?^{fence}\n(.*?)^```", readme,
                       re.MULTILINE | re.DOTALL)
     assert block is not None
     return block.group(1)
+
+
+def readme_library_tour() -> str:
+    """The Python block of the README's Library tour section."""
+    return readme_block("## Library tour", "```python")

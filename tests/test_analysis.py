@@ -694,6 +694,32 @@ def test_distance_to_and_or_builds_one_table_per_candidate(monkeypatch, rng):
         assert set(calls) <= {c}
 
 
+def test_warm_and_or_search_reads_no_point_codes(monkeypatch):
+    """At c <= 10 every candidate table ANDs the memoised OR rows, so a
+    warm c = 8 search over its 3,280 candidates builds no point codes."""
+    table = np.random.default_rng(8).integers(0, 2, 1 << 8)
+    table[0], table[1] = 1, 0      # f(empty) = 1 with some f(x) = 0: not monotone
+    f = ps.BooleanFunction(8, table)
+    ps.distance_to_and_or(f, 0.5, max_width=2)
+    codes, tables = [], []
+    real_codes, real_make = ps.lattice.point_codes, analysis.make_and_or
+
+    def counting_codes(n):
+        codes.append(n)
+        return real_codes(n)
+
+    def counting_make(n, part):
+        tables.append(n)
+        return real_make(n, part)
+
+    monkeypatch.setattr(ps.lattice, "point_codes", counting_codes)
+    monkeypatch.setattr(ps.families, "point_codes", counting_codes)
+    monkeypatch.setattr(analysis, "make_and_or", counting_make)
+    ps.distance_to_and_or(f, 0.5, max_width=2)
+    assert len(tables) == and_or_candidate_count(8, 2) == 3280
+    assert codes == []
+
+
 def test_distance_to_and_or_keeps_the_coordinates_of_largest_influence():
     """AND(x0, x1) on n = 4 with the point 1111 flipped, searched on
     max_support = 2 coordinates.  Coordinates 0 and 1 carry the largest

@@ -704,6 +704,26 @@ def test_sweep_rejects_bad_values_before_any_row(text, message, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("family", ["maj", "semirandom"])
+def test_sweep_rejects_small_sizes_of_three_coordinate_families_before_any_row(
+        family, threads, tmp_path, monkeypatch, capsys):
+    """maj and semirandom need n >= 3; sizes=8,2 exits 2 at load, before
+    the n = 8 rows run."""
+    monkeypatch.setenv("POLYSPEC_THREADS", threads)
+    calls = []
+    monkeypatch.setattr(ps.analysis, "sweep_rows", lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family={family}\nsizes=8,2\nperturbations=0\ntrials=1\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err == (f"polyspec: bad sweep config: config family {family} "
+                            f"needs sizes of at least 3, got 8,2\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["trials=0", "sizes="])
 def test_sweep_without_rows_prints_the_header(line, tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
@@ -900,6 +920,7 @@ def test_set_padding_bits_exit_2(tmp_path, capsys):
     '{"kind": "boolean", "n": "2", "bits_hex": "0f"}',
     '{"kind": "boolean", "n": 10000000000, "bits_hex": "0f"}',
     '{"kind": "bounded", "n": 1, "values": {"a": 1}}',
+    pytest.param("[" * 100_000, id="nested-100000"),
 ])
 def test_malformed_function_file_exits_2(doc, tmp_path, capsys):
     fn = tmp_path / "f.json"

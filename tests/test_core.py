@@ -237,6 +237,16 @@ def test_json_rejects_unknown_kind(tmp_path):
         ps.load_function(path)
 
 
+def test_load_function_rejects_json_nested_too_deeply(tmp_path):
+    """json.load raises RecursionError on 100,000 nested brackets; the
+    loader raises the ValueError of every other malformed file instead,
+    naming the file."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match=r"nested too deeply in '.*deep\.json'"):
+        ps.load_function(path)
+
+
 @pytest.mark.parametrize("data, message", [
     ([1, 2], "JSON object"),
     ("boolean", "JSON object"),

@@ -1,17 +1,21 @@
-"""The README's Library tour runs as written, its sweep key table lists the
-config fields, its delta(epsilon) table is the curve tier-1 pins, and the
-code-line counter and the never-run statement lister in tools/ report what
-they say they report."""
+"""The README's Library tour and command-line block run as written, its
+sweep key table lists the config fields, its delta(epsilon) table is the
+curve tier-1 pins, and the code-line counter and the never-run statement
+lister in tools/ report what they say they report."""
 
 import importlib.util
+import os
 import re
+import shlex
+import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import readme_library_tour
+from conftest import readme_block, readme_library_tour
 from polyspec.analysis import ExperimentConfig
+from polyspec.cli import main
 from test_analysis import DELTA_OF_EPSILON
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +25,54 @@ def test_readme_library_tour_runs_as_written():
     block = readme_library_tour()
     assert "import polyspec as ps" in block
     exec(compile(block, "README.md (Library tour)", "exec"), {})
+
+
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    """Every line of the README command-line block, run through cli.main in
+    an empty directory that holds the example sweep config as sweep.cfg,
+    exits 0 and prints what the README says; the test-hom line also runs
+    as ``python -m polyspec.cli``, the module's entry point."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(readme_block("Example sweep config:"))
+    lines = readme_block("## Command line").splitlines()
+    printed = {}
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "polyspec", line
+        assert main(argv[1:]) == 0, line
+        printed[line] = capsys.readouterr().out
+
+    def output(fragment: str) -> str:
+        [text] = [out for line, out in printed.items() if fragment in line]
+        return text
+
+    assert output("test-hom --fn maj3 --exact") == "0.90625\n"
+    assert '"count": 33' in output("classify --n 5 ")
+    assert '"exact": true' in output("ns --nu 0.1 --in ")
+    assert '"exact": false' in output("ns --nu 0.1 --samples ")
+    profile = output("profile --p 0.5 --in f.json")
+    assert '"monotone": false' in profile and '"max_sensitivity": 3' in profile
+    assert '"witness": "0+1;2"' in output("audit --theorem 2.2 ")
+    assert "--strict" in next(line for line in lines if "audit --theorem 2.2 " in line)
+
+    results = (tmp_path / "results.csv").read_bytes()
+    assert results
+    monkeypatch.setenv("POLYSPEC_THREADS", "2")
+    assert main(["sweep", "--config", "sweep.cfg", "--out", "results-2.csv"]) == 0
+    assert (tmp_path / "results-2.csv").read_bytes() == results
+
+    make_line = next(line for line in lines
+                     if re.fullmatch(r"polyspec make .* --out f\.json", line))
+    assert main(shlex.split(make_line.removesuffix(" --out f.json"))[1:]) == 0
+    assert capsys.readouterr().out == (tmp_path / "f.json").read_text()
+
+    hom_line = next(line for line in lines if "test-hom --fn maj3 --exact" in line)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "polyspec.cli",
+                          *shlex.split(hom_line, comments=True)[1:]],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "0.90625\n" and run.stderr == ""
 
 
 def test_readme_sweep_key_table_lists_every_config_field_with_its_default():
