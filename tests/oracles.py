@@ -3,9 +3,9 @@
 Everything here follows definitions point by point (no butterflies, no
 transforms) so the fast library paths are checked against genuinely
 separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The
-exceptions are :func:`stagewise_kernel`, the untiled butterfly loop that the
-tiled ``lattice.apply_kernel`` must match bit for bit (within an error
-bound, for a kernel it runs as group products),
+exceptions are :func:`stagewise_kernel`, the butterfly loop that
+``lattice.apply_kernel`` must match bit for bit where it runs stage by
+stage, and within an error bound where it runs group products,
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
 ``core.save_function`` must match, and :func:`spectrum_degree`, the
 thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
@@ -342,13 +342,11 @@ def and_or_candidate_count(c: int, max_width: int) -> int:
 
 def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
                      coords=None) -> np.ndarray:
-    """One whole-table pass per coordinate: the kernel loop before tiling,
-    in the lower triangular multiply form of ``lattice._stage_update``,
-    each operation in the engine's operand order, and for any other kernel
-    in the general multiply form from a copy of a.  Every kernel the engine
-    runs stage by stage, the unit kernels included, matches it bit for bit;
-    a kernel the engine runs as group products is held to an error bound
-    against it, run in longdouble."""
+    """One whole-table pass per coordinate: for a kernel with top row
+    (1, 0), b = k10*a + k11*b with a left as it is, and for any other
+    kernel both halves from a copy of a.  A kernel the engine runs stage by
+    stage matches it bit for bit; a kernel it runs as group products is
+    held to an error bound against it, run in longdouble."""
     k00, k01 = kernel[0]
     k10, k11 = kernel[1]
     for i in range(n) if coords is None else coords:

@@ -59,6 +59,17 @@ def test_and_or_and_xor_tables_point_by_point(rng):
         assert ps.make_and_xor(n, part).table.tolist() == [int(v) for v in want_xor]
 
 
+def test_xor_rows_match_the_point_by_point_parity():
+    """families._xor_row builds the parity of a mask's coordinates by
+    doubling; it equals naive_xor for every mask at n <= 6, as bool."""
+    for n in range(7):
+        for mask in range(1 << n):
+            row = families._xor_row(n, mask)
+            assert row.dtype == bool
+            coords = [i for i in range(n) if bit(mask, i)]
+            assert row.astype(int).tolist() == naive_xor(n, coords), (n, mask)
+
+
 def test_constructors_match_point_by_point_oracles(rng):
     for n in range(11):
         # numpy integer coordinates must give the same tables as Python ints

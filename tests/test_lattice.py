@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import accumulate
 from math import inf
 from pathlib import Path
 
@@ -133,24 +134,23 @@ KERNELS = {
     "zeta": np.array([[1.0, 0.0], [1.0, 1.0]]),
     "mobius": np.array([[1.0, 0.0], [-1.0, 1.0]]),
     "supersets": np.array([[1.0, 1.0], [0.0, 1.0]]),
-    # [[1, 0], [-1, 2]]: one entry away from Moebius, so it must keep the
-    # multiply form
+    # [[1, 0], [-1, 2]]: integer entries, one away from Moebius
     "inverse-half": inverse_noise_kernel(0.5),
-    # neither triangular nor a Fourier kernel; no zero entry, so it runs as
-    # group products
+    # neither triangular nor a Fourier kernel
     "general": np.array([[0.6, 0.4], [0.25, 0.5]]),
 }
+# the kernels with no zero entry, which group in every dtype
+FULL = ("analysis", "synthesis", "general")
 
 
 def stage_orders(n: int) -> dict:
-    """Runs of ascending coordinates that cross run and tile boundaries for
-    the last axis 2^n; test_staged_upper_run_matches_stagewise_bits adds
-    14..19 at n = 20."""
+    """Runs of ascending coordinates that cross group and tile boundaries
+    for the last axis 2^n; test_staged_upper_run_matches_stagewise_bits
+    adds 14..19 at n = 20."""
     return {
         "default": None,
         "ascending": list(range(1, n)),
-        # at n = 17 the run 2..16 is cut into column slices two wide, so the
-        # transposed low stages write back through a non-contiguous view
+        # at n = 17 the groups from coordinate 2 are cut into column slices
         "from-2": list(range(2, n)),
     }
 
@@ -161,102 +161,161 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
             and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
-def fourier_error_bound(values: np.ndarray, n: int, kernel: np.ndarray, coords) -> np.ndarray:
+def envelope(values: np.ndarray, n: int, kernel: np.ndarray, coords) -> np.ndarray:
+    """|K| applied stage by stage to |values|, in float64."""
+    return stagewise_kernel(np.abs(values).astype(np.float64), n, np.abs(kernel), coords)
+
+
+def group_error_bound(values: np.ndarray, n: int, kernel: np.ndarray, coords,
+                      env: np.ndarray | None = None) -> np.ndarray:
     """Entrywise first-order bound on the gap between the group products
     and the stagewise kernel run in longdouble: 19/4 roundings per stage
-    (see fourier.transform_table) and the reference's 3, each of the
-    envelope |K| applied to |values| stage by stage."""
-    start = np.abs(values).astype(np.float64)
+    (see fourier.transform_table; any grouped kernel, since the bound is
+    taken on the envelope |K| applied to |values|) and the reference's 3."""
     stages = n if coords is None else len(coords)
     u, u_ref = np.finfo(values.dtype).eps / 2, np.finfo(np.longdouble).eps / 2
-    return stages * (4.75 * u + 3 * u_ref) * stagewise_kernel(start, n, np.abs(kernel), coords)
+    if env is None:
+        env = envelope(values, n, kernel, coords)
+    return stages * (4.75 * u + 3 * u_ref) * env
 
 
-def assert_kernel_result(got, base, n, name, coords, note):
-    """Every kernel that the form rule runs as group products (analysis,
-    synthesis and general, and no other) within fourier_error_bound of the
-    stagewise kernel run in longdouble; every other kernel with its
-    stagewise bits."""
+def groups(kernel: np.ndarray, dtype) -> list | None:
+    """The group matrices apply_kernel runs a kernel with, None for one it
+    runs stage by stage."""
+    return lattice._group_matrices(*kernel.ravel().tolist(), np.dtype(dtype))
+
+
+def assert_kernel_result(got, base, n, name, coords, note, exact, env=None):
+    """A kernel that runs as group products (every kernel in float64, and
+    the ones with no zero entry in longdouble) within group_error_bound of
+    ``exact``, the stagewise kernel run in longdouble; any other kernel
+    with the bits of ``exact``."""
     kernel = KERNELS[name]
-    grouped = lattice._groups(kernel, got.dtype) is not None
-    assert grouped == (name in ("analysis", "synthesis", "general")), note
+    grouped = groups(kernel, got.dtype) is not None
+    assert grouped == (got.dtype == np.float64 or name in FULL), note
     if grouped:
-        exact = stagewise_kernel(base.astype(np.longdouble), n, kernel, coords)
-        assert np.all(np.abs(got - exact) <= fourier_error_bound(base, n, kernel, coords)), note
+        bound = group_error_bound(base, n, kernel, coords, env)
+        assert np.all(np.abs(got - exact) <= bound), note
     else:
-        assert same_bits(got, stagewise_kernel(base.copy(), n, kernel, coords)), note
+        assert same_bits(got, exact), note
+
+
+@pytest.fixture(scope="module")
+def references():
+    """Longdouble stagewise results and envelopes of
+    test_apply_kernel_matches_stagewise_bits, built once per (kernel,
+    shape, stage order) and shared by the float64 and longdouble cases of
+    a shape, which run one after the other; only one shape's are kept."""
+    return {}
+
+
+def reference(cache: dict, base: np.ndarray, n: int, name: str, order: str, coords):
+    key = (base.shape, name, order)
+    if key not in cache:
+        if any(k[0] != base.shape for k in cache):
+            cache.clear()
+        kernel = KERNELS[name]
+        cache[key] = (stagewise_kernel(base.astype(np.longdouble), n, kernel, coords),
+                      envelope(base, n, kernel, coords))
+    return cache[key]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("shape", [(1 << 15,), (1 << 16,), (1 << 17,), (1 << 18,),
                                    (7, 16), (1024, 64), (3, 1 << 17),
                                    (4096, 16), (256, 4096)])
-def test_apply_kernel_matches_stagewise_bits(shape, dtype):
-    """The tiled engine does each element's stage arithmetic in the old
-    order, on both sides of the one-tile size 2^16, whether a tile's low
-    stages run in place or on a transposed copy.  The kernels that run four
-    stages at a time as matrix products instead are held to their error
-    bound against a longdouble stagewise run, in every run of stages."""
+def test_apply_kernel_matches_stagewise_bits(shape, dtype, references):
+    """Every kernel, in every run of stages and on both sides of the
+    one-tile size 2^16, stays within its error bound of the stagewise
+    kernel run in longdouble where it runs as group products; a kernel
+    with a zero entry runs stage by stage in longdouble and keeps the
+    stagewise bits there."""
     n = shape[-1].bit_length() - 1
-    base = np.random.default_rng(n).standard_normal(shape).astype(dtype)
+    base = np.random.default_rng(n).standard_normal(shape)
     base[..., ::5] = 0.0
+    base = base.astype(dtype)
     for name, kernel in KERNELS.items():
         for order, coords in stage_orders(n).items():
+            exact, env = reference(references, base, n, name, order, coords)
             got = base.copy()
             out = apply_kernel(got, n, kernel, coords)
             assert out is got
-            assert_kernel_result(got, base, n, name, coords, (name, order))
+            assert_kernel_result(got, base, n, name, coords, (name, order), exact, env)
 
 
 @pytest.mark.parametrize("coords", [None, list(range(14, 20))], ids=["default", "14-19"])
 def test_staged_upper_run_matches_stagewise_bits(coords):
-    """At n = 20 the runs 15..19 (of the default order) and 14..19 are cut
-    into column tiles of 2048- and 1024-element runs, which take all their
-    stages on a copy in the scratch block; every kernel that runs stage by
-    stage keeps its stagewise bits there, and the grouped ones keep their
-    error bound.  float64 only, since a longdouble engine run at 2^20 costs
-    seconds."""
+    """At n = 20 the groups above coordinate 16 are cut into column tiles
+    of 4096 contiguous elements or fewer; every kernel stays within its
+    error bound there.  float64 only, since a longdouble engine run at
+    2^20 costs seconds."""
     n = 20
     base = np.random.default_rng(n).standard_normal(1 << n)
     base[::5] = 0.0
     for name, kernel in KERNELS.items():
         got = apply_kernel(base.copy(), n, kernel, coords)
-        assert_kernel_result(got, base, n, name, coords, name)
+        exact = stagewise_kernel(base.astype(np.longdouble), n, kernel, coords)
+        assert_kernel_result(got, base, n, name, coords, name, exact)
 
 
-def test_only_column_tiles_of_short_runs_are_staged(monkeypatch):
-    """A run's stages go to the scratch block when its tiles are column
-    slices of at most lattice._MAX_STAGED_COLS contiguous elements: the run
-    15..19 at n = 20 (2048 elements), not 15..18 at n = 19 (4096), not
-    15..17 at n = 18 (8192), and never a single stage.  A wrapper around the
-    stage update records whether each stage's halves lie in the table; the
-    noise kernel runs stage by stage."""
-    in_table = []
-    stage_update = lattice._stage_update
+def kronecker_groups(kernel: np.ndarray, dtype):
+    """The form rule by its definition: K(x)...(x)K through np.kron, and
+    the largest g <= 4 whose matrix has exactly nnz(K)^g nonzero entries,
+    each a normal number; None where a kernel with a zero entry runs stage
+    by stage."""
+    k = kernel.astype(dtype)
+    nnz = np.count_nonzero(k)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mats = list(accumulate([k] * 4, np.kron))
+        g = 0
+        for m in mats:
+            a = np.abs(m[m != 0])
+            if a.size != nnz ** (g + 1) or not np.all((np.finfo(dtype).tiny <= a) & (a < inf)):
+                break
+            g += 1
+    if nnz < 4 and (g < 2 or np.dtype(dtype) == np.longdouble):
+        return None
+    return mats[:max(g, 1)]
 
-    def recorded(kernel, scratch):
-        update = stage_update(kernel, scratch)
 
-        def record(a, b):
-            in_table.append(np.may_share_memory(a, values))
-            update(a, b)
-        return record
-
-    monkeypatch.setattr(lattice, "_stage_update", recorded)
-    for n, coords, staged in ((20, range(15, 20), True), (19, range(15, 19), False),
-                              (18, range(15, 18), False), (20, [19], False)):
-        values = np.ones(1 << n)
-        in_table.clear()
-        apply_kernel(values, n, KERNELS["noise"], list(coords))
-        assert in_table and set(in_table) == {not staged}, (n, list(coords))
+def test_group_rule_matches_the_kronecker_definition():
+    """The form rule decides g from the smallest and largest entry of K,
+    before any matrix is built; on noise, its inverse and the Fourier
+    kernels over 60 parameters from 1e-320 to 1/2, the unit kernels, a swap
+    and kernels with a subnormal or a large entry, in float64 and
+    longdouble, it gives the group size and the matrix bits that the
+    definition gives through np.kron.  Longdouble is compared by value,
+    since its padding bytes are not set."""
+    kernels = [KERNELS[name] for name in ("zeta", "mobius", "supersets", "general")]
+    kernels += [np.array(k) for k in ([[0.0, 1.0], [1.0, 0.0]], [[1e-310, 1.0], [1.0, 1.0]],
+                                      [[1e80, 0.0], [1.0, 1e80]], [[1.0, 0.0], [1.0, 5e-324]])]
+    for r in np.logspace(-320, np.log10(0.5), 60):
+        kernels += [noise_kernel(r), analysis_kernel(r), synthesis_kernel(r)]
+        if r > 1e-300:
+            kernels.append(inverse_noise_kernel(r))
+    rule = lattice._group_matrices.__wrapped__
+    sizes = set()
+    for kernel in kernels:
+        for dtype in (np.float64, np.longdouble):
+            got = rule(*kernel.ravel().tolist(), np.dtype(dtype))
+            expect = kronecker_groups(kernel, dtype)
+            note = (kernel.tolist(), dtype)
+            assert (got is None) == (expect is None), note
+            if got is not None:
+                assert len(got) == len(expect), note
+                assert all(same_bits(a, b) for a, b in zip(got, expect)), note
+            sizes.add(None if got is None else len(got))
+    assert sizes == {None, 1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("shape", [(7, 16), (65536, 16), (256, 4096), (3, 1 << 17)])
 def test_stacked_fourier_rows_keep_the_bits_of_their_unstacked_calls(shape):
     """The grouped form's matrix products give each element the same bits
     whatever the batch shape and the element's place in it: every row of a
-    stacked transform and synthesis has the bits of its own call.  Compared
-    as uint64, so -0.0 counts."""
+    stacked transform and synthesis has the bits of its own call, and so
+    does every row of noise, its inverse and the three subset sums (of the
+    65536 rows, every 37th, which meets each of the 128 places in an
+    operand).  Compared as uint64, so -0.0 counts."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape)
     for run, p in ((transform_table, 0.3), (synthesize_table, 0.7)):
@@ -264,17 +323,33 @@ def test_stacked_fourier_rows_keep_the_bits_of_their_unstacked_calls(shape):
         for row in range(shape[0]):
             assert np.array_equal(run(base[row], n, p).view(np.uint64), stacked[row]), \
                 (run.__name__, row)
+    runs = {"noise": lambda v: downward_noise_table(v, n, 0.3),
+            "inverse": lambda v: invert_downward(v, 0.4),
+            **{f.__name__: (lambda v, f=f: f(v.copy(), n))
+               for f in (zeta_subsets, mobius_subsets, zeta_supersets)}}
+    for name, run in runs.items():
+        stacked = run(base).view(np.uint64)
+        for row in range(0, shape[0], 37 if shape[0] > 4096 else 1):
+            assert np.array_equal(run(base[row]).view(np.uint64), stacked[row]), (name, row)
 
 
 def test_fourier_bits_do_not_depend_on_blas_threads():
     """The matrix products go through BLAS; with one and with two BLAS
-    threads an n = 20 transform and a (256, 4096) batch have the same
-    bytes, since each product is small enough to run on one thread."""
+    threads an n = 20 table and a (256, 4096) batch have the same bytes
+    under the transform, noise, its inverse and the three subset sums,
+    since each product is small enough to run on one thread."""
     script = ("import hashlib, numpy as np\n"
               "from polyspec.fourier import transform_table\n"
+              "from polyspec.lattice import mobius_subsets, zeta_subsets, zeta_supersets\n"
+              "from polyspec.noise import downward_noise_table, invert_downward\n"
               "rng = np.random.default_rng(7)\n"
-              "h = hashlib.sha256(transform_table(rng.random(1 << 20), 20, 0.3).tobytes())\n"
-              "h.update(transform_table(rng.random((256, 4096)), 12, 0.3).tobytes())\n"
+              "h = hashlib.sha256()\n"
+              "for t, n in ((rng.random(1 << 20), 20), (rng.random((256, 4096)), 12)):\n"
+              "    h.update(transform_table(t, n, 0.3).tobytes())\n"
+              "    h.update(downward_noise_table(t, n, 0.3).tobytes())\n"
+              "    h.update(invert_downward(t, 0.4).tobytes())\n"
+              "    for f in (zeta_subsets, mobius_subsets, zeta_supersets):\n"
+              "        h.update(f(t.copy(), n).tobytes())\n"
               "print(h.hexdigest())\n")
     digests = set()
     for threads in ("1", "2"):
@@ -291,7 +366,7 @@ def test_extreme_bias_falls_back_to_the_stagewise_bits(p):
     """At every bias the Fourier kernels run as group products, with
     smaller groups where K(x)K(x)K(x)K leaves the normal range (see
     test_group_rule_decides_extreme_kernels_without_warnings).  Analysis
-    and synthesis stay entrywise within fourier_error_bound plus the float64
+    and synthesis stay entrywise within group_error_bound plus the float64
     stagewise run's own gap to the longdouble reference, which float64
     underflow sets at tiny p (9.5e-118 for the analysis at p = 1e-100), on
     a 0/1 table and a random one."""
@@ -302,95 +377,146 @@ def test_extreme_bias_falls_back_to_the_stagewise_bits(p):
         values = synthesize_table(coeffs, n, p)
         for kernel, base, got in ((analysis_kernel(p), table, coeffs),
                                   (synthesis_kernel(p), coeffs, values)):
-            assert lattice._groups(kernel, got.dtype) is not None
+            assert groups(kernel, got.dtype) is not None
             exact = stagewise_kernel(base.astype(np.longdouble), n, kernel)
             own = np.abs(stagewise_kernel(base.copy(), n, kernel) - exact)
-            bound = fourier_error_bound(base, n, kernel, None) + own
+            bound = group_error_bound(base, n, kernel, None) + own
             assert np.all(np.abs(got - exact) <= bound), kernel
 
 
-# the group size the form rule picks for the Fourier kernels in float64
+# the group size the form rule picks in float64: for noise and its inverse
+# (None: stage by stage), and for analysis and synthesis
+NOISE_GROUPS = {0.5: (4, 4), 1e-70: (4, 4), 1e-100: (3, 3), 1e-150: (2, 2),
+                1e-160: (None, None), 1e-200: (None, None), 1e-300: (None, None)}
 EXTREME_GROUPS = {1e-100: (3, 4), 1e-160: (1, 3), 1e-200: (1, 3), 1e-300: (1, 2),
                   5e-324: (1, 1), 1 - 1e-16: (4, 4)}
 
 
 def test_group_rule_decides_extreme_kernels_without_warnings():
-    """The form rule computes every library kernel's group matrices at
-    extreme parameters with no RuntimeWarning (the test configuration makes
-    one an error), though a product overflows and inf*0 gives NaN.  The
-    cache is bypassed, so an earlier call under np.errstate cannot hide a
-    warning.  Noise and its inverse run stage by stage at every rho; the
-    Fourier kernels run as group products of the pinned size in float64,
-    and of at least that size in longdouble.  The inverse at rho = 1e-200
-    and 1e-160 still maps the constant one to [1, 0]."""
-    uncached = lattice._group_matrices.__wrapped__
-    for rho in (1e-160, 1e-200, 1e-300):
-        for kernel in (noise_kernel(rho), inverse_noise_kernel(rho)):
-            for dtype in (np.float64, np.longdouble):
-                assert lattice._groups(kernel, np.dtype(dtype)) is None, (kernel, dtype)
-            # asked directly, the rule meets inf*0 here and gives K alone
-            assert len(uncached(*kernel.ravel().tolist(), np.dtype(np.float64))) == 1
+    """The form rule decides every library kernel at extreme parameters
+    with no RuntimeWarning (the test configuration makes one an error),
+    though a product of entries overflows.  The cache is bypassed, so an
+    earlier call under np.errstate cannot hide a warning.  Noise and its
+    inverse group down to rho = 1e-150 and run stage by stage below, and
+    always in longdouble; the Fourier kernels run as group products of the
+    pinned size in float64, and of at least that size in longdouble.  The
+    inverse at rho = 1e-200 and 1e-160 still maps the constant one to
+    [1, 0]."""
+    rule = lattice._group_matrices.__wrapped__
+
+    def size(kernel, dtype):
+        mats = rule(*kernel.ravel().tolist(), np.dtype(dtype))
+        return None if mats is None else len(mats)
+
+    for rho, sizes in NOISE_GROUPS.items():
+        for kernel, g in zip((noise_kernel(rho), inverse_noise_kernel(rho)), sizes):
+            assert size(kernel, np.float64) == g, (rho, kernel)
+            assert size(kernel, np.longdouble) is None, (rho, kernel)
     for p, sizes in EXTREME_GROUPS.items():
         for kernel, g in zip((analysis_kernel(p), synthesis_kernel(p)), sizes):
-            assert len(uncached(*kernel.ravel().tolist(), np.dtype(np.float64))) == g, (p, kernel)
-            assert len(uncached(*kernel.ravel().tolist(), np.dtype(np.longdouble))) >= g
+            assert size(kernel, np.float64) == g, (p, kernel)
+            assert size(kernel, np.longdouble) >= g
     for rho in (1e-200, 1e-160):
         assert same_bits(invert_downward(np.ones(2), rho), np.array([1.0, 0.0]))
 
 
-def test_stagewise_kernels_build_no_group_matrices():
-    """The noise kernel, its inverse and the three subset-sum kernels are
-    told apart from their entries alone: cycling 40 values of rho, more
-    than the cache holds, never reaches the cached Kronecker products."""
-    before = lattice._group_matrices.cache_info()
-    row = np.random.default_rng(4).random(16)
-    for rho in np.linspace(0.05, 0.95, 40):
-        invert_downward(downward_noise_table(row, 4, rho), rho)
-    for run in (zeta_subsets, mobius_subsets, zeta_supersets):
-        run(row.copy(), 4)
-    assert lattice._group_matrices.cache_info() == before
+def test_stagewise_kernels_build_no_group_matrices(monkeypatch):
+    """A kernel that runs stage by stage is told apart before any Kronecker
+    product: with lattice._kron recording its calls, the uncached rule
+    builds no matrix for noise and its inverse at rho = 1e-160, 1e-200 and
+    1e-300 in float64, nor for any kernel with a zero entry in longdouble,
+    and g - 1 products for a kernel it groups."""
+    calls = []
+    kron = lattice._kron
+    monkeypatch.setattr(lattice, "_kron", lambda m, k: calls.append(len(m)) or kron(m, k))
+    rule = lattice._group_matrices.__wrapped__
+    stagewise = [(k, np.float64) for rho in (1e-160, 1e-200, 1e-300)
+                 for k in (noise_kernel(rho), inverse_noise_kernel(rho))]
+    stagewise += [(KERNELS[name], np.longdouble) for name in KERNELS if name not in FULL]
+    for kernel, dtype in stagewise:
+        assert rule(*kernel.ravel().tolist(), np.dtype(dtype)) is None, (kernel, dtype)
+    assert calls == []
+    for kernel, g in ((noise_kernel(1e-100), 3), (KERNELS["zeta"], 4)):
+        assert len(rule(*kernel.ravel().tolist(), np.dtype(np.float64))) == g
+    assert calls == [2, 4, 2, 4, 8]
 
 
 @pytest.mark.parametrize("shape", [(1 << 10,), (64, 256), (1 << 20,)])
 def test_kernels_beside_the_difference_forms_keep_their_bits(shape):
-    """Kernels that leave one half of each stage as it is run stage by
-    stage whatever their other entries, bit for bit as the stagewise
-    reference, compared as uint64 so that infinities and NaN count:
-    inverse_noise_kernel(1e-200) is [[1, 0], [-1e200, 1e200]],
-    noise_kernel(1e-300) is [[1, 0], [1, 1e-300]], and the three unit
-    kernels.  2^20 takes the staged upper run."""
+    """Kernels that run stage by stage keep the stagewise reference's bits,
+    compared as uint64 (or by value and sign in longdouble) so that
+    infinities and NaN count: in float64 inverse_noise_kernel(1e-200),
+    [[1, 0], [-1e200, 1e200]], and noise_kernel(1e-300), [[1, 0], [1,
+    1e-300]], whose K(x)K leaves the normal range; in longdouble the three
+    unit kernels and noise at rho = 1/2.  2^20 takes whole-table stages."""
     n = shape[-1].bit_length() - 1
     base = np.random.default_rng(n).standard_normal(shape)
     base[..., ::5] = 0.0
-    kernels = {"inverse-1e-200": inverse_noise_kernel(1e-200),
-               "noise-1e-300": noise_kernel(1e-300),
-               **{k: KERNELS[k] for k in ("zeta", "mobius", "supersets")}}
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, kernel in kernels.items():
+        for name, kernel in (("inverse-1e-200", inverse_noise_kernel(1e-200)),
+                             ("noise-1e-300", noise_kernel(1e-300))):
             got = apply_kernel(base.copy(), n, kernel).view(np.uint64)
             expect = stagewise_kernel(base.copy(), n, kernel).view(np.uint64)
             assert np.array_equal(got, expect), name
+    if n < 20:
+        wide = base.astype(np.longdouble)
+        for name in ("zeta", "mobius", "supersets", "inverse-half"):
+            got = apply_kernel(wide.copy(), n, KERNELS[name])
+            assert same_bits(got, stagewise_kernel(wide.copy(), n, KERNELS[name])), name
+
+
+@pytest.mark.parametrize("shape", [(1 << 12,), (64, 256), (1 << 16,)])
+def test_integer_and_dyadic_tables_come_out_exact(shape):
+    """Where every value on the way is representable the group products are
+    exact, whatever their summation order: subset zeta, Moebius and
+    superset zeta on 0/1 tables and on integers below 2^20 (absolute sums
+    below 2^53), noise at rho = 1/2 on 0/1 tables and on multiples of 1/8
+    below 4, and its inverse at rho = 1/2 on the noise of a 0/1 table,
+    which gives the table back."""
+    n = shape[-1].bit_length() - 1
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, shape).astype(np.float64)
+    ints = rng.integers(-(1 << 20), 1 << 20, shape).astype(np.float64)
+    eighths = rng.integers(-31, 32, shape) / 8.0
+    for name in ("zeta", "mobius", "supersets"):
+        for table in (bits, ints):
+            expect = stagewise_kernel(table.copy(), n, KERNELS[name])
+            assert np.array_equal(apply_kernel(table.copy(), n, KERNELS[name]), expect), name
+    for table in (bits, eighths):
+        noisy = downward_noise_table(table, n, 0.5)
+        assert np.array_equal(noisy, stagewise_kernel(table.copy(), n, noise_kernel(0.5)))
+    assert np.array_equal(invert_downward(downward_noise_table(bits, n, 0.5), 0.5), bits)
+
+
+def assert_non_finite_covers(got: np.ndarray, ref: np.ndarray, note) -> None:
+    """got is non-finite at least wherever ref is; inf against NaN, and
+    which further entries of a group it spreads to, are not specified."""
+    assert np.all(~np.isfinite(got)[~np.isfinite(ref)]), note
 
 
 @pytest.mark.parametrize("shape", [(1 << 10,), (1 << 17,), (64, 256)])
 def test_multiply_form_keeps_nan_payloads(shape):
-    """The multiply-form stages give each NaN the payload of the plain
-    expressions k00*a + k01*b and k10*a + k11*b, products added in that
-    order.  same_bits cannot show it, since NaN never compares equal, so
-    the bits are compared as uint64.  A tenth of the entries start as
-    quiet NaNs with distinct payloads, so many stages add two NaNs.  The
-    unit kernels are left out: their adds may return the other operand's
-    payload (see the lattice module docstring)."""
+    """The stage-by-stage form gives each NaN the payload of the plain
+    expressions k10*a + k11*b, products added in that order, compared as
+    uint64 since NaN never compares equal: noise at rho = 1e-300 and its
+    inverse at rho = 1e-200.  A tenth of the entries start as quiet NaNs
+    with distinct payloads, so many stages add two NaNs.  The grouped
+    noise, inverse and inverse-half kernels give NaN or inf at least
+    wherever the stagewise reference does."""
     n = shape[-1].bit_length() - 1
     rng = np.random.default_rng(n)
     base = rng.standard_normal(shape)
     nan = rng.random(shape) < 0.1
     payloads = rng.integers(1, 1 << 51, np.count_nonzero(nan), dtype=np.uint64)
     base.view(np.uint64)[nan] = np.uint64(0x7FF8 << 48) | payloads
-    for name in ("noise", "inverse", "inverse-half"):
-        got = apply_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
-        expect = stagewise_kernel(base.copy(), n, KERNELS[name]).view(np.uint64)
-        assert np.array_equal(got, expect), name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kernel in (noise_kernel(1e-300), inverse_noise_kernel(1e-200)):
+            got = apply_kernel(base.copy(), n, kernel).view(np.uint64)
+            expect = stagewise_kernel(base.copy(), n, kernel).view(np.uint64)
+            assert np.array_equal(got, expect), kernel
+        for name in ("noise", "inverse", "inverse-half"):
+            got = apply_kernel(base.copy(), n, KERNELS[name])
+            assert_non_finite_covers(got, stagewise_kernel(base.copy(), n, KERNELS[name]), name)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -406,56 +532,63 @@ def test_zeta_supersets_matches_superset_sums(n):
 
 
 def test_zeta_supersets_leaves_the_upper_half():
-    """The x_i = 1 half of a stage is not recomputed as 0*a + b: an
-    infinite entry reaches only its subsets and the top point keeps -0.0."""
-    assert same_bits(zeta_supersets(np.array([inf, 0.0]), 1), np.array([inf, 0.0]))
-    got = zeta_supersets(np.array([inf, 0.0, 1.0, 0.0]), 2)
-    assert same_bits(got, np.array([inf, 0.0, 1.0, 0.0]))
-    got = zeta_supersets(np.array([2.0, 1.0, 0.5, -0.0]), 2)
-    assert same_bits(got, np.array([3.5, 1.0, 0.5, -0.0]))
-    # Tables that take the transposed low stages.  Integer entries make every
-    # finite sum exact: expected are the finite sums, with inf on the subsets
-    # of each row's infinite point and -0.0 kept at the top point.
+    """On a finite table the x_i = 1 half of a stage keeps its values, as
+    0*a + b, so out(top) = in(top); an infinite entry makes at least its
+    subsets non-finite.  Integer entries make every finite sum exact."""
+    for dtype in (np.float64, np.longdouble):
+        got = zeta_supersets(np.array([2.0, 1.0, 0.5, -0.0], dtype=dtype), 2)
+        assert np.array_equal(got, np.array([3.5, 1.0, 0.5, 0.0])), dtype
     for shape in ((1 << 14,), (64, 256)):
         n = shape[-1].bit_length() - 1
         rng = np.random.default_rng(n)
         values = rng.integers(-4, 5, shape).astype(np.float64).reshape(-1, 1 << n)
-        values[:, -1] = 0.0
         expect = stagewise_kernel(values.copy(), n, KERNELS["supersets"])
+        got = zeta_supersets(values.copy().reshape(shape), n).reshape(values.shape)
+        assert np.array_equal(got, expect), shape
+        assert np.array_equal(got[:, -1], values[:, -1]), shape
         codes = point_codes(n)
         for row, x in enumerate(rng.integers(0, (1 << n) - 1, len(values))):
             values[row, x] = inf
-            values[row, -1] = -0.0
             expect[row, codes & ~x == 0] = inf
-            expect[row, -1] = -0.0
-        got = zeta_supersets(values.reshape(shape), n)
-        assert same_bits(got, expect.reshape(shape)), shape
+        with np.errstate(invalid="ignore"):
+            got = zeta_supersets(values.reshape(shape), n)
+        assert_non_finite_covers(got.reshape(expect.shape), expect, shape)
 
 
 def test_subset_zeta_and_mobius_keep_signed_zero_and_inf():
-    """Hand-worked unit stages: -0.0 + -0.0 is -0.0, -0.0 - -0.0 is +0.0,
-    and an infinite entry reaches its supersets with the Moebius sign."""
-    assert same_bits(zeta_subsets(np.array([-0.0, -0.0]), 1), np.array([-0.0, -0.0]))
-    assert same_bits(mobius_subsets(np.array([-0.0, -0.0]), 1), np.array([-0.0, 0.0]))
-    got = zeta_subsets(np.array([-0.0, inf, 1.0, 0.5]), 2)
-    assert same_bits(got, np.array([-0.0, inf, 1.0, inf]))
-    got = mobius_subsets(np.array([inf, 1.0, -0.0, 0.5]), 2)
-    assert same_bits(got, np.array([inf, -inf, -inf, inf]))
-    # 2*b - a, not the b - a of the Moebius stage
-    got = apply_kernel(np.array([1.0, 1.0]), 1, KERNELS["inverse-half"])
-    assert same_bits(got, np.array([1.0, 1.0]))
+    """Hand-worked stages, run stage by stage in longdouble with these
+    bits: -0.0 + -0.0 is -0.0, -0.0 - -0.0 is +0.0, and an infinite entry
+    reaches its supersets with the Moebius sign.  In float64, as group
+    products, the same values come out, with NaN or inf at least where the
+    infinities are.  The inverse noise kernel at rho = 1/2 computes 2*b - a,
+    not the b - a of the Moebius stage."""
+    cases = ((zeta_subsets, [-0.0, -0.0], [-0.0, -0.0]),
+             (mobius_subsets, [-0.0, -0.0], [-0.0, 0.0]),
+             (zeta_subsets, [-0.0, inf, 1.0, 0.5], [-0.0, inf, 1.0, inf]),
+             (mobius_subsets, [inf, 1.0, -0.0, 0.5], [inf, -inf, -inf, inf]))
+    for run, values, expect in cases:
+        n = len(values).bit_length() - 1
+        wide = np.array(values, dtype=np.longdouble)
+        assert same_bits(run(wide, n), np.array(expect, dtype=np.longdouble)), values
+        with np.errstate(invalid="ignore"):
+            got = run(np.array(values), n)
+        expect = np.array(expect)
+        assert_non_finite_covers(got, expect, values)
+        assert np.array_equal(got[np.isfinite(got)], expect[np.isfinite(got)]), values
+    for dtype in (np.float64, np.longdouble):
+        got = apply_kernel(np.array([1.0, 1.0], dtype=dtype), 1, KERNELS["inverse-half"])
+        assert same_bits(got, np.array([1.0, 1.0], dtype=dtype))
 
 
 @pytest.mark.parametrize("shape", [(1 << 8,), (1 << 14,), (64, 256)])
 def test_unit_stages_match_the_multiply_form_on_edge_bits(shape):
-    """Subset zeta and Moebius run each stage as one in-place add or
-    subtract; on -0.0 and infinite entries that gives the bits of the
-    multiply form k10*a + k11*b, on the in-place path (n = 8) and on the
-    transposed low stages (n = 14 and a batch of n = 8 rows).  The first
-    quarter of each row holds only signed zeros, so zero signs reach the
-    output; each row's one infinity, +inf or -inf, never meets another in a
-    stage, so no NaN arises.  The inverse noise kernel at rho = 1/2 runs on
-    the same tables and keeps the multiply form."""
+    """Subset zeta, Moebius and the inverse noise kernel at rho = 1/2 on
+    integer tables with signed zeros and one infinity per row, +inf or
+    -inf: stage by stage in longdouble they give the stagewise reference's
+    bits, zero signs and infinities included; as group products in float64
+    they give NaN or inf at least where the reference does, and the
+    reference's values wherever they are finite.  The first quarter of each
+    row holds only signed zeros, so zero signs reach the output."""
     n = shape[-1].bit_length() - 1
     rng = np.random.default_rng(n)
     values = rng.integers(-4, 5, shape).astype(np.float64).reshape(-1, 1 << n)
@@ -465,11 +598,16 @@ def test_unit_stages_match_the_multiply_form_on_edge_bits(shape):
     for row, x in enumerate(rng.integers(quarter, 1 << n, len(values))):
         values[row, x] = -inf if row % 2 else inf
     values = values.reshape(shape)
-    runs = {"zeta": zeta_subsets, "mobius": mobius_subsets,
-            "inverse-half": lambda v, n: apply_kernel(v, n, KERNELS["inverse-half"])}
-    for name, run in runs.items():
-        expect = stagewise_kernel(values.copy(), n, KERNELS[name])
-        assert same_bits(run(values.copy(), n), expect), name
+    for name in ("zeta", "mobius", "inverse-half"):
+        wide = values.astype(np.longdouble)
+        expect = stagewise_kernel(wide.copy(), n, KERNELS[name])
+        assert same_bits(apply_kernel(wide, n, KERNELS[name]), expect), name
+        with np.errstate(invalid="ignore"):
+            got = apply_kernel(values.copy(), n, KERNELS[name])
+        expect = expect.astype(np.float64)
+        assert_non_finite_covers(got, expect, name)
+        finite = np.isfinite(got)
+        assert np.array_equal(got[finite], expect[finite]), name
 
 
 @pytest.mark.parametrize("values, n", [
@@ -504,7 +642,7 @@ def test_apply_kernel_rejects_stages_outside_one_ascending_run(coords):
 
 def test_apply_kernel_transient_memory_stays_tile_sized():
     """At n = 20 the whole-table passes peaked at ~12 MiB of temporaries;
-    tiles, with the transposed copy of one tile, keep the peak under 2 MiB,
+    tiles, with a scratch block of two tiles, keep the peak under 2 MiB,
     also for a batch of n = 4 rows."""
     for shape in ((1 << 20,), (4096, 16)):
         n = shape[-1].bit_length() - 1
@@ -520,35 +658,27 @@ def test_apply_kernel_transient_memory_stays_tile_sized():
         assert peak < 2 << 20, shape
 
 
-def test_small_tables_and_single_stages_make_no_transposed_copy(monkeypatch):
-    """A 1-D table at n <= 8 and a single-stage coords=[i] call read every
-    stage's halves from the table itself; the copy would cost more than the
-    short stages it speeds up.  A wrapper around the stage update records
-    the halves each stage is given, and a full pass at n = 16 shows it sees
-    the copy."""
-    halves = []
-    stage_update = lattice._stage_update
+def test_single_stages_run_as_two_by_two_group_products(monkeypatch):
+    """A full pass runs groups of four coordinates from coordinate 0, the
+    last group shorter; a single stage coords=[i] runs as one 2 x 2 group
+    product (K itself), the form the per-stage benchmark rows time.  A
+    wrapper around lattice._group_product records each matrix's order,
+    one record per tile."""
+    orders = []
+    group_product = lattice._group_product
 
-    def recorded(kernel, scratch):
-        update = stage_update(kernel, scratch)
+    def recorded(tile, m, block):
+        orders.append(len(m))
+        group_product(tile, m, block)
 
-        def record(a, b):
-            halves.extend((a, b))
-            update(a, b)
-        return record
-
-    monkeypatch.setattr(lattice, "_stage_update", recorded)
-
-    def copied(values, n, kernel, coords=None):
-        halves.clear()
-        apply_kernel(values, n, kernel, coords)
-        assert halves
-        return sum(not np.may_share_memory(h, values) for h in halves)
-
-    big = np.ones(1 << 16)
-    kernel = np.array([[1.0, 0.0], [0.5, 1.0]])
-    for n in range(1, 9):
-        assert copied(np.ones(1 << n), n, kernel) == 0
-    for i in range(16):
-        assert copied(big, 16, kernel, [i]) == 0
-    assert copied(big, 16, kernel) > 0
+    monkeypatch.setattr(lattice, "_group_product", recorded)
+    for name in ("noise", "zeta", "analysis"):
+        for n in range(1, 9):
+            orders.clear()
+            apply_kernel(np.ones(1 << n), n, KERNELS[name])
+            assert orders == [16] * (n // 4) + [1 << (n % 4)] * (n % 4 > 0), (name, n)
+        big = np.ones(1 << 16)
+        for i in range(16):
+            orders.clear()
+            apply_kernel(big, 16, KERNELS[name], [i])
+            assert orders == [2], (name, i)

@@ -7,8 +7,11 @@ import pytest
 import polyspec as ps
 from polyspec.fourier import transform_table
 from polyspec.lattice import index_bits, popcounts
+from polyspec.noise import (downward_noise_table, inverse_noise_kernel, invert_downward,
+                            noise_kernel)
 from conftest import random_boolean, random_bounded
-from oracles import naive_downward, naive_invert_half_rho, spectral_eigenvalue, subsets
+from oracles import (naive_downward, naive_invert_half_rho, spectral_eigenvalue,
+                     stagewise_kernel, subsets)
 
 
 def test_and_eigenvalue_law():
@@ -94,6 +97,51 @@ def test_inversion_round_trip(rng):
             raw = rng.random(1 << n)
             u = ps.invert_downward(raw, rho)
             assert np.abs(downward_noise_table(u, n, rho) - raw).max() < 1e-9
+
+
+@pytest.mark.parametrize("rho", [0.123, 0.5, 0.9])
+def test_noise_error_bounds_against_longdouble(rho):
+    """The bounds of the two docstrings: each entry of downward_noise_table
+    within (19/4) n 2^-53 (T|f|)(x), and of invert_downward within
+    (19/4) n 2^-53 (|K|(x)...(x)|K| |h|)(x), of the same float64 kernel
+    run stage by stage in longdouble (whose own 3 roundings a stage are
+    added), on a random table in [-1, 1] at n = 12."""
+    n = 12
+    table = np.random.default_rng(n).uniform(-1.0, 1.0, 1 << n)
+    u, u_ref = 2.0 ** -53, np.finfo(np.longdouble).eps / 2
+    for run, kernel in ((downward_noise_table, noise_kernel(rho)),
+                        (lambda t, n, rho: invert_downward(t, rho), inverse_noise_kernel(rho))):
+        exact = stagewise_kernel(table.astype(np.longdouble), n, kernel)
+        envelope = stagewise_kernel(np.abs(table), n, np.abs(kernel))
+        bound = n * (4.75 * u + 3 * u_ref) * envelope
+        assert np.all(np.abs(run(table, n, rho) - exact) <= bound), kernel
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_spread_at_least_as_far_as_stage_by_stage(bad):
+    """With one inf or NaN in the table, downward_noise_table and
+    invert_downward are non-finite at least wherever the stagewise
+    reference is (the points above it), at each of four positions; and at
+    rho = 1e-70, where the inverse overflows on a random n = 8 table, its
+    non-finite entries are the reference's, inf or NaN alike."""
+    n = 8
+    rng = np.random.default_rng(n)
+    for x in (0, 5, 100, 255):
+        table = rng.random(1 << n)
+        table[x] = bad
+        with np.errstate(invalid="ignore"):
+            for run, kernel in ((downward_noise_table, noise_kernel(0.3)),
+                                (lambda t, n, rho: invert_downward(t, rho),
+                                 inverse_noise_kernel(0.3))):
+                got = run(table, n, 0.3)
+                ref = stagewise_kernel(table.copy(), n, kernel)
+                assert np.all(~np.isfinite(got)[~np.isfinite(ref)]), (x, kernel)
+    table = rng.random(1 << n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = invert_downward(table, 1e-70)
+        ref = stagewise_kernel(table.copy(), n, inverse_noise_kernel(1e-70))
+    assert np.count_nonzero(~np.isfinite(ref)) > 0
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
 
 
 def test_closed_form_inverse_at_half(rng):
