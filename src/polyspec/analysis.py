@@ -22,8 +22,8 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
                        make_majority3, make_semirandom, recognize_and_or)
 from .influences import (_influences, _ranked_coordinates, _sort_edges,
                          high_influence_coordinates)
-from .lattice import (_by_level, index_bits, measure_weights, mobius_subsets, pack_bits,
-                      popcounts, subcube_codes, zeta_subsets, zeta_supersets)
+from .lattice import (_level_blocks, apply_kernel, index_bits, measure_weights, mobius_subsets,
+                      pack_bits, popcounts, subcube_codes, zeta_subsets, zeta_supersets)
 from .noise import (NoiseParams, TesterReport, _biased_bits, _check_lam,
                     _monte_carlo, downward_noise_table, invert_downward, residual)
 
@@ -273,29 +273,28 @@ def one_sided_check(f: AnyFunction, g: BooleanFunction,
 # Structure distances
 
 def _and_distances(tables: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """mu_p mean of each row of raw uint8 tables (any leading axes), and the
-    L1 gap mean + p^|S| - 2 corr(S) from that row to every AND_S."""
-    # one weight table serves the mean and the superset sums, and is freed
-    # before the gaps, so the peak stays at two float64 tables
-    w = measure_weights(n, p)
-    weighted = tables.astype(np.float64)
-    mean = _weighted_sums(weighted, w)
-    weighted *= w
-    del w
-    corr = zeta_supersets(weighted, n)
-    # pk + mean per level, then gathered: its bits with no third 2^n table
-    dists = _by_level(p ** np.arange(n + 1.0) + mean[..., None], n)
-    corr *= 2.0
-    dists -= corr
-    return mean, dists
+    """mu_p mean of each row of raw uint8 tables (any leading axes) and the
+    L1 gap mean + p^|S| - 2 corr(S) to every AND_S, from one superset pass
+    on -2 f with the kernel [[1 - p, p], [0, p]]: it weights each coordinate
+    by mu_p on the way, so entry S is -2 corr(S), the sum over B containing
+    S of -2 mu_p(B) f(B), and the empty set's is -2 mean.  No term is
+    positive, so to first order the mean and every corr(S) are within a
+    relative (19/4) n u, u = 2^-53, of the exact sums under the kernel's
+    float64 entries.  The gaps cancel: each is within
+    ((19/4) n + 4) u (mean + p^|S| + 2 corr(S))."""
+    gaps = apply_kernel(np.multiply(tables, -2.0), n, np.array([[1.0 - p, p], [0.0, p]]))
+    mean = 0.0 - gaps[..., 0] / 2.0      # 0.0 - x, not -x: zero reports +0.0
+    for part, block in _level_blocks(p ** np.arange(n + 1.0) + mean[..., None], n):
+        gaps[..., part] += block
+    return mean, gaps
 
 
 def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdict:
     """Minimal L1 distance from f to a constant or an AND, with witness.
 
-    The gap to every AND comes from ``_and_distances``, one superset-sum
-    pass in O(n*2^n) over any stack of tables.  Ties prefer the smaller
-    witness (constants count as empty), then the lexicographically smaller.
+    Mean and gaps come from ``_and_distances``, one superset-sum pass in
+    O(n*2^n), with the errors it states.  Ties prefer the smaller witness
+    (constants count as empty), then the lexicographically smaller.
     """
     _check_open_unit("bias p", p)
     mean, dists = _and_distances(f.table, f.n, p)

@@ -75,18 +75,14 @@ def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:
     (19/4)(1 + 2s)^2 n * 2^-53 * ||c||_2 <= 19n * 2^-53 * ||c||_2 in the
     mu_p-weighted root mean square: its exact stages map the plain 2-norm
     onto the weighted one isometrically, and |K|(x)...(x)|K| maps it with
-    norm at most (1 + 2s)^(g/2).  The test suite holds the two directions
-    to tighter bounds, 3n * 2^-53 and 5n * 2^-53 * ||c||_2 / sqrt(1 - p).
-    Measured against the stagewise kernels run in longdouble at n = 12, 16,
-    20 and p = 0.123, 0.3, 0.9, the errors were at most 0.25n * 2^-53 and
-    0.21n * 2^-53 * ||c||_2 / sqrt(1 - p).  At p = 1/2 every value of a 0/1
-    table is dyadic, and both directions are exact.  Where the 16 x 16
-    matrix has an entry that is not a normal number, below about
-    p = 1.2e-77 for this kernel (p^4 underflows) and 1.5e-154 for the
-    synthesis kernel ((p/(1 - p))^2 underflows), the groups shrink to the
-    largest g whose matrix is normal, down to g = 1, K itself, with 2
-    roundings per stage.  Every g stays within the bounds derived above,
-    plus the underflow that a stagewise run in float64 meets as well.
+    norm at most (1 + 2s)^(g/2).  At p = 1/2 every value of a 0/1 table is
+    dyadic, and both directions are exact.  Where the 16 x 16 matrix has an
+    entry that is not a normal number, below about p = 1.2e-77 for this
+    kernel (p^4 underflows) and 1.5e-154 for the synthesis kernel
+    ((p/(1 - p))^2 underflows), the groups shrink to the largest g whose
+    matrix is normal, down to g = 1, K itself, with 2 roundings per stage.
+    Every g stays within the bounds derived above, plus the underflow that
+    a stagewise run in float64 meets as well.
     """
     _check_open_unit("bias p", p)
     return apply_kernel(working_copy(table), n, analysis_kernel(p))

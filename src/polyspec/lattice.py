@@ -37,8 +37,7 @@ g = 1 runs stage by stage instead, one pass over the table per coordinate:
 noise at rho = 1e-300 (its K(x)K holds rho^2, which underflows to 0) and
 its inverse at rho = 1e-200 (its K(x)K holds 1e400, inf).  So does every
 kernel with a zero entry in extended precision, where np.matmul has no
-BLAS path: a grouped longdouble invert_downward took 19 ms against 7.8 ms
-stage by stage at n = 16.
+BLAS path (a grouped longdouble inverse took 19 ms, not 7.8, at n = 16).
 
 Seen as (outer, 2^(hi-lo), 2^lo) for a group lo..hi-1, the table splits
 into tiles of at most 2^16 elements (512 KiB of float64) that hold whole
@@ -54,9 +53,8 @@ multiple of _WIDTH zero padded in the block; above, (2^g, min(2^lo,
 _WIDTH)) column blocks read from the tile.  An element's bits then do not
 depend on the batch shape or on its place in the table, and not on the
 BLAS thread count either, since a 16 x 16 x 128 product is too small for
-OpenBLAS to split.  These are other roundings of the stagewise maps;
-fourier.transform_table, noise.downward_noise_table, noise.invert_downward
-and the subset sums below state their error.
+OpenBLAS to split.  These are other roundings of the stagewise maps, and
+each caller of a kernel states its error.
 
 Non-finite values spread further in a group than stage by stage.  A
 product 0*inf is NaN, so an inf or NaN entry makes all 2^g values of its
@@ -64,9 +62,8 @@ vector non-finite, where a stage leaves the values that a zero entry of
 its kernel shields.  An entry that overflows may come out as NaN where a
 stagewise run gives inf.  No table is scanned for either.
 
-The Fourier kernels take g = 4 in float64 from about p = 1.2e-77 up for
-analysis (its matrix holds p^4) and from about p = 1.5e-154 up for
-synthesis (its matrix holds (p/(1 - p))^2).  Below, the group shrinks:
+The Fourier kernels take g = 4 in float64 down to about p = 1.2e-77
+(analysis, p^4) and 1.5e-154 (synthesis, (p/(1 - p))^2); below, g shrinks:
 
     p          1e-100  1e-160  1e-200  1e-300  5e-324
     analysis      3       1       1       1       1
@@ -180,12 +177,9 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
 
 @lru_cache(maxsize=32)
 def _group_matrices(k00: float, k01: float, k10: float, k11: float, dtype: np.dtype):
-    """The matrices [K, K(x)K, ...] the kernel K = [[k00, k01], [k10, k11]]
-    runs with in ``dtype`` (see the module docstring), shared and not to be
-    written: up to the largest g <= 4 whose 2^g x 2^g matrix has exactly
-    nnz(K)^g nonzero entries, each a normal number, and K alone when no g
-    does; None, to run stage by stage, for a kernel with a zero entry and
-    no g > 1, or with a zero entry in extended precision."""
+    """The matrices [K, K(x)K, ...] up to the g of the module docstring's
+    rule that K = [[k00, k01], [k10, k11]] runs with in ``dtype``, shared
+    and not to be written; None where that rule runs it stage by stage."""
     k = np.array([[k00, k01], [k10, k11]], dtype)
     entries = np.abs(k[k != 0])
     # The nonzero entries of K(x)...(x)K, products of g nonzero entries of K
@@ -211,11 +205,8 @@ def _kron(m: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def _group_product(tile: np.ndarray, m: np.ndarray, block: np.ndarray) -> None:
     """Apply m = K(x)...(x)K along axis 1 of an (outer, 2^g, cols) tile in
-    place, by np.matmul calls whose operand shape the tile's cols alone sets:
-    at cols = 1, rows of 2^g values times m.T, _WIDTH rows to an operand,
-    else m times (2^g, min(cols, _WIDTH)) column blocks.  Products go to
-    ``block`` and are copied back; the rows past the last multiple of
-    _WIDTH are copied into the block, zero padded to one operand."""
+    place, in the one operand shape that cols sets (module docstring), the
+    products and the zero-padded last rows passing through ``block``."""
     outer, size, cols = tile.shape
     if cols > 1:
         w = min(cols, _WIDTH)
@@ -302,14 +293,28 @@ def measure_weights(n: int, p: float) -> np.ndarray:
 
 
 def _by_level(values: np.ndarray, n: int) -> np.ndarray:
-    """values[..., popcounts(n)]: a per-level table (n + 1 entries on the
-    last axis) spread over the 2^n points, gathered by whole rows.  Point
-    hi * 2^h + lo has level |hi| + |lo|, and row k of an (n - h + 1) x 2^h
-    table holds values[..., k + |lo|], so the 2^(n-h) rows are taken by
-    |hi| without casting a 2^n index array."""
-    h = min(n, 8)
-    rows = values[..., np.arange(n - h + 1)[:, None] + popcounts(h)]
-    return np.take(rows, popcounts(n - h), axis=-2).reshape(values.shape[:-1] + (1 << n,))
+    """values[..., popcounts(n)], a per-level table (n + 1 entries on the
+    last axis) over the 2^n points: the one block of _level_blocks."""
+    rows = values[..., _level_rows(n)]
+    return np.take(rows, popcounts(n - min(n, 8)), axis=-2).reshape(values.shape[:-1] + (1 << n,))
+
+
+def _level_blocks(values: np.ndarray, n: int):
+    """(part, _by_level(values, n)[..., part]) over consecutive 2^14-point
+    parts of the last axis, so a per-level factor folds into a table with no
+    2^n temporary (2^14 was the fastest of 2^12 .. 2^16).  Point hi 2^h + lo,
+    h = min(n, 8), has level |hi| + |lo|: row k of _level_rows holds k + |lo|,
+    and a block takes those rows by |hi|."""
+    rows, h = values[..., _level_rows(n)], min(n, 8)
+    high, step = popcounts(n - h), (1 << 14) >> h
+    for start in range(0, high.size, step):
+        block = np.take(rows, high[start:start + step], axis=-2)
+        yield slice(start << h, (start + step) << h), block.reshape(values.shape[:-1] + (-1,))
+
+
+@lru_cache(maxsize=32)
+def _level_rows(n: int) -> np.ndarray:
+    return np.arange(n - min(n, 8) + 1)[:, None] + popcounts(min(n, 8))
 
 
 def index_bits(n: int, codes: np.ndarray) -> np.ndarray:

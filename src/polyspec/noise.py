@@ -8,11 +8,9 @@ on the mu_{rho*p} measure to functions on mu_p, and is an L1 contraction.
 The per-coordinate kernel is [[1, 0], [1-rho, rho]]: a point with x_i = 0
 cannot see the x_i = 1 half, while a point with x_i = 1 mixes both.  The
 inverse uses the inverse kernel [[1, 0], [-(1-rho)/rho, 1/rho]] in the
-same O(n*2^n) butterflies, rather than direct Moebius sums over the
-lattice; the closed-form alternating-sum inverse at rho = 1/2 is kept in
-the test suite as an independent oracle.  Note the closed form is stated only for
-rho = 1/2; the general-rho inverse is an extension supported by the kernel
-factorization.
+same O(n*2^n) butterflies, not Moebius sums over the lattice; the closed
+form, stated for rho = 1/2 only (other rho extend it through the kernel),
+is kept in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_boolean,
                    _check_open_unit, _check_same_dimension)
 from .fourier import synthesize_table, transform_table
-from .lattice import _by_level, apply_kernel, measure_weights, pack_bits, working_copy
+from .lattice import _level_blocks, apply_kernel, measure_weights, pack_bits, working_copy
 
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BATCH = 1 << 17
@@ -160,8 +158,9 @@ def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:
     direct = downward_noise_table(f.table, f.n, rho)
     coeffs = transform_table(f.table, f.n, rho * p)
     shrink = ((1.0 - p) * rho / (1.0 - rho * p)) ** 0.5
-    factors = _by_level(shrink ** np.arange(f.n + 1.0), f.n)
-    via_spectrum = synthesize_table(coeffs * factors, f.n, p)
+    for part, factors in _level_blocks(shrink ** np.arange(f.n + 1.0), f.n):
+        coeffs[part] *= factors
+    via_spectrum = synthesize_table(coeffs, f.n, p)
     return float(np.abs(direct - via_spectrum).max())
 
 
@@ -239,18 +238,19 @@ def noise_sensitivity(g: BooleanFunction, p: float, nu: float,
     """Probability that a (1-nu)-correlated resample changes g.
 
     Exact by default: 2 * sum over S of (1 - (1-nu)^|S|) coeff(S)^2 from the
-    bias-p spectrum.  An int samples draws that many correlated pairs from
-    rng (a seed, a Generator or None) instead.
+    bias-p spectrum, a dot per block of B = min(2^n, 2^14) points; the terms
+    are nonnegative, so it is within a relative (B + 2^n/B) 2^-53 of the
+    exact sum of the float64 coefficients' terms.  An int samples draws
+    that many correlated pairs from rng (a seed, a Generator or None) instead.
     """
     _check_boolean("noise_sensitivity", g)
     _check_open_unit("bias p", p)
     _check_open_unit("nu", nu)
     if samples is None:
-        coeffs = transform_table(g.table, g.n, p)
-        np.square(coeffs, out=coeffs)
-        coeffs *= _by_level(1.0 - (1.0 - nu) ** np.arange(g.n + 1.0), g.n)
-        val = 2.0 * float(np.sum(coeffs))
-        return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
+        coeffs, total = transform_table(g.table, g.n, p), 0.0
+        for part, flip in _level_blocks(1.0 - (1.0 - nu) ** np.arange(g.n + 1.0), g.n):
+            total += float(np.square(coeffs[part], out=coeffs[part]) @ flip)
+        return TesterReport(estimate=2.0 * total, std_error=0.0, samples=0, exact=True)
 
     def flips(gen: np.random.Generator, batch: int) -> int:
         x, y = sample_correlated_pair(p, nu, g.n, gen, batch)

@@ -9,8 +9,10 @@ stage, and within an error bound where it runs group products,
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
 ``core.save_function`` must match, and :func:`spectrum_degree`, the
 thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
-:func:`correlation_with_ands`, the weighted superset sums whose bits
-``analysis.distance_to_constant_or_and`` must keep, and
+:func:`and_correlations`, the exact and longdouble superset sums under
+the product measure that bound the error of
+``analysis.distance_to_constant_or_and``, :func:`level_square_sums`, the
+exact level sums of squares that bound exact ``noise_sensitivity``, and
 :func:`edge_influence` and :func:`edge_negative_influence`, the two edge
 passes per coordinate whose bits every influence path must keep, and
 :func:`edge_is_monotone`, :func:`edge_minterms` and
@@ -47,7 +49,7 @@ from polyspec.core import (BooleanFunction, BoundedFunction, _check_dimension,
 from polyspec.fourier import transform_table
 from polyspec.influences import degree, sensitivity
 from polyspec.lattice import (coordinate_pairs, index_bits, measure_weights, point_codes,
-                              popcounts, subcube_codes, subset_mask, zeta_supersets)
+                              popcounts, subcube_codes, subset_mask)
 from polyspec.noise import downward_noise_table
 
 
@@ -404,13 +406,46 @@ def spectrum_degree(table, n: int, tol: float = 1e-9, p: float = 0.5) -> int:
     return int(popcounts(n)[live].max(initial=0))
 
 
-def correlation_with_ands(table: np.ndarray, n: int, p: float) -> np.ndarray:
-    """E[f * AND_S] under mu_p for every subset S at once, O(n*2^n).
+def and_correlations(table: np.ndarray, n: int, p: float, exact: bool):
+    """mu_p mean and corr(S), the sum over B containing S of mu_p(B) f(B),
+    of a 0/1 table at every S (corr[0] is the mean), under the kernel
+    entries p and 1 - p as float64 numbers, the measure that
+    ``analysis._and_distances`` runs with.
 
-    Entry S is the measure-weighted sum of the table over supersets of S.
-    """
-    weighted = table.astype(np.float64) * measure_weights(n, p)
-    return zeta_supersets(weighted, n)
+    exact=True (small n): Fractions.  Every point of level k has the weight
+    p^k (1 - p)^(n - k), so corr(S) is the sum over k of that weight times
+    the number of ones of level k above S, an integer superset sum per
+    level, with no rounding.  exact=False: np.longdouble, the level weights
+    spread over the table and summed over supersets by
+    :func:`stagewise_kernel`; every term is nonnegative, so each value is
+    within a relative (n + 5) 2^-64 of the exact one."""
+    level = popcounts(n)
+    if not exact:
+        k = np.arange(n + 1)
+        w = np.longdouble(p) ** k * np.longdouble(1.0 - p) ** (n - k)
+        corr = stagewise_kernel(table * w[level], n, np.array([[1, 1], [0, 1]], np.longdouble))
+        return corr[0], corr
+    counts = np.zeros((n + 1, 1 << n), dtype=np.int64)
+    counts[level, np.arange(1 << n)] = table
+    for i in range(n):
+        pairs = coordinate_pairs(counts, i)
+        pairs[:, :, 0, :] += pairs[:, :, 1, :]
+    weights = [Fraction(p) ** k * Fraction(1.0 - p) ** (n - k) for k in range(n + 1)]
+    # the denominators are powers of two: sum integers over the largest one
+    scale = max(w.denominator for w in weights)
+    ints = np.array([w.numerator * (scale // w.denominator) for w in weights], dtype=object)
+    corr = [Fraction(int(c), scale) for c in counts.T.astype(object) @ ints]
+    return corr[0], corr
+
+
+def level_square_sums(values: np.ndarray, n: int) -> list:
+    """Exact sum of values[S]^2 over each level |S| = k of float64 values,
+    as Fractions: every value is an integer multiple of 2^-1074."""
+    sums = [0] * (n + 1)
+    for k, v in zip(popcounts(n).tolist(), values.tolist()):
+        num, den = v.as_integer_ratio()
+        sums[k] += (num * ((1 << 1074) // den)) ** 2
+    return [Fraction(t, 1 << 2148) for t in sums]
 
 
 def edge_influence(table: np.ndarray, i: int, w: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from conftest import random_boolean, random_bounded
 from oracles import (agreement_exact_expression, all_and_or_tables,
                      all_block_partitions, and_or_candidate_count, bit,
                      and_or_search_candidates, classify_boolean_eigens_bruteforce,
-                     correlation_with_ands, exact_and_or_distances, exact_l1, naive_agreement,
+                     and_correlations, exact_and_or_distances, exact_l1, naive_agreement,
                      junta_project, naive_influence, naive_negative_influence,
                      pair_agreement, subsets)
 
@@ -392,6 +392,9 @@ def test_distance_and_is_zero():
 def test_distance_constants():
     v0 = ps.distance_to_constant_or_and(ps.constant(3, 0), 0.4)
     assert v0.kind == "zero" and v0.distance == 0.0
+    for n, p in itertools.product((0, 1, 5, 9), (0.123, 0.4, 0.5)):
+        # the mean is 0.0 - (-2 mean) / 2, so the zero function reports +0.0
+        assert ps.distance_to_constant_or_and(ps.constant(n, 0), p).distance.hex() == "0x0.0p+0"
     v1 = ps.distance_to_constant_or_and(ps.constant(3, 1), 0.4)
     assert v1.kind == "constant" and v1.distance == 0.0
 
@@ -415,24 +418,63 @@ def test_distance_matches_bruteforce(rng):
         assert v.distance == pytest.approx(best, abs=1e-12)
 
 
+U = 2.0 ** -53
+
+
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.123])
 def test_distance_bits_match_expectation_and_correlation(p):
-    """One weight table serves the mean and the correlations; both keep the
-    bits of expectation and correlation_with_ands."""
+    """The mean and the gap to every AND against the exact mu_p mean and
+    correlations with the ANDs, under the kernel's float64 entries p and
+    1 - p: Fraction sums at n = 1, 5 and 12, longdouble sums at n = 16 and
+    20 (and_correlations).  The mean, a sum of nonnegative terms, is within
+    a relative (19/4) n 2^-53; each gap mean + p^|S| - 2 corr(S), which
+    cancels, within ((19/4) n + 4) 2^-53 (mean + p^|S| + 2 corr(S)), the
+    bounds _and_distances states, plus (n + 9) 2^-64 of the same for the
+    longdouble reference's own error.  At p = 1/2 every weight and partial
+    sum is dyadic: the mean and every gap are exact.  The verdict reports
+    the mean, 1 - mean or the witness's gap with their bits."""
     rng = np.random.default_rng(int(p * 1000))
-    for n in (1, 5, 12):
+    for n in (1, 5, 12, 16, 20):
         f = ps.BooleanFunction(n, rng.random(1 << n) < 0.2)
-        v = ps.distance_to_constant_or_and(f, p)
-        mean = ps.expectation(f, p)
-        if v.kind == "zero":
-            assert v.distance.hex() == mean.hex()
-        elif v.kind == "constant":
-            assert v.distance.hex() == (1.0 - mean).hex()
+        mean, gaps = _and_distances(f.table, n, p)
+        exact = n <= 12
+        want_mean, corr = and_correlations(f.table, n, p, exact)
+        level = popcounts(n)
+        if exact:
+            pk = [Fraction(p) ** k for k in range(n + 1)]
+            want = np.array([want_mean + pk[k] - 2 * c for k, c in zip(level, corr)], dtype=object)
+            scale = np.array([want_mean + pk[k] + 2 * c for k, c in zip(level, corr)], dtype=object)
+            err = np.abs(np.array([Fraction(g) for g in gaps.tolist()], dtype=object) - want)
+            mean_err, slack = abs(Fraction(float(mean)) - want_mean), 0.0
         else:
-            dists = (mean + (p ** np.arange(n + 1.0))[popcounts(n)]
-                     - 2.0 * correlation_with_ands(f.table, n, p))
-            pick = sum(1 << i for i in v.witness)
-            assert v.distance.hex() == float(dists[pick]).hex()
+            pk = np.longdouble(p) ** np.arange(n + 1)
+            want, scale = want_mean + pk[level] - 2 * corr, want_mean + pk[level] + 2 * corr
+            err = np.abs(gaps.astype(np.longdouble) - want)
+            mean_err, slack = abs(np.longdouble(mean) - want_mean), (n + 9) * 2.0 ** -64
+        if p == 0.5:
+            assert mean_err == 0 and not err.any(), n
+        assert mean_err <= (19 / 4 * n * U + slack) * want_mean, n
+        assert all(err <= ((19 / 4 * n + 4) * U + slack) * scale), n
+        v = ps.distance_to_constant_or_and(f, p)
+        got = {"zero": mean, "constant": 1.0 - mean}.get(v.kind)
+        if got is None:
+            got = gaps[sum(1 << i for i in v.witness)]
+        assert v.distance.hex() == float(got).hex()
+
+
+@pytest.mark.parametrize("p", [0.123, 0.3, 0.7])
+def test_distance_mean_is_within_its_bound_at_n20(p):
+    """The mean of a random n = 20 table, a sum of nonnegative terms through
+    the superset pass, is within a relative (19/4) n 2^-53 of the exact
+    level-count Fraction sum under the float64 entries p and 1 - p (a dot
+    with a table of rounded weights was off by 1.9e-13 at n = 22)."""
+    n = 20
+    f = ps.BooleanFunction(n, np.random.default_rng(int(p * 1000)).random(1 << n) < 0.5)
+    counts = np.bincount(popcounts(n)[f.table == 1], minlength=n + 1)
+    exact = sum(int(c) * Fraction(p) ** k * Fraction(1.0 - p) ** (n - k)
+                for k, c in enumerate(counts))
+    mean, _ = _and_distances(f.table, n, p)
+    assert abs(Fraction(float(mean)) - exact) <= Fraction(19, 4) * n * Fraction(U) * exact
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, float("nan")])
@@ -481,9 +523,11 @@ def test_distance_peak_memory_stays_at_four_tables():
 
 
 def test_distance_peak_memory_stays_under_three_tables():
-    """The gaps to every AND are built in place on the level-power table,
-    so at n = 20 the peak is corr and that table, 2 x 8 MiB, plus the
-    popcounts and the candidate mask, not the 4 x 8 MiB of an expression."""
+    """The superset pass runs in place on the one float64 table of -2 f, and
+    the per-level constants are added into it block by block, so at n = 20
+    the peak is that 8 MiB table plus apply_kernel's 1 MiB scratch block
+    (9.00 MiB measured), not the 16 MiB of a weight or level table beside
+    it."""
     f = ps.BooleanFunction(20, np.random.default_rng(20).random(1 << 20) < 0.3)
     tracemalloc.start()
     try:
@@ -492,7 +536,7 @@ def test_distance_peak_memory_stays_under_three_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 << 20
+    assert peak < 19 << 19
 
 
 def test_distance_to_and_or_exact_hit():

@@ -13,7 +13,7 @@ import pytest
 from polyspec import lattice
 from polyspec.fourier import (analysis_kernel, synthesis_kernel, synthesize_table,
                               transform_table)
-from polyspec.lattice import (_by_level, apply_kernel, coordinate_pairs,
+from polyspec.lattice import (_by_level, _level_blocks, apply_kernel, coordinate_pairs,
                               measure_weights, mobius_subsets, point_codes,
                               popcounts, subcube_codes, zeta_subsets,
                               zeta_supersets)
@@ -95,6 +95,28 @@ def test_by_level_is_the_popcount_gather(n):
         got, expect = _by_level(values, n), values[..., popcounts(n)]
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_level_blocks_are_slices_of_by_level(n):
+    """Every block of _level_blocks equals its slice of _by_level, in values,
+    dtype and shape, for 1-D and stacked tables, float and bool, and the
+    parts tile the last axis in order; tables from n = 15 up (2^14 points a
+    block) come in more than one block.  Both read one cached row index per
+    n."""
+    rng = np.random.default_rng(n)
+    count = max(1, 1 << n >> 14)
+    for values in (rng.standard_normal(n + 1), rng.standard_normal((2, 3, n + 1)),
+                   rng.random(n + 1) < 0.5, rng.random((3, n + 1)) < 0.5):
+        whole = _by_level(values, n)
+        blocks = list(_level_blocks(values, n))
+        assert len(blocks) == count
+        assert [b.start for b, _ in blocks] == [k << 14 for k in range(count)]
+        for part, block in blocks:
+            expect = whole[..., part]
+            assert block.dtype == expect.dtype and block.shape == expect.shape
+            assert np.array_equal(block, expect)
+    assert lattice._level_rows(n) is lattice._level_rows(n)
 
 
 @pytest.mark.parametrize("p", [0.123, 0.3, 0.5, 0.9])

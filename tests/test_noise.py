@@ -1,16 +1,17 @@
 import inspect
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import polyspec as ps
-from polyspec.fourier import transform_table
+from polyspec.fourier import synthesize_table, transform_table
 from polyspec.lattice import index_bits, popcounts
 from polyspec.noise import (downward_noise_table, inverse_noise_kernel, invert_downward,
                             noise_kernel)
 from conftest import random_boolean, random_bounded
-from oracles import (naive_downward, naive_invert_half_rho, spectral_eigenvalue,
+from oracles import (level_square_sums, naive_downward, naive_invert_half_rho, spectral_eigenvalue,
                      stagewise_kernel, subsets)
 
 
@@ -177,6 +178,19 @@ def test_spectral_action(rng):
     assert ps.spectral_action_check(ps.constant(4, 0.5), 0.4, 0.6) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 9, 16])
+def test_spectral_action_check_keeps_the_bits_of_one_factor_table(n):
+    """The shrink factors multiply the coefficients block by block (four
+    blocks at n = 16), with the bits of one product by the whole 2^n
+    factor table."""
+    f = random_bounded(n, np.random.default_rng(n))
+    for p, rho in ((0.3, 0.5), (0.7, 0.35)):
+        shrink = ((1.0 - p) * rho / (1.0 - rho * p)) ** 0.5
+        coeffs = transform_table(f.table, n, rho * p) * (shrink ** np.arange(n + 1.0))[popcounts(n)]
+        gap = np.abs(downward_noise_table(f.table, n, rho) - synthesize_table(coeffs, n, p)).max()
+        assert ps.spectral_action_check(f, p, rho).hex() == float(gap).hex()
+
+
 def test_residual_values():
     for coords in ([0], [0, 1]):
         f = ps.make_and(3, coords)
@@ -241,10 +255,11 @@ def test_noise_sensitivity_exact_values():
 
 
 def test_exact_noise_sensitivity_memory_at_n20():
-    """The squared coefficients are weighted in place, so the peak is two
-    8 MiB float64 tables, the squares and the flip factors (16.06 MiB
-    measured); the plain expression peaked at 24-25 MiB.  The value has the
-    bits of that expression."""
+    """The coefficients are squared and weighted in place block by block,
+    so the peak is the one 8 MiB float64 coefficient table plus
+    apply_kernel's 1 MiB scratch block (9.00 MiB measured); squares and a
+    flip-factor table beside it peaked at 16.06 MiB.  The value is within
+    the bound of test_exact_noise_sensitivity_is_the_pointwise_sum."""
     n, p, nu = 20, 0.5, 0.1
     g = ps.BooleanFunction(n, np.random.default_rng(n).random(1 << n) < 0.3)
     tracemalloc.start()
@@ -254,10 +269,8 @@ def test_exact_noise_sensitivity_memory_at_n20():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 17 << 20
-    coeffs = transform_table(g.table, n, p)
-    flip = (1.0 - (1.0 - nu) ** np.arange(n + 1.0))[popcounts(n)]
-    assert got.hex() == (2.0 * float(np.sum(flip * coeffs ** 2))).hex()
+    assert peak < 19 << 19
+    _check_noise_sensitivity_sum(got, transform_table(g.table, n, p), n, nu)
 
 
 def test_noise_sensitivity_exact_vs_montecarlo(rng):
@@ -302,15 +315,36 @@ def test_level_power_tables_match_pointwise_pow():
             assert (x ** np.arange(n + 1.0))[pc].tobytes() == pointwise.tobytes()
 
 
+def _check_noise_sensitivity_sum(got, coeffs, n, nu):
+    """got / 2 against the sum over S of (1 - (1 - nu)^|S|) coeffs[S]^2 of the
+    float64 coefficients and flip factors: exact Fractions up to n = 12,
+    longdouble above.  The terms are nonnegative, so the blocked dots are
+    within a relative (B + 2^n / B) 2^-53, B = min(2^n, 2^14) points a
+    block, the bound noise_sensitivity states; the longdouble reference,
+    squares, products and a pairwise sum of 2^n terms, adds (2^n + 1) 2^-64."""
+    flip = 1.0 - (1.0 - nu) ** np.arange(n + 1.0)
+    block = min(1 << n, 1 << 14)
+    bound = (block + (1 << n) // block) * 2.0 ** -53
+    if n <= 12:
+        want = sum(Fraction(float(f)) * s for f, s in zip(flip, level_square_sums(coeffs, n)))
+        assert abs(Fraction(got) / 2 - want) <= Fraction(bound) * want
+    else:
+        c = coeffs.astype(np.longdouble)
+        want = np.sum(c * c * flip[popcounts(n)])
+        assert abs(np.longdouble(got) / 2 - want) <= (bound + ((1 << n) + 1) * 2.0 ** -64) * want
+
+
 def test_exact_noise_sensitivity_is_the_pointwise_sum(rng):
-    for n in (1, 6, 12):
+    """Exact noise sensitivity is twice the sum over S of
+    (1 - (1 - nu)^|S|) coeff(S)^2 within its stated bound, against Fraction
+    sums at n = 1, 6 and 12 and longdouble sums at n = 16 and 20."""
+    for n in (1, 6, 12, 16, 20):
         g = random_boolean(n, rng)
-        for p in P_GRID:
+        for p in P_GRID if n <= 12 else P_GRID[::3]:
             coeffs = transform_table(g.table, n, p)
-            lvl = popcounts(n).astype(np.float64)
-            for nu in NU_GRID:
-                want = 2.0 * float(np.sum((1.0 - (1.0 - nu) ** lvl) * coeffs ** 2))
-                assert ps.noise_sensitivity(g, p, nu).estimate == want
+            for nu in NU_GRID if n <= 12 else NU_GRID[::2]:
+                _check_noise_sensitivity_sum(ps.noise_sensitivity(g, p, nu).estimate,
+                                             coeffs, n, nu)
 
 
 def test_tester_report_invariant():
