@@ -23,7 +23,7 @@ from .families import (BlockPartition, make_and, make_and_or, make_and_xor,
 from .influences import (_influences, _ranked_coordinates, _sort_edges,
                          high_influence_coordinates)
 from .lattice import (_level_blocks, apply_kernel, index_bits, measure_weights, mobius_subsets,
-                      pack_bits, popcounts, subcube_codes, zeta_subsets, zeta_supersets)
+                      pack_bits, popcounts, subcube_codes, zeta_subsets)
 from .noise import (NoiseParams, TesterReport, _biased_bits, _check_lam,
                     _monte_carlo, downward_noise_table, invert_downward, residual)
 
@@ -144,45 +144,46 @@ def solve_exact_pair(g: BooleanFunction, rho: float,
 # ---------------------------------------------------------------------------
 # Homomorphism testers
 
-def _and_correlation(f_table: np.ndarray, h_table: np.ndarray, n: int,
-                     rho: float) -> np.ndarray:
-    """q(x) = E over y ~ mu_rho of h(y) * f(x AND y), for every x at once.
-
-    Writing A for the superset sums of mu_rho * h and m for the alternating
-    subset sums of f, q is the subset zeta transform of A * m; three
-    O(n*2^n) passes replace the 4^n double loop.
-    """
-    a = h_table.astype(np.float64)
-    a *= measure_weights(n, rho)
-    a_sup = zeta_supersets(a, n)
-    a_sup *= mobius_subsets(f_table.astype(np.float64), n)
-    return zeta_subsets(a_sup, n)
-
-
 def _weighted_sums(tables: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w @ row for every row of tables (any leading axes), each with the bits
     of the 1-D dot; a stacked matrix-vector product sums in another order."""
     return (tables[..., None, :] @ w[:, None])[..., 0, 0]
 
 
-def _agreement_exact(f_t: np.ndarray, g_t: np.ndarray, h_t: np.ndarray, n: int,
-                     p: float, rho: float) -> np.ndarray:
-    """Pr over x ~ mu_p, y ~ mu_rho that f(x AND y) = g(x) AND h(y), one per
-    row of raw uint8 tables with the same leading batch axes."""
-    # E[h] first: its two temporary tables never coexist with tf and q
-    eh = _weighted_sums(h_t.astype(np.float64), measure_weights(n, rho))
+def _defect_exact(f_t: np.ndarray, g_t: np.ndarray, h_t: np.ndarray, n: int,
+                  p: float, rho: float) -> np.ndarray:
+    """Pr over x ~ mu_p, y ~ mu_rho that f(x AND y) != g(x) AND h(y), one per
+    row of raw uint8 tables with the same leading batch axes.
+
+    The per-x defect d(x) is T f(x) where g(x) = 0 and T f(x) + E[h] - 2 q(x)
+    where g(x) = 1, q(x) = E over y ~ mu_rho of h(y) f(x AND y).  One
+    superset pass on h with the kernel [[1 - rho, rho], [0, rho]] weights
+    each coordinate by mu_rho on the way, so entry S is A(S), the sum over B
+    containing S of mu_rho(B) h(B), and the empty set's is E[h]; q is the
+    subset zeta sum of A times the Moebius sums m of f (Bjorklund, Husfeldt,
+    Kaski and Koivisto, "Fourier meets Moebius", STOC 2007).  d is built in
+    place on T f as T f - (2q - E[h]), so the peak holds two float64 tables.
+
+    With u = 2^-53, M(x) the subset zeta sum of |m| A and
+    D(x) = T f(x) + g(x) (E[h] + 2 M(x)), each d(x) is to first order within
+    ((19/2) n + 3) u D(x) of the exact value under the float64 entries rho,
+    1 - rho, p and 1 - p, so the result is within u times the mu_p sum of
+    ((19/2) n + 3) D(x) + (2^n + 5) |d(x)| (the dot's 2^n terms and the
+    float64 weights).  The local sum cancels, so an exact homomorphism may
+    give a tiny negative defect; nothing is clamped.  At p = rho = 1/2 the
+    defect of 0/1 tables is exact: |A(S) m(S)| <= 1, so every value on the
+    way is a multiple of 2^-n of size at most 2^n, or of 2^-2n of size at
+    most 1 in the last sum.
+    """
+    q = apply_kernel(h_t.astype(np.float64), n, np.array([[1.0 - rho, rho], [0.0, rho]]))
+    eh = q[..., :1].copy()
+    q *= mobius_subsets(f_t.astype(np.float64), n)
+    zeta_subsets(q, n)
     tf = downward_noise_table(f_t, n, rho)
-    q = _and_correlation(f_t, h_t, n, rho)
-    # per x: 1 - tf - eh + 2q where g = 1, 1 - tf where g = 0; built in place
-    # on tf with the same IEEE operations in the same order, so the peak
-    # holds three float64 tables, not the six of the plain expression
-    np.subtract(1.0, tf, out=tf)
-    hit = tf - eh[..., None]
     q *= 2.0
-    hit += q
+    q -= eh
+    np.subtract(tf, q, out=tf, where=g_t.astype(bool))
     del q
-    np.copyto(tf, hit, where=g_t.astype(bool))
-    del hit
     return _weighted_sums(tf, measure_weights(n, p))
 
 
@@ -192,9 +193,11 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
                            samples: int | None = None, rng=None) -> TesterReport:
     """Agreement rate of f(x AND y) with g(x) AND h(y); g = h = f by default.
 
-    Exact by default, through ``_agreement_exact``, the O(n*2^n)
-    correlation identity over any stack of tables.  An int samples draws
-    that many input pairs from rng (a seed, a Generator or None) instead.
+    Exact by default: ``_defect_exact`` gives the defect, the O(n*2^n)
+    correlation identity over any stack of tables with the error it states,
+    the report's estimate is 1 - defect, and details["defect"] holds the
+    defect itself.  An int samples draws that many input pairs from rng (a
+    seed, a Generator or None) instead.
     """
     _check_open_unit("bias p", p)
     _check_open_unit("rho", rho)
@@ -204,8 +207,9 @@ def homomorphism_agreement(f: BooleanFunction, p: float, rho: float,
         _check_boolean("homomorphism_agreement", fn)
     _check_same_dimension(f, g, h)
     if samples is None:
-        val = float(_agreement_exact(f.table, g.table, h.table, f.n, p, rho))
-        return TesterReport(estimate=val, std_error=0.0, samples=0, exact=True)
+        defect = float(_defect_exact(f.table, g.table, h.table, f.n, p, rho))
+        return TesterReport(estimate=1.0 - defect, std_error=0.0, samples=0, exact=True,
+                            details={"defect": defect})
 
     def agreements(gen: np.random.Generator, batch: int) -> int:
         x = pack_bits(_biased_bits(gen, (batch, f.n), p))
@@ -479,7 +483,7 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
             "delta_zero_f": expectation(f, q),
             "delta_zero_gh": min(expectation(g, p), expectation(h, rho)),
         }
-        return AuditReport(theorem, {"epsilon_hom": 1.0 - agree.estimate},
+        return AuditReport(theorem, {"epsilon_hom": agree.details["defect"]},
                            conclusion, vg)
 
     if theorem == "one-sided":
@@ -643,7 +647,7 @@ def _sweep_row(task: tuple) -> str:
     base = _base_function(config, n, rng)
     f = _perturb(base, k, rng) if k else base
     lam = expectation(f, p)
-    eps_hom = 1.0 - homomorphism_agreement(f, p, rho).estimate
+    eps_hom = homomorphism_agreement(f, p, rho).details["defect"]
     eta = (residual(f, f, NoiseParams(p=p, rho=rho, lam=lam))
            if 0.0 < lam <= 1.0 else float("nan"))
     v = distance_to_constant_or_and(f, p)

@@ -100,8 +100,9 @@ class BooleanFunction:
     def from_bits_hex(cls, n: int, bits_hex: str) -> "BooleanFunction":
         _check_dimension(n)
         raw = np.frombuffer(bytes.fromhex(bits_hex), dtype=np.uint8)
-        if raw.size != ((1 << n) + 7) // 8:
-            raise ValueError(f"hex string of {raw.size} bytes for dimension {n}")
+        # bytes.fromhex skips whitespace, so a string holding any is longer than 2 * raw.size
+        if len(bits_hex) != 2 * raw.size or raw.size != ((1 << n) + 7) // 8:
+            raise ValueError(f"bits_hex is not {((1 << n) + 7) // 8} bytes in hex digits (n = {n})")
         bits = np.unpackbits(raw, bitorder="little")
         if bits[1 << n:].any():
             raise ValueError(f"padding bits beyond the {1 << n} table entries must be 0")
@@ -246,11 +247,14 @@ def from_json_dict(data: dict) -> AnyFunction:
     values = data.get("values")
     if not isinstance(values, list):
         raise ValueError(f"values is {type(values).__name__}, not a list")
+    # numpy would read a string such as "0.5" or a bool as a number
+    kinds = set(map(type, values)) - {int, float}
+    if kinds:
+        raise ValueError(f"values are not numbers: {', '.join(sorted(k.__name__ for k in kinds))}")
     try:
-        table = np.asarray(values, dtype=np.float64)
-    except TypeError as exc:    # a list holding objects; bad strings raise ValueError
-        raise ValueError(f"values are not numbers: {exc}") from None
-    return BoundedFunction(n, table)
+        return BoundedFunction(n, np.asarray(values, dtype=np.float64))
+    except OverflowError:       # an integer beyond the float range
+        raise ValueError("values hold an integer too large for a float") from None
 
 
 def save_function(f: AnyFunction | dict, path) -> None:

@@ -238,7 +238,6 @@ def _tiles(flat: np.ndarray, lo: int, hi: int):
 # The subset-sum kernels, made once: a fresh 2x2 array took 1 us a call.
 _ZETA = np.array([[1.0, 0.0], [1.0, 1.0]])
 _MOBIUS = np.array([[1.0, 0.0], [-1.0, 1.0]])
-_SUPERSETS = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 def zeta_subsets(values: np.ndarray, n: int) -> np.ndarray:
@@ -249,8 +248,8 @@ def zeta_subsets(values: np.ndarray, n: int) -> np.ndarray:
     the exact sum, u the unit roundoff of the table's dtype (2^-53 for
     float64).  A table of integers whose absolute values sum to less than
     2^53 (a 0/1 table at n <= 52) gives exact sums: every value on the way
-    is such an integer.  The same holds for :func:`mobius_subsets` and
-    :func:`zeta_supersets`, with their own sums over |in|.
+    is such an integer.  The same holds for :func:`mobius_subsets`, with
+    its own sums over |in|.
     """
     return apply_kernel(values, n, _ZETA)
 
@@ -259,13 +258,6 @@ def mobius_subsets(values: np.ndarray, n: int) -> np.ndarray:
     """In place inverse of :func:`zeta_subsets`: alternating subset sums,
     within (19/4) n u times the zeta sums of |in| (see zeta_subsets)."""
     return apply_kernel(values, n, _MOBIUS)
-
-
-def zeta_supersets(values: np.ndarray, n: int) -> np.ndarray:
-    """In place: out(S) = sum over B a superset of S of in(B), within
-    (19/4) n u times the same sum over |in| (see zeta_subsets).  On a
-    finite table out(top) = in(top), up to the sign of a zero."""
-    return apply_kernel(values, n, _SUPERSETS)
 
 
 def point_codes(n: int) -> np.ndarray:

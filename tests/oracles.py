@@ -21,9 +21,13 @@ the packed-bit ``is_monotone``, ``families._minterms`` and
 ``sensitivity`` must give, and
 :func:`classify_boolean_eigens_bruteforce`, the batch noise pass over all
 2^(2^n) tables whose list ``analysis.classify_boolean_eigens`` must give
-from the monotone tables alone, and :func:`agreement_exact_expression`,
+from the monotone tables alone, and :func:`defect_exact_expression`,
 the one-temporary-per-operation expression whose bits the in-place exact
-homomorphism agreement must keep, and :func:`exact_and_or_distances`,
+homomorphism defect must keep, with :func:`and_correlation`, the passes
+it shares with that defect, and :func:`defect_reference` and
+:func:`longdouble_weights`, their longdouble rerun that bounds its error,
+and :func:`zeta_supersets`, the plain superset sums, and
+:func:`exact_and_or_distances`,
 the exact-rational AND-OR distances under the float64 weights that bound
 the error of ``analysis.distance_to_and_or``, and :func:`junta_project`,
 the full-cube projection whose bits ``analysis.distance_to_monotone_junta``
@@ -43,13 +47,13 @@ from pathlib import Path
 
 import numpy as np
 
-from polyspec.analysis import EIGEN_TOL, _and_correlation
+from polyspec.analysis import EIGEN_TOL
 from polyspec.core import (BooleanFunction, BoundedFunction, _check_dimension,
                            _json_fields, average_out)
 from polyspec.fourier import transform_table
 from polyspec.influences import degree, sensitivity
-from polyspec.lattice import (coordinate_pairs, index_bits, measure_weights, point_codes,
-                              popcounts, subcube_codes, subset_mask)
+from polyspec.lattice import (apply_kernel, coordinate_pairs, index_bits, measure_weights,
+                              point_codes, popcounts, subcube_codes, subset_mask)
 from polyspec.noise import downward_noise_table
 
 
@@ -421,9 +425,8 @@ def and_correlations(table: np.ndarray, n: int, p: float, exact: bool):
     within a relative (n + 5) 2^-64 of the exact one."""
     level = popcounts(n)
     if not exact:
-        k = np.arange(n + 1)
-        w = np.longdouble(p) ** k * np.longdouble(1.0 - p) ** (n - k)
-        corr = stagewise_kernel(table * w[level], n, np.array([[1, 1], [0, 1]], np.longdouble))
+        corr = stagewise_kernel(table * longdouble_weights(n, p), n,
+                                np.array([[1, 1], [0, 1]], np.longdouble))
         return corr[0], corr
     counts = np.zeros((n + 1, 1 << n), dtype=np.int64)
     counts[level, np.arange(1 << n)] = table
@@ -526,14 +529,58 @@ def to_json_dict(f) -> dict:
             for k, v in _json_fields(f).items()}
 
 
-def agreement_exact_expression(f, g, h, p: float, rho: float) -> float:
-    """Exact homomorphism agreement through the plain per-x expression,
-    one fresh temporary per operation: the reference for the in-place
-    build of ``analysis._agreement_exact``."""
+_SUPERSETS = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+def zeta_supersets(values: np.ndarray, n: int) -> np.ndarray:
+    """In place: out(S) = sum over B a superset of S of in(B), within
+    (19/4) n u times the same sum over |in| (see lattice.zeta_subsets).  On
+    a finite table out(top) = in(top), up to the sign of a zero."""
+    return apply_kernel(values, n, _SUPERSETS)
+
+
+def and_correlation(f_t, h_t, n: int, rho: float, dtype=np.float64):
+    """The passes of ``analysis._defect_exact`` on raw tables (any leading
+    axes): A(S), the sum over B containing S of mu_rho(B) h(B), from one
+    superset pass with the kernel [[1 - rho, rho], [0, rho]], so that
+    A(empty) = E[h]; the terms A * m, m the Moebius sums of f; and
+    q(x) = E over y ~ mu_rho of h(y) f(x AND y), the subset zeta sums of
+    the terms.  float64 runs lattice.apply_kernel, with the core's bits;
+    any other dtype runs :func:`stagewise_kernel` as a reference."""
+    run = apply_kernel if dtype == np.float64 else stagewise_kernel
+    a = run(np.asarray(h_t).astype(dtype), n, np.array([[1.0 - rho, rho], [0.0, rho]], dtype))
+    terms = a * run(np.asarray(f_t).astype(dtype), n, np.array([[1, 0], [-1, 1]], dtype))
+    return a, terms, run(terms.copy(), n, np.array([[1, 0], [1, 1]], dtype))
+
+
+def defect_exact_expression(f, g, h, p: float, rho: float) -> float:
+    """Exact homomorphism defect through the plain per-x expression
+    T f - g (2q - E[h]), one fresh temporary per operation: the reference
+    for the in-place build of ``analysis._defect_exact``."""
     n = f.n
+    a, _, q = and_correlation(f.table, h.table, n, rho)
     tf = downward_noise_table(f.table, n, rho)
-    q = _and_correlation(f.table, h.table, n, rho)
-    eh = float(measure_weights(n, rho) @ h.table.astype(np.float64))
-    gx = g.table.astype(np.float64)
-    per_x = np.where(gx > 0.5, 1.0 - tf - eh + 2.0 * q, 1.0 - tf)
+    per_x = np.where(g.table == 1, tf - (2.0 * q - a[0]), tf)
     return float(measure_weights(n, p) @ per_x)
+
+
+def defect_reference(f_t, g_t, h_t, n: int, rho: float):
+    """The exact defect's passes rerun in np.longdouble by
+    :func:`stagewise_kernel`, under the float64 entries rho and 1 - rho, on
+    raw tables with any leading axes: the per-x defect d and
+    D = T f + g (E[h] + 2 M), M the subset zeta sums of |A * m|, the two
+    tables whose mu_p sums bound the error of ``analysis._defect_exact``."""
+    ld = np.longdouble
+    a, terms, q = and_correlation(f_t, h_t, n, rho, ld)
+    big_m = stagewise_kernel(np.abs(terms), n, np.array([[1, 0], [1, 1]], ld))
+    tf = stagewise_kernel(np.asarray(f_t).astype(ld), n,
+                          np.array([[1.0, 0.0], [1.0 - rho, rho]], ld))
+    g, eh = np.asarray(g_t) == 1, a[..., :1]
+    return tf - np.where(g, 2 * q - eh, 0), tf + np.where(g, eh + 2 * big_m, 0)
+
+
+def longdouble_weights(n: int, p: float) -> np.ndarray:
+    """mu_p weight of every point in np.longdouble, from the float64 numbers
+    p and 1 - p."""
+    k = np.arange(n + 1)
+    return (np.longdouble(p) ** k * np.longdouble(1.0 - p) ** (n - k))[popcounts(n)]

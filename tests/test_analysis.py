@@ -10,19 +10,17 @@ import pytest
 
 import polyspec as ps
 from polyspec import analysis
-from polyspec.analysis import (_agreement_exact, _and_correlation, _and_distances,
-                               _monotone_codes, _perturb)
+from polyspec.analysis import _and_distances, _defect_exact, _monotone_codes, _perturb
 from polyspec.influences import is_monotone
-from polyspec.lattice import (index_bits, measure_weights, mobius_subsets,
-                              popcounts, zeta_subsets, zeta_supersets)
+from polyspec.lattice import index_bits, popcounts, zeta_subsets
 from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
-from oracles import (agreement_exact_expression, all_and_or_tables,
-                     all_block_partitions, and_or_candidate_count, bit,
-                     and_or_search_candidates, classify_boolean_eigens_bruteforce,
-                     and_correlations, exact_and_or_distances, exact_l1, naive_agreement,
-                     junta_project, naive_influence, naive_negative_influence,
-                     pair_agreement, subsets)
+from oracles import (all_and_or_tables, all_block_partitions, and_correlation,
+                     and_or_candidate_count, bit, and_or_search_candidates,
+                     classify_boolean_eigens_bruteforce, and_correlations,
+                     defect_exact_expression, defect_reference, exact_and_or_distances,
+                     exact_l1, junta_project, longdouble_weights, naive_agreement, naive_influence,
+                     naive_negative_influence, pair_agreement, subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +228,27 @@ def test_agreement_identity_matches_pair_enumeration(rng):
 
 
 def test_agreement_bits_match_the_plain_expression():
-    """The in-place build of the per-x agreement gives the bits of the
+    """The in-place build of the per-x defect gives the bits of the
     expression with one temporary per operation, non-dyadic p and rho
-    included, with g, f and h all different.  A last-bit change in per-x
-    values moves the final sum in only about one non-dyadic case in
-    fifteen, so there are 80 of them."""
+    included, with g, f and h all different, and the estimate is
+    1 - defect.  A last-bit change in per-x values moves the final sum in
+    only about one non-dyadic case in fifteen, so there are 80 of them."""
     rng = np.random.default_rng(2020)
     for n in (3, 5, 7, 9, 12):
         for _ in range(8):
             f, g, h = (random_boolean(n, rng) for _ in range(3))
             for p, rho in ((0.5, 0.5), (0.3, 0.7), (0.123, 0.456)):
-                got = ps.homomorphism_agreement(f, p, rho, g=g, h=h).estimate
-                want = agreement_exact_expression(f, g, h, p, rho)
-                assert got.hex() == want.hex(), (n, p, rho)
+                rep = ps.homomorphism_agreement(f, p, rho, g=g, h=h)
+                want = defect_exact_expression(f, g, h, p, rho)
+                assert rep.details["defect"].hex() == want.hex(), (n, p, rho)
+                assert rep.estimate.hex() == (1.0 - want).hex(), (n, p, rho)
 
 
 def test_exact_agreement_peak_memory_stays_under_four_tables():
-    """At n = 20 the per-x agreement is built in place on T f, and E[h] is
-    taken before T f and q exist, so the peak is three 8 MiB float64 tables
-    (25-26 MiB measured), not the six of the plain expression (50 MiB)."""
+    """At n = 20 the per-x defect is built in place on T f, E[h] is read
+    from the superset pass, and no mu_rho weight table is made, so the peak
+    is two 8 MiB float64 tables and the scratch block (17 MiB measured),
+    not the six tables of the plain expression (50 MiB)."""
     f = ps.BooleanFunction(20, np.random.default_rng(20).random(1 << 20) < 0.3)
     tracemalloc.start()
     try:
@@ -257,7 +257,7 @@ def test_exact_agreement_peak_memory_stays_under_four_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 30 << 20
+    assert peak < 18 << 20
 
 
 def test_agreement_montecarlo_consistent(rng):
@@ -280,14 +280,15 @@ def test_exact_agreement_at_n16_matches_montecarlo():
 
 
 def test_and_correlation_cancellation_error_at_n16():
-    """The last zeta pass sums signed terms a_sup(A) * m(A) far larger than
-    q itself.  Rerun the three passes in np.longdouble (same kernels, same
-    float64 inputs) and bound the float64 error pointwise by the first-order
-    rounding bound of stage-by-stage passes, (2n + 1) * eps * sum over A
-    within S of |a_sup(A) m(A)|: n additions per superset sum, one product,
-    n additions per subset sum.  Group products allow up to 15/4 additions
-    a stage, but the error stays inside the stagewise bound.  Measured: at
-    most 5.4e-15 absolute, and at most 6% of that bound."""
+    """The last zeta pass of the exact defect sums signed terms A(S) m(S)
+    far larger than q itself.  Rerun the fused superset pass and the two
+    subset passes stage by stage in np.longdouble (same float64 kernel
+    entries and inputs) and bound the float64 error pointwise by the
+    first-order rounding bound of stage-by-stage passes, (2n + 1) * eps *
+    sum over A within S of |A(A) m(A)|: n additions per superset sum, one
+    product, n additions per subset sum.  Group products allow more, but
+    the error stays inside the stagewise bound.  Measured: at most 1.2e-14
+    absolute, and at most 10% of that bound."""
     n = 16
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(2016)
@@ -295,15 +296,43 @@ def test_and_correlation_cancellation_error_at_n16():
              (ps.make_semirandom(n, 1.0, rng).table,) * 2]
     for f, h in pairs:
         for rho in (0.3, 0.7):
-            q = _and_correlation(f, h, n, rho)
-            a = (h.astype(np.float64) * measure_weights(n, rho)).astype(np.longdouble)
-            terms = zeta_supersets(a, n) * mobius_subsets(f.astype(np.longdouble), n)
+            q = and_correlation(f, h, n, rho)[2]
+            _, terms, exact = and_correlation(f, h, n, rho, np.longdouble)
             magnitude = zeta_subsets(np.abs(terms), n)
-            exact = zeta_subsets(terms, n)
             assert exact.dtype == np.longdouble
             err = np.abs(q - exact)
             assert np.all(err <= (2 * n + 1) * eps * magnitude)
             assert err.max() < 1e-13
+
+
+def test_exact_defect_is_within_its_bound():
+    """The exact defect against its passes rerun stage by stage in
+    np.longdouble (oracles.defect_reference), within the first-order bound
+    the _defect_exact docstring states, u (((19/2) n + 3) E[D] +
+    (2^n + 5) E|d|), u = 2^-53, on stacks of the zero function, every AND_S
+    at n <= 6 (the empty AND is the constant one), three random AND_S at
+    n = 12 and 16 (f = g = h for all of these) and random distinct f, g and
+    h.  At p = rho = 1/2 every value on the way is dyadic, so the defect is
+    exact.  No sign is required: the local sum cancels, and exact ANDs may
+    come out as tiny negatives."""
+    rng = np.random.default_rng(33)
+    u = np.longdouble(2.0) ** -53
+    for n in (*range(7), 12, 16):
+        sets = list(subsets(n)) if n <= 6 else [
+            sorted(rng.choice(n, k, replace=False).tolist()) for k in (1, n // 3, n)]
+        homs = np.stack([np.zeros(1 << n, np.uint8)] + [ps.make_and(n, S).table for S in sets])
+        f_t, g_t, h_t = (np.concatenate([homs, rng.integers(0, 2, (1, 1 << n), np.uint8)])
+                         for _ in range(3))
+        for rho in (0.3, 0.5, 0.7):
+            d, big_d = defect_reference(f_t, g_t, h_t, n, rho)
+            for p in (0.123, 0.3, 0.7, 0.9) + ((0.5,) if rho == 0.5 else ()):
+                w = longdouble_weights(n, p)
+                got = _defect_exact(f_t, g_t, h_t, n, p, rho)
+                want = (d * w).sum(axis=-1)
+                if p == rho == 0.5:
+                    assert np.array_equal(got, want), n
+                bound = u * (((19 * n / 2 + 3) * big_d + (2 ** n + 5) * np.abs(d)) * w).sum(axis=-1)
+                assert np.all(np.abs(got - want) <= bound), (n, p, rho)
 
 
 def test_agreement_loss_bounded_by_perturbation_mass(rng):
@@ -992,7 +1021,7 @@ def test_delta_of_epsilon_over_every_function(n):
     both are compared exactly, and the verdict's tie tolerance cannot move
     a distance off the minimum gap."""
     tables = index_bits(1 << n, np.arange(1 << (1 << n)))
-    epsilon = 1.0 - _agreement_exact(tables, tables, tables, n, 0.5, 0.5)
+    epsilon = _defect_exact(tables, tables, tables, n, 0.5, 0.5)
     mean, dists = _and_distances(tables, n, 0.5)
     delta = np.minimum(np.minimum(mean, 1.0 - mean), dists.min(axis=-1))
     for t, count, largest in DELTA_OF_EPSILON[n]:
@@ -1005,19 +1034,19 @@ def test_delta_of_epsilon_over_every_function(n):
 
 @pytest.mark.parametrize("n", [4, 8, 12])
 def test_stacked_cores_give_each_row_the_bits_of_its_unstacked_call(n):
-    """The exact agreement and the AND gaps over a (2, 3, 2^n) stack of
+    """The exact defect and the AND gaps over a (2, 3, 2^n) stack of
     distinct f, g and h equal, bit for bit and row by row, the unstacked
     core and the public call on that row."""
     rng = np.random.default_rng(n)
     f_t, g_t, h_t = (rng.integers(0, 2, (2, 3, 1 << n), dtype=np.uint8) for _ in range(3))
     for p, rho in itertools.product((0.3, 0.5), (0.3, 0.7)):
-        agreement = _agreement_exact(f_t, g_t, h_t, n, p, rho)
+        defect = _defect_exact(f_t, g_t, h_t, n, p, rho)
         mean, dists = _and_distances(f_t, n, p)
         for i, j in np.ndindex(2, 3):
-            one = _agreement_exact(f_t[i, j], g_t[i, j], h_t[i, j], n, p, rho)
+            one = _defect_exact(f_t[i, j], g_t[i, j], h_t[i, j], n, p, rho)
             f, g, h = (ps.BooleanFunction(n, t[i, j]) for t in (f_t, g_t, h_t))
-            public = ps.homomorphism_agreement(f, p, rho, g=g, h=h).estimate
-            assert float(agreement[i, j]).hex() == float(one).hex() == public.hex()
+            public = ps.homomorphism_agreement(f, p, rho, g=g, h=h).details["defect"]
+            assert float(defect[i, j]).hex() == float(one).hex() == public.hex()
             one_mean, one_dists = _and_distances(f_t[i, j], n, p)
             assert float(mean[i, j]).hex() == float(one_mean).hex()
             assert list(map(float.hex, dists[i, j].tolist())) == \

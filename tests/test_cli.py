@@ -921,6 +921,8 @@ def test_set_padding_bits_exit_2(tmp_path, capsys):
     '{"kind": "boolean", "n": 10000000000, "bits_hex": "0f"}',
     '{"kind": "bounded", "n": 1, "values": {"a": 1}}',
     pytest.param("[" * 100_000, id="nested-100000"),
+    '{"kind": "bounded", "n": 1, "values": ["0.5", 1]}',
+    '{"kind": "boolean", "n": 4, "bits_hex": "0f 0f"}',
 ])
 def test_malformed_function_file_exits_2(doc, tmp_path, capsys):
     fn = tmp_path / "f.json"

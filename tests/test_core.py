@@ -257,6 +257,12 @@ def test_load_function_rejects_json_nested_too_deeply(tmp_path):
     ({"kind": "bounded", "n": 1, "values": [{}, 1.0]}, "not numbers"),
     ({"kind": "bounded", "n": 1}, "values is NoneType, not a list"),
     ({"kind": "bounded", "n": 1, "values": {"0": 1.0}}, "not a list"),
+    # numpy reads the string "0.5" as a number and True as 1.0
+    ({"kind": "bounded", "n": 1, "values": ["0.5", 1]}, "not numbers: str"),
+    ({"kind": "bounded", "n": 1, "values": [True, 0.5]}, "not numbers: bool"),
+    ({"kind": "bounded", "n": 0, "values": [10 ** 400]}, "too large for a float"),
+    # bytes.fromhex skips whitespace
+    ({"kind": "boolean", "n": 4, "bits_hex": "0f 0f"}, "not 2 bytes in hex digits"),
 ])
 def test_from_json_dict_rejects_malformed_documents(data, message):
     with pytest.raises(ValueError, match=message):

@@ -15,11 +15,10 @@ from polyspec.fourier import (analysis_kernel, synthesis_kernel, synthesize_tabl
                               transform_table)
 from polyspec.lattice import (_by_level, _level_blocks, apply_kernel, coordinate_pairs,
                               measure_weights, mobius_subsets, point_codes,
-                              popcounts, subcube_codes, zeta_subsets,
-                              zeta_supersets)
+                              popcounts, subcube_codes, zeta_subsets)
 from polyspec.noise import (downward_noise_table, inverse_noise_kernel, invert_downward,
                             noise_kernel)
-from oracles import bit, stagewise_kernel
+from oracles import bit, stagewise_kernel, zeta_supersets
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
 
@@ -358,11 +357,12 @@ def test_stacked_fourier_rows_keep_the_bits_of_their_unstacked_calls(shape):
 def test_fourier_bits_do_not_depend_on_blas_threads():
     """The matrix products go through BLAS; with one and with two BLAS
     threads an n = 20 table and a (256, 4096) batch have the same bytes
-    under the transform, noise, its inverse and the three subset sums,
+    under the transform, noise, its inverse, the two subset sums and the
+    weighted superset sums behind the exact defect and the AND distance,
     since each product is small enough to run on one thread."""
     script = ("import hashlib, numpy as np\n"
               "from polyspec.fourier import transform_table\n"
-              "from polyspec.lattice import mobius_subsets, zeta_subsets, zeta_supersets\n"
+              "from polyspec.lattice import apply_kernel, mobius_subsets, zeta_subsets\n"
               "from polyspec.noise import downward_noise_table, invert_downward\n"
               "rng = np.random.default_rng(7)\n"
               "h = hashlib.sha256()\n"
@@ -370,8 +370,10 @@ def test_fourier_bits_do_not_depend_on_blas_threads():
               "    h.update(transform_table(t, n, 0.3).tobytes())\n"
               "    h.update(downward_noise_table(t, n, 0.3).tobytes())\n"
               "    h.update(invert_downward(t, 0.4).tobytes())\n"
-              "    for f in (zeta_subsets, mobius_subsets, zeta_supersets):\n"
+              "    for f in (zeta_subsets, mobius_subsets):\n"
               "        h.update(f(t.copy(), n).tobytes())\n"
+              "    kernel = np.array([[0.7, 0.3], [0.0, 0.3]])\n"
+              "    h.update(apply_kernel(t.copy(), n, kernel).tobytes())\n"
               "print(h.hexdigest())\n")
     digests = set()
     for threads in ("1", "2"):
