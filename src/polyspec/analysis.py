@@ -89,7 +89,7 @@ def classify_boolean_eigens(n: int, rho: float) -> list[tuple[BooleanFunction, f
     if n > 5:
         raise ValueError("eigen classification is capped at n = 5")
     size = 1 << n
-    tables = index_bits(size, _monotone_codes(n)).astype(np.float64)
+    tables = index_bits(size, _monotone_codes(n))
     transformed = downward_noise_table(tables, n, rho)
     has_ones = tables.any(axis=1)
     # candidate eigenvalue: value of T f at any point where f = 1
@@ -99,7 +99,7 @@ def classify_boolean_eigens(n: int, rho: float) -> list[tuple[BooleanFunction, f
     hits = np.flatnonzero((gap <= EIGEN_TOL) & ((lam > 0) | ~has_ones))
     out: list[tuple[BooleanFunction, float | None]] = []
     for row in hits:
-        f = BooleanFunction(n, tables[row].astype(np.uint8))
+        f = BooleanFunction(n, tables[row].copy())
         out.append((f, float(lam[row]) if lam[row] > 0 else None))
     return out
 
@@ -175,9 +175,9 @@ def _defect_exact(f_t: np.ndarray, g_t: np.ndarray, h_t: np.ndarray, n: int,
     way is a multiple of 2^-n of size at most 2^n, or of 2^-2n of size at
     most 1 in the last sum.
     """
-    q = apply_kernel(h_t.astype(np.float64), n, np.array([[1.0 - rho, rho], [0.0, rho]]))
+    q = apply_kernel(h_t, n, np.array([[1.0 - rho, rho], [0.0, rho]]), copy=True)
     eh = q[..., :1].copy()
-    q *= mobius_subsets(f_t.astype(np.float64), n)
+    q *= mobius_subsets(f_t, n)
     zeta_subsets(q, n)
     tf = downward_noise_table(f_t, n, rho)
     q *= 2.0
@@ -276,21 +276,23 @@ def one_sided_check(f: AnyFunction, g: BooleanFunction,
 # ---------------------------------------------------------------------------
 # Structure distances
 
-def _and_distances(tables: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """mu_p mean of each row of raw uint8 tables (any leading axes) and the
-    L1 gap mean + p^|S| - 2 corr(S) to every AND_S, from one superset pass
-    on -2 f with the kernel [[1 - p, p], [0, p]]: it weights each coordinate
-    by mu_p on the way, so entry S is -2 corr(S), the sum over B containing
-    S of -2 mu_p(B) f(B), and the empty set's is -2 mean.  No term is
-    positive, so to first order the mean and every corr(S) are within a
-    relative (19/4) n u, u = 2^-53, of the exact sums under the kernel's
-    float64 entries.  The gaps cancel: each is within
-    ((19/4) n + 4) u (mean + p^|S| + 2 corr(S))."""
-    gaps = apply_kernel(np.multiply(tables, -2.0), n, np.array([[1.0 - p, p], [0.0, p]]))
-    mean = 0.0 - gaps[..., 0] / 2.0      # 0.0 - x, not -x: zero reports +0.0
+def _and_distances(tables: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """mu_p mean of each row of raw uint8 tables (any leading axes), the L1
+    gap mean + p^|S| - 2 corr(S) to every AND_S and (part, least gap) per
+    part of _level_blocks.  One superset pass on f with the kernel
+    [[1 - p, p], [0, p]] weights each coordinate by mu_p on the way, so
+    entry S is corr(S), the sum over B containing S of mu_p(B) f(B), and
+    the empty set's is the mean; each part is scaled by -2 (exact) and gets
+    its per-level constants.  No term is negative, so to first order the
+    mean and every corr(S) are within a relative (19/4) n u, u = 2^-53, of
+    the exact sums under the kernel's float64 entries.  The gaps cancel:
+    each is within ((19/4) n + 4) u (mean + p^|S| + 2 corr(S))."""
+    gaps = apply_kernel(tables, n, np.array([[1.0 - p, p], [0.0, p]]), copy=True)
+    mean, lows = gaps[..., 0].copy(), []
     for part, block in _level_blocks(p ** np.arange(n + 1.0) + mean[..., None], n):
-        gaps[..., part] += block
-    return mean, gaps
+        gap = np.multiply(gaps[..., part], -2.0, out=gaps[..., part])
+        lows.append((part, np.add(gap, block, out=gap).min(axis=-1)))
+    return mean, gaps, lows
 
 
 def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdict:
@@ -301,14 +303,16 @@ def distance_to_constant_or_and(f: BooleanFunction, p: float) -> StructureVerdic
     (constants count as empty), then the lexicographically smaller.
     """
     _check_open_unit("bias p", p)
-    mean, dists = _and_distances(f.table, f.n, p)
+    mean, dists, lows = _and_distances(f.table, f.n, p)
     mean = float(mean)
-    best = min(mean, 1.0 - mean, float(dists.min()))
-    if mean <= best + TIE_TOL:
+    cut = min(mean, 1.0 - mean, *(float(low) for _, low in lows)) + TIE_TOL
+    if mean <= cut:
         return StructureVerdict(kind="zero", witness=0, distance=mean)
-    if 1.0 - mean <= best + TIE_TOL:     # the empty AND is the same function
+    if 1.0 - mean <= cut:     # the empty AND is the same function
         return StructureVerdict(kind="constant", witness=1, distance=1.0 - mean)
-    cands = np.flatnonzero(dists <= best + TIE_TOL)
+    # a part whose least gap is above the cut holds no candidate
+    cands = np.concatenate([np.flatnonzero(dists[part] <= cut) + part.start
+                            for part, low in lows if low <= cut])
     pick = int(cands[np.lexsort((cands, popcounts(f.n)[cands]))[0]])
     witness = frozenset(i for i in range(f.n) if (pick >> i) & 1)
     return StructureVerdict(kind="and", witness=witness, distance=float(dists[pick]))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import AnyFunction, _check_open_unit
-from .lattice import apply_kernel, popcounts, working_copy
+from .lattice import apply_kernel, popcounts
 
 
 def analysis_kernel(p: float) -> np.ndarray:
@@ -85,13 +85,13 @@ def transform_table(table: np.ndarray, n: int, p: float) -> np.ndarray:
     a stagewise run in float64 meets as well.
     """
     _check_open_unit("bias p", p)
-    return apply_kernel(working_copy(table), n, analysis_kernel(p))
+    return apply_kernel(table, n, analysis_kernel(p), copy=True)
 
 
 def synthesize_table(coeffs: np.ndarray, n: int, p: float) -> np.ndarray:
     """Inverse transform of raw coefficients (supports leading batch axes)."""
     _check_open_unit("bias p", p)
-    return apply_kernel(working_copy(coeffs), n, synthesis_kernel(p))
+    return apply_kernel(coeffs, n, synthesis_kernel(p), copy=True)
 
 
 def fourier_transform(f: AnyFunction, p: float) -> Spectrum:

@@ -120,8 +120,7 @@ def degree(f: AnyFunction) -> int:
     <= 2^n, exact in float64, so the answer is exact; for a bounded table
     the tolerance absorbs rounding.
     """
-    coeffs = mobius_subsets(f.table.astype(np.float64), f.n)
-    return int(popcounts(f.n)[np.abs(coeffs) > DEGREE_TOL].max(initial=0))
+    return int(popcounts(f.n)[np.abs(mobius_subsets(f.table, f.n)) > DEGREE_TOL].max(initial=0))
 
 
 @dataclass(frozen=True)

@@ -39,18 +39,23 @@ its inverse at rho = 1e-200 (its K(x)K holds 1e400, inf).  So does every
 kernel with a zero entry in extended precision, where np.matmul has no
 BLAS path (a grouped longdouble inverse took 19 ms, not 7.8, at n = 16).
 
-Seen as (outer, 2^(hi-lo), 2^lo) for a group lo..hi-1, the table splits
-into tiles of at most 2^16 elements (512 KiB of float64) that hold whole
-edges of the group, one np.matmul call per tile, so BLAS does the
-arithmetic.  The products go to the call's one scratch block and are
-copied back, so no table-sized temporary appears.  BLAS may round a column
+A contiguous chunk of 2^16 elements (512 KiB of float64: whole rows, or a
+slice of one row) holds every edge of the coordinates below 16, so the
+groups below 16 run chunk by chunk, each chunk through all of them, back
+and forth between it and the call's one scratch block, before the next is
+read; with copy=True the chunk is cast on the way into its first group,
+whose products land in the fresh table.  The groups past coordinate 16
+then run over column tiles of 2^16 elements, copied back from the block.
+Either way a group makes the np.matmul calls, on the operands, of a pass
+over the whole table, so neither the order nor the cast moves a bit, and
+no table-sized temporary appears.  BLAS may round a column
 of M @ X differently when X has another width: with numpy 2.4.6 and
 OpenBLAS 0.3.31 a column gets other bits when X is 1, 2, 3, 9, 17 or 100
 columns wide than when it is 8 or 1000 wide.  So every operand has one
 shape that the group's first coordinate lo alone sets: at lo = 0, _WIDTH
 rows of 2^g values times the transposed matrix, the rows past the last
 multiple of _WIDTH zero padded in the block; above, (2^g, min(2^lo,
-_WIDTH)) column blocks read from the tile.  An element's bits then do not
+_WIDTH)) column blocks read where they lie.  An element's bits then do not
 depend on the batch shape or on its place in the table, and not on the
 BLAS thread count either, since a 16 x 16 x 128 product is too small for
 OpenBLAS to split.  These are other roundings of the stagewise maps, and
@@ -77,9 +82,10 @@ from itertools import accumulate
 
 import numpy as np
 
-# Elements per tile: 512 KiB of float64, which stays in a 2 MiB per-core L2
-# together with the call's 1 MiB scratch block.
-_TILE = 1 << 16
+# Elements per chunk or tile: 512 KiB of float64, which stays in a 2 MiB
+# per-core L2 together with the call's 1 MiB scratch block.
+_LOW = 16
+_TILE = 1 << _LOW
 # Rows or columns of every group-product operand, one shape whatever the
 # table's layout.  Measured on transform_table (numpy 2.4.6, one BLAS
 # thread): 256 was within 3% of 128 from n = 16 up but took a lone n = 4
@@ -117,23 +123,12 @@ def subcube_codes(n: int, coords) -> np.ndarray:
     return codes
 
 
-def working_copy(table) -> np.ndarray:
-    """Contiguous floating copy of a table for in-place kernel passes.
-
-    float64 by default; an extended-precision input keeps its dtype, so
-    ill-conditioned compositions (the inverse noise kernel at small
-    retention has norm (2/rho - 1)^n) can be driven at higher precision
-    through the same code path.
-    """
-    arr = np.asarray(table)
-    if arr.dtype.kind == "f" and arr.dtype.itemsize >= 8:
-        return np.array(arr)
-    return np.array(arr, dtype=np.float64)
-
-
-def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
-                 coords=None) -> np.ndarray:
-    """Apply a 2x2 kernel along each coordinate of the last axis, in place.
+def apply_kernel(values, n: int, kernel: np.ndarray, coords=None,
+                 copy: bool = False) -> np.ndarray:
+    """Apply a 2x2 kernel along each coordinate of the last axis, in place,
+    or with copy=True into a fresh array, float64 or the table's dtype if
+    that is a wider float (so an ill-conditioned composition, such as the
+    inverse noise kernel with norm (2/rho - 1)^n, can run in longdouble).
 
     kernel = [[k00, k01], [k10, k11]] maps the pair (a, b) = (value at
     x_i = 0, value at x_i = 1) to (k00*a + k01*b, k10*a + k11*b).  Stages
@@ -144,12 +139,14 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
     lo, hi = (stages[0], stages[-1] + 1) if stages else (0, 0)
     if stages != list(range(lo, hi)):
         raise ValueError(f"coords {stages} are not consecutive ascending coordinates")
-    if values.shape[-1] % (1 << hi):
-        raise ValueError(f"last axis of length {values.shape[-1]} has no "
+    source = np.ascontiguousarray(values)
+    if source.shape[-1] % (1 << hi):
+        raise ValueError(f"last axis of length {source.shape[-1]} has no "
                          f"coordinate {hi - 1}")
-    work = values if values.flags.c_contiguous else np.ascontiguousarray(values)
+    work = np.empty(source.shape, np.promote_types(source.dtype, np.float64)) if copy else source
     mats = _group_matrices(*np.asarray(kernel).ravel().tolist(), work.dtype)
     if mats is None:
+        work[...] = source      # the cast, or nothing in place
         # stage by stage; a top row (1, 0) leaves the x_i = 0 half as it is
         (k00, k01), (k10, k11) = np.asarray(kernel).tolist()
         for i in stages:
@@ -160,19 +157,30 @@ def apply_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
             else:
                 w[..., 0, :], w[..., 1, :] = k00 * a + k01 * b, k10 * a + k11 * b
     else:
-        flat = work.reshape(-1)
-        # the call's one scratch block: a tile's products, or two padded
-        # operands.  Twice a tile: with one tile, n = 16 transforms measured
-        # 790 against 360 us in a fresh process, glibc's malloc then giving
-        # the pages of the call's two 512 KiB arrays back on every call.
-        block = np.empty(max(2 * min(_TILE, flat.size), 32 * _WIDTH), work.dtype)
-        for start in range(lo, hi, len(mats)):
-            stop = min(start + len(mats), hi)
-            for tile in _tiles(flat, start, stop):
-                _group_product(tile, mats[stop - start - 1], block)
-    if work is not values:
+        # the call's one scratch block: the other side of a chunk or a tile,
+        # then two padded operands.  With one tile's room, n = 16 transforms
+        # took 790 against 360 us: glibc gave the pages back on every call.
+        flat, size, g = work.reshape(-1), min(_TILE, work.size), len(mats)
+        block = np.empty(size + max(size, 32 * _WIDTH), work.dtype)
+        low = range(lo, hi if hi <= _LOW else _LOW + 1 - g, g)
+        for at in range(0, work.size if low or copy else 0, _TILE):
+            # the values start on side len(low) % 2 and group k reads side
+            # k % 2, so the last group writes the chunk
+            buf = flat[at:at + _TILE], block[:min(_TILE, work.size - at)]
+            buf[len(low) % 2][...] = source.reshape(-1)[at:at + _TILE]
+            for k, start in enumerate(low, len(low)):
+                m = mats[min(g, hi - start) - 1]
+                _group_product(buf[k % 2].reshape(-1, len(m), 1 << start), buf[1 - k % 2], m, block)
+        for start in range(lo + len(low) * g, hi, g):
+            # a group past _LOW runs on column tiles [r, :, k] of _TILE elements
+            m = mats[min(g, hi - start) - 1]
+            view = flat.reshape(-1, len(m), (len(m) << start) // _TILE, _TILE // len(m))
+            for r, k in np.ndindex(view.shape[0], view.shape[2]):
+                _group_product(view[r:r + 1, :, k], block[:size], m, block)
+                view[r, :, k] = block[:size].reshape(len(m), -1)
+    if not (copy or work is values):
         values[...] = work
-    return values
+    return work if copy else values
 
 
 @lru_cache(maxsize=32)
@@ -203,36 +211,24 @@ def _kron(m: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (m[:, None, :, None] * k[None, :, None, :]).reshape(len(m) * len(k), -1)
 
 
-def _group_product(tile: np.ndarray, m: np.ndarray, block: np.ndarray) -> None:
-    """Apply m = K(x)...(x)K along axis 1 of an (outer, 2^g, cols) tile in
-    place, in the one operand shape that cols sets (module docstring), the
-    products and the zero-padded last rows passing through ``block``."""
+def _group_product(tile: np.ndarray, out: np.ndarray, m: np.ndarray, block: np.ndarray) -> None:
+    """Apply m = K(x)...(x)K along axis 1 of an (outer, 2^g, cols) tile into
+    ``out``, contiguous, of the tile's size and sharing no memory with it,
+    in the one operand shape that cols sets (module docstring), the
+    zero-padded last rows passing through the end of ``block``."""
     outer, size, cols = tile.shape
     if cols > 1:
         w = min(cols, _WIDTH)
-        x = tile.reshape(outer, size, cols // w, w).transpose(0, 2, 1, 3)
-        x[...] = np.matmul(m, x, out=block[:x.size].reshape(x.shape))
+        x, y = (t.reshape(outer, size, cols // w, w).transpose(0, 2, 1, 3) for t in (tile, out))
+        np.matmul(m, x, out=y)
         return
-    rows, full = tile.reshape(outer, size), outer - outer % _WIDTH
+    x, y, full = tile.reshape(outer, size), out.reshape(outer, size), outer - outer % _WIDTH
     if full:
-        x = rows[:full].reshape(-1, _WIDTH, size)
-        x[...] = np.matmul(x, m.T, out=block[:x.size].reshape(x.shape))
+        np.matmul(x[:full].reshape(-1, _WIDTH, size), m.T, out=y[:full].reshape(-1, _WIDTH, size))
     if full < outer:
-        x, y = block[:2 * _WIDTH * size].reshape(2, _WIDTH, size)
-        x[:outer - full], x[outer - full:] = rows[full:], 0.0
-        rows[full:] = np.matmul(x, m.T, out=y)[:outer - full]
-
-
-def _tiles(flat: np.ndarray, lo: int, hi: int):
-    """Tiles of at most _TILE elements that hold whole edges of coordinates
-    lo..hi-1: views [rows, :, cols] of ``flat`` seen as (outer, 2^(hi-lo),
-    2^lo), either whole rows or column slices of one row."""
-    view = flat.reshape(-1, 1 << (hi - lo), 1 << lo)
-    outer, span, inner = view.shape
-    rows, cols = max(1, _TILE // (span * inner)), min(inner, _TILE // span)
-    for r in range(0, outer, rows):
-        for c in range(0, inner, cols):
-            yield view[r:r + rows, :, c:c + cols]
+        a, b = block[block.size - 2 * _WIDTH * size:].reshape(2, _WIDTH, size)
+        a[:outer - full], a[outer - full:] = x[full:], 0.0
+        y[full:] = np.matmul(a, m.T, out=b)[:outer - full]
 
 
 # The subset-sum kernels, made once: a fresh 2x2 array took 1 us a call.
@@ -254,10 +250,11 @@ def zeta_subsets(values: np.ndarray, n: int) -> np.ndarray:
     return apply_kernel(values, n, _ZETA)
 
 
-def mobius_subsets(values: np.ndarray, n: int) -> np.ndarray:
-    """In place inverse of :func:`zeta_subsets`: alternating subset sums,
-    within (19/4) n u times the zeta sums of |in| (see zeta_subsets)."""
-    return apply_kernel(values, n, _MOBIUS)
+def mobius_subsets(values, n: int) -> np.ndarray:
+    """Alternating subset sums, the inverse of :func:`zeta_subsets`, into
+    a fresh array (apply_kernel's copy=True), within (19/4) n u times the
+    zeta sums of |in| (see zeta_subsets)."""
+    return apply_kernel(values, n, _MOBIUS, copy=True)
 
 
 def point_codes(n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (AnyFunction, BooleanFunction, BoundedFunction, _check_boolean,
                    _check_open_unit, _check_same_dimension)
 from .fourier import synthesize_table, transform_table
-from .lattice import _level_blocks, apply_kernel, measure_weights, pack_bits, working_copy
+from .lattice import _level_blocks, apply_kernel, measure_weights, pack_bits
 
 DEFAULT_SAMPLES = 1_000_000
 _SAMPLE_BATCH = 1 << 17
@@ -94,7 +94,7 @@ def downward_noise_table(table: np.ndarray, n: int, rho: float) -> np.ndarray:
     a stagewise run does (the points above it), and possibly more.
     """
     _check_open_unit("rho", rho)
-    return apply_kernel(working_copy(table), n, noise_kernel(rho))
+    return apply_kernel(table, n, noise_kernel(rho), copy=True)
 
 
 def downward_noise(f: AnyFunction, rho: float) -> BoundedFunction:
@@ -145,7 +145,7 @@ def invert_downward(h, rho: float) -> np.ndarray:
         n = size.bit_length() - 1
         if n < 0 or size != 1 << n:
             raise ValueError(f"table length {size} is not a power of two")
-    return apply_kernel(working_copy(table), n, inverse_noise_kernel(rho))
+    return apply_kernel(table, n, inverse_noise_kernel(rho), copy=True)
 
 
 def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:

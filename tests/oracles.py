@@ -6,6 +6,8 @@ separate code.  Sizes are kept tiny; these are O(4^n) or worse.  The
 exceptions are :func:`stagewise_kernel`, the butterfly loop that
 ``lattice.apply_kernel`` must match bit for bit where it runs stage by
 stage, and within an error bound where it runs group products,
+:func:`tiled_kernel`, the working copy and tile-by-tile group products
+whose bits apply_kernel's fused copy must keep,
 :func:`streamed_json_bytes`, the streaming JSON writer whose bytes
 ``core.save_function`` must match, and :func:`spectrum_degree`, the
 thresholded bias-1/2 spectrum that ``influences.degree`` replaced,
@@ -47,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from polyspec import lattice
 from polyspec.analysis import EIGEN_TOL
 from polyspec.core import (BooleanFunction, BoundedFunction, _check_dimension,
                            _json_fields, average_out)
@@ -367,6 +370,50 @@ def stagewise_kernel(values: np.ndarray, n: int, kernel: np.ndarray,
             w[..., 0, :] = k00 * a0 + k01 * b
             w[..., 1, :] = k10 * a0 + k11 * b
     return values
+
+
+def tiled_kernel(values, n: int, kernel: np.ndarray, coords=None) -> np.ndarray:
+    """A working copy of values run group by group over the whole table, as
+    ``lattice.apply_kernel`` ran before its chunk loop: the copy is float64,
+    or the table's dtype where that is a floating type of 8 bytes or more;
+    each group runs over tiles of up to 2^16 elements (whole rows, or
+    column slices of one row) with the products passing through a scratch
+    block and copied back.  Kernels that run stage by stage run
+    :func:`stagewise_kernel`.  apply_kernel(values, n, kernel, coords,
+    copy=True) must give these bits."""
+    arr = np.asarray(values)
+    wide = arr.dtype.kind == "f" and arr.dtype.itemsize >= 8
+    work = np.array(arr, dtype=arr.dtype if wide else np.float64)
+    mats = lattice._group_matrices(*np.asarray(kernel).ravel().tolist(), work.dtype)
+    if mats is None:
+        return stagewise_kernel(work, n, kernel, coords)
+    stages = list(range(n) if coords is None else coords)
+    lo, hi = (stages[0], stages[-1] + 1) if stages else (0, 0)
+    flat, tile_size, width = work.reshape(-1), lattice._TILE, lattice._WIDTH
+    block = np.empty(max(2 * min(tile_size, flat.size), 32 * width), work.dtype)
+    for start in range(lo, hi, len(mats)):
+        stop = min(start + len(mats), hi)
+        m = mats[stop - start - 1]
+        view = flat.reshape(-1, 1 << (stop - start), 1 << start)
+        outer, span, inner = view.shape
+        rows, cols = max(1, tile_size // (span * inner)), min(inner, tile_size // span)
+        for r, c in itertools.product(range(0, outer, rows), range(0, inner, cols)):
+            tile = view[r:r + rows, :, c:c + cols]
+            t_outer, size, t_cols = tile.shape
+            if t_cols > 1:
+                w = min(t_cols, width)
+                x = tile.reshape(t_outer, size, t_cols // w, w).transpose(0, 2, 1, 3)
+                x[...] = np.matmul(m, x, out=block[:x.size].reshape(x.shape))
+                continue
+            flat_rows, full = tile.reshape(t_outer, size), t_outer - t_outer % width
+            if full:
+                x = flat_rows[:full].reshape(-1, width, size)
+                x[...] = np.matmul(x, m.T, out=block[:x.size].reshape(x.shape))
+            if full < t_outer:
+                x, y = block[:2 * width * size].reshape(2, width, size)
+                x[:t_outer - full], x[t_outer - full:] = flat_rows[full:], 0.0
+                flat_rows[full:] = np.matmul(x, m.T, out=y)[:t_outer - full]
+    return work
 
 
 def classify_boolean_eigens_bruteforce(n: int, rho: float,

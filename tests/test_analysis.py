@@ -461,11 +461,14 @@ def test_distance_bits_match_expectation_and_correlation(p):
     bounds _and_distances states, plus (n + 9) 2^-64 of the same for the
     longdouble reference's own error.  At p = 1/2 every weight and partial
     sum is dyadic: the mean and every gap are exact.  The verdict reports
-    the mean, 1 - mean or the witness's gap with their bits."""
+    the mean, 1 - mean or the witness's gap with their bits, and each
+    part's least gap is the minimum of the part's gaps."""
     rng = np.random.default_rng(int(p * 1000))
     for n in (1, 5, 12, 16, 20):
         f = ps.BooleanFunction(n, rng.random(1 << n) < 0.2)
-        mean, gaps = _and_distances(f.table, n, p)
+        mean, gaps, lows = _and_distances(f.table, n, p)
+        assert [low.tobytes() for _, low in lows] == \
+            [gaps[part].min().tobytes() for part, _ in lows], n
         exact = n <= 12
         want_mean, corr = and_correlations(f.table, n, p, exact)
         level = popcounts(n)
@@ -491,6 +494,35 @@ def test_distance_bits_match_expectation_and_correlation(p):
         assert v.distance.hex() == float(got).hex()
 
 
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_and_verdict_matches_a_scan_of_every_gap(p):
+    """The verdict scans only the 2^14-point parts whose least gap is
+    within TIE_TOL of the best; its kind, witness and distance are those of
+    a scan of the whole gap table, also for ties between ANDs in different
+    parts: x0 x1 or x14 x15 is 3/16 from both AND_{0,1} and AND_{14,15} at
+    p = 1/2."""
+    rng = np.random.default_rng(16)
+    cases = [ps.make_and(16, [3, 15]), ps.make_and(20, [19]),
+             ps.BooleanFunction(16, [bit(x, 0) & bit(x, 1) | bit(x, 14) & bit(x, 15)
+                                     for x in range(1 << 16)])]
+    for base in cases[:2]:
+        flipped = base.table.copy()
+        flipped[rng.integers(0, flipped.size, 40)] ^= 1
+        cases.append(ps.BooleanFunction(base.n, flipped))
+    for f in cases:
+        mean, gaps, _ = _and_distances(f.table, f.n, p)
+        mean = float(mean)
+        best = min(mean, 1.0 - mean, float(gaps.min()))
+        cands = np.flatnonzero(gaps <= best + analysis.TIE_TOL)
+        pick = int(cands[np.lexsort((cands, popcounts(f.n)[cands]))[0]])
+        want = (("zero", 0, mean) if mean <= best + analysis.TIE_TOL else
+                ("constant", 1, 1.0 - mean) if 1.0 - mean <= best + analysis.TIE_TOL else
+                ("and", frozenset(i for i in range(f.n) if bit(pick, i)), float(gaps[pick])))
+        v = ps.distance_to_constant_or_and(f, p)
+        assert (v.kind, v.witness, v.distance.hex()) == want[:2] + (want[2].hex(),)
+    assert ps.distance_to_constant_or_and(cases[2], 0.5).witness == frozenset({0, 1})
+
+
 @pytest.mark.parametrize("p", [0.123, 0.3, 0.7])
 def test_distance_mean_is_within_its_bound_at_n20(p):
     """The mean of a random n = 20 table, a sum of nonnegative terms through
@@ -502,7 +534,7 @@ def test_distance_mean_is_within_its_bound_at_n20(p):
     counts = np.bincount(popcounts(n)[f.table == 1], minlength=n + 1)
     exact = sum(int(c) * Fraction(p) ** k * Fraction(1.0 - p) ** (n - k)
                 for k, c in enumerate(counts))
-    mean, _ = _and_distances(f.table, n, p)
+    mean, _, _ = _and_distances(f.table, n, p)
     assert abs(Fraction(float(mean)) - exact) <= Fraction(19, 4) * n * Fraction(U) * exact
 
 
@@ -552,7 +584,7 @@ def test_distance_peak_memory_stays_at_four_tables():
 
 
 def test_distance_peak_memory_stays_under_three_tables():
-    """The superset pass runs in place on the one float64 table of -2 f, and
+    """The superset pass runs on the one float64 table it casts f into, and
     the per-level constants are added into it block by block, so at n = 20
     the peak is that 8 MiB table plus apply_kernel's 1 MiB scratch block
     (9.00 MiB measured), not the 16 MiB of a weight or level table beside
@@ -1022,7 +1054,7 @@ def test_delta_of_epsilon_over_every_function(n):
     a distance off the minimum gap."""
     tables = index_bits(1 << n, np.arange(1 << (1 << n)))
     epsilon = _defect_exact(tables, tables, tables, n, 0.5, 0.5)
-    mean, dists = _and_distances(tables, n, 0.5)
+    mean, dists, _ = _and_distances(tables, n, 0.5)
     delta = np.minimum(np.minimum(mean, 1.0 - mean), dists.min(axis=-1))
     for t, count, largest in DELTA_OF_EPSILON[n]:
         within = delta[epsilon <= t]
@@ -1041,13 +1073,13 @@ def test_stacked_cores_give_each_row_the_bits_of_its_unstacked_call(n):
     f_t, g_t, h_t = (rng.integers(0, 2, (2, 3, 1 << n), dtype=np.uint8) for _ in range(3))
     for p, rho in itertools.product((0.3, 0.5), (0.3, 0.7)):
         defect = _defect_exact(f_t, g_t, h_t, n, p, rho)
-        mean, dists = _and_distances(f_t, n, p)
+        mean, dists, _ = _and_distances(f_t, n, p)
         for i, j in np.ndindex(2, 3):
             one = _defect_exact(f_t[i, j], g_t[i, j], h_t[i, j], n, p, rho)
             f, g, h = (ps.BooleanFunction(n, t[i, j]) for t in (f_t, g_t, h_t))
             public = ps.homomorphism_agreement(f, p, rho, g=g, h=h).details["defect"]
             assert float(defect[i, j]).hex() == float(one).hex() == public.hex()
-            one_mean, one_dists = _and_distances(f_t[i, j], n, p)
+            one_mean, one_dists, _ = _and_distances(f_t[i, j], n, p)
             assert float(mean[i, j]).hex() == float(one_mean).hex()
             assert list(map(float.hex, dists[i, j].tolist())) == \
                 list(map(float.hex, one_dists.tolist()))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyspec import lattice
+from polyspec import fourier, lattice, noise
 from polyspec.fourier import (analysis_kernel, synthesis_kernel, synthesize_table,
                               transform_table)
 from polyspec.lattice import (_by_level, _level_blocks, apply_kernel, coordinate_pairs,
@@ -18,7 +18,7 @@ from polyspec.lattice import (_by_level, _level_blocks, apply_kernel, coordinate
                               popcounts, subcube_codes, zeta_subsets)
 from polyspec.noise import (downward_noise_table, inverse_noise_kernel, invert_downward,
                             noise_kernel)
-from oracles import bit, stagewise_kernel, zeta_supersets
+from oracles import bit, stagewise_kernel, tiled_kernel, zeta_supersets
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyspec"
 
@@ -646,6 +646,90 @@ def test_apply_kernel_non_contiguous_in_place(values, n):
     assert same_bits(values, expect)
 
 
+# the kernels behind every fused copy, and noise at rho = 1e-300, which runs
+# stage by stage
+FUSED = {**{name: KERNELS[name] for name in
+            ("noise", "inverse", "analysis", "synthesis", "zeta", "mobius")},
+         "weighted-supersets": np.array([[0.7, 0.3], [0.0, 0.3]]),
+         "noise-1e-300": noise_kernel(1e-300)}
+# padded rows at n = 0..6 and (3, 64), a partial last chunk at (20, 4096),
+# chunks inside a row at (3, 2^17), and groups past coordinate 16 at n = 17
+# and 20; longdouble on the shapes it runs in milliseconds
+FUSED_CASES = ([((1 << n,), dtype) for n in range(7)
+                for dtype in (np.bool_, np.uint8, np.float32, np.float64, np.longdouble)]
+               + [((3, 64), np.longdouble), ((20, 4096), np.longdouble)]
+               + [(shape, dtype) for shape in ((3, 64), (20, 4096), (3, 1 << 17),
+                                               (1 << 17,), (1 << 20,))
+                  for dtype in (np.bool_, np.uint8, np.float32, np.float64)])
+
+
+def fused_source(shape, dtype) -> np.ndarray:
+    """0/1 entries for bool and uint8; otherwise normal ones with a -0.0
+    and a +0.0 every seventh entry, so that signs of zeros are compared."""
+    rng = np.random.default_rng(int(np.prod(shape)))
+    if np.dtype(dtype).kind in "bu":
+        return (rng.random(shape) < 0.4).astype(dtype)
+    values = rng.standard_normal(shape)
+    values[..., ::7], values[..., 3::7] = -0.0, 0.0
+    return values.astype(dtype)
+
+
+@pytest.mark.parametrize("shape, dtype", FUSED_CASES,
+                         ids=[f"{s}-{np.dtype(d).name}" for s, d in FUSED_CASES])
+def test_fused_copy_keeps_the_bits_of_the_tiled_working_copy(shape, dtype):
+    """apply_kernel(..., copy=True) casts each chunk into its first group on
+    the way; every kernel gives the dtype and bits, signs of zeros included,
+    of the old working copy run group by group over the whole table
+    (oracles.tiled_kernel), and the source is left as it was."""
+    n = shape[-1].bit_length() - 1
+    base = fused_source(shape, dtype)
+    before = base.copy()
+    for name, kernel in FUSED.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = apply_kernel(base, n, kernel, copy=True)
+            want = tiled_kernel(base, n, kernel)
+        assert same_bits(got, want) and got.flags.c_contiguous, name
+        assert same_bits(base, before), name
+
+
+@pytest.mark.parametrize("coords", [None, list(range(2, 17))], ids=["all", "2-16"])
+def test_fused_copy_reads_non_contiguous_and_read_only_sources(coords):
+    """A strided or Fortran-ordered source, read-only or not, gives the bits
+    of its contiguous copy, in float64, and comes back unchanged, also for
+    a run of coordinates that starts past 0."""
+    rng = np.random.default_rng(17)
+    wide = rng.standard_normal((3, 1 << 18))
+    sources = [wide[:, ::2], np.asfortranarray(wide[:, :1 << 17]),
+               (rng.random((6, 1 << 17)) < 0.5)[::2]]
+    for values in sources:
+        values.flags.writeable = False
+        before = values.copy()
+        for name, kernel in FUSED.items():
+            got = apply_kernel(values, 17, kernel, coords, copy=True)
+            assert same_bits(got, tiled_kernel(np.ascontiguousarray(values), 17, kernel, coords))
+            assert same_bits(values, before) and not values.flags.writeable, name
+
+
+def test_table_operators_make_one_apply_kernel_call(monkeypatch):
+    """transform_table, synthesize_table, downward_noise_table and
+    invert_downward each run their cast and stages as one apply_kernel
+    call, the rule perfbench's --trace 1 checks for transform_table."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return apply_kernel(*args, **kwargs)
+
+    for module in (lattice, fourier, noise):
+        monkeypatch.setattr(module, "apply_kernel", counted)
+    table = np.random.default_rng(6).integers(0, 2, (3, 1 << 17), dtype=np.uint8)
+    for run in (lambda: transform_table(table, 17, 0.3), lambda: synthesize_table(table, 17, 0.3),
+                lambda: downward_noise_table(table, 17, 0.3), lambda: invert_downward(table, 0.3)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_apply_kernel_rejects_a_missing_coordinate():
     with pytest.raises(ValueError, match="coordinate 3"):
         apply_kernel(np.zeros((2, 12)), 4, KERNELS["noise"])
@@ -691,9 +775,9 @@ def test_single_stages_run_as_two_by_two_group_products(monkeypatch):
     orders = []
     group_product = lattice._group_product
 
-    def recorded(tile, m, block):
+    def recorded(tile, out, m, block):
         orders.append(len(m))
-        group_product(tile, m, block)
+        group_product(tile, out, m, block)
 
     monkeypatch.setattr(lattice, "_group_product", recorded)
     for name in ("noise", "zeta", "analysis"):
