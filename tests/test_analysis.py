@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -1173,6 +1174,58 @@ def test_audit_unknown_id(monkeypatch):
     assert residuals == []
     ps.theorem_audit("2.1", t, t, ps.NoiseParams(p=0.5, rho=0.5, lam=0.5))
     assert len(residuals) == 1
+
+
+AUDIT_GOLDEN = Path(__file__).parent / "golden" / "audit_reports.jsonl"
+
+
+def audit_golden_text() -> str:
+    """One JSON line per seeded audit report at n = 5, keys in report order
+    and numbers at 12 significant digits (the sweep CSVs' format).
+
+    f is Boolean or bounded; g is an AND, an AND-OR or a random table, each
+    also with one point flipped; each audit runs at every (p, rho) in
+    {0.3, 0.5, 0.7} x {0.3, 0.5, 0.8}, with lam cycling through 1/8, 1/4,
+    1/2 and 0.9; the triple audit takes the Boolean f only, at h = g.
+    Regenerate on purpose (and say why) with
+    ``PYTHONPATH=src:tests python -c "import test_analysis as t;
+    t.AUDIT_GOLDEN.write_text(t.audit_golden_text())"``."""
+    n, rng = 5, np.random.default_rng(3501)
+    fs = {"bool": random_boolean(n, rng), "bounded": random_bounded(n, rng)}
+    gs = {"and": ps.make_and(n, [1, 3]),
+          "andor": ps.make_and_or(n, ps.BlockPartition(({0, 1, 2}, {3, 4}))),
+          "random": ps.BooleanFunction(n, rng.random(1 << n) < 0.25)}
+    for name, g in list(gs.items()):
+        table = g.table.copy()
+        table[rng.integers(1 << n)] ^= 1
+        gs[f"{name}-flip"] = ps.BooleanFunction(n, table)
+    lams = (0.125, 0.25, 0.5, 0.9)
+    fmt = analysis._fmt
+    lines = []
+    for theorem in analysis.THEOREM_ALIASES:
+        for (fname, f), (gname, g) in itertools.product(fs.items(), gs.items()):
+            if theorem == "2.6" and fname == "bounded":
+                continue
+            for k, (p, rho) in enumerate(itertools.product((0.3, 0.5, 0.7), (0.3, 0.5, 0.8))):
+                lam = lams[k % len(lams)]
+                rep = ps.theorem_audit(theorem, f, g, ps.NoiseParams(p=p, rho=rho, lam=lam),
+                                       h=g if theorem == "2.6" else None)
+                v = rep.verdict
+                lines.append(json.dumps({
+                    "case": f"{theorem} f={fname} g={gname} p={p} rho={rho} lam={lam}",
+                    "theorem": rep.theorem,
+                    "premise": {key: fmt(val) for key, val in rep.premise.items()},
+                    "conclusion": {key: fmt(val) for key, val in rep.conclusion.items()},
+                    "verdict": {"kind": v.kind, "witness": v.witness_str(),
+                                "distance": fmt(v.distance)},
+                    "notes": list(rep.notes)}))
+    return "\n".join(lines) + "\n"
+
+
+def test_audit_reports_match_golden():
+    """Every audit's premise, conclusion, verdict and notes, with the key
+    order of each report, as tests/golden/audit_reports.jsonl pins them."""
+    assert audit_golden_text() == AUDIT_GOLDEN.read_text()
 
 
 # ---------------------------------------------------------------------------

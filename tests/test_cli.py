@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import tracemalloc
@@ -24,6 +25,54 @@ def test_every_subcommand_has_help(command, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "usage: polyspec" in out and command in out
+
+
+CLI_SURFACE = Path(__file__).parent / "golden" / "cli_surface.json"
+
+# One minimal argv per subcommand, parsed (no file is read) for the table.
+MINIMAL_ARGV = {
+    "transform": ["--in", "f.json", "--p", "0.3"],
+    "noise": ["--in", "f.json", "--rho", "0.5"],
+    "ns": ["--in", "f.json", "--nu", "0.1"],
+    "profile": ["--in", "f.json", "--p", "0.5"],
+    "make": ["--family", "and", "--n", "3"],
+    "classify": ["--n", "2", "--rho", "0.5"],
+    "solve": ["--in", "g.json", "--rho", "0.5"],
+    "test-hom": ["--fn", "maj3"],
+    "prs": ["--in", "f.json"],
+    "audit": ["--theorem", "2.1", "--f", "f.json", "--g", "g.json"],
+    "sweep": ["--config", "sweep.cfg"],
+}
+
+
+def cli_surface() -> dict:
+    """For every subcommand: its help, each action's option strings, dest,
+    default, required flag, type, help and action class (keyed by option
+    strings, so the order the flags are declared in is not pinned), and
+    the namespace its MINIMAL_ARGV parses to.  Regenerate on purpose (and
+    say why) with ``PYTHONPATH=src:tests python -c "import test_cli as t,
+    json; t.CLI_SURFACE.write_text(json.dumps(t.cli_surface(), indent=1,
+    sort_keys=True) + chr(10))"``."""
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    table = {}
+    for name, sp in sub.choices.items():
+        actions = {"/".join(a.option_strings): {
+            "dest": a.dest, "default": a.default, "required": a.required,
+            "type": getattr(a.type, "__name__", None), "help": a.help,
+            "action": type(a).__name__} for a in sp._actions}
+        namespace = vars(parser.parse_args([name, *MINIMAL_ARGV[name]]))
+        namespace["handler"] = namespace["handler"].__name__
+        table[name] = {"help": helps[name], "actions": actions, "namespace": namespace}
+    return table
+
+
+def test_cli_surface_matches_the_pinned_table():
+    """Flags change only on purpose: tests/golden/cli_surface.json pins
+    every subcommand's actions and one parsed namespace."""
+    assert sorted(MINIMAL_ARGV) == sorted(SUBCOMMANDS)
+    assert cli_surface() == json.loads(CLI_SURFACE.read_text())
 
 
 def test_unknown_subcommand_exits_2(capsys):
