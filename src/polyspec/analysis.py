@@ -465,6 +465,15 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
     order.  Averaged-function closeness is measured exactly in the averaged
     form (average f outside the witness, compare to the scaled target) and
     nothing stronger.
+
+    large-lambda, small-rho and monotone share one conclusion path: each
+    picks its verdict on g (large-lambda the zero or constant nearer to
+    E_p[g], the other two distance_to_constant_or_and); then a zero or
+    constant verdict reports delta_f_mean = |E_q[f] - lam * c|, c the
+    constant (its witness), and an AND_T verdict the witness size, its
+    bound and f's averaged profile against rho^-|T| lam AND_T.  half-rho
+    compares f averaged outside the AND-OR witness's support with
+    2^width lam times the local AND-XOR of its blocks.
     """
     theorem = THEOREM_ALIASES.get(theorem, theorem)
     if theorem not in THEOREM_ALIASES.values():
@@ -502,51 +511,42 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
         raise ValueError("this audit needs params.lam")
     premise = {"eta_residual": residual(f, g, params)}
 
+    if theorem == "half-rho":
+        v = distance_to_and_or(g, p, tau=tau)
+        support = sorted(v.witness.support())
+        local = BlockPartition(tuple(frozenset(map(support.index, blk))
+                                     for blk in v.witness.blocks))
+        conclusion = {"delta_g": v.distance, "width": float(v.witness.width),
+                      **_averaged_profile(f, support, q, make_and_xor(len(support), local),
+                                          2.0 ** v.witness.width * lam)}
+        notes = ("this audit is specific to rho = 1/2",) if abs(rho - 0.5) > 1e-12 else ()
+        return AuditReport(theorem, premise, conclusion, v, notes)
+
     if theorem == "large-lambda":
         premise["lambda_minus_rho"] = lam - rho
         e_g = expectation(g, p)
-        gamma = 0 if e_g <= 0.5 else 1
-        dist = min(e_g, 1.0 - e_g)
-        conclusion = {"delta_g_const": dist,
-                      "delta_f_mean": abs(expectation(f, q) - lam * gamma)}
-        witness = StructureVerdict(kind="zero" if gamma == 0 else "constant",
-                                   witness=gamma, distance=dist)
-        return AuditReport(theorem, premise, conclusion, witness)
-
-    if theorem in ("small-rho", "monotone"):
+        gamma = int(e_g > 0.5)
+        v = StructureVerdict(kind=("zero", "constant")[gamma], witness=gamma,
+                             distance=min(e_g, 1.0 - e_g))
+        conclusion = {"delta_g_const": v.distance}
+    else:
         if theorem == "monotone":
             premise["max_negative_influence"] = max(_influences(f, q)[1], default=0.0)
         v = distance_to_constant_or_and(g, p)
         conclusion = {"delta_g": v.distance}
-        if v.kind == "and":
-            T = sorted(v.witness)
-            conclusion["witness_size"] = float(len(T))
-            # ceil(log2(2 / lam)) exactly, for lam = m * 2^e with m in [1/2, 1)
-            conclusion["witness_size_bound"] = float(2 - math.frexp(lam)[1])
-            try:
-                scale = rho ** -len(T) * lam
-            except OverflowError:
-                raise ValueError(f"rho = {rho} overflows rho^-|T| at |T| = {len(T)}") from None
-            conclusion.update(_averaged_profile(
-                f, T, q, make_and(len(T), range(len(T))), scale))
-        else:
-            gamma = 1.0 if v.kind == "constant" else 0.0
-            conclusion["delta_f_mean"] = abs(expectation(f, q) - lam * gamma)
+    if v.kind != "and":     # a zero or constant verdict's witness is its value
+        conclusion["delta_f_mean"] = abs(expectation(f, q) - lam * v.witness)
         return AuditReport(theorem, premise, conclusion, v)
-
-    # half-rho, the one id left
-    v = distance_to_and_or(g, p, tau=tau)
-    part: BlockPartition = v.witness
-    conclusion = {"delta_g": v.distance, "width": float(part.width)}
-    support = sorted(part.support())
-    pos = {c: k for k, c in enumerate(support)}
-    local = BlockPartition(tuple(frozenset(pos[c] for c in blk)
-                                 for blk in part.blocks))
-    target = make_and_xor(len(support), local)
-    conclusion.update(_averaged_profile(
-        f, support, q, target, 2.0 ** part.width * lam))
-    notes = ("this audit is specific to rho = 1/2",) if abs(rho - 0.5) > 1e-12 else ()
-    return AuditReport(theorem, premise, conclusion, v, notes)
+    T = sorted(v.witness)
+    conclusion["witness_size"] = float(len(T))
+    # ceil(log2(2 / lam)) exactly, for lam = m * 2^e with m in [1/2, 1)
+    conclusion["witness_size_bound"] = float(2 - math.frexp(lam)[1])
+    try:
+        scale = rho ** -len(T) * lam
+    except OverflowError:
+        raise ValueError(f"rho = {rho} overflows rho^-|T| at |T| = {len(T)}") from None
+    conclusion.update(_averaged_profile(f, T, q, make_and(len(T), range(len(T))), scale))
+    return AuditReport(theorem, premise, conclusion, v)
 
 
 # ---------------------------------------------------------------------------

@@ -184,13 +184,11 @@ def _cmd_audit(args) -> int:
     h = _load_boolean(args.h) if args.h is not None else None
     params = noise.NoiseParams(p=args.p, rho=args.rho, lam=args.lam)
     report = analysis.theorem_audit(args.theorem, f, g, params, h=h, tau=args.tau)
-    payload = {"theorem": report.theorem, "premise": report.premise,
-               "conclusion": report.conclusion, "notes": list(report.notes)}
-    if report.verdict is not None:
-        payload["verdict"] = {"kind": report.verdict.kind,
-                              "witness": report.verdict.witness_str(),
-                              "distance": report.verdict.distance}
-    _emit(payload, args.out)
+    v = report.verdict
+    _emit({"theorem": report.theorem, "premise": report.premise,
+           "conclusion": report.conclusion, "notes": list(report.notes),
+           "verdict": {"kind": v.kind, "witness": v.witness_str(), "distance": v.distance}},
+          args.out)
     if args.strict and not report.passed(args.eta, args.eps):
         return VERDICT_FAILURE
     return 0
@@ -230,73 +228,65 @@ def build_parser() -> argparse.ArgumentParser:
     infile = flag("--in", dest="infile", required=True)
     seed = flag("--seed", type=int, default=0)
     samples = flag("--samples", type=int, default=None, help="omit for exact evaluation")
+    p = flag("--p", type=float, required=True)
+    p_half = flag("--p", type=float, default=0.5)
+    rho = flag("--rho", type=float, required=True)
+    rho_half = flag("--rho", type=float, default=0.5)
+    lam = flag("--lambda", dest="lam", type=float, default=None)
+    n = flag("--n", type=int, required=True)
+    h = flag("--h", default=None)
 
     def add(name, fn, helptext, *parents):
         sp = sub.add_parser(name, help=helptext, parents=parents)
         sp.set_defaults(handler=fn)
         return sp
 
-    sp = add("transform", _cmd_transform, "Fourier-transform a function file", infile, out)
-    sp.add_argument("--p", type=float, required=True)
+    add("transform", _cmd_transform, "Fourier-transform a function file", infile, out, p)
 
-    sp = add("noise", _cmd_noise, "apply the downwards noise operator", infile, out)
-    sp.add_argument("--rho", type=float, required=True)
+    sp = add("noise", _cmd_noise, "apply the downwards noise operator", infile, out, rho)
     sp.add_argument("--m", type=int, default=2,
                     help="arity of the iterated operator (m >= 2)")
 
     sp = add("ns", _cmd_ns, "noise sensitivity of a Boolean function",
-             infile, samples, seed, out)
+             infile, samples, seed, out, p_half)
     sp.add_argument("--nu", type=float, required=True)
-    sp.add_argument("--p", type=float, default=0.5)
 
-    sp = add("profile", _cmd_profile, "influence profile as JSON", infile, out)
-    sp.add_argument("--p", type=float, required=True)
+    add("profile", _cmd_profile, "influence profile as JSON", infile, out, p)
 
-    sp = add("make", _cmd_make, "construct a family member", seed, out)
+    sp = add("make", _cmd_make, "construct a family member", seed, out, n)
     sp.add_argument("--family", required=True,
                     choices=tuple(_MAKERS))
-    sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--coords", default=None, help="comma-separated, e.g. 0,2")
     sp.add_argument("--blocks", default=None,
                     help="semicolon-separated blocks, e.g. 0,1;2")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
     sp.add_argument("--window-scale", type=float, default=1.0)
 
-    sp = add("classify", _cmd_classify, "exhaustive Boolean eigenfunctions", out)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--rho", type=float, required=True)
+    add("classify", _cmd_classify, "exhaustive Boolean eigenfunctions", out, n, rho)
 
-    sp = add("solve", _cmd_solve, "invert the operator and test feasibility", infile, out)
-    sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
+    add("solve", _cmd_solve, "invert the operator and test feasibility", infile, out, rho, lam)
 
-    sp = add("test-hom", _cmd_test_hom, "AND-homomorphism agreement rate", seed)
+    sp = add("test-hom", _cmd_test_hom, "AND-homomorphism agreement rate",
+             seed, p_half, rho_half, h)
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--fn", help="builtin: maj3, dictator, xor2")
     source.add_argument("--in", dest="infile")
     sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--rho", type=float, default=0.5)
     sp.add_argument("--g", default=None)
-    sp.add_argument("--h", default=None)
     estimator = sp.add_mutually_exclusive_group()
     estimator.add_argument("--exact", action="store_true")
     estimator.add_argument("--samples", type=int, default=noise.DEFAULT_SAMPLES)
 
     sp = add("prs", _cmd_prs, "expectation-plus-agreement dictatorship test",
-             infile, samples, seed, out)
-    sp.add_argument("--p", type=float, default=0.5)
+             infile, samples, seed, out, p_half)
     sp.add_argument("--expectation-window", type=float, default=0.05)
     sp.add_argument("--agreement-min", type=float, default=0.95)
 
-    sp = add("audit", _cmd_audit, "premise/conclusion report for one theorem", out)
+    sp = add("audit", _cmd_audit, "premise/conclusion report for one theorem",
+             out, h, p_half, rho_half, lam)
     sp.add_argument("--theorem", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--h", default=None)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--rho", type=float, default=0.5)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--tau", type=float, default=0.05)
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--eta", type=float, default=0.1)

@@ -133,16 +133,18 @@ def apply_kernel(values, n: int, kernel: np.ndarray, coords=None,
     kernel = [[k00, k01], [k10, k11]] maps the pair (a, b) = (value at
     x_i = 0, value at x_i = 1) to (k00*a + k01*b, k10*a + k11*b).  Stages
     run over range(n), or over ``coords``, which must be consecutive
-    ascending coordinates such as [i]; any other list raises ValueError.
+    ascending coordinates in [0, n) such as [i]; any other list, and a table
+    whose last axis does not have 2^n entries (a 0-d one has none), raises
+    ValueError.
     """
     stages = list(range(n) if coords is None else coords)
     lo, hi = (stages[0], stages[-1] + 1) if stages else (0, 0)
     if stages != list(range(lo, hi)):
         raise ValueError(f"coords {stages} are not consecutive ascending coordinates")
     source = np.ascontiguousarray(values)
-    if source.shape[-1] % (1 << hi):
-        raise ValueError(f"last axis of length {source.shape[-1]} has no "
-                         f"coordinate {hi - 1}")
+    if np.shape(values)[-1:] != (1 << n,) or not 0 <= lo <= hi <= n:
+        raise ValueError(f"a table of shape {np.shape(values)} and coordinate "
+                         f"{lo if lo < 0 else hi - 1} do not fit dimension {n}")
     work = np.empty(source.shape, np.promote_types(source.dtype, np.float64)) if copy else source
     mats = _group_matrices(*np.asarray(kernel).ravel().tolist(), work.dtype)
     if mats is None:

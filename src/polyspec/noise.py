@@ -141,10 +141,11 @@ def invert_downward(h, rho: float) -> np.ndarray:
         table, n = h.table, h.n
     else:
         table = np.asarray(h)
-        size = int(table.shape[-1])
+        size = int(table.shape[-1]) if table.ndim else 0
         n = size.bit_length() - 1
         if n < 0 or size != 1 << n:
-            raise ValueError(f"table length {size} is not a power of two")
+            raise ValueError(f"table of shape {table.shape} has last-axis length {size}, "
+                             "not a power of two")
     return apply_kernel(table, n, inverse_noise_kernel(rho), copy=True)
 
 

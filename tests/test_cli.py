@@ -11,7 +11,7 @@ import pytest
 import polyspec as ps
 from polyspec.analysis import ExperimentConfig
 from polyspec.cli import build_parser, main, stream_rng
-from conftest import json_io_functions
+from conftest import json_io_functions, random_boolean, random_bounded
 from oracles import streamed_json_bytes, to_json_dict
 
 SUBCOMMANDS = ["transform", "noise", "ns", "profile", "make", "classify",
@@ -979,6 +979,44 @@ def test_malformed_function_file_exits_2(doc, tmp_path, capsys):
     assert main(["transform", "--p", "0.5", "--in", str(fn)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("polyspec: cannot read function file") and "Traceback" not in err
+
+
+def mutated_texts(text: str, rng: np.random.Generator, count: int) -> list[str]:
+    """count copies of text, each with one or two seeded character
+    inserts, deletes, replacements or truncations."""
+    alphabet = '{}[]":,.-+0123456789eEabcdefnlrstuxyz \n\\\x00é'
+    out = []
+    for _ in range(count):
+        mutant = text
+        for _ in range(int(rng.integers(1, 3))):
+            at, ch = int(rng.integers(len(mutant) + 1)), alphabet[rng.integers(len(alphabet))]
+            mutant = [mutant[:at] + ch + mutant[at:], mutant[:at] + mutant[at + 1:],
+                      mutant[:at] + ch + mutant[at + 1:], mutant[:at]][rng.integers(4)]
+        out.append(mutant)
+    return out
+
+
+def test_mutated_function_files_exit_0_or_2_with_one_line(tmp_path, capsys):
+    """Mutants of three valid function files (Boolean n = 5, bounded n = 3,
+    Boolean n = 0) through transform, noise, profile, solve and ns: every
+    run exits 0, or 2 with exactly one stderr line and no traceback."""
+    rng = np.random.default_rng(3535)
+    fn = tmp_path / "f.json"
+    codes = []
+    for f in (random_boolean(5, rng), random_bounded(3, rng), ps.BooleanFunction(0, [1])):
+        ps.save_function(f, fn)
+        for text in mutated_texts(fn.read_text(), rng, 200):
+            fn.write_text(text)
+            for argv in (["transform", "--p", "0.5"], ["noise", "--rho", "0.5"],
+                         ["profile", "--p", "0.5"], ["solve", "--rho", "0.5"],
+                         ["ns", "--nu", "0.1"]):
+                codes.append(main([*argv, "--in", str(fn)]))
+                err = capsys.readouterr().err
+                assert codes[-1] in (0, 2), (argv, text)
+                if codes[-1] == 2:
+                    assert err.count("\n") == 1 and err.endswith("\n"), (argv, text, err)
+                    assert err.startswith("polyspec: ") and "Traceback" not in err
+    assert 0 in codes and 2 in codes
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-1"])

@@ -735,6 +735,34 @@ def test_apply_kernel_rejects_a_missing_coordinate():
         apply_kernel(np.zeros((2, 12)), 4, KERNELS["noise"])
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda t: transform_table(t, 2, 0.3), "coordinate 1 ", id="transform_table"),
+    pytest.param(lambda t: synthesize_table(t, 2, 0.3), "coordinate 1 ", id="synthesize_table"),
+    pytest.param(lambda t: downward_noise_table(t, 2, 0.3), "coordinate 1 ",
+                 id="downward_noise_table"),
+    pytest.param(lambda t: zeta_subsets(t, 2), "coordinate 1 ", id="zeta_subsets"),
+    pytest.param(lambda t: mobius_subsets(t, 2), "coordinate 1 ", id="mobius_subsets"),
+    pytest.param(lambda t: apply_kernel(t, 3, KERNELS["noise"], [-1]), "coordinate -1 ",
+                 id="apply_kernel-coords-1"),
+    pytest.param(lambda t: apply_kernel(t, 3, KERNELS["analysis"], [2, 3]), "coordinate 3 ",
+                 id="apply_kernel-coords2-3"),
+    pytest.param(lambda t: invert_downward(t[0, 0], 0.5), r"shape \(\)", id="invert_downward-0d"),
+    pytest.param(lambda t: zeta_subsets(t[0, 0], 0), r"shape \(\)", id="zeta_subsets-0d"),
+    pytest.param(lambda t: transform_table(t[0, 0], 0, 0.3), r"shape \(\)",
+                 id="transform_table-0d"),
+])
+def test_raw_table_operators_take_exactly_2_to_the_n_entries(call, message):
+    """A last axis of 2^n entries and coordinates in [0, n), or ValueError
+    naming the coordinate, with the table left as it was.  An 8-entry
+    table at n = 2 ran as two 4-entry tables, coords=[-1] failed on numpy's
+    negative shift count, and a 0-d table raised IndexError (invert_downward)
+    or TypeError (zeta_subsets) or came back as a 1-entry table."""
+    table = np.ones((2, 8))
+    with pytest.raises(ValueError, match=message):
+        call(table)
+    assert np.array_equal(table, np.ones((2, 8)))
+
+
 @pytest.mark.parametrize("coords", [[3, 2, 1, 0], [0, 1, 1, 2], [0, 2, 3], [1, 0]],
                          ids=["descending", "repeated", "non-adjacent", "swapped"])
 def test_apply_kernel_rejects_stages_outside_one_ascending_run(coords):

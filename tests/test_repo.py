@@ -1,9 +1,11 @@
 """The README's Library tour and command-line block run as written, its
-sweep key table lists the config fields, its delta(epsilon) table is the
+sweep key table lists the config fields, its audit table names every key
+of the pinned audit reports, its delta(epsilon) table is the
 curve tier-1 pins, and the code-line counter and the never-run statement
 lister in tools/ report what they say they report."""
 
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -14,9 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import readme_block, readme_library_tour
-from polyspec.analysis import ExperimentConfig
+from polyspec.analysis import THEOREM_ALIASES, ExperimentConfig
 from polyspec.cli import main
-from test_analysis import DELTA_OF_EPSILON
+from test_analysis import AUDIT_GOLDEN, DELTA_OF_EPSILON
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +84,29 @@ def test_readme_sweep_key_table_lists_every_config_field_with_its_default():
     want = [(f.name, f"`{f.default}`" if f.default != "" else "empty (stdout)")
             for f in fields(ExperimentConfig)]
     assert sorted(rows) == sorted(want)
+
+
+def test_readme_audit_table_names_every_key_of_the_pinned_reports():
+    """Each row of the README's audit table has its theorem's numeric alias
+    and names, in backticks, exactly the premise keys, verdict kinds and
+    conclusion keys that the audit golden's reports of that theorem hold."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("`audit` prints the premise", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in section.splitlines()[2:]:
+        theorem, alias, premise, kind, conclusion, _ = line.strip("|").split(" | ")
+        rows[theorem.strip(" `")] = (alias, *(set(re.findall(r"`(\w+)`", cell))
+                                              for cell in (premise, kind, conclusion)))
+    assert {name: row[0] for name, row in rows.items()} == \
+        {name: alias for alias, name in THEOREM_ALIASES.items()}
+    found = {name: (alias, set(), set(), set()) for name, (alias, *_) in rows.items()}
+    for line in AUDIT_GOLDEN.read_text().splitlines():
+        report = json.loads(line)
+        _, premise, kind, conclusion = found[report["theorem"]]
+        premise.update(report["premise"])
+        kind.add(report["verdict"]["kind"])
+        conclusion.update(report["conclusion"])
+    assert found == rows
 
 
 def test_readme_delta_of_epsilon_table_matches_the_pinned_curve():
