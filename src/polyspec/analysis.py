@@ -132,13 +132,14 @@ def solve_exact_pair(g: BooleanFunction, rho: float,
         raise ValueError(f"rho = {rho} overflows the preimage to NaN at n = {g.n}")
     most_negative = float(min(low, 0.0))
     feasible = most_negative >= -EXACT_PAIR_TOL
-    f = u if lam is None else u * lam
-    if not g.table.any():
-        return ExactPairSolution(True, f, None, 0.0)
     top = float(u.max())
+    if lam is not None:
+        u *= lam
+    if not g.table.any():
+        return ExactPairSolution(True, u, None, 0.0)
     lam_max = 1.0 / top if feasible and top > 0 else None
     # 0.0 - x, not -x: a zero minimum reports +0.0
-    return ExactPairSolution(feasible, f, lam_max, 0.0 - most_negative)
+    return ExactPairSolution(feasible, u, lam_max, 0.0 - most_negative)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +268,10 @@ def one_sided_check(f: AnyFunction, g: BooleanFunction,
     _check_same_dimension(f, g)
     tf = downward_noise_table(f.table, f.n, params.rho)
     w = measure_weights(f.n, params.p)
-    gt = g.table.astype(np.float64)
-    eta1 = float(w @ ((1.0 - gt) * tf))
-    eta2 = float(w @ ((gt > 0.5) & (tf < params.lam)))
+    miss = np.subtract(1.0, g.table, dtype=np.float64)
+    eta1 = float(w @ np.multiply(miss, tf, out=miss))
+    # g is 0 or 1, so g times the 0/1 test tf < lam is the indicator of both
+    eta2 = float(w @ np.multiply(np.less(tf, params.lam, out=tf), g.table, out=tf))
     return eta1, eta2
 
 
@@ -400,8 +402,8 @@ def distance_to_monotone_junta(f: BooleanFunction, p: float,
     _check_boolean("distance_to_monotone_junta", f)
     coords = high_influence_coordinates(f, p, tau)
     mono = _sort_edges(average_out(f, coords, p).table.copy(), range(len(coords)))
-    rounded = (mono >= 0.5).take(subcube_codes(f.n, coords))
-    dist = float(measure_weights(f.n, p) @ (f.table != rounded))
+    rounded = (mono >= 0.5).astype(np.float64).take(subcube_codes(f.n, coords))
+    dist = float(measure_weights(f.n, p) @ np.not_equal(f.table, rounded, out=rounded))
     return StructureVerdict(kind="monotone_junta", witness=frozenset(coords),
                             distance=dist, is_upper_bound=True)
 
@@ -441,10 +443,9 @@ def _averaged_profile(f: AnyFunction, coords, avg_bias: float,
     """
     keep = sorted(coords)
     ftilde = average_out(f, keep, avg_bias) if len(keep) < f.n else f
-    ref = scale * target.table.astype(np.float64)
-    gap = np.abs(ftilde.table.astype(np.float64) - ref)
+    gap = ftilde.table - np.multiply(target.table, scale, dtype=np.float64)
     w = measure_weights(len(keep), avg_bias)
-    return {"delta_f_avg_l1": float(w @ gap),
+    return {"delta_f_avg_l1": float(w @ np.abs(gap, out=gap)),
             "delta_f_avg_linf": float(gap.max(initial=0.0))}
 
 
@@ -555,6 +556,8 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
 SWEEP_HEADER = ("seed,n,p,rho,lambda,epsilon_hom,eta_residual,"
                 "delta_const_and,delta_andor,verdict_kind,witness")
 SWEEP_FAMILIES = ("and", "maj", "semirandom")
+# sweep_rows builds its whole task list, and the rows, before it returns
+MAX_SWEEP_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -564,9 +567,10 @@ class ExperimentConfig:
     p and rho lie in (0,1), each of ``sizes`` in [0, MAX_N_BOOLEAN] (and
     at least 3 unless family is "and"), family in SWEEP_FAMILIES, tau in
     [0, 1], and seed, trials, and_width, andor_max_width, window_scale and
-    the perturbations are >= 0; NaN is rejected.  Each field reads from a
-    key=value file as the type of its default, and a key that is not a
-    field is rejected.
+    the perturbations are >= 0; NaN is rejected.  A config of more than
+    MAX_SWEEP_ROWS rows (len(sizes) * len(perturbations) * trials) is
+    rejected before any row runs.  Each field reads from a key=value file
+    as the type of its default, and a key that is not a field is rejected.
     """
 
     p: float = 0.5
@@ -596,6 +600,9 @@ class ExperimentConfig:
         for name in ("seed", "trials", "and_width", "andor_max_width", "perturbations"):
             for value in self.int_list(name):
                 _check_at_least_zero(f"config {name}", value)
+        rows = len(self.int_list("sizes")) * len(self.int_list("perturbations")) * self.trials
+        if rows > MAX_SWEEP_ROWS:
+            raise ValueError(f"config asks for {rows} rows, more than {MAX_SWEEP_ROWS}")
         _check_at_least_zero("config window_scale", self.window_scale)
         _check_closed_unit("config tau", self.tau)
 

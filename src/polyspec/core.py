@@ -164,10 +164,11 @@ def average_out(f: AnyFunction, keep, q: float) -> BoundedFunction:
     _check_open_unit("bias q", q)
     keep = set(keep)
     subset_mask(f.n, keep)
-    table = f.table.astype(np.float64)
+    table = f.table
     for j in sorted(set(range(f.n)) - keep, reverse=True):
         edges = coordinate_pairs(table, j)
-        table = ((1.0 - q) * edges[:, 0, :] + q * edges[:, 1, :]).reshape(-1)
+        table = np.multiply(edges[:, 0, :], 1.0 - q, dtype=np.float64).reshape(-1)
+        table += (q * edges[:, 1, :]).reshape(-1)
     return BoundedFunction(len(keep), table)
 
 
@@ -206,26 +207,40 @@ def _float_list_json(values: np.ndarray) -> str:
     distinct bit pattern once (the uint64 view keeps -0.0 apart from +0.0)
     when fewer than half the entries are distinct.  With more, the gather
     costs more than it saves (195 against 128 ms on an n = 18 spectrum at
-    p = 0.3), so the whole list goes to one json.dumps call."""
-    ordered = np.sort(values.view(np.uint64))   # np.unique hashes: ~20x slower at 2^18
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    p = 0.3), so the whole list goes to one json.dumps call.
+
+    The gather allocates, one entry per value, a sorted uint64 copy (freed
+    once the distinct values are taken), the searchsorted index (freed once
+    the gather has read it), the gathered object array and its list; the
+    brackets go onto the first and last entries, so the join builds the
+    only copy of the text.  The one call allocates tolist()'s floats and
+    the text."""
+    distinct = np.sort(values.view(np.uint64))   # np.unique hashes: ~20x slower at 2^18
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     if 2 * len(distinct) >= len(values):
         return json.dumps(values.tolist())
     # one encoder call formats every distinct value; no float text holds ", "
     text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    gathered = np.array(text, dtype=object)[np.searchsorted(distinct, values.view(np.uint64))]
-    return "[" + ", ".join(gathered.tolist()) + "]"
+    gathered = np.array(text, object)[np.searchsorted(distinct, values.view(np.uint64))].tolist()
+    gathered[0], gathered[-1] = "[" + gathered[0], gathered[-1] + "]"
+    return ", ".join(gathered)
+
+
+def _pieces(obj) -> list[str]:
+    """``dumps(obj)`` as the list of strings it concatenates."""
+    items = sorted(obj.items()) if isinstance(obj, dict) else _json_fields(obj).items()
+    pieces = []
+    for k, v in items:
+        pieces += [", ", json.dumps(k), ": ", _float_list_json(v) if isinstance(v, np.ndarray)
+                   else json.dumps(v, sort_keys=True)]
+    return ["{", *pieces[1:], "}"]
 
 
 def dumps(obj) -> str:
     """``json.dumps`` of a function's file fields in file order, or of a dict
     with string keys with every dict's keys sorted; each float64 ndarray value
     is encoded as its ``tolist()`` would be."""
-    items = sorted(obj.items()) if isinstance(obj, dict) else _json_fields(obj).items()
-    return "{" + ", ".join(
-        json.dumps(k) + ": " + (_float_list_json(v) if isinstance(v, np.ndarray)
-                                else json.dumps(v, sort_keys=True))
-        for k, v in items) + "}"
+    return "".join(_pieces(obj))
 
 
 def from_json_dict(data: dict) -> AnyFunction:
@@ -259,11 +274,15 @@ def from_json_dict(data: dict) -> AnyFunction:
 
 def save_function(f: AnyFunction | dict, path) -> None:
     """Write ``dumps(f)`` and a newline to path: a function file, or any
-    other document ``dumps`` encodes."""
+    other document ``dumps`` encodes.
+
+    The pieces ``dumps`` would join go to writelines, so no string holds
+    the whole document: past _float_list_json's arrays, the float list's
+    text is held once, and its bytes while that piece is written."""
     # Encoding first leaves an existing file untouched when encoding fails.
-    text = dumps(f) + "\n"
+    pieces = _pieces(f) + ["\n"]
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def load_function(path) -> AnyFunction:

@@ -166,13 +166,19 @@ def spectral_action_check(f: AnyFunction, p: float, rho: float) -> float:
 
 
 def residual(f: AnyFunction, g: AnyFunction, params: NoiseParams) -> float:
-    """L1 gap (under mu_p) between T f and lam * g."""
+    """L1 gap (under mu_p) between T f and lam * g.
+
+    Allocates three 2^n float64 tables, besides the kernel's scratch block:
+    T f, which becomes |T f - lam g| in place, lam g, and the mu_p weights.
+    Each entry takes the same operations in the same order as
+    abs(T f - lam * g.table.astype(float64)), so the bits are the same.
+    """
     if params.lam is None:
         raise ValueError("params.lam is required for a residual")
     _check_same_dimension(f, g)
-    tf = downward_noise_table(f.table, f.n, params.rho)
-    gap = np.abs(tf - params.lam * g.table.astype(np.float64))
-    return float(measure_weights(f.n, params.p) @ gap)
+    gap = downward_noise_table(f.table, f.n, params.rho)
+    gap -= np.multiply(g.table, params.lam, dtype=np.float64)
+    return float(measure_weights(f.n, params.p) @ np.abs(gap, out=gap))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ import pytest
 
 import polyspec as ps
 from polyspec import analysis
-from polyspec.analysis import _and_distances, _defect_exact, _monotone_codes, _perturb
+from polyspec.analysis import (_and_distances, _averaged_profile, _defect_exact, _monotone_codes,
+                               _perturb)
 from polyspec.influences import is_monotone
-from polyspec.lattice import index_bits, popcounts, zeta_subsets
+from polyspec.lattice import index_bits, measure_weights, popcounts, zeta_subsets
 from polyspec.noise import invert_downward
 from conftest import random_boolean, random_bounded
 from oracles import (all_and_or_tables, all_block_partitions, and_correlation,
@@ -128,6 +129,21 @@ def test_solve_without_lambda_returns_the_raw_preimage(rng):
     g = random_boolean(6, rng)
     sol = ps.solve_exact_pair(g, 0.4)
     assert sol.preimage.tobytes() == invert_downward(g, 0.4).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 4, 12])
+def test_solve_bits_match_the_plain_expression(n):
+    """The preimage is scaled by lam in place once its maximum is read; it
+    keeps the bits of T^-1 g * lam, and lam_max those of 1 / max T^-1 g."""
+    rng = np.random.default_rng(3700 + n)
+    for g in (random_boolean(n, rng), ps.constant(n, 0), ps.constant(n, 1)):
+        for rho, lam in itertools.product((0.3, 0.5), (None, 2.0 ** -3, 0.7, 1.0)):
+            u = invert_downward(g, rho)
+            sol = ps.solve_exact_pair(g, rho, lam)
+            want = u if lam is None else u * lam
+            assert sol.preimage.tobytes() == want.tobytes(), (rho, lam)
+            top = float(u.max())
+            assert repr(sol.lam_max) == repr(1.0 / top if sol.feasible and top > 0 else None)
 
 
 def test_exact_pair_classification_n5_on_the_monotone_tables():
@@ -398,6 +414,23 @@ def test_one_sided_nonmonotone_leaks():
     g = ps.make_and(2, [0])
     eta1, _ = ps.one_sided_check(f, g, ps.NoiseParams(p=0.5, rho=0.5, lam=0.5))
     assert eta1 > 0.2
+
+
+@pytest.mark.parametrize("n", [0, 4, 12])
+def test_one_sided_bits_match_the_plain_expression(n):
+    """eta1 and eta2 are built in one float64 table besides T f and the
+    weights; each keeps the bits of the plain expression, lam equal to an
+    entry of T f (strictness) included."""
+    rng = np.random.default_rng(3800 + n)
+    g = random_boolean(n, rng)
+    for f in (random_boolean(n, rng), random_bounded(n, rng), g):
+        for p, rho in itertools.product((0.3, 0.5), (0.3, 0.5)):
+            tf = ps.downward_noise(f, rho).table
+            for lam in (2.0 ** -3, 0.7, 1.0, float(tf[-1]) or 1.0):
+                w, gt = measure_weights(n, p), g.table.astype(np.float64)
+                want = (float(w @ ((1.0 - gt) * tf)), float(w @ ((gt > 0.5) & (tf < lam))))
+                got = ps.one_sided_check(f, g, ps.NoiseParams(p=p, rho=rho, lam=lam))
+                assert [x.hex() for x in got] == [x.hex() for x in want], (p, rho, lam)
 
 
 def test_one_sided_trivial_pairs():
@@ -914,6 +947,23 @@ def test_audit_exact_and_xor_pair():
     assert rep.conclusion["delta_g"] == pytest.approx(0.0, abs=1e-12)
     assert rep.conclusion["delta_f_avg_l1"] == pytest.approx(0.0, abs=1e-9)
     assert rep.passed(eta_max=1e-6, eps_max=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 4, 12])
+def test_averaged_profile_bits_match_the_plain_expression(n):
+    """The gap to the scaled target is built in place, with no float64 copy
+    of f or of the target; l1 and linf keep the bits of the plain
+    expression, for Boolean and bounded f, on all coordinates or some."""
+    rng = np.random.default_rng(3900 + n)
+    for f, keep in itertools.product((random_boolean(n, rng), random_bounded(n, rng)),
+                                     (list(range(n)), list(range(0, n, 2)))):
+        target = random_boolean(len(keep), rng)
+        for q, scale in ((0.3, 0.7), (0.25, 2.0)):
+            ftilde = ps.average_out(f, keep, q) if len(keep) < n else f
+            gap = np.abs(ftilde.table.astype(np.float64) - scale * target.table.astype(np.float64))
+            got = _averaged_profile(f, keep, q, target, scale)
+            assert got["delta_f_avg_l1"].hex() == float(measure_weights(len(keep), q) @ gap).hex()
+            assert got["delta_f_avg_linf"].hex() == float(gap.max(initial=0.0)).hex()
 
 
 def test_audit_perturbed_and_grows_with_k(rng):

@@ -737,6 +737,7 @@ SWEEP_BAD_VALUES = [
     ("sizes=10\ntau=nan", "config tau must lie in [0,1], got nan"),
     ("sizes=10\ntau=1.5", "config tau must lie in [0,1], got 1.5"),
     ("sizes=4\nseed=-1", "config seed must be at least 0, got -1"),
+    ("sizes=4\ntrials=1_000000000000", "config asks for 5000000000000 rows, more than 100000"),
 ]
 
 
@@ -751,6 +752,20 @@ def test_sweep_rejects_bad_values_before_any_row(text, message, tmp_path, capsys
     assert captured.out == ""
     assert captured.err == f"polyspec: bad sweep config: {message}\n"
     assert not out.exists()
+
+
+def test_sweep_config_loads_up_to_the_row_cap(tmp_path):
+    """len(sizes) * len(perturbations) * trials may reach MAX_SWEEP_ROWS;
+    one row more is rejected at load.  Neither config is run."""
+    cap = ps.analysis.MAX_SWEEP_ROWS
+    path = tmp_path / "sweep.cfg"
+    for rows in (f"sizes=4\nperturbations=0\ntrials={cap}",
+                 f"sizes=4,5\nperturbations=0,1,2,3,4\ntrials={cap // 10}"):
+        path.write_text(rows + "\n")
+        assert ExperimentConfig.from_file(path).trials in (cap, cap // 10)
+    path.write_text(f"sizes=4\nperturbations=0\ntrials={cap + 1}\n")
+    with pytest.raises(ValueError, match=f"config asks for {cap + 1} rows, more than {cap}$"):
+        ExperimentConfig.from_file(path)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

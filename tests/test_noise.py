@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 import polyspec as ps
 from polyspec.fourier import synthesize_table, transform_table
-from polyspec.lattice import index_bits, popcounts
+from polyspec.lattice import index_bits, measure_weights, popcounts
 from polyspec.noise import (downward_noise_table, inverse_noise_kernel, invert_downward,
                             noise_kernel)
 from conftest import random_boolean, random_bounded
@@ -421,3 +422,20 @@ def test_residual_needs_lambda():
     t = ps.make_and(2, [0])
     with pytest.raises(ValueError, match="params.lam is required for a residual"):
         ps.residual(t, t, ps.NoiseParams(p=0.5, rho=0.5))
+
+
+@pytest.mark.parametrize("n", [0, 4, 12])
+def test_residual_bits_match_the_plain_expression(n):
+    """residual builds |T f - lam g| in place on the fresh T f table; each
+    entry takes the operations of the plain expression in its order, so the
+    sum keeps its bits for Boolean and bounded f and g, at dyadic and
+    non-dyadic p, rho and lam, and the inputs are left as they were."""
+    rng = np.random.default_rng(3600 + n)
+    for f, g in itertools.product((random_boolean(n, rng), random_bounded(n, rng)), repeat=2):
+        before = f.table.tobytes(), g.table.tobytes()
+        for p, rho, lam in itertools.product((0.3, 0.5), (0.3, 0.5), (2.0 ** -3, 0.7, 1.0)):
+            tf = downward_noise_table(f.table, n, rho)
+            want = float(measure_weights(n, p) @ np.abs(tf - lam * g.table.astype(np.float64)))
+            got = ps.residual(f, g, ps.NoiseParams(p=p, rho=rho, lam=lam))
+            assert got.hex() == want.hex(), (type(f), type(g), p, rho, lam)
+        assert (f.table.tobytes(), g.table.tobytes()) == before

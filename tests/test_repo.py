@@ -1,8 +1,9 @@
 """The README's Library tour and command-line block run as written, its
 sweep key table lists the config fields, its audit table names every key
 of the pinned audit reports, its delta(epsilon) table is the
-curve tier-1 pins, and the code-line counter and the never-run statement
-lister in tools/ report what they say they report."""
+curve tier-1 pins, and the code-line counter, the never-run statement
+lister and the per-step fault counter in tools/ report what they say they
+report."""
 
 import importlib.util
 import json
@@ -14,6 +15,8 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from conftest import readme_block, readme_library_tour
 from polyspec.analysis import THEOREM_ALIASES, ExperimentConfig
@@ -202,3 +205,17 @@ def test_uncovered_lists_each_statement_a_run_never_reaches(tmp_path):
     assert missed == [("mod.py", 11, "raise ValueError("), ("mod.py", 16, "return 1")]
     assert tool.statements(pkg / "mod.py") == [(2, 2), (5, 12), (9, 10), (10, 10),
                                                (11, 12), (15, 16), (16, 16)]
+
+
+def test_op_faults_times_every_step_of_the_session(capsys):
+    """One counted cycle of the file-based session at n = 4: a header, then
+    one line per step with its median ms and minor-fault count."""
+    assert _tool("op_faults").main(["--cycles", "1", "--n", "4"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "n = 4, 1 cycles: step, median ms, median minor faults"
+    steps = [line.split() for line in lines]
+    assert [s[0] for s in steps] == ["make-andor", "make-andxor", "noise", "transform",
+                                     "profile", "solve", "audit", "ns"]
+    assert all(float(ms) >= 0 and int(faults) >= 0 for _, ms, faults in steps)
+    with pytest.raises(SystemExit):
+        _tool("op_faults").main(["--cycles", "0"])
