@@ -556,8 +556,11 @@ def theorem_audit(theorem: str, f: AnyFunction, g: BooleanFunction,
 SWEEP_HEADER = ("seed,n,p,rho,lambda,epsilon_hom,eta_residual,"
                 "delta_const_and,delta_andor,verdict_kind,witness")
 SWEEP_FAMILIES = ("and", "maj", "semirandom")
-# sweep_rows builds its whole task list, and the rows, before it returns
-MAX_SWEEP_ROWS = 100_000
+# sweep_rows builds its whole task list, and the rows, before it returns.
+# A row of the longest text at a one-digit seed holds about 665 bytes (its
+# task, its text and the CSV copies), so at the cap the sweep holds about
+# one n = 24 float64 table, 128 MiB.
+MAX_SWEEP_ROWS = 200_000
 
 
 @dataclass(frozen=True)

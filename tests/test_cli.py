@@ -737,7 +737,7 @@ SWEEP_BAD_VALUES = [
     ("sizes=10\ntau=nan", "config tau must lie in [0,1], got nan"),
     ("sizes=10\ntau=1.5", "config tau must lie in [0,1], got 1.5"),
     ("sizes=4\nseed=-1", "config seed must be at least 0, got -1"),
-    ("sizes=4\ntrials=1_000000000000", "config asks for 5000000000000 rows, more than 100000"),
+    ("sizes=4\ntrials=1_000000000000", "config asks for 5000000000000 rows, more than 200000"),
 ]
 
 

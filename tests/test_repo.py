@@ -208,11 +208,11 @@ def test_uncovered_lists_each_statement_a_run_never_reaches(tmp_path):
 
 
 def test_op_faults_times_every_step_of_the_session(capsys):
-    """One counted cycle of the file-based session at n = 4: a header, then
+    """One counted cycle of the file-based session at n = 18: a header, then
     one line per step with its median ms and minor-fault count."""
-    assert _tool("op_faults").main(["--cycles", "1", "--n", "4"]) == 0
+    assert _tool("op_faults").main(["--cycles", "1"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header == "n = 4, 1 cycles: step, median ms, median minor faults"
+    assert header == "n = 18, 1 cycles: step, median ms, median minor faults"
     steps = [line.split() for line in lines]
     assert [s[0] for s in steps] == ["make-andor", "make-andxor", "noise", "transform",
                                      "profile", "solve", "audit", "ns"]

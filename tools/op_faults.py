@@ -1,12 +1,12 @@
 """Time each step of a file-based command-line session and count the minor
 page faults it takes.
 
-    PYTHONPATH=src python tools/op_faults.py [--cycles K] [--n N]
+    PYTHONPATH=src python tools/op_faults.py [--cycles K]
 
 Runs, in this process and in a temporary directory, K cycles (default 12)
 of the session ``make`` (andor and andxor) -> ``noise`` -> ``transform``
 -> ``profile`` -> ``solve`` -> ``audit --theorem 2.2`` -> ``ns`` on one
-AND-OR partition at dimension N (default 18) through
+AND-OR partition at dimension n = 18 through
 ``polyspec.cli.main``, and prints one line per step: its median wall time
 in ms and its median count of minor page faults
 (``resource.getrusage(RUSAGE_SELF).ru_minflt``) over the cycles.  A minor
@@ -33,14 +33,14 @@ from pathlib import Path
 
 from polyspec import cli
 
-BLOCKS = "0,1,2;3,4,5;6,7;8,9"   # width 4, so lambda = 2^-4; "0,1;2" below n = 10
+N = 18
+BLOCKS = "0,1,2;3,4,5;6,7;8,9"   # width 4, so lambda = 2^-4
 
 
-def session(n: int, d: Path) -> list[tuple[str, list[str]]]:
+def session(d: Path) -> list[tuple[str, list[str]]]:
     f, g = str(d / "f.json"), str(d / "g.json")
-    blocks = BLOCKS if n >= 10 else "0,1;2"
-    lam = repr(2.0 ** -len(blocks.split(";")))
-    make = ["make", "--n", str(n), "--blocks", blocks, "--family"]
+    lam = repr(2.0 ** -len(BLOCKS.split(";")))
+    make = ["make", "--n", str(N), "--blocks", BLOCKS, "--family"]
     return [
         ("make-andor", make + ["andor", "--out", g]),
         ("make-andxor", make + ["andxor", "--out", f]),
@@ -54,10 +54,10 @@ def session(n: int, d: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
-def measure(n: int, cycles: int) -> dict[str, tuple[list[float], list[int]]]:
+def measure(cycles: int) -> dict[str, tuple[list[float], list[int]]]:
     """Wall seconds and minor faults of each step, one entry per counted cycle."""
     with tempfile.TemporaryDirectory() as tmp:
-        steps = session(n, Path(tmp))
+        steps = session(Path(tmp))
         got: dict[str, tuple[list[float], list[int]]] = {name: ([], []) for name, _ in steps}
         for cycle in range(cycles + 1):
             for name, argv in steps:
@@ -78,12 +78,11 @@ def measure(n: int, cycles: int) -> dict[str, tuple[list[float], list[int]]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cycles", type=int, default=12)
-    parser.add_argument("--n", type=int, default=18)
     args = parser.parse_args(argv)
-    if args.cycles < 1 or args.n < 3:
-        parser.error("--cycles must be at least 1 and --n at least 3")
-    print(f"n = {args.n}, {args.cycles} cycles: step, median ms, median minor faults")
-    for name, (walls, faults) in measure(args.n, args.cycles).items():
+    if args.cycles < 1:
+        parser.error("--cycles must be at least 1")
+    print(f"n = {N}, {args.cycles} cycles: step, median ms, median minor faults")
+    for name, (walls, faults) in measure(args.cycles).items():
         print(f"{name:12s} {statistics.median(walls) * 1e3:9.2f} {statistics.median(faults):9.0f}")
     return 0
 
